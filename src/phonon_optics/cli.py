@@ -27,18 +27,12 @@ import numpy as np
 from . import detection, interferometer, seqlang
 
 
-def _angle(text: str):
+def _angle(text: str) -> float:
     """Flag type accepting decimal radians or pi fractions like ``pi/3``."""
-    m = seqlang._PI_RE.match(text.strip())
-    if m:
-        sign = -1 if m.group(1) == "-" else 1
-        num = sign * (int(m.group(2)) if m.group(2) else 1)
-        den = int(m.group(3)) if m.group(3) else 1
-        return num * math.pi / den
     try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an angle: {text!r}")
+        return seqlang.parse_angle(text.strip()).value
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,10 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="phonon-optics",
         description="Two-mode phonon optics: pulse programs, interferometer "
         "sweeps and phonon-number detection.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved for future measurement-noise options; currently unused",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -68,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--points", type=int, default=64)
     p_sweep.add_argument("--nmax", type=int, default=None,
                          help="override the truncation of the state spec")
-    p_sweep.add_argument("--fd-step", type=float, default=interferometer.DEFAULT_FD_STEP)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", default=None, help="CSV file (default stdout)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
@@ -200,7 +188,7 @@ def cmd_sweep(args) -> int:
     state = seqlang.parse_state_spec(args.state_spec, args.nmax)
     step = (args.phi_max - args.phi_min) / args.points
     grid = [args.phi_min + k * step for k in range(args.points)]
-    reports = interferometer.phase_sweep(state, grid, args.fd_step, args.workers)
+    reports = interferometer.phase_sweep(state, grid)
     csv_text = interferometer.sweep_to_csv(reports)
     if args.out is None:
         sys.stdout.write(csv_text)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .fockspace import (
     JointState,
@@ -231,6 +230,8 @@ def signal(
 def _nnls_on_dictionary(
     times: np.ndarray, values: np.ndarray, coupling: float, roots: np.ndarray
 ) -> tuple[np.ndarray, float]:
+    import scipy.optimize  # imported on first fit; most CLI calls never fit
+
     # P_g = sum_k p_k cos^2(coupling * t * sqrt(k)); the constant and the
     # oscillating parts enter through the same columns.
     design = np.cos(np.outer(times, coupling * roots)) ** 2

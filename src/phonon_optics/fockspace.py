@@ -112,6 +112,8 @@ class MotionalState:
             raise ValueError(
                 f"amplitude array has shape {amps.shape}, expected ({self.trunc.dim},)"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("state has non-finite amplitudes")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"state not normalized: sum |c|^2 = {norm2!r}")
@@ -374,6 +376,8 @@ class QubitState:
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if amps.shape != (2,):
             raise ValueError("qubit state needs exactly two amplitudes")
+        if not np.isfinite(amps).all():
+            raise ValueError("qubit state has non-finite amplitudes")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"qubit state not normalized: |a_g|^2+|a_e|^2 = {norm2!r}")
@@ -436,6 +440,8 @@ class JointState:
         want = (2,) * len(self.ions) + (self.trunc.dim,)
         if amps.shape != want:
             raise ValueError(f"amplitude tensor has shape {amps.shape}, expected {want}")
+        if not np.isfinite(amps).all():
+            raise ValueError("joint state has non-finite amplitudes")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"joint state not normalized: norm^2 = {norm2!r}")

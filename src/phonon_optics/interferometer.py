@@ -2,24 +2,29 @@
 
 The interferometer is temporal: a 50/50 splitter, a phase phi on the
 center-of-mass mode, and a second 50/50 splitter, all realized as
-exp(+i (pi/2) Jx) e^{i phi a+ a} exp(+i (pi/2) Jx).  The phonon-number
-difference (Jz) of the output carries the phase; the report estimates the
-phase error by error propagation with a numerical derivative, so it works
-for arbitrary input states rather than only the coherent-input closed form.
+U = exp(+i (pi/2) Jx) e^{i phi a+ a} exp(+i (pi/2) Jx).  The phonon-number
+difference (Jz) of the output carries the phase.
+
+``mz_output`` propagates a state through the three factors.  The
+statistics need no propagation: e^{i phi a+ a} = e^{i phi N/2} e^{i phi Jz}
+with N central, so in the Heisenberg picture U+ Jz U = sin(phi) Jx -
+cos(phi) Jz (Yurke, McCall & Klauder, PRA 33, 4033 (1986)).  This is exact
+on the truncated space, because each fixed-N block is a spin-N/2 irrep.
+Five moments of the input state then give <Jz>, <Jz^2> and the exact slope
+d<Jz>/dphi at every phase, for arbitrary input states.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .fockspace import MotionalState, Truncation, expect
+import numpy as np
+
+from .fockspace import MotionalState, Truncation, _apply_jx
 from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
-
-DEFAULT_FD_STEP = 1e-4
 
 SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
 
@@ -58,49 +63,59 @@ def mz_output(in_state: MotionalState, phi: float) -> MotionalState:
     return apply(half, s)
 
 
-def _mean_jz(in_state: MotionalState, phi: float) -> float:
-    return expect(mz_output(in_state, phi), "jz")
-
-
 def mz_report(
-    in_state: MotionalState, phi: float, fd_step: float = DEFAULT_FD_STEP
+    in_state: MotionalState, phi: float, fd_step: float = 1e-4
 ) -> InterferometerReport:
     """Statistics of the output Jz plus the propagated phase error.
 
-    The derivative is a central finite difference with step fd_step
-    (restricted to (0, 0.1]); its O(step^2) bias is far below the
-    tolerances used downstream.
+    The slope d<Jz>/dphi is exact.  fd_step is unused; it is still accepted
+    (and restricted to (0, 0.1]) so that callers written for the former
+    finite-difference slope keep working.
     """
     if not 0.0 < fd_step <= 0.1:
         raise ValueError(f"fd_step must lie in (0, 0.1], got {fd_step}")
-    out = mz_output(in_state, phi)
-    mean_jz = expect(out, "jz")
-    mean_jz2 = expect(out, "jz2")
-    var = mean_jz2 - mean_jz**2
-    slope = (_mean_jz(in_state, phi + fd_step) - _mean_jz(in_state, phi - fd_step)) / (
-        2.0 * fd_step
-    )
-    if abs(slope) < 1e-14:
-        delta_phi = math.inf
-    else:
-        delta_phi = math.sqrt(max(var, 0.0)) / abs(slope)
-    return InterferometerReport(phi, mean_jz, mean_jz2, var, slope, delta_phi)
+    return phase_sweep(in_state, [phi])[0]
 
 
 def phase_sweep(
-    in_state: MotionalState,
-    phis: Sequence[float],
-    fd_step: float = DEFAULT_FD_STEP,
-    workers: int = 1,
+    in_state: MotionalState, phis: Iterable[float]
 ) -> list[InterferometerReport]:
-    """One report per grid point, ordered like the grid."""
-    grid = list(phis)
-    if not grid:
+    """One report per grid point, ordered like the grid.
+
+    Five input moments, <Jx>, <Jz> and the (co)variances of Jx and Jz, are
+    computed once; every grid point is then a rotation of them.
+    """
+    grid = np.asarray(list(phis), dtype=np.float64)
+    if grid.size == 0:
         raise ValueError("phase grid must be nonempty")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: mz_report(in_state, p, fd_step), grid))
-    return [mz_report(in_state, p, fd_step) for p in grid]
+    if not np.isfinite(grid).all():
+        raise ValueError("phases must be finite")
+
+    amps = in_state.amps
+    ms, ns = in_state.trunc.mode_numbers()
+    jz_diag = 0.5 * (ms - ns)
+    jx_amps = _apply_jx(amps, in_state.trunc)
+    jx = np.vdot(amps, jx_amps).real
+    jz = jz_diag @ (np.abs(amps) ** 2)
+    # Central second moments, so no grid point subtracts <Jz>^2 from <Jz^2>.
+    dx = jx_amps - jx * amps
+    dz = (jz_diag - jz) * amps
+    vxx = np.vdot(dx, dx).real
+    vzz = np.vdot(dz, dz).real
+    vxz = np.vdot(dx, dz).real
+
+    c, s = np.cos(grid), np.sin(grid)
+    mean = s * jx - c * jz
+    var = s * s * vxx + c * c * vzz - 2.0 * s * c * vxz
+    mean2 = var + mean * mean
+    slope = c * jx + s * jz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.sqrt(np.maximum(var, 0.0)) / np.abs(slope)
+    delta[np.abs(slope) < 1e-14] = math.inf
+    return [
+        InterferometerReport(*map(float, row))
+        for row in zip(grid, mean, mean2, var, slope, delta)
+    ]
 
 
 def sweep_to_csv(reports: Iterable[InterferometerReport]) -> str:

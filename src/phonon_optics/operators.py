@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fockspace import JointState, MotionalState, Truncation
 
@@ -392,6 +391,8 @@ def expm_oracle(
         w, v = np.linalg.eigh(g)
         u = (v * np.exp(-1j * t * w)) @ v.conj().T
     elif np.max(np.abs(g + g.conj().T)) <= 1e-12 * scale:
+        import scipy.linalg  # test-only path; keeps scipy out of the CLI import
+
         u = scipy.linalg.expm(t * g)
     else:
         raise ValueError("generator is neither Hermitian nor anti-Hermitian")

@@ -96,6 +96,34 @@ class Angle:
         return head if self.pi_den == 1 else f"{head}/{self.pi_den}"
 
 
+def parse_angle(text: str) -> Angle:
+    """Angle literal: decimal radians or a rational multiple of pi.
+
+    Raises ValueError for anything else, a zero denominator, or a value
+    that is not finite.
+    """
+    m = _PI_RE.match(text)
+    if m:
+        sign = -1 if m.group(1) == "-" else 1
+        num = sign * (int(m.group(2)) if m.group(2) else 1)
+        den = int(m.group(3)) if m.group(3) else 1
+        if den == 0:
+            raise ValueError("angle denominator must be nonzero")
+        try:
+            return Angle.from_pi(num, den)
+        except OverflowError:
+            raise ValueError(f"angle {text!r} is out of range") from None
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(
+            f"expected an angle (decimal radians or a pi fraction), got {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ValueError("angles must be finite")
+    return Angle.from_value(value)
+
+
 @dataclass(frozen=True)
 class SourceSpan:
     line: int
@@ -179,27 +207,12 @@ class _LineReader:
             raise ParseError(self.line, tok.col, f"{what} must be finite, got {tok.text!r}")
         return value
 
-    def take_angle(self, what: str = "an angle") -> Angle:
-        tok = self.take(what)
-        m = _PI_RE.match(tok.text)
-        if m:
-            sign = -1 if m.group(1) == "-" else 1
-            num = sign * (int(m.group(2)) if m.group(2) else 1)
-            den = int(m.group(3)) if m.group(3) else 1
-            if den == 0:
-                raise ParseError(self.line, tok.col, "angle denominator must be nonzero")
-            return Angle.from_pi(num, den)
+    def take_angle(self) -> Angle:
+        tok = self.take("an angle")
         try:
-            value = float(tok.text)
-        except ValueError:
-            raise ParseError(
-                self.line,
-                tok.col,
-                f"expected {what} (decimal radians or a pi fraction), got {tok.text!r}",
-            )
-        if not math.isfinite(value):
-            raise ParseError(self.line, tok.col, "angles must be finite")
-        return Angle.from_value(value)
+            return parse_angle(tok.text)
+        except ValueError as exc:
+            raise ParseError(self.line, tok.col, str(exc)) from None
 
     def finish(self):
         if self.pos < len(self.tokens):

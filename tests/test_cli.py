@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,20 +108,75 @@ def test_sweep_vacuum_flat(capsys):
     assert all(abs(row[1]) < 1e-13 for row in rows)
 
 
-def test_sweep_to_file_and_workers(tmp_path, capsys):
+def test_sweep_to_file_matches_stdout(tmp_path, capsys):
+    argv = ("sweep", "coherent 0 0 1 0 nmax 25", "--points", "16")
+    code, stdout_csv, _ = run_cli(capsys, *argv)
+    assert code == 0
     out_file = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(
-        capsys, "sweep", "coherent 0 0 1 0 nmax 25", "--points", "16",
-        "--out", str(out_file), "--workers", "3",
-    )
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
     assert code == 0
-    text_threaded = out_file.read_text()
-    code, _, _ = run_cli(
-        capsys, "sweep", "coherent 0 0 1 0 nmax 25", "--points", "16",
-        "--out", str(out_file), "--workers", "1",
+    assert out == f"wrote 16 rows to {out_file}\n"
+    assert out_file.read_text() == stdout_csv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "coherent 0 0 2 0 nmax 10", "--points", "3", "--phi-max", "pi/0"),
+        ("sweep", "coherent 0 0 2 0 nmax 10", "--points", "3", "--phi-max", "inf"),
+        ("sweep", "coherent 0 0 2 0 nmax 10", "--points", "3", "--phi-min", "1e400"),
+        ("sweep", "coherent 0 0 2 0 nmax 10", "--points", "3", "--phi-max", "9" * 400 + "*pi"),
+        ("detect", "coherent 0 0 2 0 nmax 10", "--method", "single", "--mz", "nan"),
+    ],
+)
+def test_bad_angle_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--seed", "1", "sweep", "fock 0 0 nmax 2"),
+        ("sweep", "fock 0 0 nmax 2", "--workers", "2"),
+        ("sweep", "fock 0 0 nmax 2", "--fd-step", "1e-4"),
+    ],
+)
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_rejects_non_finite_grid(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "fock 1 0 nmax 2", "--points", "2",
+        "--phi-min=-1e308", "--phi-max", "1e308",
     )
-    assert code == 0
-    assert out_file.read_text() == text_threaded
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, phonon_optics.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_sweep_bad_state_spec(capsys):

@@ -226,6 +226,12 @@ def test_norm_validation():
         MotionalState(t, np.ones(t.dim))
 
 
+def test_motional_state_rejects_non_finite_amplitudes():
+    t = Truncation(2)
+    with pytest.raises(ValueError, match="non-finite"):
+        MotionalState(t, np.full(t.dim, np.nan))
+
+
 def test_reduced_purity_product_and_entangled():
     t = Truncation(4)
     assert reduced_purity(make_fock(2, 1, t)) == pytest.approx(1.0)
@@ -274,6 +280,11 @@ def test_qubit_state_constructors():
         QubitState.of(1.0, 1.0)
 
 
+def test_qubit_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError, match="non-finite"):
+        QubitState.of(math.nan, math.nan)
+
+
 def test_joint_state_shapes_and_norm():
     s = make_fock(1, 0, Truncation(3))
     js = joint_state(s, ion1=QubitState.plus(), ion2=QubitState.ground())
@@ -285,6 +296,12 @@ def test_joint_state_shapes_and_norm():
     assert js2.ground_probability(2) == pytest.approx(0.0)
     with pytest.raises(ValueError, match="no qubit register"):
         js2.axis_of(1)
+
+
+def test_joint_state_rejects_non_finite_amplitudes():
+    t = Truncation(1)
+    with pytest.raises(ValueError, match="non-finite"):
+        JointState(t, (2,), np.full((2, t.dim), np.nan))
 
 
 def test_joint_state_reduced_quantities():

@@ -5,6 +5,8 @@ import pytest
 
 from phonon_optics import (
     Truncation,
+    apply,
+    beam_splitter,
     expect,
     expm_oracle,
     fidelity,
@@ -137,12 +139,25 @@ def test_phase_sweep_vacuum_is_flat_zero():
     assert all(abs(r.mean_jz) < 1e-13 for r in reports)
 
 
-def test_phase_sweep_workers_preserve_order_and_values():
+def test_jx_eigenstate_has_zero_variance_at_quadrature():
+    # exp(-i pi/2 Jy) |60, 0> is a Jx eigenstate with <Jx> = 30; at
+    # phi = +-pi/2 the output Jz is +-Jx, so its variance vanishes.  A
+    # per-point <Jz^2> - <Jz>^2 loses about 1e-12 to cancellation here.
+    t = Truncation(60)
+    state = apply(beam_splitter("b2", math.pi / 2, t), make_fock(60, 0, t))
+    for r in phase_sweep(state, [math.pi / 2, -math.pi / 2]):
+        assert abs(r.mean_jz) == pytest.approx(30.0, abs=1e-10)
+        assert abs(r.var_jz) < 1e-20
+        assert r.mean_jz2 == pytest.approx(900.0, abs=1e-10)
+
+
+def test_phase_sweep_rejects_non_finite_phase():
     state = coherent_input(1)
-    grid = np.linspace(0, 2 * math.pi, 12, endpoint=False)
-    serial = phase_sweep(state, grid, workers=1)
-    threaded = phase_sweep(state, grid, workers=4)
-    assert serial == threaded
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            phase_sweep(state, [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            mz_report(state, bad)
 
 
 def test_sweep_csv_format():

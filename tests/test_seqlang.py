@@ -15,7 +15,13 @@ from phonon_optics import (
     parse,
     parse_state_spec,
 )
-from phonon_optics.seqlang import Angle, DirectRecord, ReportRecord, TraceRecord
+from phonon_optics.seqlang import (
+    Angle,
+    DirectRecord,
+    ReportRecord,
+    TraceRecord,
+    parse_angle,
+)
 from seq_generator import random_program
 
 MZ_DEMO = "init coherent 0 0 2 0 nmax 40\nmz pi/3\nreport\n"
@@ -119,6 +125,27 @@ def test_angle_literal_forms():
     assert values == pytest.approx(
         [math.pi, math.pi / 2, 3 * math.pi / 4, -math.pi / 3, -2 * math.pi, 0.125, -1e-3]
     )
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("pi/0", "denominator must be nonzero"),
+        ("inf", "must be finite"),
+        ("-inf", "must be finite"),
+        ("nan", "must be finite"),
+        ("1e400", "must be finite"),
+        ("9" * 400 + "*pi", "out of range"),
+        ("pi/" + "9" * 400, "out of range"),
+        ("half", "expected an angle"),
+    ],
+)
+def test_angle_rejections(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_angle(text)
+    with pytest.raises(ParseError, match=message) as exc_info:
+        parse(f"init fock 0 0 nmax 2\nbs1 {text}")
+    assert (exc_info.value.line, exc_info.value.col) == (2, 5)
 
 
 def test_angle_text_round_trip():
