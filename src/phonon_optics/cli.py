@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,28 @@ def _angle(text: str) -> float:
         return seqlang.parse_angle(text.strip()).value
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_ANGLE_FLAGS = ("--phi-min", "--phi-max", "--mz")
+_NEGATIVE_ANGLE = re.compile(r"-(\d|\.\d|pi)", re.IGNORECASE)
+
+
+def _attach_negative_angles(argv: list[str]) -> list[str]:
+    """Rewrite ``--phi-min -pi/2`` as ``--phi-min=-pi/2``.
+
+    argparse reads a separate flag value that starts with '-' as an option
+    unless it is a plain decimal, so a negative pi fraction or exponent
+    literal after an angle flag would be rejected as a missing argument.
+    """
+    out: list[str] = []
+    pending = False
+    for token in argv:
+        if pending and _NEGATIVE_ANGLE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+        pending = token in _ANGLE_FLAGS
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _report_json(record) -> str:
     d = record.distribution
-    size = d.p_m.shape[0]
-    rows = [
-        [m, total - m, float(d.p_mn[m, total - m])]
-        for total in range(size)
-        for m in range(total + 1)
-    ]
     return json.dumps(
         {
             "kind": "report",
@@ -103,7 +120,7 @@ def _report_json(record) -> str:
             "mean_jz": d.mean_jz,
             "p_m": [float(x) for x in d.p_m],
             "p_n": [float(x) for x in d.p_n],
-            "p": rows,
+            "p": d.rows(),  # tuples serialize as JSON arrays
         }
     )
 
@@ -242,7 +259,9 @@ def cmd_detect(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_angles(list(argv)))
     try:
         return args.handler(args)
     except seqlang.ParseError as exc:

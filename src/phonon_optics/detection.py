@@ -140,28 +140,24 @@ def default_times(
 
 @lru_cache(maxsize=None)
 def _jcm_tables(n_total_max: int, kind: str, mode: str):
-    """(g_index, e_index, root) arrays for the coupled pairs of one probe."""
-    trunc = Truncation(n_total_max)
-    ms, ns = trunc.mode_numbers()
-    g_idx, e_idx, root = [], [], []
-    for i in range(trunc.dim):
-        m, n = int(ms[i]), int(ns[i])
-        if kind == "single":
-            k = m if mode == "c" else n
-            if k >= 1:
-                g_idx.append(i)
-                e_idx.append(trunc.index(m - 1, n) if mode == "c" else trunc.index(m, n - 1))
-                root.append(math.sqrt(k))
-        else:
-            if m >= 1 and n >= 1:
-                g_idx.append(i)
-                e_idx.append(trunc.index(m - 1, n - 1))
-                root.append(math.sqrt(m * n))
-    return (
-        np.array(g_idx, dtype=np.int64),
-        np.array(e_idx, dtype=np.int64),
-        np.array(root, dtype=np.float64),
-    )
+    """(g_index, e_index, root) arrays for the coupled pairs of one probe.
+
+    With the flat index t(t+1)/2 + m of |m, n> (t = m + n), the |e> partner
+    sits t + 1 entries earlier for |m-1, n>, t for |m, n-1> and 2t for
+    |m-1, n-1>.
+    """
+    ms, ns = Truncation(n_total_max).mode_numbers()
+    totals = ms + ns
+    if kind == "single":
+        k = ms if mode == "c" else ns
+        g_idx = np.flatnonzero(k >= 1)
+        shift = totals[g_idx] + (1 if mode == "c" else 0)
+        root = np.sqrt(k[g_idx].astype(np.float64))
+    else:
+        g_idx = np.flatnonzero((ms >= 1) & (ns >= 1))
+        shift = 2 * totals[g_idx]
+        root = np.sqrt((ms[g_idx] * ns[g_idx]).astype(np.float64))
+    return g_idx, g_idx - shift, root
 
 
 def jcm_unitary(
@@ -192,11 +188,10 @@ def jcm_propagate(
 def level_sets(s: MotionalState) -> dict[int, float]:
     """True q_k = sum over pairs with m * n = k of |c_mn|^2."""
     ms, ns = s.trunc.mode_numbers()
-    p = np.abs(s.amps) ** 2
-    out: dict[int, float] = {}
-    for k, w in zip(ms * ns, p):
-        out[int(k)] = out.get(int(k), 0.0) + float(w)
-    return out
+    k = ms * ns
+    q = np.bincount(k, weights=np.abs(s.amps) ** 2)
+    present = np.flatnonzero(np.bincount(k))
+    return dict(zip(present.tolist(), q[present].tolist()))
 
 
 def signal(

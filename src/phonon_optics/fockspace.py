@@ -137,13 +137,29 @@ def make_fock(m: int, n: int, trunc: Truncation) -> MotionalState:
     return MotionalState(trunc, amps)
 
 
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log k! for k = 0..n_max."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+
+
 def _coherent_mode_amps(alpha: complex, n_max: int) -> np.ndarray:
-    """Amplitudes <k|alpha> for k = 0..n_max, built by stable recurrence."""
-    out = np.empty(n_max + 1, dtype=np.complex128)
-    out[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for k in range(1, n_max + 1):
-        out[k] = out[k - 1] * alpha / math.sqrt(k)
-    return out
+    """Amplitudes <k|alpha> for k = 0..n_max.
+
+    The modulus exp(-|alpha|^2/2) |alpha|^k / sqrt(k!) is formed in log
+    space, so it does not underflow for large |alpha|; the phase is the
+    running product of alpha / |alpha|, so a real or imaginary alpha keeps
+    exact signs.
+    """
+    r = abs(alpha)
+    if r == 0.0:
+        out = np.zeros(n_max + 1, dtype=np.complex128)
+        out[0] = 1.0
+        return out
+    k = np.arange(n_max + 1)
+    modulus = np.exp(k * math.log(r) - 0.5 * r * r - 0.5 * _log_factorials(n_max))
+    steps = np.full(n_max + 1, alpha / r, dtype=np.complex128)
+    steps[0] = 1.0
+    return modulus * np.cumprod(steps)
 
 
 def _coherent_overlap(a: complex, b: complex) -> complex:
@@ -264,14 +280,14 @@ class JointDistribution:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def rows(self) -> list[tuple[int, int, float]]:
+        """(m, n, p_mn) for every basis pair, in (total, m) order."""
+        ms, ns = _mode_numbers(self.p_m.shape[0] - 1)
+        return list(zip(ms.tolist(), ns.tolist(), self.p_mn[ms, ns].tolist()))
+
     def to_csv(self) -> str:
         """Rows "m,n,p" for every basis pair, in (total, m) order."""
-        lines = ["m,n,p"]
-        size = self.p_m.shape[0]
-        for total in range(size):
-            for m in range(total + 1):
-                lines.append(f"{m},{total - m},{self.p_mn[m, total - m]:.17g}")
-        return "\n".join(lines) + "\n"
+        return "m,n,p\n" + "".join(f"{m},{n},{p:.17g}\n" for m, n, p in self.rows())
 
 
 def number_distributions(s: MotionalState) -> JointDistribution:
@@ -292,21 +308,16 @@ def _hop_tables(n_total_max: int):
     """Index/coefficient tables for a+b and a b+ on the triangular basis.
 
     Returns (src_up, dst_up, coef_up, src_dn, dst_dn, coef_dn) where "up"
-    moves a phonon r -> c (a+ b) and "dn" moves c -> r (a b+).
+    moves a phonon r -> c (a+ b) and "dn" moves c -> r (a b+).  Both keep
+    the total, so with the flat index t(t+1)/2 + m the partner of |m, n>
+    is the next (up) or previous (dn) entry.
     """
-    trunc = Truncation(n_total_max)
-    ms, ns = trunc.mode_numbers()
-    up = np.nonzero(ns >= 1)[0]
-    dst_up = np.array(
-        [trunc.index(ms[i] + 1, ns[i] - 1) for i in up], dtype=np.int64
-    )
+    ms, ns = _mode_numbers(n_total_max)
+    up = np.flatnonzero(ns >= 1)
     coef_up = np.sqrt((ms[up] + 1.0) * ns[up])
-    dn = np.nonzero(ms >= 1)[0]
-    dst_dn = np.array(
-        [trunc.index(ms[i] - 1, ns[i] + 1) for i in dn], dtype=np.int64
-    )
+    dn = np.flatnonzero(ms >= 1)
     coef_dn = np.sqrt(ms[dn] * (ns[dn] + 1.0))
-    return up, dst_up, coef_up, dn, dst_dn, coef_dn
+    return up, up + 1, coef_up, dn, dn - 1, coef_dn
 
 
 def _apply_jx(amps: np.ndarray, trunc: Truncation) -> np.ndarray:
@@ -524,25 +535,28 @@ def truncation_for_coherent(
     |alpha|^2 + |beta|^2, so the discarded mass is a single Poisson tail.
     """
     lam = abs(alpha) ** 2 + abs(beta) ** 2
-    term = math.exp(-lam)
-    cdf = term
-    n = 0
-    while 1.0 - cdf > tail_tol:
-        n += 1
-        term *= lam / n
-        cdf += term
-        if n > 100000:
-            raise ValueError("truncation search did not converge")
-    return Truncation(n)
+    if not math.isfinite(lam):
+        raise ValueError("coherent amplitudes must be finite")
+    if not tail_tol >= 0.0:
+        raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
+    if lam == 0.0:
+        return Truncation(0)
+    # Log-space pmf up to far past the mean, where the remaining mass is
+    # below 1e-300; exp(-lam) alone underflows for lam above ~745.
+    top = int(lam + 40.0 * math.sqrt(lam) + 100.0)
+    if top > 200000:
+        raise ValueError(f"mean phonon number {lam:.6g} is too large to truncate")
+    k = np.arange(top + 1)
+    pmf = np.exp(k * math.log(lam) - lam - _log_factorials(top))
+    # tail[n] = P(total > n), summed from the small end of the tail up.
+    tail = np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
+    return Truncation(int(np.argmax(tail <= tail_tol)))
 
 
 def state_to_json(s: MotionalState) -> str:
     """Dump format: {"n_total_max", "amps": [[m, n, re, im], ...], "tail_mass"}."""
     ms, ns = s.trunc.mode_numbers()
-    rows = [
-        [int(m), int(n), float(a.real), float(a.imag)]
-        for m, n, a in zip(ms, ns, s.amps)
-    ]
+    rows = list(zip(ms.tolist(), ns.tolist(), s.amps.real.tolist(), s.amps.imag.tolist()))
     return json.dumps(
         {"n_total_max": s.trunc.n_total_max, "amps": rows, "tail_mass": s.tail_mass}
     )

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .fockspace import MotionalState, Truncation, _apply_jx
-from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
+from .fockspace import MotionalState, _apply_jx
+from .operators import apply, beam_splitter, phase_shifter
 
 SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
 
@@ -49,15 +48,9 @@ class InterferometerReport:
             raise ValueError(f"variance {self.var_jz} below roundoff floor")
 
 
-@lru_cache(maxsize=None)
-def _half_splitter(trunc: Truncation) -> UnitaryOperator:
-    # exp(+i (pi/2) Jx), used twice per pass.
-    return beam_splitter("b1", -math.pi / 2.0, trunc)
-
-
 def mz_output(in_state: MotionalState, phi: float) -> MotionalState:
     """Push a motional state through the interferometer at phase phi."""
-    half = _half_splitter(in_state.trunc)
+    half = beam_splitter("b1", -math.pi / 2.0, in_state.trunc)  # exp(+i (pi/2) Jx)
     s = apply(half, in_state)
     s = apply(phase_shifter("c", phi, in_state.trunc), s)
     return apply(half, s)

@@ -16,19 +16,24 @@ Sign conventions, fixed here once and used everywhere:
   phase multiplies |g>_2 (x) |m, n> by exp(+i chi_t m / 2) because
   sigma_z |g> = -|g>.
 
-Beam splitters conserve the total phonon number, so they are built block by
-block: the generator restricted to the (m + n = N) subspace is a tridiagonal
-Hermitian matrix, exponentiated by eigendecomposition.  This keeps every
-block exactly unitary and costs O(sum N^3) instead of O(dim^3).  The dense
-matrix-exponential oracle exists for tests only; production paths never
-call it.
+Beam splitters conserve the total phonon number, so they act block by
+block on the (m + n = N) subspaces.  Each block is a spin-N/2 irrep: Jx
+restricted to it is a real symmetric tridiagonal matrix with the exact
+eigenvalues k - N/2, k = 0..N, and an eigenbasis V_N that does not depend
+on the angle.  So there is one basis per truncation, O(sum N^2) per
+application: the basis is built and cached once, every application is
+V_N e^{-i theta w} V_N^T on the amplitudes, and the Jy splitter is the same
+rotation between two diagonal phases,
+exp(-i theta Jy) = e^{-i pi/2 Jz} exp(-i theta Jx) e^{+i pi/2 Jz}.  No
+unitary block is ever stored.  The dense matrix-exponential oracle exists
+for tests only; production paths never call it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,10 +76,13 @@ class JcmPairs:
 class UnitaryOperator:
     """Exact unitary in one of four structural forms.
 
-    kind ``block-number-conserving``: ``blocks[N]`` acts on the m + n = N
-    subspace.  kind ``diagonal-phase``: ``diag`` holds unit-modulus entries.
-    kind ``dense``: a single matrix (oracle output).  kind ``jcm-block``:
-    2x2 rotations between |g, m, n> and its lowered |e, ...> partner; applies
+    kind ``block-number-conserving``: the beam splitter exp(-i theta J) with
+    ``generator`` ``"jx"`` or ``"jy"``, applied through the cached rotation
+    basis of its truncation; it stores no blocks (``blocks`` is empty), and
+    ``as_matrix`` builds the matrix on demand through the same path.  kind
+    ``diagonal-phase``: ``diag`` holds unit-modulus entries.  kind
+    ``dense``: a single matrix (oracle output).  kind ``jcm-block``: 2x2
+    rotations between |g, m, n> and its lowered |e, ...> partner; applies
     to a JointState with an ion-2 register.
     """
 
@@ -84,6 +92,8 @@ class UnitaryOperator:
     diag: np.ndarray | None = None
     matrix: np.ndarray | None = None
     jcm: JcmPairs | None = None
+    generator: str | None = None
+    theta: float = 0.0
 
     def apply(self, state):
         if self.kind == KIND_JCM:
@@ -98,11 +108,9 @@ class UnitaryOperator:
                 f"{self.trunc.n_total_max}, state has {state.trunc.n_total_max}"
             )
         if self.kind == KIND_BLOCK:
-            out = np.empty_like(state.amps)
-            for total, block in enumerate(self.blocks):
-                sl = state.trunc.block(total)
-                out[sl] = block @ state.amps[sl]
-            return state.with_amps(out)
+            return state.with_amps(
+                _rotate(state.amps, self.generator, self.theta, self.trunc)
+            )
         if self.kind == KIND_DIAGONAL:
             return state.with_amps(self.diag * state.amps)
         if self.kind == KIND_DENSE:
@@ -114,10 +122,13 @@ class UnitaryOperator:
     def unitarity_defect(self) -> float:
         """max |U+ U - 1| over the operator's blocks."""
         if self.kind == KIND_BLOCK:
-            return max(
-                float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-                for b in self.blocks
-            )
+            m = self.as_matrix()
+            defect = 0.0
+            for total in range(self.trunc.n_total_max + 1):
+                sl = self.trunc.block(total)
+                b = m[sl, sl]
+                defect = max(defect, float(np.max(np.abs(b.conj().T @ b - np.eye(total + 1)))))
+            return defect
         if self.kind == KIND_DIAGONAL:
             return float(np.max(np.abs(np.abs(self.diag) ** 2 - 1.0)))
         if self.kind == KIND_DENSE:
@@ -139,12 +150,9 @@ class UnitaryOperator:
         if self.kind == KIND_DIAGONAL:
             return np.diag(self.diag)
         if self.kind == KIND_BLOCK:
-            dim = self.trunc.dim
-            out = np.zeros((dim, dim), dtype=np.complex128)
-            for total, block in enumerate(self.blocks):
-                sl = self.trunc.block(total)
-                out[sl, sl] = block
-            return out
+            # row i of the rotated identity is U e_i, i.e. column i of U
+            eye = np.eye(self.trunc.dim, dtype=np.complex128)
+            return _rotate(eye, self.generator, self.theta, self.trunc).T
         dim = self.trunc.dim
         out = np.eye(2 * dim, dtype=np.complex128)
         for gi, ei, theta in zip(self.jcm.g_index, self.jcm.e_index, self.jcm.angle):
@@ -152,79 +160,79 @@ class UnitaryOperator:
             out[np.ix_(rows, rows)] = _jcm_block(float(theta))
         return out
 
-    def to_json(self) -> str:
-        """Debug dump; not a stability-guaranteed format."""
-        nmax = None if self.trunc is None else self.trunc.n_total_max
-        if self.kind == KIND_BLOCK:
-            payload = {
-                "kind": self.kind,
-                "n_total_max": nmax,
-                "blocks": [
-                    {
-                        "N": total,
-                        "matrix": [
-                            [float(z.real), float(z.imag)] for z in block.ravel()
-                        ],
-                    }
-                    for total, block in enumerate(self.blocks)
-                ],
-            }
-        elif self.kind == KIND_DIAGONAL:
-            payload = {
-                "kind": self.kind,
-                "n_total_max": nmax,
-                "diag": [[float(z.real), float(z.imag)] for z in self.diag],
-            }
-        else:
-            m = self.as_matrix()
-            payload = {
-                "kind": self.kind,
-                "n_total_max": nmax,
-                "matrix": [[float(z.real), float(z.imag)] for z in m.ravel()],
-            }
-        return json.dumps(payload)
-
 
 def _jcm_block(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
-def _block_generator(total: int, which: str) -> np.ndarray:
-    """Jx or Jy restricted to the (m + n = total) subspace, indexed by m."""
-    size = total + 1
-    mat = np.zeros((size, size), dtype=np.complex128)
-    for m in range(total):
-        hop = 0.5 * math.sqrt((m + 1) * (total - m))  # <m+1, n-1| a+ b |m, n> / 2
-        if which == "jx":
-            mat[m + 1, m] = hop
-            mat[m, m + 1] = hop
-        else:
-            mat[m + 1, m] = -1j * hop
-            mat[m, m + 1] = 1j * hop
-    return mat
+@lru_cache(maxsize=4)
+def _jx_basis(n_total_max: int) -> tuple[np.ndarray, ...]:
+    """Real orthogonal V_N with Jx|_N = V_N diag(k - N/2) V_N^T, N = 0..nmax.
+
+    The eigenvalues are snapped to their exact values k - N/2, which are
+    the Jz diagonal of the block, so Jx = V Jz V^T blockwise.  A solver
+    result further than 1e-9 max(1, N) from them is an error.
+    """
+    bases = []
+    for total in range(n_total_max + 1):
+        m = np.arange(total)
+        hop = 0.5 * np.sqrt((m + 1.0) * (total - m))  # <m+1, n-1| a+ b |m, n> / 2
+        w, v = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+        drift = np.max(np.abs(w - (np.arange(total + 1) - 0.5 * total)))
+        if drift > 1e-9 * max(1, total):
+            raise np.linalg.LinAlgError(
+                f"Jx block N = {total}: eigenvalues off the spin ladder by {drift:.3g}"
+            )
+        v.setflags(write=False)
+        bases.append(v)
+    return tuple(bases)
 
 
-def _exp_block(generator: np.ndarray, theta: float) -> np.ndarray:
-    w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+# i^m for m mod 4: exact entries of e^{+i pi/2 a+ a}.
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _rotate(arr: np.ndarray, generator: str, theta: float, trunc: Truncation) -> np.ndarray:
+    """exp(-i theta J) along the last axis of arr, with J = Jx or Jy.
+
+    Block N maps x to V_N (e^{-i theta w} * (V_N^T x)).  V_N is real, so both
+    products run on the float view of the amplitudes.  Jy is Jx conjugated
+    by e^{-i pi/2 Jz}; within a block the N/2 part of Jz cancels, leaving the
+    exact phases i^m before the rotation and (-i)^m after it.
+    """
+    dim = trunc.dim
+    ms, ns = trunc.mode_numbers()
+    # (dim, batch) with contiguous rows, so each block is one contiguous slab.
+    x = np.ascontiguousarray(arr.reshape(-1, dim).T, dtype=np.complex128)
+    if generator == "jy":
+        turns = _QUARTER_TURNS[ms % 4]
+        x = x * turns[:, None]
+    phase = np.exp(-1j * theta * (0.5 * (ms - ns)))[:, None]
+    out = np.empty_like(x)
+    for total, v in enumerate(_jx_basis(trunc.n_total_max)):
+        sl = trunc.block(total)
+        coeff = (v.T @ x[sl].view(np.float64)).view(np.complex128)
+        coeff *= phase[sl]
+        out[sl] = (v @ coeff.view(np.float64)).view(np.complex128)
+    if generator == "jy":
+        out *= turns.conj()[:, None]
+    return out.T.reshape(arr.shape)
 
 
 def beam_splitter(kind: str, theta: float, trunc: Truncation) -> UnitaryOperator:
     """exp(-i theta Jx) for kind ``b1`` or exp(-i theta Jy) for kind ``b2``.
 
-    Both conserve the total phonon number, so the result is one exact
+    Both conserve the total phonon number, so the result acts as one exact
     rotation per total-number block; theta = pi/2 is the 50/50 splitter.
+    Building it only records the generator and the angle.
     """
     key = kind.strip().lower()
     if key not in ("b1", "b2"):
         raise ValueError(f"beam splitter kind must be 'b1' or 'b2', got {kind!r}")
-    which = "jx" if key == "b1" else "jy"
-    blocks = tuple(
-        _exp_block(_block_generator(total, which), theta)
-        for total in range(trunc.n_total_max + 1)
+    return UnitaryOperator(
+        KIND_BLOCK, trunc, generator="jx" if key == "b1" else "jy", theta=float(theta)
     )
-    return UnitaryOperator(KIND_BLOCK, trunc, blocks=blocks)
 
 
 def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
@@ -241,16 +249,6 @@ def apply(u: UnitaryOperator, s: MotionalState) -> MotionalState:
     return u.apply(s)
 
 
-def _apply_blocks(blocks, arr: np.ndarray, trunc: Truncation, dagger: bool) -> np.ndarray:
-    """Apply a block unitary (or its adjoint) along the last axis."""
-    out = np.empty_like(arr)
-    for total, block in enumerate(blocks):
-        sl = trunc.block(total)
-        mat = block.conj() if dagger else block.T
-        out[..., sl] = arr[..., sl] @ mat
-    return out
-
-
 def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
     """Ion-motion propagator conditioning a beam splitter on ion 1.
 
@@ -264,12 +262,10 @@ def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
     if key not in ("u1", "u2"):
         raise ValueError(f"propagator kind must be 'u1' or 'u2', got {kind!r}")
     axis = js.axis_of(1)
-    bs = beam_splitter("b1" if key == "u1" else "b2", theta, js.trunc)
+    generator = "jx" if key == "u1" else "jy"
     a = np.moveaxis(js.amps, axis, 0)
-    plus = (a[0] + a[1]) * _SQRT_HALF
-    minus = (a[0] - a[1]) * _SQRT_HALF
-    plus = _apply_blocks(bs.blocks, plus, js.trunc, dagger=False)
-    minus = _apply_blocks(bs.blocks, minus, js.trunc, dagger=True)  # B(-theta) = B+
+    plus = _rotate((a[0] + a[1]) * _SQRT_HALF, generator, theta, js.trunc)
+    minus = _rotate((a[0] - a[1]) * _SQRT_HALF, generator, -theta, js.trunc)
     out = np.stack([(plus + minus) * _SQRT_HALF, (plus - minus) * _SQRT_HALF])
     return js.with_amps(np.moveaxis(out, 0, axis))
 

@@ -179,6 +179,54 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("value", ["-pi/2", "-2*pi/3", "-1e-1", "-.5"])
+def test_negative_angle_as_separate_argument(capsys, value):
+    spec = ("sweep", "fock 1 0 nmax 2", "--points", "2")
+    code, joined, _ = run_cli(capsys, *spec, f"--phi-min={value}")
+    assert code == 0
+    code, separate, err = run_cli(capsys, *spec, "--phi-min", value)
+    assert code == 0
+    assert err == ""
+    assert separate == joined
+
+
+def test_negative_mz_angle_as_separate_argument(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = ("detect", "coherent 0 0 1 0 nmax 8", "--method", "direct")
+    code, joined, _ = run_cli(capsys, *spec, "--mz=-pi/3", "--out", "joined")
+    assert code == 0
+    code, separate, _ = run_cli(capsys, *spec, "--mz", "-pi/3", "--out", "separate")
+    assert code == 0
+    assert separate.replace("separate", "joined") == joined
+
+
+def test_angle_flag_still_needs_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fock 1 0 nmax 2", "--phi-min", "--points", "2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_run_with_splitters_leaves_scipy_unloaded(tmp_path):
+    program = tmp_path / "split.seq"
+    program.write_text(
+        "init coherent 0.5 0 1 0.2 nmax 12\nbs1 pi/3\nbs2 -pi/4\nmz pi/5\nreport\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys; from phonon_optics.cli import main; "
+        f"code = main(['run', {str(program)!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "split_report4.csv").exists()
+
+
 def test_sweep_bad_state_spec(capsys):
     code, _, err = run_cli(capsys, "sweep", "squeezed 1 0 nmax 4")
     assert code == 1

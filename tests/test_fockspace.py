@@ -267,6 +267,44 @@ def test_truncation_for_coherent_tail():
         assert not s.flagged
 
 
+def test_coherent_beyond_exp_underflow():
+    # exp(-|alpha|^2 / 2) underflows for |alpha| above ~38.6; the state must not
+    alpha, nmax = 39.0, 1700
+    s = make_coherent(alpha, 0, Truncation(nmax))
+    lam = alpha**2
+    log_pmf = [k * math.log(lam) - lam - math.lgamma(k + 1.0) for k in range(nmax + 1)]
+    pmf = np.exp(log_pmf)
+    kept = pmf.sum()
+    # nmax sits 4.6 standard deviations above the mean: a real, flagged tail
+    assert s.tail_mass == pytest.approx(1.0 - kept, rel=1e-3)
+    assert s.flagged
+    p_m = number_distributions(s).p_m
+    assert np.max(np.abs(p_m - pmf / kept)) < 1e-12
+    assert expect(s, "nc") == pytest.approx(float(np.arange(nmax + 1) @ pmf) / kept, rel=1e-12)
+
+
+def test_truncation_for_coherent_beyond_exp_underflow():
+    # exp(-lambda) underflows for lambda above ~745; here lambda = 1521
+    t = truncation_for_coherent(39, 0, 1e-12)
+    lam = 39.0**2
+
+    def tail_above(n):
+        terms = [k * math.log(lam) - lam - math.lgamma(k + 1.0)
+                 for k in range(n + 1, n + 2000)]
+        return float(np.sum(np.exp(terms)))
+
+    assert tail_above(t.n_total_max) <= 1e-12 < tail_above(t.n_total_max - 1)
+    s = make_coherent(39, 0, t)
+    assert not s.flagged
+
+
+def test_truncation_for_coherent_rejects_bad_input():
+    with pytest.raises(ValueError, match="finite"):
+        truncation_for_coherent(float("nan"), 0)
+    with pytest.raises(ValueError, match="tail_tol"):
+        truncation_for_coherent(1, 0, -1e-12)
+
+
 # qubit and joint states ----------------------------------------------------
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -36,9 +35,8 @@ def kron_qubit_motional(qubit_op, motional_op):
 def test_beam_splitter_zero_angle_is_identity():
     t = Truncation(5)
     for kind in ("b1", "b2"):
-        u = beam_splitter(kind, 0.0, t)
-        for total, block in enumerate(u.blocks):
-            assert np.allclose(block, np.eye(total + 1), atol=1e-14)
+        m = beam_splitter(kind, 0.0, t).as_matrix()
+        assert np.allclose(m, np.eye(t.dim), atol=1e-14)
 
 
 def test_beam_splitter_single_phonon_closed_form():
@@ -80,19 +78,51 @@ def test_beam_splitter_number_conservation_exact():
 
 def test_beam_splitter_group_composition():
     t = Truncation(6)
-    u1 = beam_splitter("b1", 0.4, t)
-    u2 = beam_splitter("b1", 1.1, t)
-    u12 = beam_splitter("b1", 1.5, t)
-    for b1, b2, b12 in zip(u1.blocks, u2.blocks, u12.blocks):
-        assert np.max(np.abs(b1 @ b2 - b12)) < 1e-12
+    u1 = beam_splitter("b1", 0.4, t).as_matrix()
+    u2 = beam_splitter("b1", 1.1, t).as_matrix()
+    u12 = beam_splitter("b1", 1.5, t).as_matrix()
+    assert np.max(np.abs(u1 @ u2 - u12)) < 1e-12
 
 
 def test_beam_splitter_double_cover():
     # a 2 pi rotation multiplies the N-phonon block by (-1)^N
     t = Truncation(5)
-    u = beam_splitter("b2", 2 * math.pi, t)
-    for total, block in enumerate(u.blocks):
-        assert np.max(np.abs(block - (-1) ** total * np.eye(total + 1))) < 1e-12
+    m = beam_splitter("b2", 2 * math.pi, t).as_matrix()
+    for total in range(t.n_total_max + 1):
+        sl = t.block(total)
+        assert np.max(np.abs(m[sl, sl] - (-1) ** total * np.eye(total + 1))) < 1e-12
+
+
+def _reference_block(total, which, theta):
+    """exp(-i theta J) on the N = total block by a complex eigh of J."""
+    gen = np.zeros((total + 1, total + 1), dtype=np.complex128)
+    for m in range(total):
+        hop = 0.5 * math.sqrt((m + 1) * (total - m))
+        if which == "b1":
+            gen[m + 1, m] = gen[m, m + 1] = hop
+        else:
+            gen[m + 1, m], gen[m, m + 1] = -1j * hop, 1j * hop
+    w, v = np.linalg.eigh(gen)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("kind", ["b1", "b2"])
+def test_beam_splitter_matches_direct_block_eigh_at_nmax_60(kind):
+    t = Truncation(60)
+    rng = np.random.default_rng(60)
+    amps = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
+    state = MotionalState(t, amps / np.linalg.norm(amps))
+    for theta in (0.37, math.pi / 2, -2.9):
+        u = beam_splitter(kind, theta, t)
+        assert u.blocks == ()
+        dense = u.as_matrix()
+        want = np.empty_like(state.amps)
+        for total in range(t.n_total_max + 1):
+            sl = t.block(total)
+            ref = _reference_block(total, kind, theta)
+            assert np.max(np.abs(dense[sl, sl] - ref)) <= 1e-13
+            want[sl] = ref @ state.amps[sl]
+        assert np.max(np.abs(apply(u, state).amps - want)) <= 1e-13
 
 
 def test_same_generator_composition_on_states():
@@ -296,17 +326,6 @@ def test_expm_oracle_rejects_oversize_and_non_normal():
         expm_oracle(np.eye(600), 1.0)
     with pytest.raises(ValueError, match="neither Hermitian"):
         expm_oracle(np.triu(np.ones((3, 3))), 1.0)
-
-
-def test_operator_json_dump():
-    t = Truncation(2)
-    data = json.loads(beam_splitter("b1", 0.3, t).to_json())
-    assert data["kind"] == "block-number-conserving"
-    assert data["n_total_max"] == 2
-    assert [b["N"] for b in data["blocks"]] == [0, 1, 2]
-    diag = json.loads(phase_shifter("c", 0.4, t).to_json())
-    assert diag["kind"] == "diagonal-phase"
-    assert len(diag["diag"]) == t.dim
 
 
 # laboratory parameter conversion -------------------------------------------
