@@ -20,8 +20,10 @@ Beam splitters conserve the total phonon number, so they act block by
 block on the (m + n = N) subspaces.  Each block is a spin-N/2 irrep: Jx
 restricted to it is a real symmetric tridiagonal matrix with the exact
 eigenvalues k - N/2, k = 0..N, and an eigenbasis V_N that does not depend
-on the angle.  So there is one basis per truncation, O(sum N^2) per
-application: the basis is built and cached once, every application is
+on the angle.  V_N is the real Wigner matrix d^{N/2}(pi/2), because
+e^{-i pi/2 Jy} rotates Jz into Jx; it is built from V_{N-1} by a two-term
+recursion in the boson creation operators, O(nmax^3) once per truncation,
+with no eigensolver.  Every application is then O(sum N^2):
 V_N e^{-i theta w} V_N^T on the amplitudes, and the Jy splitter is the same
 rotation between two diagonal phases,
 exp(-i theta Jy) = e^{-i pi/2 Jz} exp(-i theta Jx) e^{+i pi/2 Jz}.  No
@@ -32,6 +34,7 @@ for tests only; production paths never call it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,11 +125,12 @@ class UnitaryOperator:
     def unitarity_defect(self) -> float:
         """max |U+ U - 1| over the operator's blocks."""
         if self.kind == KIND_BLOCK:
-            m = self.as_matrix()
+            # the Jy block is this one between the exact diagonal phases i^m,
+            # which leave every |U+ U - 1| entry as it is
             defect = 0.0
-            for total in range(self.trunc.n_total_max + 1):
-                sl = self.trunc.block(total)
-                b = m[sl, sl]
+            for total, v in enumerate(_jx_basis(self.trunc.n_total_max)):
+                w = np.arange(total + 1) - 0.5 * total
+                b = (v * np.exp(-1j * self.theta * w)) @ v.T
                 defect = max(defect, float(np.max(np.abs(b.conj().T @ b - np.eye(total + 1)))))
             return defect
         if self.kind == KIND_DIAGONAL:
@@ -166,23 +170,62 @@ def _jcm_block(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
+def _physical_memory_bytes() -> int | None:
+    """Installed RAM from sysconf, or None where the platform has no answer."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 @lru_cache(maxsize=4)
 def _jx_basis(n_total_max: int) -> tuple[np.ndarray, ...]:
     """Real orthogonal V_N with Jx|_N = V_N diag(k - N/2) V_N^T, N = 0..nmax.
 
-    The eigenvalues are snapped to their exact values k - N/2, which are
-    the Jz diagonal of the block, so Jx = V Jz V^T blockwise.  A solver
-    result further than 1e-9 max(1, N) from them is an error.
+    V_N is the Wigner matrix d^{N/2}(pi/2): column k is the Fock state
+    |k, N - k> of the rotated modes a' = (a + b)/sqrt2, b' = (b - a)/sqrt2,
+    whose Jx eigenvalue is k - N/2.  Since N|k, N-k>' = sqrt(k) a'+|k-1, N-k>'
+    + sqrt(N-k) b'+|k, N-k-1>', block N follows from block N - 1 by the
+    creation operators a+, b+ with no eigensolver (Risbo's recursion,
+    J. Geodesy 70, 383 (1996)): O(N^2) per block, O(nmax^3) once per
+    truncation.  Each block is checked against the eigen-equation, an O(N^2)
+    check because Jx is tridiagonal; a residual above 1e-9 max(1, N) is an
+    error.  A basis larger than the machine's
+    physical memory is refused before anything is allocated.
     """
-    bases = []
-    for total in range(n_total_max + 1):
-        m = np.arange(total)
-        hop = 0.5 * np.sqrt((m + 1.0) * (total - m))  # <m+1, n-1| a+ b |m, n> / 2
-        w, v = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
-        drift = np.max(np.abs(w - (np.arange(total + 1) - 0.5 * total)))
-        if drift > 1e-9 * max(1, total):
+    # 8 sum_{N <= nmax} (N + 1)^2 bytes of float64
+    size = 8 * (n_total_max + 1) * (n_total_max + 2) * (2 * n_total_max + 3) // 6
+    ram = _physical_memory_bytes()
+    if ram is not None and size > ram:
+        raise ValueError(
+            f"n_total_max = {n_total_max} needs a {size / 2**30:.3g} GiB rotation basis, "
+            f"more than the {ram / 2**30:.3g} GiB of physical memory"
+        )
+    root = np.sqrt(np.arange(n_total_max + 1, dtype=np.float64))
+    v = np.ones((1, 1))
+    v.setflags(write=False)
+    bases = [v]
+    for total in range(1, n_total_max + 1):
+        up = root[1 : total + 1]  # sqrt(m): a+ lands on row m = 1..N
+        down = root[total:0:-1]  # sqrt(N - m): b+ lands on row m = 0..N-1
+        a_v = up[:, None] * v
+        b_v = down[:, None] * v
+        scale = 1.0 / (total * math.sqrt(2.0))
+        col_a = up * scale  # sqrt(k) a'+ = sqrt(k) (a+ + b+)/sqrt2 feeds column k
+        col_b = down * scale  # sqrt(N - k) b'+ = sqrt(N - k) (b+ - a+)/sqrt2
+        v = np.zeros((total + 1, total + 1))
+        v[1:, 1:] = a_v * col_a
+        v[:-1, 1:] += b_v * col_a
+        v[:-1, :-1] += b_v * col_b
+        v[1:, :-1] -= a_v * col_b
+        hop = 0.5 * up * down  # <m+1, n-1| a+ b |m, n> / 2
+        residual = v * (np.arange(total + 1) - 0.5 * total)
+        residual[:-1] -= hop[:, None] * v[1:]
+        residual[1:] -= hop[:, None] * v[:-1]
+        worst = float(np.max(np.abs(residual)))
+        if not worst <= 1e-9 * total:
             raise np.linalg.LinAlgError(
-                f"Jx block N = {total}: eigenvalues off the spin ladder by {drift:.3g}"
+                f"Jx block N = {total}: eigen-equation residual {worst:.3g}"
             )
         v.setflags(write=False)
         bases.append(v)
@@ -330,13 +373,14 @@ def dense_annihilation(trunc: Truncation, mode: str) -> np.ndarray:
     if mode not in ("c", "r"):
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
     ms, ns = trunc.mode_numbers()
+    k = ms if mode == "c" else ns
+    cols = np.flatnonzero(k)
+    # |m, n> lowers to |m - 1, n> or |m, n - 1>, whose flat index is
+    # t(t + 1)/2 + m' with t = m + n - 1 and m' its first-mode number
+    total = ms[cols] + ns[cols] - 1
+    rows = total * (total + 1) // 2 + ms[cols] - (1 if mode == "c" else 0)
     out = np.zeros((trunc.dim, trunc.dim), dtype=np.complex128)
-    for i in range(trunc.dim):
-        m, n = int(ms[i]), int(ns[i])
-        if mode == "c" and m >= 1:
-            out[trunc.index(m - 1, n), i] = math.sqrt(m)
-        elif mode == "r" and n >= 1:
-            out[trunc.index(m, n - 1), i] = math.sqrt(n)
+    out[rows, cols] = np.sqrt(k[cols])
     return out
 
 

@@ -67,6 +67,33 @@ def test_run_runtime_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_run_cutoff_beyond_memory_exit_code(tmp_path, capsys, monkeypatch):
+    from phonon_optics import operators
+
+    monkeypatch.setattr(operators, "_physical_memory_bytes", lambda: 100)
+    operators._jx_basis.cache_clear()
+    path = tmp_path / "big.seq"
+    path.write_text("init fock 1 0 nmax 6\nbs1 pi/2\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    operators._jx_basis.cache_clear()
+    assert code == 2
+    assert "physical memory" in err
+
+
+def test_run_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    from phonon_optics import seqlang
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(seqlang, "execute", exhausted)
+    path = tmp_path / "any.seq"
+    path.write_text("init fock 1 0 nmax 2\n")
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert "out of memory" in err
+
+
 def test_run_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.seq"))
     assert code == 3

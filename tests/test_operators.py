@@ -25,7 +25,7 @@ from phonon_optics import (
     make_fock,
     phase_shifter,
 )
-from phonon_optics.operators import SIGMA_X, SIGMA_Z
+from phonon_optics.operators import SIGMA_X, SIGMA_Z, _jx_basis
 
 
 def kron_qubit_motional(qubit_op, motional_op):
@@ -123,6 +123,29 @@ def test_beam_splitter_matches_direct_block_eigh_at_nmax_60(kind):
             assert np.max(np.abs(dense[sl, sl] - ref)) <= 1e-13
             want[sl] = ref @ state.amps[sl]
         assert np.max(np.abs(apply(u, state).amps - want)) <= 1e-13
+
+
+def test_rotation_blocks_match_per_block_eigh_at_nmax_200():
+    # the recursion-built basis against an eigensolver, block by block
+    theta = 0.61
+    for total, v in enumerate(_jx_basis(200)):
+        w = np.arange(total + 1) - 0.5 * total
+        got = (v * np.exp(-1j * theta * w)) @ v.T
+        m = np.arange(total)
+        hop = 0.5 * np.sqrt((m + 1.0) * (total - m))
+        w_ref, v_ref = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+        want = (v_ref * np.exp(-1j * theta * w_ref)) @ v_ref.T
+        assert np.max(np.abs(got - want)) <= 1e-12, total
+
+
+def test_absurd_cutoff_is_refused_before_allocating(monkeypatch):
+    # 8 sum (N + 1)^2 bytes is about 2.7e18 at this cutoff: no machine holds it
+    with pytest.raises(ValueError, match="physical memory"):
+        _jx_basis(10**6)
+    # and with a tiny machine, a small cutoff is refused the same way
+    monkeypatch.setattr("phonon_optics.operators._physical_memory_bytes", lambda: 100)
+    with pytest.raises(ValueError, match="physical memory"):
+        _jx_basis.__wrapped__(5)
 
 
 def test_same_generator_composition_on_states():
@@ -378,3 +401,16 @@ def test_dense_annihilation_action():
     vec[t.index(2, 1)] = 1.0
     out = a @ vec
     assert out[t.index(1, 1)] == pytest.approx(math.sqrt(2))
+
+
+@pytest.mark.parametrize("mode", ["c", "r"])
+def test_dense_annihilation_matches_fock_action(mode):
+    t = Truncation(7)
+    want = np.zeros((t.dim, t.dim))
+    for m in range(t.n_total_max + 1):
+        for n in range(t.n_total_max + 1 - m):
+            if mode == "c" and m >= 1:
+                want[t.index(m - 1, n), t.index(m, n)] = math.sqrt(m)
+            if mode == "r" and n >= 1:
+                want[t.index(m, n - 1), t.index(m, n)] = math.sqrt(n)
+    assert np.array_equal(dense_annihilation(t, mode), want)

@@ -2,7 +2,9 @@
 
 The oracle is the dense eigendecomposition exponential of the generator on
 the whole truncated space (``expm_oracle``); the splitters under test apply
-one cached rotation basis per truncation block by block.
+one cached rotation basis per truncation block by block.  That basis is
+built by a recursion, so its two defining properties (orthogonality and the
+Jx eigen-equation) are checked on their own, block by block.
 """
 
 import math
@@ -22,6 +24,7 @@ from phonon_optics import (  # noqa: E402
     dense_jy,
     expm_oracle,
 )
+from phonon_optics.operators import _jx_basis  # noqa: E402
 
 angles = st.floats(-4 * math.pi, 4 * math.pi)
 kinds = st.sampled_from(["b1", "b2"])
@@ -71,3 +74,19 @@ def test_splitter_double_cover(trunc, kind, theta):
     turned = beam_splitter(kind, theta + 2 * math.pi, trunc).as_matrix()
     base = beam_splitter(kind, theta, trunc).as_matrix()
     assert np.max(np.abs(turned - parity[:, None] * base)) < 1e-12
+
+
+@given(st.integers(0, 80))
+def test_basis_block_is_orthogonal_jx_eigenbasis(total):
+    v = _jx_basis(80)[total]
+    m = np.arange(total)
+    hop = 0.5 * np.sqrt((m + 1.0) * (total - m))  # <m+1, n-1| Jx |m, n>
+    jx = np.diag(hop, 1) + np.diag(hop, -1)
+    assert np.max(np.abs(v.T @ v - np.eye(total + 1))) < 1e-12
+    assert np.max(np.abs(jx @ v - v * (np.arange(total + 1) - 0.5 * total))) < 1e-12
+
+
+@given(states(), kinds, angles)
+def test_apply_preserves_norm(state, kind, theta):
+    out = apply(beam_splitter(kind, theta, state.trunc), state)
+    assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
