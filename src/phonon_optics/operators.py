@@ -125,12 +125,11 @@ class UnitaryOperator:
     def unitarity_defect(self) -> float:
         """max |U+ U - 1| over the operator's blocks."""
         if self.kind == KIND_BLOCK:
-            # the Jy block is this one between the exact diagonal phases i^m,
-            # which leave every |U+ U - 1| entry as it is
+            m = self.as_matrix()
             defect = 0.0
-            for total, v in enumerate(_jx_basis(self.trunc.n_total_max)):
-                w = np.arange(total + 1) - 0.5 * total
-                b = (v * np.exp(-1j * self.theta * w)) @ v.T
+            for total in range(self.trunc.n_total_max + 1):
+                sl = self.trunc.block(total)
+                b = m[sl, sl]
                 defect = max(defect, float(np.max(np.abs(b.conj().T @ b - np.eye(total + 1)))))
             return defect
         if self.kind == KIND_DIAGONAL:
@@ -188,10 +187,12 @@ def _jx_basis(n_total_max: int) -> tuple[np.ndarray, ...]:
     + sqrt(N-k) b'+|k, N-k-1>', block N follows from block N - 1 by the
     creation operators a+, b+ with no eigensolver (Risbo's recursion,
     J. Geodesy 70, 383 (1996)): O(N^2) per block, O(nmax^3) once per
-    truncation.  Each block is checked against the eigen-equation, an O(N^2)
-    check because Jx is tridiagonal; a residual above 1e-9 max(1, N) is an
-    error.  A basis larger than the machine's
-    physical memory is refused before anything is allocated.
+    truncation.  Each block is checked against the eigen-equation and for
+    unit column norms, both O(N^2) because Jx is tridiagonal; a deviation
+    above 1e-9 max(1, N) is an error.  A basis larger than the machine's
+    physical memory (sysconf) is refused before anything is allocated; a
+    container or cgroup memory limit below that is not read, so there the
+    process can still be killed by the OOM killer instead of failing cleanly.
     """
     # 8 sum_{N <= nmax} (N + 1)^2 bytes of float64
     size = 8 * (n_total_max + 1) * (n_total_max + 2) * (2 * n_total_max + 3) // 6
@@ -226,6 +227,11 @@ def _jx_basis(n_total_max: int) -> tuple[np.ndarray, ...]:
         if not worst <= 1e-9 * total:
             raise np.linalg.LinAlgError(
                 f"Jx block N = {total}: eigen-equation residual {worst:.3g}"
+            )
+        drift = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0)))
+        if not drift <= 1e-9 * total:
+            raise np.linalg.LinAlgError(
+                f"Jx block N = {total}: column norms off 1 by {drift:.3g}"
             )
         v.setflags(write=False)
         bases.append(v)

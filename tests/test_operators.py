@@ -125,21 +125,30 @@ def test_beam_splitter_matches_direct_block_eigh_at_nmax_60(kind):
         assert np.max(np.abs(apply(u, state).amps - want)) <= 1e-13
 
 
-def test_rotation_blocks_match_per_block_eigh_at_nmax_200():
-    # the recursion-built basis against an eigensolver, block by block
+@pytest.mark.parametrize("kind", ["b1", "b2"])
+def test_rotation_blocks_match_per_block_eigh_at_nmax_200(kind):
+    # the dense matrix would take 6.6 GB here, so each block acts on a random
+    # unit vector (block weight 1/sqrt(nmax + 1)) through apply
+    t = Truncation(200)
+    rng = np.random.default_rng(200)
+    amps = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
+    for total in range(t.n_total_max + 1):
+        sl = t.block(total)
+        amps[sl] /= np.linalg.norm(amps[sl]) * math.sqrt(t.n_total_max + 1)
+    state = MotionalState(t, amps)
     theta = 0.61
-    for total, v in enumerate(_jx_basis(200)):
-        w = np.arange(total + 1) - 0.5 * total
-        got = (v * np.exp(-1j * theta * w)) @ v.T
-        m = np.arange(total)
-        hop = 0.5 * np.sqrt((m + 1.0) * (total - m))
-        w_ref, v_ref = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
-        want = (v_ref * np.exp(-1j * theta * w_ref)) @ v_ref.T
-        assert np.max(np.abs(got - want)) <= 1e-12, total
+    got = apply(beam_splitter(kind, theta, t), state).amps
+    for total in range(t.n_total_max + 1):
+        sl = t.block(total)
+        want = _reference_block(total, kind, theta) @ amps[sl]
+        err = np.max(np.abs(got[sl] - want)) * math.sqrt(t.n_total_max + 1)
+        assert err <= 1e-12, total
 
 
 def test_absurd_cutoff_is_refused_before_allocating(monkeypatch):
-    # 8 sum (N + 1)^2 bytes is about 2.7e18 at this cutoff: no machine holds it
+    # 8 sum (N + 1)^2 bytes is about 2.7e18 at this cutoff, far beyond a
+    # fixed 1 TiB machine, so the host's own answer never matters
+    monkeypatch.setattr("phonon_optics.operators._physical_memory_bytes", lambda: 2**40)
     with pytest.raises(ValueError, match="physical memory"):
         _jx_basis(10**6)
     # and with a tiny machine, a small cutoff is refused the same way
