@@ -6,6 +6,9 @@ Three measurement schemes for the interferometer output:
    makes the ground-state signal P_g(tau) = (1/2)[1 + sum_m p_m
    cos(2 lambda tau sqrt(m))]; nonnegative least squares on the known
    frequency dictionary {2 lambda sqrt(m)} recovers the marginal p_m.
+   The fit is the Lawson-Hanson active-set method, the population
+   extraction of Meekhof et al., PRL 76, 1796 (1996); it is solved in this
+   module (``_nnls``, NumPy only), so detection needs no SciPy.
    A plain uniform-grid Fourier transform would smear these incommensurate
    sqrt(m) lines, which is why the fit is a spectral estimate on the exact
    dictionary.
@@ -54,6 +57,7 @@ DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
 
 _PROB_TOL = 1e-12
+_NNLS_ITERATIONS_PER_COLUMN = 3  # SciPy's NNLS stops at 3 n iterations too
 
 
 @dataclass(frozen=True)
@@ -131,11 +135,14 @@ def default_times(
     angle_span: float = DEFAULT_ANGLE_SPAN,
 ) -> np.ndarray:
     """Uniform samples with coupling * t covering [0, angle_span]."""
-    if coupling <= 0:
-        raise ValueError("coupling must be positive")
+    if not (math.isfinite(coupling) and coupling > 0):
+        raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    return np.linspace(0.0, angle_span / coupling, n_samples)
+    t_end = angle_span / coupling
+    if not math.isfinite(t_end):
+        raise ValueError(f"coupling {coupling!r} is too small: the sample times overflow")
+    return np.linspace(0.0, t_end, n_samples)
 
 
 @lru_cache(maxsize=None)
@@ -222,19 +229,84 @@ def signal(
     return SignalTrace(times, np.clip(values, 0.0, 1.0), coupling, kind, mode)
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve min ||a x - b|| subject to x >= 0; return x and the residual norm.
+
+    Lawson-Hanson active-set method (Solving Least Squares Problems, 1974,
+    ch. 23).  Each outer iteration frees the fixed-at-zero column with the
+    largest positive gradient a^T (b - a x) and solves least squares on the
+    free columns.  While that solution has a negative entry, x steps toward
+    it only as far as the feasible set allows, and the column that reaches
+    zero is fixed again.  In exact arithmetic every outer iteration lowers
+    the residual, so the loop ends when no gradient entry is positive or,
+    at the rounding level, when an iteration fails to lower it.  Raises
+    ValueError on non-finite input and after 3 n iterations, as SciPy does.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("nonnegative least squares needs finite input")
+    n = a.shape[1]
+    max_iterations = _NNLS_ITERATIONS_PER_COLUMN * n
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    residual = b.astype(np.float64)
+    rnorm = float(np.linalg.norm(residual))
+    iterations = 0
+    while True:
+        gradient = a.T @ residual
+        gradient[free] = 0.0
+        j = int(np.argmax(gradient))
+        if gradient[j] <= 0.0:
+            break
+        free[j] = True
+        z = x.copy()
+        while True:
+            iterations += 1
+            if iterations > max_iterations:
+                raise ValueError(
+                    f"nonnegative least squares did not converge in {max_iterations} iterations"
+                )
+            cols = a[:, free]
+            s = np.zeros(n)
+            s[free] = np.linalg.lstsq(cols, b, rcond=None)[0]
+            # one refinement step takes the residual down to the rounding level of b
+            s[free] += np.linalg.lstsq(cols, b - cols @ s[free], rcond=None)[0]
+            negative = np.flatnonzero(s < 0.0)
+            if negative.size == 0:
+                break
+            ratio = z[negative] / (z[negative] - s[negative])
+            k = int(np.argmin(ratio))
+            z += ratio[k] * (s - z)
+            z[negative[k]] = 0.0
+            free &= z > 0.0
+        new_residual = b - a @ s
+        new_rnorm = float(np.linalg.norm(new_residual))
+        if new_rnorm >= rnorm:
+            break
+        x, residual, rnorm = s, new_residual, new_rnorm
+    return x, rnorm
+
+
 def _nnls_on_dictionary(
     times: np.ndarray, values: np.ndarray, coupling: float, roots: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    import scipy.optimize  # imported on first fit; most CLI calls never fit
+    """Normalized nonnegative weights p_k of the cos^2 dictionary, and the
+    fit residual, from the in-package Lawson-Hanson solver ``_nnls``.
 
-    # P_g = sum_k p_k cos^2(coupling * t * sqrt(k)); the constant and the
-    # oscillating parts enter through the same columns.
+    P_g = sum_k p_k cos^2(coupling * t * sqrt(k)); the constant and the
+    oscillating parts enter through the same columns.  The fit needs at
+    least two samples per weight.
+    """
+    if times.size < 2 * roots.size:
+        raise ValueError(
+            f"{times.size} samples cannot determine {roots.size} weights; "
+            f"need at least {2 * roots.size}"
+        )
     design = np.cos(np.outer(times, coupling * roots)) ** 2
-    coeffs, residual = scipy.optimize.nnls(design, values)
+    coeffs, residual = _nnls(design, values)
     total = coeffs.sum()
     if total <= 0.0:
         raise ValueError("reconstruction collapsed to the zero distribution")
-    return coeffs / total, float(residual)
+    return coeffs / total, residual
 
 
 def reconstruct_single(trace: SignalTrace, m_max: int) -> ReconstructedNumberDistribution:
@@ -245,11 +317,8 @@ def reconstruct_single(trace: SignalTrace, m_max: int) -> ReconstructedNumberDis
     """
     if trace.kind != "single":
         raise ValueError("reconstruct_single needs a single-mode trace")
-    if trace.times.size < 2 * (m_max + 1):
-        raise ValueError(
-            f"{trace.times.size} samples cannot determine {m_max + 1} weights; "
-            f"need at least {2 * (m_max + 1)}"
-        )
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
     roots = np.sqrt(np.arange(m_max + 1, dtype=np.float64))
     p, residual = _nnls_on_dictionary(trace.times, trace.values, trace.coupling, roots)
     return ReconstructedNumberDistribution(p, residual)
@@ -260,10 +329,12 @@ def reconstruct_two(trace: SignalTrace, k_max: int) -> LevelSetDistribution:
 
     Only the products k = m n are identifiable: pairs with equal products
     share a frequency, so the joint p_mn itself is not recoverable from
-    this signal.
+    this signal.  The fit needs at least 2 (k_max + 1) samples.
     """
     if trace.kind != "two":
         raise ValueError("reconstruct_two needs a two-mode trace")
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     roots = np.sqrt(np.arange(k_max + 1, dtype=np.float64))
     q, residual = _nnls_on_dictionary(trace.times, trace.values, trace.coupling, roots)
     return LevelSetDistribution({k: float(v) for k, v in enumerate(q)}, residual)
@@ -279,8 +350,8 @@ def direct_mean_phonon(
     diagonal form -<sin(2 chi t n)> to 1e-12 before linearizing.
     """
     chi_t = chi * t
-    if chi_t <= 0.0:
-        raise ValueError("chi * t must be positive")
+    if not (math.isfinite(chi_t) and chi_t > 0.0):
+        raise ValueError(f"chi * t must be finite and positive, got {chi_t!r}")
     dist = number_distributions(out_state)
     p = dist.p_m if mode == "c" else dist.p_n
     k = np.arange(p.size, dtype=np.float64)

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from phonon_optics import detection
 from phonon_optics.cli import main
 
 MZ_DEMO = "init coherent 0 0 2 0 nmax 40\nmz pi/3\nreport\n"
@@ -192,18 +194,26 @@ def test_sweep_rejects_non_finite_grid(capsys):
     assert "finite" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the import alone, then every detect method, each of which runs the fit
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
-        "import sys, phonon_optics.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import contextlib, io, sys, phonon_optics.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "for method in ('single', 'two', 'direct'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = phonon_optics.cli.main(['detect', 'coherent 0 0 1 0.5 nmax 8',\n"
+        "                                       '--method', method, '--out', method])\n"
+        "    print(method, code, scipy_modules())\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
+        timeout=120, check=True, cwd=tmp_path,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "single 0 []", "two 0 []", "direct 0 []"]
 
 
 @pytest.mark.parametrize("value", ["-pi/2", "-2*pi/3", "-1e-1", "-.5"])
@@ -310,3 +320,58 @@ def test_detect_bad_params_exit_code(tmp_path, capsys, monkeypatch):
         capsys, "detect", "fock 1 0 nmax 4", "--method", "direct", "--chi-t", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--method", "single", "--m-max", "-3"), "m_max must be nonnegative, got -3"),
+        (("--method", "two", "--k-max", "-1"), "k_max must be nonnegative, got -1"),
+    ],
+)
+def test_detect_negative_cutoff_exit_code(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "detect", "coherent 0 0 1 0 nmax 10", *flags)
+    assert code == 2
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_detect_two_needs_two_samples_per_weight(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        capsys, "detect", "fock 1 1 nmax 3", "--method", "two", "--samples", "8",
+        "--k-max", "20",
+    )
+    assert code == 2
+    assert "8 samples cannot determine 21 weights; need at least 42" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--method", "single", "--coupling", "nan"), "coupling must be finite and positive, got nan"),
+        (("--method", "two", "--coupling", "inf"), "coupling must be finite and positive, got inf"),
+        (("--method", "single", "--coupling", "1e-320"), "coupling 1e-320 is too small"),
+        (("--method", "direct", "--chi-t", "nan"), "chi * t must be finite and positive, got nan"),
+        (("--method", "single", "--chi-t", "inf"), "chi * t must be finite and positive, got inf"),
+    ],
+)
+def test_detect_non_finite_parameter_is_named(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning on the way fails the test
+        code, _, err = run_cli(capsys, "detect", "fock 1 0 nmax 4", *flags)
+    assert code == 2
+    assert message in err
+    assert "Warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_detect_fit_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(detection, "_NNLS_ITERATIONS_PER_COLUMN", 0)
+    code, _, err = run_cli(capsys, "detect", "fock 1 0 nmax 4", "--method", "single")
+    assert code == 2
+    assert "did not converge in 0 iterations" in err
