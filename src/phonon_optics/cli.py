@@ -221,6 +221,11 @@ def cmd_detect(args) -> int:
         state = interferometer.mz_output(state, args.mz)
     nmax = state.trunc.n_total_max
     prefix = args.out
+    # the comparison checks every detection parameter, so it runs before any output
+    comparison = detection.jz_from_methods(
+        state, coupling=args.coupling, n_samples=args.samples,
+        m_max=args.m_max, chi_t=args.chi_t,
+    )
 
     artifacts: list[tuple[str, str]] = []
     if args.method in ("single", "two"):
@@ -246,10 +251,6 @@ def cmd_detect(args) -> int:
         print(f"direct[{est.mode}]: sigma_x={est.sigma_x_exact:.17g} "
               f"mean_n={est.mean_n_linearized:.17g}")
 
-    comparison = detection.jz_from_methods(
-        state, coupling=args.coupling, n_samples=args.samples,
-        m_max=args.m_max, chi_t=args.chi_t,
-    )
     print(comparison.summary())
     for name, body in artifacts:
         Path(name).write_text(body, encoding="utf-8")

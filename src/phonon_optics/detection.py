@@ -75,10 +75,11 @@ class SignalTrace:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size >= 2 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(values < -_PROB_TOL) or np.any(values > 1.0 + _PROB_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
+        # NaN fails both comparisons, so it is rejected with the out-of-range values
+        if not np.all((values >= -_PROB_TOL) & (values <= 1.0 + _PROB_TOL)):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         if self.kind not in ("single", "two"):
             raise ValueError(f"kind must be 'single' or 'two', got {self.kind!r}")
         times.setflags(write=False)

@@ -5,13 +5,15 @@ center-of-mass mode, and a second 50/50 splitter, all realized as
 U = exp(+i (pi/2) Jx) e^{i phi a+ a} exp(+i (pi/2) Jx).  The phonon-number
 difference (Jz) of the output carries the phase.
 
-``mz_output`` propagates a state through the three factors.  The
-statistics need no propagation: e^{i phi a+ a} = e^{i phi N/2} e^{i phi Jz}
-with N central, so in the Heisenberg picture U+ Jz U = sin(phi) Jx -
-cos(phi) Jz (Yurke, McCall & Klauder, PRA 33, 4033 (1986)).  This is exact
-on the truncated space, because each fixed-N block is a spin-N/2 irrep.
-Five moments of the input state then give <Jz>, <Jz^2> and the exact slope
-d<Jz>/dphi at every phase, for arbitrary input states.
+The three factors are passive, so ``mz_unitary`` multiplies their 2x2
+one-phonon matrices into one operator and ``mz_output`` propagates a state
+through it with a single Jx rotation.  The statistics need no propagation:
+e^{i phi a+ a} = e^{i phi N/2} e^{i phi Jz} with N central, so in the
+Heisenberg picture U+ Jz U = sin(phi) Jx - cos(phi) Jz (Yurke, McCall &
+Klauder, PRA 33, 4033 (1986)).  This is exact on the truncated space,
+because each fixed-N block is a spin-N/2 irrep.  Five moments of the input
+state then give <Jz>, <Jz^2> and the exact slope d<Jz>/dphi at every
+phase, for arbitrary input states.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .fockspace import MotionalState, _apply_jx
-from .operators import apply, beam_splitter, phase_shifter
+from .fockspace import MotionalState, Truncation, _apply_jx
+from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
 
 SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
 
@@ -48,12 +50,15 @@ class InterferometerReport:
             raise ValueError(f"variance {self.var_jz} below roundoff floor")
 
 
+def mz_unitary(phi: float, trunc: Truncation) -> UnitaryOperator:
+    """The whole interferometer at phase phi as one passive operator."""
+    half = beam_splitter("b1", -math.pi / 2.0, trunc)  # exp(+i (pi/2) Jx)
+    return half @ phase_shifter("c", phi, trunc) @ half
+
+
 def mz_output(in_state: MotionalState, phi: float) -> MotionalState:
     """Push a motional state through the interferometer at phase phi."""
-    half = beam_splitter("b1", -math.pi / 2.0, in_state.trunc)  # exp(+i (pi/2) Jx)
-    s = apply(half, in_state)
-    s = apply(phase_shifter("c", phi, in_state.trunc), s)
-    return apply(half, s)
+    return apply(mz_unitary(phi, in_state.trunc), in_state)
 
 
 def mz_report(

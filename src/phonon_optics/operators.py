@@ -16,23 +16,31 @@ Sign conventions, fixed here once and used everywhere:
   phase multiplies |g>_2 (x) |m, n> by exp(+i chi_t m / 2) because
   sigma_z |g> = -|g>.
 
-Beam splitters conserve the total phonon number, so they act block by
-block on the (m + n = N) subspaces.  Each block is a spin-N/2 irrep: Jx
-restricted to it is a real symmetric tridiagonal matrix with the exact
-eigenvalues k - N/2, k = 0..N, and an eigenbasis V_N that does not depend
-on the angle.  V_N is the real Wigner matrix d^{N/2}(pi/2), because
-e^{-i pi/2 Jy} rotates Jz into Jx; it is built from V_{N-1} by a two-term
-recursion in the boson creation operators, O(nmax^3) once per truncation,
-with no eigensolver.  Every application is then O(sum N^2):
-V_N e^{-i theta w} V_N^T on the amplitudes, and the Jy splitter is the same
-rotation between two diagonal phases,
-exp(-i theta Jy) = e^{-i pi/2 Jz} exp(-i theta Jx) e^{+i pi/2 Jz}.  No
-unitary block is ever stored.  The dense matrix-exponential oracle exists
-for tests only; production paths never call it.
+Splitters and phase shifters are passive: each maps the mode operators
+(a+, b+) linearly, so it is fixed by its 2x2 one-phonon unitary M, and a
+chain of them is the product of their M (the U(2) picture of Yurke, McCall
+& Klauder, PRA 33, 4033 (1986)).  M acts on the Fock space as
+
+    e^{i delta N} e^{-i alpha Jz} e^{-i beta Jx} e^{-i gamma Jz},
+
+with delta = arg(det M)/2 and alpha, beta, gamma the ZXZ Euler angles of
+M e^{-i delta}: a diagonal phase, one Jx rotation and another diagonal
+phase, and no rotation when beta = 0.  The rotation conserves the total
+phonon number, so it acts block by block on the (m + n = N) subspaces.
+Each block is a spin-N/2 irrep: Jx restricted to it is a real symmetric
+tridiagonal matrix with the exact eigenvalues k - N/2, k = 0..N, and an
+eigenbasis V_N that does not depend on the angle.  V_N is the real Wigner
+matrix d^{N/2}(pi/2), because e^{-i pi/2 Jy} rotates Jz into Jx; it is
+built from V_{N-1} by a two-term recursion in the boson creation
+operators, O(nmax^3) once per truncation, with no eigensolver.  Every
+application is then O(sum N^2): V_N e^{-i beta w} V_N^T on the amplitudes.
+No unitary block is ever stored.  The dense matrix-exponential oracle
+exists for tests only; production paths never call it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -42,8 +50,7 @@ import numpy as np
 
 from .fockspace import JointState, MotionalState, Truncation
 
-KIND_BLOCK = "block-number-conserving"
-KIND_DIAGONAL = "diagonal-phase"
+KIND_PASSIVE = "passive"
 KIND_JCM = "jcm-block"
 KIND_DENSE = "dense"
 
@@ -77,14 +84,15 @@ class JcmPairs:
 
 @dataclass
 class UnitaryOperator:
-    """Exact unitary in one of four structural forms.
+    """Exact unitary in one of three structural forms.
 
-    kind ``block-number-conserving``: the beam splitter exp(-i theta J) with
-    ``generator`` ``"jx"`` or ``"jy"``, applied through the cached rotation
-    basis of its truncation; it stores no blocks (``blocks`` is empty), and
-    ``as_matrix`` builds the matrix on demand through the same path.  kind
-    ``diagonal-phase``: ``diag`` holds unit-modulus entries.  kind
-    ``dense``: a single matrix (oracle output).  kind ``jcm-block``: 2x2
+    kind ``passive``: a splitter, phase shifter or any product of them;
+    ``matrix`` is its 2x2 one-phonon unitary M on (|1, 0>, |0, 1>), so column
+    0 is the image of a+ in the (a+, b+) basis.  ``u2 @ u1`` composes two
+    passive operators by the 2x2 product; ``apply`` and ``as_matrix`` go
+    through the Euler form of ``_apply_passive``, so the Fock matrix is
+    built only on demand.  ``blocks`` is always empty.  kind ``dense``:
+    ``matrix`` is the full matrix (oracle output).  kind ``jcm-block``: 2x2
     rotations between |g, m, n> and its lowered |e, ...> partner; applies
     to a JointState with an ion-2 register.
     """
@@ -92,11 +100,18 @@ class UnitaryOperator:
     kind: str
     trunc: Truncation | None
     blocks: tuple[np.ndarray, ...] = ()
-    diag: np.ndarray | None = None
     matrix: np.ndarray | None = None
     jcm: JcmPairs | None = None
-    generator: str | None = None
-    theta: float = 0.0
+
+    def __matmul__(self, other):
+        if not (isinstance(other, UnitaryOperator) and self.kind == other.kind == KIND_PASSIVE):
+            return NotImplemented
+        if other.trunc != self.trunc:
+            raise ValueError(
+                f"truncation mismatch: n_total_max = {self.trunc.n_total_max} "
+                f"@ n_total_max = {other.trunc.n_total_max}"
+            )
+        return UnitaryOperator(KIND_PASSIVE, self.trunc, matrix=self.matrix @ other.matrix)
 
     def apply(self, state):
         if self.kind == KIND_JCM:
@@ -110,12 +125,8 @@ class UnitaryOperator:
                 f"truncation mismatch: operator has n_total_max = "
                 f"{self.trunc.n_total_max}, state has {state.trunc.n_total_max}"
             )
-        if self.kind == KIND_BLOCK:
-            return state.with_amps(
-                _rotate(state.amps, self.generator, self.theta, self.trunc)
-            )
-        if self.kind == KIND_DIAGONAL:
-            return state.with_amps(self.diag * state.amps)
+        if self.kind == KIND_PASSIVE:
+            return state.with_amps(_apply_passive(state.amps, self.matrix, self.trunc))
         if self.kind == KIND_DENSE:
             if self.matrix.shape[0] != state.amps.shape[0]:
                 raise ValueError("dense operator dimension does not match state")
@@ -124,38 +135,27 @@ class UnitaryOperator:
 
     def unitarity_defect(self) -> float:
         """max |U+ U - 1| over the operator's blocks."""
-        if self.kind == KIND_BLOCK:
+        if self.kind == KIND_PASSIVE:
             m = self.as_matrix()
-            defect = 0.0
-            for total in range(self.trunc.n_total_max + 1):
-                sl = self.trunc.block(total)
-                b = m[sl, sl]
-                defect = max(defect, float(np.max(np.abs(b.conj().T @ b - np.eye(total + 1)))))
-            return defect
-        if self.kind == KIND_DIAGONAL:
-            return float(np.max(np.abs(np.abs(self.diag) ** 2 - 1.0)))
-        if self.kind == KIND_DENSE:
-            m = self.matrix
-            return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if self.kind == KIND_JCM:
-            defect = 0.0
-            for theta in self.jcm.angle:
-                b = _jcm_block(float(theta))
-                defect = max(defect, float(np.max(np.abs(b.conj().T @ b - np.eye(2)))))
-            return defect
-        raise ValueError(f"unknown operator kind {self.kind!r}")
+            blocks = [m[sl, sl] for sl in map(self.trunc.block, range(self.trunc.n_total_max + 1))]
+        elif self.kind == KIND_DENSE:
+            blocks = [self.matrix]
+        elif self.kind == KIND_JCM:
+            blocks = [_jcm_block(float(theta)) for theta in self.jcm.angle]
+        else:
+            raise ValueError(f"unknown operator kind {self.kind!r}")
+        return max((float(np.max(np.abs(b.conj().T @ b - np.eye(len(b))))) for b in blocks),
+                   default=0.0)
 
     def as_matrix(self) -> np.ndarray:
         """Dense matrix form; jcm-block yields the (2 dim) joint matrix
         ordered (ion-2 qubit axis first, motional axis last)."""
         if self.kind == KIND_DENSE:
             return self.matrix.copy()
-        if self.kind == KIND_DIAGONAL:
-            return np.diag(self.diag)
-        if self.kind == KIND_BLOCK:
-            # row i of the rotated identity is U e_i, i.e. column i of U
+        if self.kind == KIND_PASSIVE:
+            # row i of the transformed identity is U e_i, i.e. column i of U
             eye = np.eye(self.trunc.dim, dtype=np.complex128)
-            return _rotate(eye, self.generator, self.theta, self.trunc).T
+            return _apply_passive(eye, self.matrix, self.trunc).T
         dim = self.trunc.dim
         out = np.eye(2 * dim, dtype=np.complex128)
         for gi, ei, theta in zip(self.jcm.g_index, self.jcm.e_index, self.jcm.angle):
@@ -238,25 +238,16 @@ def _jx_basis(n_total_max: int) -> tuple[np.ndarray, ...]:
     return tuple(bases)
 
 
-# i^m for m mod 4: exact entries of e^{+i pi/2 a+ a}.
-_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
-def _rotate(arr: np.ndarray, generator: str, theta: float, trunc: Truncation) -> np.ndarray:
-    """exp(-i theta J) along the last axis of arr, with J = Jx or Jy.
+def _rotate(arr: np.ndarray, theta: float, trunc: Truncation) -> np.ndarray:
+    """exp(-i theta Jx) along the last axis of arr.
 
     Block N maps x to V_N (e^{-i theta w} * (V_N^T x)).  V_N is real, so both
-    products run on the float view of the amplitudes.  Jy is Jx conjugated
-    by e^{-i pi/2 Jz}; within a block the N/2 part of Jz cancels, leaving the
-    exact phases i^m before the rotation and (-i)^m after it.
+    products run on the float view of the amplitudes.
     """
     dim = trunc.dim
     ms, ns = trunc.mode_numbers()
     # (dim, batch) with contiguous rows, so each block is one contiguous slab.
     x = np.ascontiguousarray(arr.reshape(-1, dim).T, dtype=np.complex128)
-    if generator == "jy":
-        turns = _QUARTER_TURNS[ms % 4]
-        x = x * turns[:, None]
     phase = np.exp(-1j * theta * (0.5 * (ms - ns)))[:, None]
     out = np.empty_like(x)
     for total, v in enumerate(_jx_basis(trunc.n_total_max)):
@@ -264,33 +255,61 @@ def _rotate(arr: np.ndarray, generator: str, theta: float, trunc: Truncation) ->
         coeff = (v.T @ x[sl].view(np.float64)).view(np.complex128)
         coeff *= phase[sl]
         out[sl] = (v @ coeff.view(np.float64)).view(np.complex128)
-    if generator == "jy":
-        out *= turns.conj()[:, None]
     return out.T.reshape(arr.shape)
+
+
+def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndarray:
+    """Fock action of the one-phonon unitary m along the last axis of arr.
+
+    With delta = arg(det m)/2, w = m e^{-i delta} = [[a, b], [-b*, a*]] is in
+    SU(2) and equals e^{-i alpha sz/2} e^{-i beta sx/2} e^{-i gamma sz/2} for
+    beta = 2 atan2(|b|, |a|) in [0, pi], alpha + gamma = -2 arg(a) and
+    alpha - gamma = -2 arg(i b).  These reproduce w itself, not -w, so the
+    lift e^{i delta N} e^{-i alpha Jz} e^{-i beta Jx} e^{-i gamma Jz} is
+    exact.  Either branch of arg(det m) works: delta + pi turns w into -w,
+    whose lift gains (-1)^N, and e^{i pi N} = (-1)^N cancels it.  At
+    beta = 0 (b = 0) and beta = pi (a = 0) the undefined angle cancels
+    between the two phases, and beta = 0 skips the rotation.
+    """
+    delta = 0.5 * cmath.phase(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    a, b = m[0] * cmath.exp(-1j * delta)  # the first row of w
+    beta = 2.0 * math.atan2(abs(b), abs(a))
+    s, d = cmath.phase(a), cmath.phase(1j * b)  # alpha = -s - d, gamma = d - s
+    ms, ns = trunc.mode_numbers()
+    jz = 0.5 * (ms - ns)
+    if beta == 0.0:
+        return arr * np.exp(1j * (delta * (ms + ns) + 2.0 * s * jz))
+    out = _rotate(arr * np.exp(1j * (s - d) * jz), beta, trunc)
+    out *= np.exp(1j * (delta * (ms + ns) + (s + d) * jz))
+    return out
+
+
+def _splitter(key: str, theta: float) -> np.ndarray:
+    """One-phonon matrix of exp(-i theta Jx) (``b1``) or exp(-i theta Jy) (``b2``)."""
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)  # inf: NaN for apply to reject
+    m = [[c, -1j * s], [-1j * s, c]] if key == "b1" else [[c, -s], [s, c]]
+    return np.array(m, dtype=np.complex128)
 
 
 def beam_splitter(kind: str, theta: float, trunc: Truncation) -> UnitaryOperator:
     """exp(-i theta Jx) for kind ``b1`` or exp(-i theta Jy) for kind ``b2``.
 
-    Both conserve the total phonon number, so the result acts as one exact
-    rotation per total-number block; theta = pi/2 is the 50/50 splitter.
-    Building it only records the generator and the angle.
+    Both conserve the total phonon number; theta = pi/2 is the 50/50
+    splitter.  Building it forms only the 2x2 one-phonon matrix.
     """
     key = kind.strip().lower()
     if key not in ("b1", "b2"):
         raise ValueError(f"beam splitter kind must be 'b1' or 'b2', got {kind!r}")
-    return UnitaryOperator(
-        KIND_BLOCK, trunc, generator="jx" if key == "b1" else "jy", theta=float(theta)
-    )
+    return UnitaryOperator(KIND_PASSIVE, trunc, matrix=_splitter(key, float(theta)))
 
 
 def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
     """exp(+i phi a+ a) on mode ``c`` or exp(+i phi b+ b) on mode ``r``."""
     if mode not in ("c", "r"):
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
-    ms, ns = trunc.mode_numbers()
-    k = ms if mode == "c" else ns
-    return UnitaryOperator(KIND_DIAGONAL, trunc, diag=np.exp(1j * phi * k))
+    e = cmath.exp(1j * phi)
+    m = np.diag([e, 1.0] if mode == "c" else [1.0, e])
+    return UnitaryOperator(KIND_PASSIVE, trunc, matrix=m)
 
 
 def apply(u: UnitaryOperator, s: MotionalState) -> MotionalState:
@@ -311,10 +330,10 @@ def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
     if key not in ("u1", "u2"):
         raise ValueError(f"propagator kind must be 'u1' or 'u2', got {kind!r}")
     axis = js.axis_of(1)
-    generator = "jx" if key == "u1" else "jy"
+    bs = "b1" if key == "u1" else "b2"
     a = np.moveaxis(js.amps, axis, 0)
-    plus = _rotate((a[0] + a[1]) * _SQRT_HALF, generator, theta, js.trunc)
-    minus = _rotate((a[0] - a[1]) * _SQRT_HALF, generator, -theta, js.trunc)
+    plus = _apply_passive((a[0] + a[1]) * _SQRT_HALF, _splitter(bs, theta), js.trunc)
+    minus = _apply_passive((a[0] - a[1]) * _SQRT_HALF, _splitter(bs, -theta), js.trunc)
     out = np.stack([(plus + minus) * _SQRT_HALF, (plus - minus) * _SQRT_HALF])
     return js.with_amps(np.moveaxis(out, 0, axis))
 

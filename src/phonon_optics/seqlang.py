@@ -15,9 +15,14 @@ required and it must come first; verbs and keywords are case insensitive.
 ``execute`` threads a motional state through the statements.  ``cphase``
 acts with ion 2 implicitly prepared in |g>, which turns the conditional
 phase with angle chi_t into the plain phase shifter at chi_t / 2.  ``mz``
-expands to the splitter, phase, splitter pipeline.  ``jcm`` and ``direct``
-emit probe records without changing the state; ``report`` records the
-number distributions and the Schwinger expectations at that point.
+is the splitter, phase, splitter interferometer.  ``bs1``, ``bs2``, ``ps``,
+``cphase`` and ``mz`` are passive, each a 2x2 unitary on the mode
+operators: a run of them folds into one operator (the product of the
+2x2 matrices), applied with at most one rotation before the next ``jcm``,
+``direct`` or ``report`` and at the end, so every record sees the state it
+would see statement by statement.  ``jcm`` and ``direct`` emit probe
+records without changing the state; ``report`` records the number
+distributions and the Schwinger expectations at that point.
 Formatting is canonical (lowercase, single spaces) and parsing a formatted
 program reproduces the statement structure exactly; comments are not
 preserved.
@@ -43,7 +48,7 @@ from .fockspace import (
     make_fock,
     number_distributions,
 )
-from .operators import apply, beam_splitter, phase_shifter
+from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
 
 
 class ParseError(Exception):
@@ -381,56 +386,62 @@ class ExecutionResult:
     records: list
 
 
+def _passive(stmt: Statement, trunc: Truncation) -> UnitaryOperator | None:
+    """The statement's passive operator, or None if it is not passive."""
+    args = stmt.args
+    if stmt.verb in ("bs1", "bs2"):
+        return beam_splitter("b" + stmt.verb[2], args["theta"].value, trunc)
+    if stmt.verb == "ps":
+        return phase_shifter(args["mode"], args["angle"].value, trunc)
+    if stmt.verb == "cphase":  # ion 2 implicitly in |g>: phase shift at chi_t / 2
+        return phase_shifter(args["mode"], args["angle"].value / 2.0, trunc)
+    if stmt.verb == "mz":
+        return interferometer.mz_unitary(args["phi"].value, trunc)
+    return None
+
+
+def _apply_run(run: UnitaryOperator | None, state: MotionalState, line: int) -> MotionalState:
+    """Apply a folded run of passive statements; a failure names its first line."""
+    if run is None:
+        return state
+    try:
+        return apply(run, state)
+    except (ValueError, AssertionError) as exc:
+        raise ExecutionError(line, str(exc)) from exc
+
+
 def execute(program: PulseProgram) -> ExecutionResult:
     """Run a parsed program; deterministic for identical programs."""
     records: list = []
     state: MotionalState | None = None
+    run: UnitaryOperator | None = None  # the pending passive statements, folded
+    run_line = 0
     for idx, (stmt, span) in enumerate(zip(program.statements, program.source_spans)):
         line = span.line
         try:
             if stmt.verb == "init":
                 state = _build_initial_state(stmt.args, line)
-            elif stmt.verb in ("bs1", "bs2"):
-                u = beam_splitter("b1" if stmt.verb == "bs1" else "b2",
-                                  stmt.args["theta"].value, state.trunc)
-                state = apply(u, state)
-            elif stmt.verb == "ps":
-                state = apply(
-                    phase_shifter(stmt.args["mode"], stmt.args["angle"].value, state.trunc),
-                    state,
-                )
-            elif stmt.verb == "cphase":
-                # ion 2 implicitly in |g>: phase shift at chi_t / 2
-                state = apply(
-                    phase_shifter(stmt.args["mode"], stmt.args["angle"].value / 2.0, state.trunc),
-                    state,
-                )
-            elif stmt.verb == "mz":
-                state = interferometer.mz_output(state, stmt.args["phi"].value)
-            elif stmt.verb == "jcm":
-                times = np.linspace(stmt.args["t0"], stmt.args["t1"], stmt.args["nsamples"])
-                trace = signal(state, stmt.args["coupling"], times, stmt.args["kind"])
-                records.append(TraceRecord(idx, trace))
-            elif stmt.verb == "direct":
-                est = direct_mean_phonon(state, stmt.args["chi_t"], 1.0, stmt.args["mode"])
-                records.append(DirectRecord(idx, est))
-            elif stmt.verb == "report":
-                records.append(
-                    ReportRecord(
-                        idx,
-                        number_distributions(state),
-                        expect(state, "jx"),
-                        expect(state, "jy"),
-                        expect(state, "jz"),
-                    )
-                )
-            else:  # pragma: no cover - parser rejects unknown verbs
-                raise ExecutionError(line, f"unknown verb {stmt.verb!r}")
+            elif (u := _passive(stmt, state.trunc)) is not None:
+                run, run_line = (u, line) if run is None else (u @ run, run_line)
+            else:
+                state, run = _apply_run(run, state, run_line), None
+                if stmt.verb == "jcm":
+                    times = np.linspace(stmt.args["t0"], stmt.args["t1"], stmt.args["nsamples"])
+                    trace = signal(state, stmt.args["coupling"], times, stmt.args["kind"])
+                    records.append(TraceRecord(idx, trace))
+                elif stmt.verb == "direct":
+                    est = direct_mean_phonon(state, stmt.args["chi_t"], 1.0, stmt.args["mode"])
+                    records.append(DirectRecord(idx, est))
+                elif stmt.verb == "report":
+                    moments = (expect(state, k) for k in ("jx", "jy", "jz"))
+                    records.append(ReportRecord(idx, number_distributions(state), *moments))
+                else:  # pragma: no cover - parser rejects unknown verbs
+                    raise ExecutionError(line, f"unknown verb {stmt.verb!r}")
         except ExecutionError:
             raise
         except (ValueError, AssertionError) as exc:
             raise ExecutionError(line, str(exc)) from exc
-    return ExecutionResult(state, records)
+    return ExecutionResult(_apply_run(run, state, run_line), records)
 
 
 def _format_statement(stmt: Statement) -> str:

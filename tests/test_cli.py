@@ -369,6 +369,18 @@ def test_detect_non_finite_parameter_is_named(tmp_path, capsys, monkeypatch, fla
     assert list(tmp_path.iterdir()) == []
 
 
+def test_detect_validates_before_printing(tmp_path, capsys, monkeypatch):
+    # the single-mode result line used to be printed before --chi-t was checked
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "detect", "fock 1 0 nmax 4", "--method", "single", "--chi-t", "inf"
+    )
+    assert code == 2
+    assert out == ""
+    assert "chi * t must be finite and positive, got inf" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_detect_fit_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(detection, "_NNLS_ITERATIONS_PER_COLUMN", 0)

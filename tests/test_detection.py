@@ -152,6 +152,20 @@ def test_signal_trace_validation():
         SignalTrace(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 1.0, "both")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_signal_trace_rejects_non_finite(bad):
+    values = np.full(8, 0.5)
+    values[3] = bad
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        SignalTrace(np.linspace(0, 1, 8), values, 1.0, "single")
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        SignalTrace(np.linspace(0, 1, 8), np.full(8, bad), 1.0, "single")
+    times = np.linspace(0, 1, 8)
+    times[-1] = bad
+    with pytest.raises(ValueError, match="times must be finite"):
+        SignalTrace(times, np.full(8, 0.5), 1.0, "single")
+
+
 def test_trace_csv():
     t = Truncation(2)
     trace = signal(make_fock(1, 0, t), 1.0, np.linspace(0, 1, 4), "single")

@@ -198,6 +198,17 @@ def test_apply_identity_and_truncation_mismatch():
         apply(beam_splitter("b1", 0.1, Truncation(5)), s)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_is_refused_on_apply(angle):
+    t = Truncation(3)
+    s = make_fock(1, 0, t)
+    with np.errstate(invalid="ignore"):
+        for u in (beam_splitter("b1", angle, t), beam_splitter("b2", angle, t),
+                  phase_shifter("r", angle, t)):
+            with pytest.raises(ValueError, match="non-finite amplitudes"):
+                apply(u, s)
+
+
 def test_apply_propagates_tail_bookkeeping():
     t = Truncation(3)
     s = make_coherent(1.0, 0.8, t)  # heavily truncated on purpose

@@ -7,14 +7,22 @@ from phonon_optics import (
     ExecutionError,
     ParseError,
     Truncation,
+    apply,
+    beam_splitter,
+    direct_mean_phonon,
     execute,
+    expect,
     fidelity,
     format_program,
     make_cat,
     make_coherent,
+    mz_output,
+    number_distributions,
     parse,
     parse_state_spec,
+    phase_shifter,
 )
+from phonon_optics import operators
 from phonon_optics.seqlang import (
     Angle,
     DirectRecord,
@@ -257,6 +265,67 @@ def test_execute_matches_library_state():
     assert fidelity(cat, make_cat(1, "even", "r", Truncation(25))) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+# folding of passive runs ------------------------------------------------------
+
+FOLDED = (
+    "init coherent 0.4 -0.3 0.9 0.2 nmax 12\n"
+    "ps c 0.3\nbs1 0.7\nreport\nbs2 1.1\nmz pi/3\ndirect c 0.001\nbs1 -0.4\n"
+)
+
+
+def test_folded_runs_match_statement_by_statement():
+    result = execute(parse(FOLDED))
+    trunc = Truncation(12)
+    s = make_coherent(complex(0.4, -0.3), complex(0.9, 0.2), trunc)
+    s = apply(phase_shifter("c", 0.3, trunc), s)
+    s = apply(beam_splitter("b1", 0.7, trunc), s)
+    report, direct = result.records
+    assert np.max(np.abs(report.distribution.p_mn - number_distributions(s).p_mn)) <= 1e-13
+    for name in ("jx", "jy", "jz"):
+        assert abs(getattr(report, name) - expect(s, name)) <= 1e-13
+    s = apply(beam_splitter("b2", 1.1, trunc), s)
+    s = mz_output(s, math.pi / 3)
+    want = direct_mean_phonon(s, 0.001, 1.0, "c")
+    assert abs(direct.estimate.sigma_x_exact - want.sigma_x_exact) <= 1e-13
+    assert abs(direct.estimate.mean_n_linearized - want.mean_n_linearized) <= 1e-13
+    s = apply(beam_splitter("b1", -0.4, trunc), s)
+    assert np.max(np.abs(result.final_state.amps - s.amps)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("init fock 1 0 nmax 6\nreport\n# folded\nps c 0.2\nbs1 pi/2\nbs2 0.3\nreport\n", 4),
+        ("init fock 1 0 nmax 6\nreport\ncphase r 0.2\nmz pi/3\n", 3),
+    ],
+)
+def test_failing_folded_run_names_its_first_line(monkeypatch, text, line):
+    monkeypatch.setattr(operators, "_physical_memory_bytes", lambda: 100)
+    operators._jx_basis.cache_clear()
+    try:
+        with pytest.raises(ExecutionError, match="physical memory") as exc_info:
+            execute(parse(text))
+    finally:
+        operators._jx_basis.cache_clear()
+    assert exc_info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, rotations",
+    [
+        (FOLDED, 3),  # [ps, bs1], [bs2, mz] and [bs1]
+        ("init fock 2 1 nmax 5\nps c 0.3\ncphase r 0.2\nreport\nps r 1\n", 0),
+        ("init fock 2 1 nmax 5\nmz 0.1\nmz 0.2\nbs1 1\nbs2 2\nps c 3\n", 1),
+    ],
+)
+def test_each_passive_run_rotates_at_most_once(monkeypatch, text, rotations):
+    calls = []
+    rotate = operators._rotate
+    monkeypatch.setattr(operators, "_rotate", lambda *args: calls.append(args) or rotate(*args))
+    execute(parse(text))
+    assert len(calls) == rotations
 
 
 # state specs -----------------------------------------------------------------
