@@ -57,6 +57,7 @@ DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
 
 _PROB_TOL = 1e-12
+_SIGNAL_CHUNK = 32  # samples per slice of the cosine table in ``signal``
 _NNLS_ITERATIONS_PER_COLUMN = 3  # SciPy's NNLS stops at 3 n iterations too
 
 
@@ -82,6 +83,10 @@ class SignalTrace:
             raise ValueError("probabilities must be finite and lie in [0, 1]")
         if self.kind not in ("single", "two"):
             raise ValueError(f"kind must be 'single' or 'two', got {self.kind!r}")
+        if self.mode not in ("c", "r"):
+            raise ValueError(f"mode must be 'c' or 'r', got {self.mode!r}")
+        if not (math.isfinite(self.coupling) and self.coupling > 0):
+            raise ValueError(f"coupling must be finite and positive, got {self.coupling!r}")
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -226,7 +231,12 @@ def signal(
         freqs = 2.0 * coupling * np.sqrt(ks)
     else:
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
-    values = 0.5 * (1.0 + np.cos(np.outer(times, freqs)) @ p)
+    # a slice of samples at a time keeps the cosine table at _SIGNAL_CHUNK rows
+    values = np.empty(times.size)
+    for start in range(0, times.size, _SIGNAL_CHUNK):
+        stop = start + _SIGNAL_CHUNK
+        values[start:stop] = np.cos(np.outer(times[start:stop], freqs)) @ p
+    values = 0.5 * (1.0 + values)
     return SignalTrace(times, np.clip(values, 0.0, 1.0), coupling, kind, mode)
 
 

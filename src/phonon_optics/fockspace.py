@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -31,6 +33,28 @@ DEFAULT_TAIL_TOLERANCE = 1e-10
 _NORM_TOL = 1e-12
 
 _OBSERVABLES = ("jx", "jy", "jz", "jz2", "nc", "nr")
+
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
+def _memory_limit_bytes() -> int | None:
+    """The smaller of physical RAM (sysconf) and a numeric cgroup v2
+    ``memory.max``, or None where neither gives an answer.
+
+    ``memory.max`` reads ``max`` when the group has no limit; that value, a
+    missing file and a cgroup v1 hierarchy are ignored.
+    """
+    limits = []
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        pass
+    try:
+        with open(_CGROUP_MEMORY_MAX, encoding="ascii") as f:
+            limits.append(int(f.read()))
+    except (OSError, ValueError):  # no such file, or "max"
+        pass
+    return min(limits, default=None)
 
 
 @lru_cache(maxsize=None)
@@ -50,13 +74,33 @@ def _mode_numbers(n_total_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Total-phonon cutoff: basis pairs (m, n) with m + n <= n_total_max."""
+    """Total-phonon cutoff: basis pairs (m, n) with m + n <= n_total_max.
+
+    Construction refuses a non-integer or negative cutoff, and one whose
+    state arrays would exceed ``_memory_limit_bytes()``, so an absurd
+    cutoff fails before anything is allocated.
+    """
 
     n_total_max: int
 
     def __post_init__(self) -> None:
-        if self.n_total_max < 0:
-            raise ValueError(f"n_total_max must be >= 0, got {self.n_total_max}")
+        try:
+            n = operator.index(self.n_total_max)
+        except TypeError:
+            raise ValueError(f"n_total_max must be an integer, got {self.n_total_max!r}") from None
+        if n < 0:
+            raise ValueError(f"n_total_max must be >= 0, got {n}")
+        object.__setattr__(self, "n_total_max", n)
+        # A state allocates, per basis state, its complex128 amplitudes and
+        # the two int64 arrays of mode_numbers, and number_distributions
+        # fills a float64 (nmax + 1)^2 table: 32 dim + 8 (nmax + 1)^2 bytes.
+        need = 32 * self.dim + 8 * (n + 1) ** 2
+        limit = _memory_limit_bytes()
+        if limit is not None and need > limit:
+            raise ValueError(
+                f"n_total_max = {n} needs {need:.3g} bytes of state arrays, "
+                f"more than the memory limit of {limit:.3g} bytes"
+            )
 
     @property
     def dim(self) -> int:

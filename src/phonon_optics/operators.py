@@ -21,30 +21,28 @@ Splitters and phase shifters are passive: each maps the mode operators
 chain of them is the product of their M (the U(2) picture of Yurke, McCall
 & Klauder, PRA 33, 4033 (1986)).  M acts on the Fock space as
 
-    e^{i delta N} e^{-i alpha Jz} e^{-i beta Jx} e^{-i gamma Jz},
+    e^{i delta N} e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz},
 
-with delta = arg(det M)/2 and alpha, beta, gamma the ZXZ Euler angles of
-M e^{-i delta}: a diagonal phase, one Jx rotation and another diagonal
+with delta = arg(det M)/2 and alpha, beta, gamma the ZYZ Euler angles of
+M e^{-i delta}: a diagonal phase, one Jy rotation and another diagonal
 phase, and no rotation when beta = 0.  The rotation conserves the total
 phonon number, so it acts block by block on the (m + n = N) subspaces.
-Each block is a spin-N/2 irrep: Jx restricted to it is a real symmetric
-tridiagonal matrix with the exact eigenvalues k - N/2, k = 0..N, and an
-eigenbasis V_N that does not depend on the angle.  V_N is the real Wigner
-matrix d^{N/2}(pi/2), because e^{-i pi/2 Jy} rotates Jz into Jx; it is
-built from V_{N-1} by a two-term recursion in the boson creation
-operators, O(nmax^3) once per truncation, with no eigensolver.  Every
-application is then O(sum N^2): V_N e^{-i beta w} V_N^T on the amplitudes.
-No unitary block is ever stored.  The dense matrix-exponential oracle
-exists for tests only; production paths never call it.
+Each block is a spin-N/2 irrep, on which e^{-i beta Jy} is the real Wigner
+matrix d^{N/2}(beta).  Every application builds these blocks for its own
+beta by a two-term recursion in the boson creation operators, with no
+eigensolver, and multiplies each into the amplitudes as it is built:
+O(nmax^3) time and O(nmax^2) memory per application (about 0.3 s at
+nmax 300), with nothing kept between calls.  A caller applying many
+operators to one state pays that per call; folding them with ``@`` first
+pays it once.  The dense matrix-exponential oracle exists for tests only;
+production paths never call it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,117 +167,85 @@ def _jcm_block(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
-def _physical_memory_bytes() -> int | None:
-    """Installed RAM from sysconf, or None where the platform has no answer."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
+def _small_d(beta: float, n_total_max: int):
+    """Yield the real Wigner block d_N(beta) of e^{-i beta Jy}, N = 0..nmax.
 
-
-@lru_cache(maxsize=4)
-def _jx_basis(n_total_max: int) -> tuple[np.ndarray, ...]:
-    """Real orthogonal V_N with Jx|_N = V_N diag(k - N/2) V_N^T, N = 0..nmax.
-
-    V_N is the Wigner matrix d^{N/2}(pi/2): column k is the Fock state
-    |k, N - k> of the rotated modes a' = (a + b)/sqrt2, b' = (b - a)/sqrt2,
-    whose Jx eigenvalue is k - N/2.  Since N|k, N-k>' = sqrt(k) a'+|k-1, N-k>'
-    + sqrt(N-k) b'+|k, N-k-1>', block N follows from block N - 1 by the
-    creation operators a+, b+ with no eigensolver (Risbo's recursion,
-    J. Geodesy 70, 383 (1996)): O(N^2) per block, O(nmax^3) once per
-    truncation.  Each block is checked against the eigen-equation and for
-    unit column norms, both O(N^2) because Jx is tridiagonal; a deviation
-    above 1e-9 max(1, N) is an error.  A basis larger than the machine's
-    physical memory (sysconf) is refused before anything is allocated; a
-    container or cgroup memory limit below that is not read, so there the
-    process can still be killed by the OOM killer instead of failing cleanly.
+    Column k of d_N is e^{-i beta Jy}|k, N - k>.  The rotation turns the
+    creation operators into c a+ + s b+ and c b+ - s a+ (c, s = cos, sin of
+    beta/2), and N|k, N-k> = sqrt(k) a+|k-1, N-k> + sqrt(N-k) b+|k, N-k-1>,
+    so column k of d_N is sqrt(k) (c a+ + s b+) d_{N-1}[:, k-1] plus
+    sqrt(N-k) (c b+ - s a+) d_{N-1}[:, k], over N (Risbo's recursion,
+    J. Geodesy 70, 383 (1996)): four slab updates and no eigensolver, O(N^2)
+    per block.  Each block is checked against the rotated Jz,
+    Jz d = d (cos beta Jz - sin beta Jx), and for unit column norms, both
+    O(N^2) because Jx is tridiagonal; a deviation above 1e-9 N raises
+    LinAlgError.  Only the block being built is held.
     """
-    # 8 sum_{N <= nmax} (N + 1)^2 bytes of float64
-    size = 8 * (n_total_max + 1) * (n_total_max + 2) * (2 * n_total_max + 3) // 6
-    ram = _physical_memory_bytes()
-    if ram is not None and size > ram:
-        raise ValueError(
-            f"n_total_max = {n_total_max} needs a {size / 2**30:.3g} GiB rotation basis, "
-            f"more than the {ram / 2**30:.3g} GiB of physical memory"
-        )
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    cos_b, sin_b = math.cos(beta), math.sin(beta)
     root = np.sqrt(np.arange(n_total_max + 1, dtype=np.float64))
-    v = np.ones((1, 1))
-    v.setflags(write=False)
-    bases = [v]
+    d = np.ones((1, 1))
+    yield d
     for total in range(1, n_total_max + 1):
         up = root[1 : total + 1]  # sqrt(m): a+ lands on row m = 1..N
         down = root[total:0:-1]  # sqrt(N - m): b+ lands on row m = 0..N-1
-        a_v = up[:, None] * v
-        b_v = down[:, None] * v
-        scale = 1.0 / (total * math.sqrt(2.0))
-        col_a = up * scale  # sqrt(k) a'+ = sqrt(k) (a+ + b+)/sqrt2 feeds column k
-        col_b = down * scale  # sqrt(N - k) b'+ = sqrt(N - k) (b+ - a+)/sqrt2
-        v = np.zeros((total + 1, total + 1))
-        v[1:, 1:] = a_v * col_a
-        v[:-1, 1:] += b_v * col_a
-        v[:-1, :-1] += b_v * col_b
-        v[1:, :-1] -= a_v * col_b
-        hop = 0.5 * up * down  # <m+1, n-1| a+ b |m, n> / 2
-        residual = v * (np.arange(total + 1) - 0.5 * total)
-        residual[:-1] -= hop[:, None] * v[1:]
-        residual[1:] -= hop[:, None] * v[:-1]
+        a_d = up[:, None] * d
+        b_d = down[:, None] * d
+        col_a = up / total  # sqrt(k)/N feeds column k = 1..N
+        col_b = down / total  # sqrt(N - k)/N feeds column k = 0..N-1
+        d = np.zeros((total + 1, total + 1))
+        d[1:, 1:] = a_d * (c * col_a)
+        d[:-1, 1:] += b_d * (s * col_a)
+        d[:-1, :-1] += b_d * (c * col_b)
+        d[1:, :-1] -= a_d * (s * col_b)
+        jz = np.arange(total + 1) - 0.5 * total
+        hop = (0.5 * sin_b) * up * down  # sin(beta) <m+1, n-1| Jx |m, n>
+        residual = (jz[:, None] - cos_b * jz) * d
+        residual[:, 1:] += d[:, :-1] * hop
+        residual[:, :-1] += d[:, 1:] * hop
         worst = float(np.max(np.abs(residual)))
         if not worst <= 1e-9 * total:
-            raise np.linalg.LinAlgError(
-                f"Jx block N = {total}: eigen-equation residual {worst:.3g}"
-            )
-        drift = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0)))
+            raise np.linalg.LinAlgError(f"d block N = {total}: rotation residual {worst:.3g}")
+        drift = float(np.max(np.abs(np.einsum("ij,ij->j", d, d) - 1.0)))
         if not drift <= 1e-9 * total:
-            raise np.linalg.LinAlgError(
-                f"Jx block N = {total}: column norms off 1 by {drift:.3g}"
-            )
-        v.setflags(write=False)
-        bases.append(v)
-    return tuple(bases)
-
-
-def _rotate(arr: np.ndarray, theta: float, trunc: Truncation) -> np.ndarray:
-    """exp(-i theta Jx) along the last axis of arr.
-
-    Block N maps x to V_N (e^{-i theta w} * (V_N^T x)).  V_N is real, so both
-    products run on the float view of the amplitudes.
-    """
-    dim = trunc.dim
-    ms, ns = trunc.mode_numbers()
-    # (dim, batch) with contiguous rows, so each block is one contiguous slab.
-    x = np.ascontiguousarray(arr.reshape(-1, dim).T, dtype=np.complex128)
-    phase = np.exp(-1j * theta * (0.5 * (ms - ns)))[:, None]
-    out = np.empty_like(x)
-    for total, v in enumerate(_jx_basis(trunc.n_total_max)):
-        sl = trunc.block(total)
-        coeff = (v.T @ x[sl].view(np.float64)).view(np.complex128)
-        coeff *= phase[sl]
-        out[sl] = (v @ coeff.view(np.float64)).view(np.complex128)
-    return out.T.reshape(arr.shape)
+            raise np.linalg.LinAlgError(f"d block N = {total}: column norms off 1 by {drift:.3g}")
+        yield d
 
 
 def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndarray:
     """Fock action of the one-phonon unitary m along the last axis of arr.
 
     With delta = arg(det m)/2, w = m e^{-i delta} = [[a, b], [-b*, a*]] is in
-    SU(2) and equals e^{-i alpha sz/2} e^{-i beta sx/2} e^{-i gamma sz/2} for
-    beta = 2 atan2(|b|, |a|) in [0, pi], alpha + gamma = -2 arg(a) and
-    alpha - gamma = -2 arg(i b).  These reproduce w itself, not -w, so the
-    lift e^{i delta N} e^{-i alpha Jz} e^{-i beta Jx} e^{-i gamma Jz} is
-    exact.  Either branch of arg(det m) works: delta + pi turns w into -w,
-    whose lift gains (-1)^N, and e^{i pi N} = (-1)^N cancels it.  At
-    beta = 0 (b = 0) and beta = pi (a = 0) the undefined angle cancels
-    between the two phases, and beta = 0 skips the rotation.
+    SU(2) and equals e^{-i alpha sz/2} e^{-i beta sy/2} e^{-i gamma sz/2}
+    (ZYZ Euler angles) for beta = 2 atan2(|b|, |a|) in [0, pi],
+    alpha + gamma = -2 arg(a) and alpha - gamma = -2 arg(-b).  These
+    reproduce w itself, not -w, so the lift
+    e^{i delta N} e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz} is exact.
+    Either branch of arg(det m) works: delta + pi turns w into -w, whose
+    lift gains (-1)^N, and e^{i pi N} = (-1)^N cancels it.  At beta = 0
+    (b = 0) and beta = pi (a = 0) the undefined angle cancels between the
+    two phases, and beta = 0 skips the rotation.  The middle rotation is
+    about y because e^{-i beta Jy} has real blocks d_N(beta): each block
+    takes one real matmul on the float view of the amplitudes, as
+    ``_small_d`` produces it, and is dropped after use.
     """
+    if not np.isfinite(m).all():  # a non-finite angle, refused before any block is built
+        raise ValueError("one-phonon matrix has non-finite amplitudes")
     delta = 0.5 * cmath.phase(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     a, b = m[0] * cmath.exp(-1j * delta)  # the first row of w
     beta = 2.0 * math.atan2(abs(b), abs(a))
-    s, d = cmath.phase(a), cmath.phase(1j * b)  # alpha = -s - d, gamma = d - s
+    s, d = cmath.phase(a), cmath.phase(-b)  # alpha = -s - d, gamma = d - s
     ms, ns = trunc.mode_numbers()
     jz = 0.5 * (ms - ns)
     if beta == 0.0:
         return arr * np.exp(1j * (delta * (ms + ns) + 2.0 * s * jz))
-    out = _rotate(arr * np.exp(1j * (s - d) * jz), beta, trunc)
+    # (dim, batch) with contiguous rows, so each block is one contiguous slab.
+    x = np.ascontiguousarray((arr * np.exp(1j * (s - d) * jz)).reshape(-1, trunc.dim).T)
+    out = np.empty_like(x)
+    for total, block in enumerate(_small_d(beta, trunc.n_total_max)):
+        sl = trunc.block(total)
+        out[sl] = (block @ x[sl].view(np.float64)).view(np.complex128)
+    out = out.T.reshape(arr.shape)
     out *= np.exp(1j * (delta * (ms + ns) + (s + d) * jz))
     return out
 

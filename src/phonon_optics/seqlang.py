@@ -287,6 +287,8 @@ def _parse_statement(tokens: list[_Token], line: int) -> Statement:
         t0 = r.take_float("t0")
         t1 = r.take_float("t1")
         nsamples, ns_tok = r.take_int("nsamples")
+        if not coupling > 0:
+            raise ParseError(line, tokens[2].col, f"coupling must be positive, got {coupling}")
         if nsamples < 2:
             raise ParseError(line, ns_tok.col, f"nsamples must be >= 2, got {nsamples}")
         if not t1 > t0:

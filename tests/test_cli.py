@@ -70,16 +70,25 @@ def test_run_runtime_error_exit_code(tmp_path, capsys):
 
 
 def test_run_cutoff_beyond_memory_exit_code(tmp_path, capsys, monkeypatch):
-    from phonon_optics import operators
+    from phonon_optics import fockspace
 
-    monkeypatch.setattr(operators, "_physical_memory_bytes", lambda: 100)
-    operators._jx_basis.cache_clear()
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 100)
     path = tmp_path / "big.seq"
     path.write_text("init fock 1 0 nmax 6\nbs1 pi/2\n")
     code, out, err = run_cli(capsys, "run", str(path))
-    operators._jx_basis.cache_clear()
     assert code == 2
-    assert "physical memory" in err
+    assert "line 1" in err and "memory limit" in err
+
+
+def test_sweep_cutoff_beyond_memory_exit_code(capsys, monkeypatch):
+    from phonon_optics import fockspace
+
+    # about 2.4e13 bytes of state arrays against a fixed 1 TiB limit
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
+    code, out, err = run_cli(capsys, "sweep", "coherent 0 0 2 0 nmax 1000000", "--points", "4")
+    assert code == 2
+    assert out == ""
+    assert "memory limit" in err
 
 
 def test_run_memory_error_exit_code(tmp_path, capsys, monkeypatch):

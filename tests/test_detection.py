@@ -25,6 +25,7 @@ from phonon_optics import (
     signal,
     truncation_for_coherent,
 )
+from phonon_optics.detection import _SIGNAL_CHUNK
 from phonon_optics.operators import SIGMA_MINUS, SIGMA_PLUS, dense_annihilation, expm_oracle
 
 
@@ -150,6 +151,37 @@ def test_signal_trace_validation():
         SignalTrace(np.array([0.0, 1.0]), np.array([0.5, 1.5]), 1.0, "single")
     with pytest.raises(ValueError, match="kind"):
         SignalTrace(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 1.0, "both")
+
+
+def test_signal_trace_rejects_unknown_mode_and_bad_coupling():
+    t = Truncation(3)
+    times = np.linspace(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="mode must be 'c' or 'r'"):
+        signal(make_fock(1, 0, t), 1.0, times, "single", "x")
+    for coupling in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupling must be finite and positive"):
+            SignalTrace(times, np.ones(8), coupling, "single")
+    # a zero coupling made every dictionary column identical, and the fit
+    # returned p = [1, 0, 0, 0] with residual 0
+    with pytest.raises(ValueError, match="coupling"):
+        reconstruct_single(SignalTrace(np.linspace(0, 1, 32), np.ones(32), 0.0, "single"), 3)
+
+
+@pytest.mark.parametrize("kind", ["single", "two"])
+def test_chunked_signal_equals_one_piece_table(kind):
+    # the grid ends half way through a chunk
+    s = make_coherent(1.5, -0.8, Truncation(30))
+    times = np.linspace(0.0, 12.0, 5 * _SIGNAL_CHUNK // 2)
+    got = signal(s, 0.9, times, kind).values
+    if kind == "single":
+        p = number_distributions(s).p_m
+        freqs = 1.8 * np.sqrt(np.arange(p.size))
+    else:
+        q = level_sets(s)
+        p = np.array([q[k] for k in sorted(q)])
+        freqs = 1.8 * np.sqrt(np.array(sorted(q), dtype=float))
+    want = np.clip(0.5 * (1.0 + np.cos(np.outer(times, freqs)) @ p), 0.0, 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phonon_optics import fockspace
 from phonon_optics import (
     JointState,
     MotionalState,
@@ -37,6 +38,36 @@ def test_truncation_dimension():
 def test_truncation_rejects_negative():
     with pytest.raises(ValueError):
         Truncation(-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+def test_truncation_rejects_non_integer(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Truncation(bad)
+
+
+def test_truncation_takes_numpy_integers():
+    t = Truncation(np.int64(4))
+    assert type(t.n_total_max) is int
+    assert t == Truncation(4) and t.dim == 15
+
+
+def _memory_limit_with(monkeypatch, tmp_path, text):
+    """fockspace._memory_limit_bytes() with memory.max holding ``text``."""
+    path = tmp_path / "memory.max"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(fockspace, "_CGROUP_MEMORY_MAX", str(path))
+    return fockspace._memory_limit_bytes()
+
+
+def test_memory_limit_is_the_smaller_of_ram_and_cgroup(monkeypatch, tmp_path):
+    ram = _memory_limit_with(monkeypatch, tmp_path, None)  # no cgroup v2 file
+    assert ram is None or ram > 4096
+    assert _memory_limit_with(monkeypatch, tmp_path, "max\n") == ram
+    assert _memory_limit_with(monkeypatch, tmp_path, "4096\n") == 4096
+    if ram is not None:
+        assert _memory_limit_with(monkeypatch, tmp_path, f"{2 * ram}\n") == ram
 
 
 def test_truncation_index_ordering():

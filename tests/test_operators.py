@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from phonon_optics import (
     make_fock,
     phase_shifter,
 )
-from phonon_optics.operators import SIGMA_X, SIGMA_Z, _jx_basis
+from phonon_optics.operators import SIGMA_X, SIGMA_Z
 
 
 def kron_qubit_motional(qubit_op, motional_op):
@@ -146,15 +147,39 @@ def test_rotation_blocks_match_per_block_eigh_at_nmax_200(kind):
 
 
 def test_absurd_cutoff_is_refused_before_allocating(monkeypatch):
-    # 8 sum (N + 1)^2 bytes is about 2.7e18 at this cutoff, far beyond a
-    # fixed 1 TiB machine, so the host's own answer never matters
-    monkeypatch.setattr("phonon_optics.operators._physical_memory_bytes", lambda: 2**40)
-    with pytest.raises(ValueError, match="physical memory"):
-        _jx_basis(10**6)
+    # 32 dim + 8 (nmax + 1)^2 bytes is about 2.4e13 at this cutoff, far
+    # beyond a fixed 1 TiB machine, so the host's own answer never matters
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: 2**40)
+    with pytest.raises(ValueError, match="memory limit"):
+        Truncation(10**6)
     # and with a tiny machine, a small cutoff is refused the same way
-    monkeypatch.setattr("phonon_optics.operators._physical_memory_bytes", lambda: 100)
-    with pytest.raises(ValueError, match="physical memory"):
-        _jx_basis.__wrapped__(5)
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: 100)
+    with pytest.raises(ValueError, match="memory limit"):
+        Truncation(5)
+    # the estimate is 960 bytes at nmax 5 and 1288 at nmax 6
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: 1000)
+    assert Truncation(5).dim == 21
+    with pytest.raises(ValueError, match="needs 1.29e\\+03 bytes of state arrays"):
+        Truncation(6)
+    # where no limit is known, nothing is refused
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: None)
+    assert Truncation(6).dim == 28
+
+
+def test_applying_a_splitter_keeps_no_rotation_block():
+    # each d block is dropped after use: the peak is a few blocks and the
+    # state, and only the output amplitudes (325 kB here) outlive the call
+    t = Truncation(200)
+    s = make_coherent(2.0, -1.0, t)
+    u = beam_splitter("b1", 0.7, t)
+    tracemalloc.start()
+    try:
+        out = apply(u, s)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert current < out.amps.nbytes + 2**16
 
 
 def test_same_generator_composition_on_states():

@@ -3,10 +3,9 @@ their products.
 
 The oracle is the dense eigendecomposition exponential of the generator on
 the whole truncated space (``expm_oracle``); the operators under test hold
-a 2x2 one-phonon matrix and apply it as two diagonal phases around one
-rotation in a cached basis, block by block.  That basis is built by a
-recursion, so its two defining properties (orthogonality and the Jx
-eigen-equation) are checked on their own, block by block.  Chains are
+a 2x2 one-phonon matrix and apply it as two diagonal phases around one Jy
+rotation, block by block.  Those blocks are built by a recursion, so each
+is checked on its own for orthogonality and against the oracle.  Chains are
 folded with ``@`` and checked against sequential application and the
 product of oracle factors, including the Euler-angle edge cases beta = 0
 and beta = pi.
@@ -31,7 +30,8 @@ from phonon_optics import (  # noqa: E402
     expm_oracle,
     phase_shifter,
 )
-from phonon_optics.operators import KIND_PASSIVE, UnitaryOperator, _jx_basis  # noqa: E402
+from phonon_optics import operators  # noqa: E402
+from phonon_optics.operators import KIND_PASSIVE, UnitaryOperator, _small_d  # noqa: E402
 
 angles = st.floats(-4 * math.pi, 4 * math.pi)
 kinds = st.sampled_from(["b1", "b2"])
@@ -83,14 +83,17 @@ def test_splitter_double_cover(trunc, kind, theta):
     assert np.max(np.abs(turned - parity[:, None] * base)) < 1e-12
 
 
-@given(st.integers(0, 80))
-def test_basis_block_is_orthogonal_jx_eigenbasis(total):
-    v = _jx_basis(80)[total]
+@given(angles, st.integers(0, 80))
+def test_small_d_block_is_orthogonal_and_matches_oracle(beta, total):
+    # Jy is block diagonal, so block N of its exponential is the exponential
+    # of its block N: the tridiagonal <m+1, n-1| Jy |m, n> = -i sqrt((m+1) n)/2
     m = np.arange(total)
-    hop = 0.5 * np.sqrt((m + 1.0) * (total - m))  # <m+1, n-1| Jx |m, n>
-    jx = np.diag(hop, 1) + np.diag(hop, -1)
-    assert np.max(np.abs(v.T @ v - np.eye(total + 1))) < 1e-12
-    assert np.max(np.abs(jx @ v - v * (np.arange(total + 1) - 0.5 * total))) < 1e-12
+    hop = 0.5 * np.sqrt((m + 1.0) * (total - m))
+    jy = np.diag(1j * hop, 1) + np.diag(-1j * hop, -1)
+    d = list(_small_d(beta, total))[total]
+    assert d.dtype == np.float64
+    assert np.max(np.abs(d.T @ d - np.eye(total + 1))) < 1e-12
+    assert np.max(np.abs(d - expm_oracle(jy, beta).matrix)) < 1e-12
 
 
 @given(states(), kinds, angles)
@@ -135,7 +138,7 @@ def test_folded_chain_matches_sequential_and_oracle(state, chain):
         assert np.max(np.abs(matrix[sl, sl][::-1, ::-1] - fused.matrix)) < 1e-12
 
 
-def test_pure_phase_chain_skips_the_rotation():
+def test_pure_phase_chain_skips_the_rotation(monkeypatch):
     trunc = Truncation(8)
     chain = [("ps c", 0.7), ("ps r", -2.1), ("bs1", 0.0), ("ps c", 5.0), ("bs2", 0.0)]
     ops = [_element(e, trunc) for e in chain]
@@ -143,9 +146,11 @@ def test_pure_phase_chain_skips_the_rotation():
     for u, dense in ops[1:]:
         fused, want = u @ fused, dense @ want
     assert fused.matrix[0, 1] == fused.matrix[1, 0] == 0  # beta = 0 exactly
-    before = _jx_basis.cache_info()
+    calls = []
+    small_d = operators._small_d
+    monkeypatch.setattr(operators, "_small_d", lambda *args: calls.append(args) or small_d(*args))
     assert np.max(np.abs(fused.as_matrix() - want)) < 1e-12
-    assert _jx_basis.cache_info() == before
+    assert calls == []
 
 
 @pytest.mark.parametrize(

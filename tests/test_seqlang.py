@@ -124,6 +124,14 @@ def test_init_value_checks():
         parse("init fock 0 0 nmax 2\njcm single 1.0 2 1 8")
 
 
+@pytest.mark.parametrize("coupling", ["0", "-1.5", "-0.0"])
+def test_jcm_coupling_must_be_positive(coupling):
+    with pytest.raises(ParseError, match="coupling must be positive") as exc_info:
+        parse(f"init fock 0 0 nmax 2\njcm single {coupling} 0 10 16")
+    assert exc_info.value.line == 2
+    assert exc_info.value.col == 12
+
+
 def test_angle_literal_forms():
     p = parse(
         "init fock 0 0 nmax 2\n"
@@ -302,13 +310,13 @@ def test_folded_runs_match_statement_by_statement():
     ],
 )
 def test_failing_folded_run_names_its_first_line(monkeypatch, text, line):
-    monkeypatch.setattr(operators, "_physical_memory_bytes", lambda: 100)
-    operators._jx_basis.cache_clear()
-    try:
-        with pytest.raises(ExecutionError, match="physical memory") as exc_info:
-            execute(parse(text))
-    finally:
-        operators._jx_basis.cache_clear()
+    def failing_blocks(beta, n_total_max):
+        raise np.linalg.LinAlgError("d block N = 1: rotation residual 1")
+        yield
+
+    monkeypatch.setattr(operators, "_small_d", failing_blocks)
+    with pytest.raises(ExecutionError, match="rotation residual") as exc_info:
+        execute(parse(text))
     assert exc_info.value.line == line
 
 
@@ -322,8 +330,8 @@ def test_failing_folded_run_names_its_first_line(monkeypatch, text, line):
 )
 def test_each_passive_run_rotates_at_most_once(monkeypatch, text, rotations):
     calls = []
-    rotate = operators._rotate
-    monkeypatch.setattr(operators, "_rotate", lambda *args: calls.append(args) or rotate(*args))
+    small_d = operators._small_d
+    monkeypatch.setattr(operators, "_small_d", lambda *args: calls.append(args) or small_d(*args))
     execute(parse(text))
     assert len(calls) == rotations
 
