@@ -23,8 +23,9 @@ Three measurement schemes for the interferometer output:
    convention |g> -> (|g> - i |e>)/sqrt(2) fixes this sign; the opposite
    convention flips it.
 
-Traces are exact probabilities (no shot noise); a sample-count based
-binomial noise option is a possible extension.
+The exact probe propagator ``JcmUnitary`` lives here as the reference for
+``signal``.  Traces are exact probabilities (no shot noise); a sample-count
+based binomial noise option is a possible extension.
 """
 
 from __future__ import annotations
@@ -45,13 +46,7 @@ from .fockspace import (
     joint_state,
     number_distributions,
 )
-from .operators import (
-    KIND_JCM,
-    JcmPairs,
-    UnitaryOperator,
-    carrier_half_pulse,
-    conditional_phase,
-)
+from .operators import _unitarity_defect, carrier_half_pulse, conditional_phase
 
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
@@ -173,10 +168,61 @@ def _jcm_tables(n_total_max: int, kind: str, mode: str):
     return g_idx, g_idx - shift, root
 
 
+@dataclass(frozen=True)
+class JcmUnitary:
+    """Exact probe propagator on a JointState with an ion-2 register.
+
+    Pair k rotates |g>_2 (x) motional state ``g_index[k]`` and its lowered
+    partner |e>_2 (x) ``e_index[k]`` by [[c, -i s], [-i s, c]], with c, s
+    the cosine and sine of ``angle[k]``; all other states are stationary.
+    """
+
+    trunc: Truncation
+    g_index: np.ndarray
+    e_index: np.ndarray
+    angle: np.ndarray
+
+    def apply(self, js: JointState) -> JointState:
+        if not isinstance(js, JointState):
+            raise TypeError("a Jaynes-Cummings unitary acts on a JointState")
+        if js.trunc != self.trunc:
+            raise ValueError(
+                f"truncation mismatch: operator has n_total_max = "
+                f"{self.trunc.n_total_max}, state has {js.trunc.n_total_max}"
+            )
+        axis = js.axis_of(2)
+        a = np.moveaxis(js.amps, axis, 0)
+        g, e = a[0].copy(), a[1].copy()
+        c, s = np.cos(self.angle), np.sin(self.angle)
+        g_act = a[0][..., self.g_index]
+        e_act = a[1][..., self.e_index]
+        g[..., self.g_index] = c * g_act - 1j * s * e_act
+        e[..., self.e_index] = -1j * s * g_act + c * e_act
+        return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
+
+    def unitarity_defect(self) -> float:
+        """max |U+ U - 1| over the 2x2 rotations."""
+        return _unitarity_defect(map(_rabi_rotation, self.angle))
+
+    def as_matrix(self) -> np.ndarray:
+        """The (2 dim) joint matrix, ion-2 qubit axis first, motional axis last."""
+        dim = self.trunc.dim
+        out = np.eye(2 * dim, dtype=np.complex128)
+        for gi, ei, theta in zip(self.g_index, self.e_index, self.angle):
+            rows = np.array([gi, dim + ei])
+            out[np.ix_(rows, rows)] = _rabi_rotation(theta)
+        return out
+
+
+def _rabi_rotation(theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+
+
 def jcm_unitary(
     coupling: float, t: float, trunc: Truncation, kind: str, mode: str = "c"
-) -> UnitaryOperator:
-    """Exact probe propagator as 2x2 blocks between |g, ...> and |e, ...>.
+) -> JcmUnitary:
+    """Exact probe propagator of duration t on the ion-2 register.
 
     Basis states without a partner inside the truncation (m = 0 for the
     single kind, m n = 0 for the two-mode kind, and |e> states at the
@@ -187,8 +233,7 @@ def jcm_unitary(
     if mode not in ("c", "r"):
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
     g_idx, e_idx, root = _jcm_tables(trunc.n_total_max, kind, mode)
-    pairs = JcmPairs(kind, mode, g_idx, e_idx, coupling * t * root)
-    return UnitaryOperator(KIND_JCM, trunc, jcm=pairs)
+    return JcmUnitary(trunc, g_idx, e_idx, coupling * t * root)
 
 
 def jcm_propagate(
@@ -297,23 +342,22 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, rnorm
 
 
-def _nnls_on_dictionary(
-    times: np.ndarray, values: np.ndarray, coupling: float, roots: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Normalized nonnegative weights p_k of the cos^2 dictionary, and the
-    fit residual, from the in-package Lawson-Hanson solver ``_nnls``.
+def _nnls_on_dictionary(trace: SignalTrace, n_weights: int) -> tuple[np.ndarray, float]:
+    """Normalized nonnegative weights p_k, k < n_weights, of the cos^2
+    dictionary, and the fit residual, from the Lawson-Hanson ``_nnls``.
 
     P_g = sum_k p_k cos^2(coupling * t * sqrt(k)); the constant and the
     oscillating parts enter through the same columns.  The fit needs at
-    least two samples per weight.
+    least two samples per weight, checked before the dictionary is built.
     """
-    if times.size < 2 * roots.size:
+    if trace.times.size < 2 * n_weights:
         raise ValueError(
-            f"{times.size} samples cannot determine {roots.size} weights; "
-            f"need at least {2 * roots.size}"
+            f"{trace.times.size} samples cannot determine {n_weights} weights; "
+            f"need at least {2 * n_weights}"
         )
-    design = np.cos(np.outer(times, coupling * roots)) ** 2
-    coeffs, residual = _nnls(design, values)
+    roots = np.sqrt(np.arange(n_weights, dtype=np.float64))
+    design = np.cos(np.outer(trace.times, trace.coupling * roots)) ** 2
+    coeffs, residual = _nnls(design, trace.values)
     total = coeffs.sum()
     if total <= 0.0:
         raise ValueError("reconstruction collapsed to the zero distribution")
@@ -330,8 +374,7 @@ def reconstruct_single(trace: SignalTrace, m_max: int) -> ReconstructedNumberDis
         raise ValueError("reconstruct_single needs a single-mode trace")
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    roots = np.sqrt(np.arange(m_max + 1, dtype=np.float64))
-    p, residual = _nnls_on_dictionary(trace.times, trace.values, trace.coupling, roots)
+    p, residual = _nnls_on_dictionary(trace, m_max + 1)
     return ReconstructedNumberDistribution(p, residual)
 
 
@@ -346,8 +389,7 @@ def reconstruct_two(trace: SignalTrace, k_max: int) -> LevelSetDistribution:
         raise ValueError("reconstruct_two needs a two-mode trace")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    roots = np.sqrt(np.arange(k_max + 1, dtype=np.float64))
-    q, residual = _nnls_on_dictionary(trace.times, trace.values, trace.coupling, roots)
+    q, residual = _nnls_on_dictionary(trace, k_max + 1)
     return LevelSetDistribution({k: float(v) for k, v in enumerate(q)}, residual)
 
 

@@ -349,34 +349,23 @@ def number_distributions(s: MotionalState) -> JointDistribution:
 
 @lru_cache(maxsize=None)
 def _hop_tables(n_total_max: int):
-    """Index/coefficient tables for a+b and a b+ on the triangular basis.
+    """(src, coef) of a+ b on the triangular basis: a+ b |m, n> =
+    coef |m + 1, n - 1> for every |m, n> at flat index src with n >= 1.
 
-    Returns (src_up, dst_up, coef_up, src_dn, dst_dn, coef_dn) where "up"
-    moves a phonon r -> c (a+ b) and "dn" moves c -> r (a b+).  Both keep
-    the total, so with the flat index t(t+1)/2 + m the partner of |m, n>
-    is the next (up) or previous (dn) entry.
+    The total is kept, so with the flat index t(t+1)/2 + m the image sits
+    at src + 1.  a b+ = (a+ b)+ is the same table read backwards, from
+    src + 1 to src with the same coefficient sqrt((m + 1) n).
     """
     ms, ns = _mode_numbers(n_total_max)
-    up = np.flatnonzero(ns >= 1)
-    coef_up = np.sqrt((ms[up] + 1.0) * ns[up])
-    dn = np.flatnonzero(ms >= 1)
-    coef_dn = np.sqrt(ms[dn] * (ns[dn] + 1.0))
-    return up, up + 1, coef_up, dn, dn - 1, coef_dn
+    src = np.flatnonzero(ns >= 1)
+    return src, np.sqrt((ms[src] + 1.0) * ns[src])
 
 
 def _apply_jx(amps: np.ndarray, trunc: Truncation) -> np.ndarray:
-    up, dst_up, cu, dn, dst_dn, cd = _hop_tables(trunc.n_total_max)
+    src, coef = _hop_tables(trunc.n_total_max)
     out = np.zeros_like(amps)
-    out[dst_up] += 0.5 * cu * amps[up]
-    out[dst_dn] += 0.5 * cd * amps[dn]
-    return out
-
-
-def _apply_jy(amps: np.ndarray, trunc: Truncation) -> np.ndarray:
-    up, dst_up, cu, dn, dst_dn, cd = _hop_tables(trunc.n_total_max)
-    out = np.zeros_like(amps)
-    out[dst_up] += -0.5j * cu * amps[up]
-    out[dst_dn] += 0.5j * cd * amps[dn]
+    out[src + 1] += 0.5 * coef * amps[src]
+    out[src] += 0.5 * coef * amps[src + 1]
     return out
 
 
@@ -399,11 +388,10 @@ def expect(s: MotionalState, obs: str) -> float:
         return float((0.5 * (ms - ns)) @ p)
     if key == "jz2":
         return float((0.25 * (ms - ns) ** 2) @ p)
-    if key == "jx":
-        val = np.vdot(s.amps, _apply_jx(s.amps, s.trunc))
-    else:
-        val = np.vdot(s.amps, _apply_jy(s.amps, s.trunc))
-    return float(val.real)
+    # <Jx> and <Jy> are the real and imaginary parts of <a+ b>
+    src, coef = _hop_tables(s.trunc.n_total_max)
+    hop = np.vdot(s.amps[src + 1], coef * s.amps[src])
+    return float(hop.real if key == "jx" else hop.imag)
 
 
 def reduced_purity(s: MotionalState) -> float:

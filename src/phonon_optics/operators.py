@@ -34,8 +34,9 @@ eigensolver, and multiplies each into the amplitudes as it is built:
 O(nmax^3) time and O(nmax^2) memory per application (about 0.3 s at
 nmax 300), with nothing kept between calls.  A caller applying many
 operators to one state pays that per call; folding them with ``@`` first
-pays it once.  The dense matrix-exponential oracle exists for tests only;
-production paths never call it.
+pays it once.  ``UnitaryOperator`` is this passive operator and nothing
+else; the Jaynes-Cummings probe propagator lives in ``detection``, and the
+dense matrix-exponential oracle returns a ``DenseUnitary`` for tests only.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import JointState, MotionalState, Truncation
-
-KIND_PASSIVE = "passive"
-KIND_JCM = "jcm-block"
-KIND_DENSE = "dense"
 
 # Qubit basis order (g, e) with sigma_z |g> = -|g>.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -64,107 +61,58 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class JcmPairs:
-    """Coupled basis pairs of a Jaynes-Cummings block unitary.
-
-    ``g_index[k]`` is the motional index of the |g>-side state, ``e_index[k]``
-    the motional index of its |e>-side partner, and ``angle[k]`` the Rabi
-    rotation angle of that 2x2 block.  Basis states without a partner inside
-    the truncation are stationary.
-    """
-
-    kind: str  # 'single' | 'two'
-    mode: str  # 'c' | 'r' (ignored for the two-mode kind)
-    g_index: np.ndarray
-    e_index: np.ndarray
-    angle: np.ndarray
-
-
-@dataclass
 class UnitaryOperator:
-    """Exact unitary in one of three structural forms.
+    """A passive unitary: a splitter, a phase shifter or any product of them.
 
-    kind ``passive``: a splitter, phase shifter or any product of them;
     ``matrix`` is its 2x2 one-phonon unitary M on (|1, 0>, |0, 1>), so column
     0 is the image of a+ in the (a+, b+) basis.  ``u2 @ u1`` composes two
-    passive operators by the 2x2 product; ``apply`` and ``as_matrix`` go
-    through the Euler form of ``_apply_passive``, so the Fock matrix is
-    built only on demand.  ``blocks`` is always empty.  kind ``dense``:
-    ``matrix`` is the full matrix (oracle output).  kind ``jcm-block``: 2x2
-    rotations between |g, m, n> and its lowered |e, ...> partner; applies
-    to a JointState with an ion-2 register.
+    operators by the 2x2 product; ``apply`` and ``as_matrix`` go through the
+    Euler form of ``_apply_passive``, so the Fock matrix is built only on
+    demand.  ``blocks`` is always empty, since no rotation block is kept; it
+    stays because the benchmark's traced child reads it.
     """
 
-    kind: str
-    trunc: Truncation | None
+    trunc: Truncation
+    matrix: np.ndarray
     blocks: tuple[np.ndarray, ...] = ()
-    matrix: np.ndarray | None = None
-    jcm: JcmPairs | None = None
 
     def __matmul__(self, other):
-        if not (isinstance(other, UnitaryOperator) and self.kind == other.kind == KIND_PASSIVE):
+        if not isinstance(other, UnitaryOperator):
             return NotImplemented
         if other.trunc != self.trunc:
             raise ValueError(
                 f"truncation mismatch: n_total_max = {self.trunc.n_total_max} "
                 f"@ n_total_max = {other.trunc.n_total_max}"
             )
-        return UnitaryOperator(KIND_PASSIVE, self.trunc, matrix=self.matrix @ other.matrix)
+        return UnitaryOperator(self.trunc, self.matrix @ other.matrix)
 
-    def apply(self, state):
-        if self.kind == KIND_JCM:
-            if not isinstance(state, JointState):
-                raise TypeError("a jcm-block unitary acts on a JointState")
-            return _apply_jcm(self, state)
+    def apply(self, state: MotionalState) -> MotionalState:
         if not isinstance(state, MotionalState):
-            raise TypeError(f"a {self.kind} unitary acts on a MotionalState")
-        if self.trunc is not None and state.trunc != self.trunc:
+            raise TypeError("a passive unitary acts on a MotionalState")
+        if state.trunc != self.trunc:
             raise ValueError(
                 f"truncation mismatch: operator has n_total_max = "
                 f"{self.trunc.n_total_max}, state has {state.trunc.n_total_max}"
             )
-        if self.kind == KIND_PASSIVE:
-            return state.with_amps(_apply_passive(state.amps, self.matrix, self.trunc))
-        if self.kind == KIND_DENSE:
-            if self.matrix.shape[0] != state.amps.shape[0]:
-                raise ValueError("dense operator dimension does not match state")
-            return state.with_amps(self.matrix @ state.amps)
-        raise ValueError(f"unknown operator kind {self.kind!r}")
+        return state.with_amps(_apply_passive(state.amps, self.matrix, self.trunc))
 
     def unitarity_defect(self) -> float:
-        """max |U+ U - 1| over the operator's blocks."""
-        if self.kind == KIND_PASSIVE:
-            m = self.as_matrix()
-            blocks = [m[sl, sl] for sl in map(self.trunc.block, range(self.trunc.n_total_max + 1))]
-        elif self.kind == KIND_DENSE:
-            blocks = [self.matrix]
-        elif self.kind == KIND_JCM:
-            blocks = [_jcm_block(float(theta)) for theta in self.jcm.angle]
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        return max((float(np.max(np.abs(b.conj().T @ b - np.eye(len(b))))) for b in blocks),
-                   default=0.0)
+        """max |U+ U - 1| over the fixed-total blocks."""
+        m = self.as_matrix()
+        return _unitarity_defect(
+            m[sl, sl] for sl in map(self.trunc.block, range(self.trunc.n_total_max + 1))
+        )
 
     def as_matrix(self) -> np.ndarray:
-        """Dense matrix form; jcm-block yields the (2 dim) joint matrix
-        ordered (ion-2 qubit axis first, motional axis last)."""
-        if self.kind == KIND_DENSE:
-            return self.matrix.copy()
-        if self.kind == KIND_PASSIVE:
-            # row i of the transformed identity is U e_i, i.e. column i of U
-            eye = np.eye(self.trunc.dim, dtype=np.complex128)
-            return _apply_passive(eye, self.matrix, self.trunc).T
-        dim = self.trunc.dim
-        out = np.eye(2 * dim, dtype=np.complex128)
-        for gi, ei, theta in zip(self.jcm.g_index, self.jcm.e_index, self.jcm.angle):
-            rows = np.array([gi, dim + ei])
-            out[np.ix_(rows, rows)] = _jcm_block(float(theta))
-        return out
+        # row i of the transformed identity is U e_i, i.e. column i of U
+        eye = np.eye(self.trunc.dim, dtype=np.complex128)
+        return _apply_passive(eye, self.matrix, self.trunc).T
 
 
-def _jcm_block(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+def _unitarity_defect(blocks) -> float:
+    """max |B+ B - 1| over square blocks; 0 for none."""
+    return max((float(np.max(np.abs(b.conj().T @ b - np.eye(len(b))))) for b in blocks),
+               default=0.0)
 
 
 def _small_d(beta: float, n_total_max: int):
@@ -266,7 +214,7 @@ def beam_splitter(kind: str, theta: float, trunc: Truncation) -> UnitaryOperator
     key = kind.strip().lower()
     if key not in ("b1", "b2"):
         raise ValueError(f"beam splitter kind must be 'b1' or 'b2', got {kind!r}")
-    return UnitaryOperator(KIND_PASSIVE, trunc, matrix=_splitter(key, float(theta)))
+    return UnitaryOperator(trunc, _splitter(key, float(theta)))
 
 
 def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
@@ -275,7 +223,7 @@ def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
     e = cmath.exp(1j * phi)
     m = np.diag([e, 1.0] if mode == "c" else [1.0, e])
-    return UnitaryOperator(KIND_PASSIVE, trunc, matrix=m)
+    return UnitaryOperator(trunc, m)
 
 
 def apply(u: UnitaryOperator, s: MotionalState) -> MotionalState:
@@ -338,22 +286,6 @@ def carrier_half_pulse(js: JointState, ion: int = 2, phase: float = -0.5 * math.
     return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
 
 
-def _apply_jcm(u: UnitaryOperator, js: JointState) -> JointState:
-    axis = js.axis_of(2)
-    a = np.moveaxis(js.amps, axis, 0)
-    g = a[0].copy()
-    e = a[1].copy()
-    pairs = u.jcm
-    if pairs.g_index.size:
-        c = np.cos(pairs.angle)
-        s = np.sin(pairs.angle)
-        g_act = a[0][..., pairs.g_index]
-        e_act = a[1][..., pairs.e_index]
-        g[..., pairs.g_index] = c * g_act - 1j * s * e_act
-        e[..., pairs.e_index] = -1j * s * g_act + c * e_act
-    return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
-
-
 # ---------------------------------------------------------------------------
 # dense helpers and the matrix-exponential oracle
 # ---------------------------------------------------------------------------
@@ -402,9 +334,19 @@ def dense_jz(trunc: Truncation) -> np.ndarray:
     return 0.5 * (dense_number(trunc, "c") - dense_number(trunc, "r"))
 
 
+@dataclass(frozen=True)
+class DenseUnitary:
+    """A full unitary matrix, the output of the test oracle ``expm_oracle``."""
+
+    matrix: np.ndarray
+
+    def unitarity_defect(self) -> float:
+        return _unitarity_defect([self.matrix])
+
+
 def expm_oracle(
     generator: np.ndarray, t: float, cap: int = DEFAULT_ORACLE_CAP
-) -> UnitaryOperator:
+) -> DenseUnitary:
     """Dense exponential test oracle.
 
     For a Hermitian generator H the result is exp(-i H t) via
@@ -427,7 +369,7 @@ def expm_oracle(
         u = scipy.linalg.expm(t * g)
     else:
         raise ValueError("generator is neither Hermitian nor anti-Hermitian")
-    return UnitaryOperator(KIND_DENSE, None, matrix=u)
+    return DenseUnitary(u)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,18 @@ def test_detect_bad_params_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "flags", [("--method", "single", "--m-max"), ("--method", "two", "--k-max")]
+)
+def test_detect_absurd_weight_count_exit_code(tmp_path, capsys, monkeypatch, flags):
+    # refused on the sample count, before a dictionary of 2**62 + 1 roots is built
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "detect", "fock 1 1 nmax 3", *flags, str(2**62))
+    assert code == 2
+    assert "cannot determine" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (("--method", "single", "--m-max", "-3"), "m_max must be nonnegative, got -3"),

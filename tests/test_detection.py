@@ -79,6 +79,16 @@ def test_jcm_requires_ion2():
         jcm_propagate(js, 1.0, 0.5, "single")
 
 
+def test_jcm_unitary_acts_on_joint_states_only():
+    t = Truncation(3)
+    u = jcm_unitary(1.0, 0.5, t, "single")
+    with pytest.raises(TypeError, match="JointState"):
+        u.apply(make_fock(1, 0, t))
+    # the pair indices belong to one truncation; on another they pick wrong states
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        u.apply(joint_state(make_fock(2, 2, Truncation(4)), ion2=QubitState.ground()))
+
+
 def test_jcm_unitary_properties():
     t = Truncation(6)
     u = jcm_unitary(1.3, 0.7, t, "single", "c")
@@ -240,6 +250,16 @@ def test_reconstruct_single_validations():
     two_trace = signal(make_fock(1, 1, t), 1.0, times, "two")
     with pytest.raises(ValueError, match="single-mode trace"):
         reconstruct_single(two_trace, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, reconstruct", [("single", reconstruct_single), ("two", reconstruct_two)]
+)
+def test_absurd_weight_count_is_refused_before_the_dictionary(kind, reconstruct):
+    # 2**62 + 1 roots would need 32 EiB; the sample count is checked first
+    trace = signal(make_fock(1, 1, Truncation(3)), 1.0, default_times(1.0), kind)
+    with pytest.raises(ValueError, match="cannot determine"):
+        reconstruct(trace, 2**62)
 
 
 def test_reconstruct_two_level_sets():

@@ -53,7 +53,7 @@ def test_nnls_matches_scipy_on_probe_dictionaries(seed, nmax, k_max, kind, decay
     trace = signal(state, 1.0, times, kind)
     roots = np.sqrt(np.arange(k_max + 1, dtype=np.float64))
 
-    p, residual = _nnls_on_dictionary(trace.times, trace.values, 1.0, roots)
+    p, residual = _nnls_on_dictionary(trace, k_max + 1)
     design = np.cos(np.outer(times, roots)) ** 2
     want, want_residual = scipy_optimize.nnls(design, trace.values)
     assert np.max(np.abs(p - want / want.sum())) <= 1e-10

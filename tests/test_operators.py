@@ -19,6 +19,7 @@ from phonon_optics import (
     dense_number,
     expm_oracle,
     fidelity,
+    jcm_unitary,
     joint_bs_propagator,
     joint_state,
     lab_to_angles,
@@ -387,6 +388,15 @@ def test_expm_oracle_anti_hermitian_branch():
     u = expm_oracle(gen, s)
     want = beam_splitter("b2", -2 * s, t).as_matrix()
     assert np.max(np.abs(u.matrix - want)) < 1e-10
+
+
+def test_passive_operator_composes_with_passive_operators_only():
+    t = Truncation(3)
+    bs = beam_splitter("b1", 0.3, t)
+    with pytest.raises(TypeError):
+        bs @ jcm_unitary(1.0, 0.5, t, "single")
+    with pytest.raises(TypeError):
+        bs @ expm_oracle(dense_jx(t), 0.3)
 
 
 def test_expm_oracle_rejects_oversize_and_non_normal():

@@ -31,7 +31,7 @@ from phonon_optics import (  # noqa: E402
     phase_shifter,
 )
 from phonon_optics import operators  # noqa: E402
-from phonon_optics.operators import KIND_PASSIVE, UnitaryOperator, _small_d  # noqa: E402
+from phonon_optics.operators import UnitaryOperator, _small_d  # noqa: E402
 
 angles = st.floats(-4 * math.pi, 4 * math.pi)
 kinds = st.sampled_from(["b1", "b2"])
@@ -162,7 +162,7 @@ def test_half_turn_splitters(kind, exact):
     trunc = Truncation(8)
     dense = dense_jx if kind == "b1" else dense_jy
     want = expm_oracle(dense(trunc), math.pi).matrix
-    exact_op = UnitaryOperator(KIND_PASSIVE, trunc, matrix=np.array(exact, dtype=complex))
+    exact_op = UnitaryOperator(trunc, np.array(exact, dtype=complex))
     for u in (beam_splitter(kind, math.pi, trunc), exact_op):
         assert np.max(np.abs(u.as_matrix() - want)) < 1e-12
 
@@ -170,7 +170,7 @@ def test_half_turn_splitters(kind, exact):
 def test_mode_swap_is_exact():
     # a+ <-> b+ has det -1, so delta = pi/2 and beta = pi with a = 0
     trunc = Truncation(8)
-    swap = UnitaryOperator(KIND_PASSIVE, trunc, matrix=np.array([[0, 1], [1, 0]], dtype=complex))
+    swap = UnitaryOperator(trunc, np.array([[0, 1], [1, 0]], dtype=complex))
     ms, ns = trunc.mode_numbers()
     want = np.zeros((trunc.dim, trunc.dim))
     want[[trunc.index(n, m) for m, n in zip(ms, ns)], np.arange(trunc.dim)] = 1.0
