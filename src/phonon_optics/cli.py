@@ -202,6 +202,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.points < 2:
         raise ValueError("sweep needs at least two grid points")
+    if args.phi_min == args.phi_max:
+        raise ValueError(f"empty phase range [{args.phi_min!r}, {args.phi_max!r}): "
+                         "--phi-max must differ from --phi-min")
     state = seqlang.parse_state_spec(args.state_spec, args.nmax)
     step = (args.phi_max - args.phi_min) / args.points
     grid = [args.phi_min + k * step for k in range(args.points)]

@@ -46,7 +46,7 @@ from .fockspace import (
     joint_state,
     number_distributions,
 )
-from .operators import _unitarity_defect, carrier_half_pulse, conditional_phase
+from .operators import WEIGHT_FLOOR, _unitarity_defect, carrier_half_pulse, conditional_phase
 
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
@@ -263,19 +263,24 @@ def signal(
 
     Equals the ground-state probability from ``jcm_propagate`` at every
     sample; that equivalence is a standing property of the test suite.
+    The weight p_k of line k is the marginal p_m (single kind) or the
+    level-set probability q_k (two-mode kind).  The lightest weights, whose
+    sum is at most WEIGHT_FLOOR**2, get no column in the cosine table, so
+    each sample moves by at most WEIGHT_FLOOR**2 / 2.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
     if kind == "single":
         dist = number_distributions(out_state)
         p = dist.p_m if mode == "c" else dist.p_n
-        freqs = 2.0 * coupling * np.sqrt(np.arange(p.size, dtype=np.float64))
     elif kind == "two":
-        q = level_sets(out_state)
-        ks = np.array(sorted(q), dtype=np.float64)
-        p = np.array([q[int(k)] for k in ks])
-        freqs = 2.0 * coupling * np.sqrt(ks)
+        ms, ns = out_state.trunc.mode_numbers()
+        p = np.bincount(ms * ns, weights=np.abs(out_state.amps) ** 2)
     else:
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
+    order = np.argsort(p)
+    ks = np.sort(order[np.cumsum(p[order]) > WEIGHT_FLOOR**2])
+    p = p[ks]
+    freqs = 2.0 * coupling * np.sqrt(ks)
     # a slice of samples at a time keeps the cosine table at _SIGNAL_CHUNK rows
     values = np.empty(times.size)
     for start in range(0, times.size, _SIGNAL_CHUNK):

@@ -35,25 +35,29 @@ _NORM_TOL = 1e-12
 _OBSERVABLES = ("jx", "jy", "jz", "jz2", "nc", "nr")
 
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
 
 
 def _memory_limit_bytes() -> int | None:
-    """The smaller of physical RAM (sysconf) and a numeric cgroup v2
-    ``memory.max``, or None where neither gives an answer.
+    """The smallest of physical RAM (sysconf), a numeric cgroup v2
+    ``memory.max`` and the cgroup v1 ``memory.limit_in_bytes``, or None
+    where none gives an answer.
 
-    ``memory.max`` reads ``max`` when the group has no limit; that value, a
-    missing file and a cgroup v1 hierarchy are ignored.
+    ``memory.max`` reads ``max`` when the group has no limit; that value and
+    a missing file are ignored.  cgroup v1 writes "no limit" as a number near
+    2**63, which the minimum drops.
     """
     limits = []
     try:
         limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, OSError, ValueError):
         pass
-    try:
-        with open(_CGROUP_MEMORY_MAX, encoding="ascii") as f:
-            limits.append(int(f.read()))
-    except (OSError, ValueError):  # no such file, or "max"
-        pass
+    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
+        try:
+            with open(path, encoding="ascii") as f:
+                limits.append(int(f.read()))
+        except (OSError, ValueError):  # no such file, or "max"
+            pass
     return min(limits, default=None)
 
 

@@ -284,6 +284,16 @@ def test_sweep_rejects_single_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("phi", ["1.5", "0"])
+def test_sweep_rejects_empty_phase_range(capsys, phi):
+    code, out, err = run_cli(
+        capsys, "sweep", "fock 1 0 nmax 2", "--points", "4", "--phi-min", phi, "--phi-max", phi,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"empty phase range [{float(phi)!r}, {float(phi)!r})" in err
+
+
 def test_detect_single_on_mz_output(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(

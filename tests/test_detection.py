@@ -26,7 +26,13 @@ from phonon_optics import (
     truncation_for_coherent,
 )
 from phonon_optics.detection import _SIGNAL_CHUNK
-from phonon_optics.operators import SIGMA_MINUS, SIGMA_PLUS, dense_annihilation, expm_oracle
+from phonon_optics.operators import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    WEIGHT_FLOOR,
+    dense_annihilation,
+    expm_oracle,
+)
 
 
 def random_state(rng, trunc):
@@ -191,6 +197,24 @@ def test_chunked_signal_equals_one_piece_table(kind):
         p = np.array([q[k] for k in sorted(q)])
         freqs = 1.8 * np.sqrt(np.array(sorted(q), dtype=float))
     want = np.clip(0.5 * (1.0 + np.cos(np.outer(times, freqs)) @ p), 0.0, 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["single", "two"])
+def test_signal_without_weightless_lines_matches_the_full_table(kind):
+    # mean 25 phonons at nmax 300: most lines weigh far less than WEIGHT_FLOOR**2
+    s = make_coherent(4.0, 3.0 + 1.0j, Truncation(300))
+    times = np.linspace(0.0, 10.0, 128)
+    got = signal(s, 1.0, times, kind).values
+    if kind == "single":
+        p = number_distributions(s).p_m
+        ks = np.arange(p.size)
+    else:
+        q = level_sets(s)
+        ks = np.array(sorted(q))
+        p = np.array([q[k] for k in ks])
+    assert np.count_nonzero(p > WEIGHT_FLOOR**2) < p.size / 2
+    want = np.clip(0.5 * (1.0 + np.cos(np.outer(times, 2.0 * np.sqrt(ks))) @ p), 0.0, 1.0)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 

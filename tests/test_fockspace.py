@@ -70,6 +70,18 @@ def test_memory_limit_is_the_smaller_of_ram_and_cgroup(monkeypatch, tmp_path):
         assert _memory_limit_with(monkeypatch, tmp_path, f"{2 * ram}\n") == ram
 
 
+def test_memory_limit_reads_cgroup_v1(monkeypatch, tmp_path):
+    v1 = tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(fockspace, "_CGROUP_V1_LIMIT", str(v1))
+    ram = _memory_limit_with(monkeypatch, tmp_path, None)  # neither cgroup file
+    v1.write_text("9223372036854771712\n")  # v1's "no limit"
+    assert _memory_limit_with(monkeypatch, tmp_path, None) == ram
+    v1.write_text("8192\n")
+    assert _memory_limit_with(monkeypatch, tmp_path, None) == 8192
+    assert _memory_limit_with(monkeypatch, tmp_path, "4096\n") == 4096
+    assert _memory_limit_with(monkeypatch, tmp_path, "max\n") == 8192
+
+
 def test_truncation_index_ordering():
     t = Truncation(3)
     ms, ns = t.mode_numbers()

@@ -27,6 +27,7 @@ from phonon_optics import (
     make_fock,
     phase_shifter,
 )
+from phonon_optics import operators
 from phonon_optics.operators import SIGMA_X, SIGMA_Z
 
 
@@ -128,7 +129,7 @@ def test_beam_splitter_matches_direct_block_eigh_at_nmax_60(kind):
 
 
 @pytest.mark.parametrize("kind", ["b1", "b2"])
-def test_rotation_blocks_match_per_block_eigh_at_nmax_200(kind):
+def test_rotation_blocks_match_per_block_eigh_at_nmax_200(kind, drawn_blocks):
     # the dense matrix would take 6.6 GB here, so each block acts on a random
     # unit vector (block weight 1/sqrt(nmax + 1)) through apply
     t = Truncation(200)
@@ -145,6 +146,32 @@ def test_rotation_blocks_match_per_block_eigh_at_nmax_200(kind):
         want = _reference_block(total, kind, theta) @ amps[sl]
         err = np.max(np.abs(got[sl] - want)) * math.sqrt(t.n_total_max + 1)
         assert err <= 1e-12, total
+    assert drawn_blocks == [t.n_total_max + 1]  # every block carries weight
+
+
+@pytest.mark.parametrize("top", [0, 1, 17, 59, 60])
+def test_rotation_stops_at_the_last_weighted_block(top, drawn_blocks):
+    t = Truncation(60)
+    rng = np.random.default_rng(top)
+    amps = np.zeros(t.dim, dtype=np.complex128)
+    low = t.block(top).stop
+    amps[:low] = rng.normal(size=low) + 1j * rng.normal(size=low)
+    state = MotionalState(t, amps / np.linalg.norm(amps))
+    u = beam_splitter("b1", 0.8, t)
+    got = apply(u, state).amps
+    assert drawn_blocks == [top + 1]
+    assert not got[low:].any()
+    # as_matrix passes the identity, which weights every block
+    want = u.as_matrix() @ state.amps
+    assert drawn_blocks == [top + 1, t.n_total_max + 1]
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_zero_state_draws_only_the_trivial_block(drawn_blocks):
+    t = Truncation(20)
+    zero = np.zeros((2, t.dim), dtype=np.complex128)
+    assert not operators._apply_passive(zero, operators._splitter("b2", 1.1), t).any()
+    assert drawn_blocks == [1]  # d_0 = [[1]]
 
 
 def test_absurd_cutoff_is_refused_before_allocating(monkeypatch):

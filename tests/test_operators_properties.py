@@ -8,7 +8,8 @@ rotation, block by block.  Those blocks are built by a recursion, so each
 is checked on its own for orthogonality and against the oracle.  Chains are
 folded with ``@`` and checked against sequential application and the
 product of oracle factors, including the Euler-angle edge cases beta = 0
-and beta = pi.
+and beta = pi.  Blocks whose tail weighs less than ``WEIGHT_FLOOR`` skip
+the rotation; that is checked against the full rotation.
 """
 
 import math
@@ -31,7 +32,7 @@ from phonon_optics import (  # noqa: E402
     phase_shifter,
 )
 from phonon_optics import operators  # noqa: E402
-from phonon_optics.operators import UnitaryOperator, _small_d  # noqa: E402
+from phonon_optics.operators import WEIGHT_FLOOR, UnitaryOperator, _small_d  # noqa: E402
 
 angles = st.floats(-4 * math.pi, 4 * math.pi)
 kinds = st.sampled_from(["b1", "b2"])
@@ -100,6 +101,38 @@ def test_small_d_block_is_orthogonal_and_matches_oracle(beta, total):
 def test_apply_preserves_norm(state, kind, theta):
     out = apply(beam_splitter(kind, theta, state.trunc), state)
     assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
+
+
+@st.composite
+def planted_states(draw):
+    """(state, k, tail): a unit state on blocks 0..k plus amplitudes of
+    total norm ``tail``, below WEIGHT_FLOOR, on every block above k."""
+    trunc = draw(st.builds(Truncation, st.integers(1, 10)))
+    k = draw(st.integers(0, trunc.n_total_max - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
+    low = trunc.block(k).stop
+    tail = draw(st.floats(0.01, 0.99)) * WEIGHT_FLOOR
+    amps[:low] /= np.linalg.norm(amps[:low])
+    amps[low:] *= tail / np.linalg.norm(amps[low:])
+    return MotionalState(trunc, amps), k, tail
+
+
+@given(planted_states(), kinds, angles)
+def test_skipping_weightless_blocks_moves_the_output_by_at_most_twice_their_norm(
+    planted, kind, theta
+):
+    state, k, tail = planted
+    u = beam_splitter(kind, theta, state.trunc)
+    got = apply(u, state).amps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "WEIGHT_FLOOR", 0.0)  # the full rotation, d_0..d_nmax
+        full = apply(u, state).amps
+    low = state.trunc.block(k).stop
+    # the blocks above k only took the diagonal phases, so their moduli stay
+    assert np.allclose(np.abs(got[low:]), np.abs(state.amps[low:]), rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[:low], full[:low])
+    assert np.linalg.norm(got - full) <= 2.0 * tail * (1.0 + 1e-12)
 
 
 # passive chains --------------------------------------------------------------
