@@ -23,9 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import detection, interferometer, seqlang
+from . import detection, fockspace, interferometer, seqlang
 
 
 def _angle(text: str) -> float:
@@ -38,6 +36,10 @@ def _angle(text: str) -> float:
 
 _ANGLE_FLAGS = ("--phi-min", "--phi-max", "--mz")
 _NEGATIVE_ANGLE = re.compile(r"-(\d|\.\d|pi)", re.IGNORECASE)
+
+# tracemalloc reads about 0.72 KB of peak heap per sweep point (its grid
+# value, report and CSV row); the rest covers the allocator's overhead.
+_SWEEP_BYTES_PER_POINT = 1024
 
 
 def _attach_negative_angles(argv: list[str]) -> list[str]:
@@ -205,6 +207,11 @@ def cmd_sweep(args) -> int:
     if args.phi_min == args.phi_max:
         raise ValueError(f"empty phase range [{args.phi_min!r}, {args.phi_max!r}): "
                          "--phi-max must differ from --phi-min")
+    need = _SWEEP_BYTES_PER_POINT * args.points
+    limit = fockspace._memory_limit_bytes()
+    if limit is not None and need > limit:
+        raise ValueError(f"--points {args.points} needs about {need:.3g} bytes, "
+                         f"more than the memory limit of {limit:.3g} bytes")
     state = seqlang.parse_state_spec(args.state_spec, args.nmax)
     step = (args.phi_max - args.phi_min) / args.points
     grid = [args.phi_min + k * step for k in range(args.points)]
@@ -222,7 +229,6 @@ def cmd_detect(args) -> int:
     state = seqlang.parse_state_spec(args.state_spec, args.nmax)
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
-    nmax = state.trunc.n_total_max
     prefix = args.out
     # the comparison checks every detection parameter, so it runs before any output
     comparison = detection.jz_from_methods(
@@ -231,25 +237,23 @@ def cmd_detect(args) -> int:
     )
 
     artifacts: list[tuple[str, str]] = []
-    if args.method in ("single", "two"):
-        times = detection.default_times(args.coupling, args.samples)
-        trace = detection.signal(state, args.coupling, times, args.method, args.mode)
+    if args.method == "single":
+        rec = comparison.fits[args.mode]
+        artifacts.append((f"{prefix}_trace.csv", comparison.traces[args.mode].to_csv()))
+        artifacts.append((f"{prefix}_p.json", rec.to_json()))
+        print(f"single[{args.mode}]: mean_n={rec.mean_n:.17g} residual={rec.residual:.3g}")
+    elif args.method == "two":
+        times = comparison.traces["c"].times  # the probe samples the comparison's times
+        trace = detection.signal(state, args.coupling, times, "two", args.mode)
         artifacts.append((f"{prefix}_trace.csv", trace.to_csv()))
-        if args.method == "single":
-            m_max = nmax if args.m_max is None else args.m_max
-            rec = detection.reconstruct_single(trace, m_max)
-            artifacts.append((f"{prefix}_p.json", rec.to_json()))
-            mean = float(np.arange(rec.p.size) @ rec.p)
-            print(f"single[{args.mode}]: mean_n={mean:.17g} residual={rec.residual:.3g}")
-        else:
-            k_max = nmax if args.k_max is None else args.k_max
-            rec = detection.reconstruct_two(trace, k_max)
-            artifacts.append((f"{prefix}_q.json", rec.to_json()))
-            top = max(rec.q, key=rec.q.get)
-            print(f"two: dominant product k={top} q_k={rec.q[top]:.17g} "
-                  f"residual={rec.residual:.3g}")
+        k_max = state.trunc.n_total_max if args.k_max is None else args.k_max
+        rec = detection.reconstruct_two(trace, k_max)
+        artifacts.append((f"{prefix}_q.json", rec.to_json()))
+        top = max(rec.q, key=rec.q.get)
+        print(f"two: dominant product k={top} q_k={rec.q[top]:.17g} "
+              f"residual={rec.residual:.3g}")
     else:
-        est = detection.direct_mean_phonon(state, args.chi_t, 1.0, args.mode)
+        est = comparison.directs[args.mode]
         artifacts.append((f"{prefix}_direct.json", _direct_json(est)))
         print(f"direct[{est.mode}]: sigma_x={est.sigma_x_exact:.17g} "
               f"mean_n={est.mean_n_linearized:.17g}")

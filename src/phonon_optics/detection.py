@@ -101,6 +101,11 @@ class ReconstructedNumberDistribution:
     p: np.ndarray
     residual: float
 
+    @property
+    def mean_n(self) -> float:
+        """sum_m m p_m."""
+        return float(np.arange(self.p.size) @ self.p)
+
     def to_json(self) -> str:
         return json.dumps({"p": [float(x) for x in self.p], "residual": self.residual})
 
@@ -130,17 +135,13 @@ class DirectEstimate:
     mode: str
 
 
-def default_times(
-    coupling: float,
-    n_samples: int = DEFAULT_SAMPLE_COUNT,
-    angle_span: float = DEFAULT_ANGLE_SPAN,
-) -> np.ndarray:
-    """Uniform samples with coupling * t covering [0, angle_span]."""
+def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
+    """Uniform samples with coupling * t covering [0, DEFAULT_ANGLE_SPAN]."""
     if not (math.isfinite(coupling) and coupling > 0):
         raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    t_end = angle_span / coupling
+    t_end = DEFAULT_ANGLE_SPAN / coupling
     if not math.isfinite(t_end):
         raise ValueError(f"coupling {coupling!r} is too small: the sample times overflow")
     return np.linspace(0.0, t_end, n_samples)
@@ -416,7 +417,7 @@ def direct_mean_phonon(
     sigma_x = -float(np.sin(2.0 * chi_t * k) @ p)
 
     js = joint_state(out_state, ion2=QubitState.ground())
-    js = carrier_half_pulse(js, ion=2)
+    js = carrier_half_pulse(js)
     js = conditional_phase(mode, chi_t, js)
     sigma_x_protocol = js.expect_sigma_x(2)
     if abs(sigma_x_protocol - sigma_x) > 1e-12:
@@ -428,11 +429,19 @@ def direct_mean_phonon(
 
 @dataclass(frozen=True)
 class JzComparison:
-    """Mean Jz of one state measured three independent ways."""
+    """Mean Jz of one state measured three independent ways.
+
+    ``traces``, ``fits`` and ``directs`` hold, per mode ``c`` and ``r``, the
+    single-mode trace, its reconstruction and the direct readout that the
+    two measured values come from.
+    """
 
     jz_exact: float
     jz_reconstructed: float
     jz_direct: float
+    traces: dict[str, SignalTrace]
+    fits: dict[str, ReconstructedNumberDistribution]
+    directs: dict[str, DirectEstimate]
 
     @property
     def max_pairwise_deviation(self) -> float:
@@ -462,14 +471,12 @@ def jz_from_methods(
     if m_max is None:
         m_max = out_state.trunc.n_total_max
     times = default_times(coupling, n_samples)
-    moments = {}
+    traces, fits = {}, {}
     for mode in ("c", "r"):
-        trace = signal(out_state, coupling, times, "single", mode)
-        p = reconstruct_single(trace, m_max).p
-        moments[mode] = float(np.arange(p.size) @ p)
-    jz_rec = 0.5 * (moments["c"] - moments["r"])
+        traces[mode] = signal(out_state, coupling, times, "single", mode)
+        fits[mode] = reconstruct_single(traces[mode], m_max)
+    jz_rec = 0.5 * (fits["c"].mean_n - fits["r"].mean_n)
 
-    direct_c = direct_mean_phonon(out_state, chi_t, 1.0, "c")
-    direct_r = direct_mean_phonon(out_state, chi_t, 1.0, "r")
-    jz_dir = 0.5 * (direct_c.mean_n_linearized - direct_r.mean_n_linearized)
-    return JzComparison(jz_exact, jz_rec, jz_dir)
+    directs = {mode: direct_mean_phonon(out_state, chi_t, 1.0, mode) for mode in ("c", "r")}
+    jz_dir = 0.5 * (directs["c"].mean_n_linearized - directs["r"].mean_n_linearized)
+    return JzComparison(jz_exact, jz_rec, jz_dir, traces, fits, directs)

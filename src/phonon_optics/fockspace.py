@@ -145,14 +145,11 @@ class MotionalState:
         Complex amplitudes c_mn in (total, m) order, unit norm within 1e-12.
     tail_mass : float
         Probability discarded when the state was truncated at construction.
-    flagged : bool
-        True when tail_mass exceeded the tolerance configured at construction.
     """
 
     trunc: Truncation
     amps: np.ndarray
     tail_mass: float = 0.0
-    flagged: bool = False
 
     def __post_init__(self) -> None:
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
@@ -170,12 +167,17 @@ class MotionalState:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
+    @property
+    def flagged(self) -> bool:
+        """True when tail_mass exceeds DEFAULT_TAIL_TOLERANCE."""
+        return self.tail_mass > DEFAULT_TAIL_TOLERANCE
+
     def amplitude(self, m: int, n: int) -> complex:
         return complex(self.amps[self.trunc.index(m, n)])
 
     def with_amps(self, amps: np.ndarray) -> "MotionalState":
         """Same truncation and bookkeeping, new amplitudes."""
-        return MotionalState(self.trunc, amps, self.tail_mass, self.flagged)
+        return MotionalState(self.trunc, amps, self.tail_mass)
 
 
 def make_fock(m: int, n: int, trunc: Truncation) -> MotionalState:
@@ -210,15 +212,32 @@ def _coherent_mode_amps(alpha: complex, n_max: int) -> np.ndarray:
     return modulus * np.cumprod(steps)
 
 
+def _abs2(alpha: complex) -> float:
+    """|alpha|^2 of a coherent amplitude; ValueError unless it is finite."""
+    try:
+        r2 = abs(alpha) ** 2
+    except OverflowError:
+        r2 = math.inf
+    if not math.isfinite(r2):
+        raise ValueError(f"coherent amplitude {alpha!r} is out of range: |alpha|^2 must be finite")
+    return r2
+
+
 def _coherent_overlap(a: complex, b: complex) -> complex:
     """Exact <a|b> for coherent states."""
-    return np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
+    return np.exp(-0.5 * (_abs2(a) + _abs2(b)) + np.conj(a) * b)
+
+
+def _cat_weight(alpha: complex, sign: float) -> float:
+    """Weight w of both terms of the normalized cat w (|alpha> + sign |-alpha>)."""
+    norm2 = 2.0 * (1.0 + sign * math.exp(-2.0 * _abs2(alpha)))
+    if norm2 <= 1e-300:
+        raise ValueError("odd cat with alpha = 0 is the zero vector")
+    return 1.0 / math.sqrt(norm2)
 
 
 def coherent_superposition(
-    terms: Sequence[tuple[complex, complex, complex]],
-    trunc: Truncation,
-    tail_tol: float = DEFAULT_TAIL_TOLERANCE,
+    terms: Sequence[tuple[complex, complex, complex]], trunc: Truncation
 ) -> MotionalState:
     """Normalized truncation of sum_k w_k |alpha_k>_c |beta_k>_r.
 
@@ -227,20 +246,13 @@ def coherent_superposition(
     terms : sequence of (weight, alpha, beta)
         Weights are the exact (untruncated) expansion coefficients.
     trunc : Truncation
-    tail_tol : float
-        Discarded-probability threshold above which the state is flagged.
 
     The discarded probability is computed against the exact norm of the
     untruncated superposition (closed-form coherent overlaps), so tail_mass
-    is meaningful for non-orthogonal superpositions such as cat states.
+    is meaningful for non-orthogonal superpositions such as cat states.  The
+    norm comes first, so an amplitude whose |alpha|^2 is not finite is
+    refused before any array is built.
     """
-    ms, ns = trunc.mode_numbers()
-    vec = np.zeros(trunc.dim, dtype=np.complex128)
-    for w, alpha, beta in terms:
-        ca = _coherent_mode_amps(complex(alpha), trunc.n_total_max)
-        cb = _coherent_mode_amps(complex(beta), trunc.n_total_max)
-        vec += complex(w) * ca[ms] * cb[ns]
-
     exact_norm2 = 0.0
     for wj, aj, bj in terms:
         for wk, ak, bk in terms:
@@ -253,30 +265,26 @@ def coherent_superposition(
     if exact_norm2 <= 1e-300:
         raise ValueError("superposition has zero norm")
 
+    ms, ns = trunc.mode_numbers()
+    vec = np.zeros(trunc.dim, dtype=np.complex128)
+    for w, alpha, beta in terms:
+        ca = _coherent_mode_amps(complex(alpha), trunc.n_total_max)
+        cb = _coherent_mode_amps(complex(beta), trunc.n_total_max)
+        vec += complex(w) * ca[ms] * cb[ns]
+
     retained = float(np.vdot(vec, vec).real)
     if retained <= 0.0:
         raise ValueError("all amplitude mass lies outside the truncation")
     tail = min(1.0, max(0.0, 1.0 - retained / exact_norm2))
-    return MotionalState(trunc, vec / math.sqrt(retained), tail, tail > tail_tol)
+    return MotionalState(trunc, vec / math.sqrt(retained), tail)
 
 
-def make_coherent(
-    alpha: complex,
-    beta: complex,
-    trunc: Truncation,
-    tail_tol: float = DEFAULT_TAIL_TOLERANCE,
-) -> MotionalState:
+def make_coherent(alpha: complex, beta: complex, trunc: Truncation) -> MotionalState:
     """Product coherent state |alpha>_c |beta>_r, renormalized after truncation."""
-    return coherent_superposition([(1.0, alpha, beta)], trunc, tail_tol)
+    return coherent_superposition([(1.0, alpha, beta)], trunc)
 
 
-def make_cat(
-    alpha: complex,
-    parity: str,
-    mode: str,
-    trunc: Truncation,
-    tail_tol: float = DEFAULT_TAIL_TOLERANCE,
-) -> MotionalState:
+def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> MotionalState:
     """Even or odd coherent superposition in one mode, vacuum in the other.
 
     The state is N (|alpha> + s |-alpha>) with s = +1 for parity ``"even"``
@@ -288,15 +296,12 @@ def make_cat(
     if mode not in ("c", "r"):
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
     sign = 1.0 if parity == "even" else -1.0
-    norm2 = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
-    if norm2 <= 1e-300:
-        raise ValueError("odd cat with alpha = 0 is the zero vector")
-    weight = 1.0 / math.sqrt(norm2)
+    weight = _cat_weight(alpha, sign)
     if mode == "c":
         terms = [(weight, alpha, 0.0), (sign * weight, -alpha, 0.0)]
     else:
         terms = [(weight, 0.0, alpha), (sign * weight, 0.0, -alpha)]
-    return coherent_superposition(terms, trunc, tail_tol)
+    return coherent_superposition(terms, trunc)
 
 
 def inner(a: MotionalState, b: MotionalState) -> complex:
@@ -455,12 +460,12 @@ class QubitState:
         inv = 1.0 / math.sqrt(2.0)
         return cls.of(inv, -inv)
 
-    def sigma_x_eigenvalue(self, atol: float = 1e-12) -> int | None:
-        """+1 or -1 when the state is a sigma_x eigenstate, else None."""
+    def sigma_x_eigenvalue(self) -> int | None:
+        """+1 or -1 when the state is a sigma_x eigenstate to 1e-12, else None."""
         g, e = self.amps
-        if abs(g - e) <= atol:
+        if abs(g - e) <= 1e-12:
             return 1
-        if abs(g + e) <= atol:
+        if abs(g + e) <= 1e-12:
             return -1
         return None
 
@@ -471,14 +476,14 @@ class JointState:
 
     ``ions`` records which physical ions carry a register, in increasing
     order, e.g. (2,) or (1, 2).  ``amps`` has shape (2,)*len(ions) + (dim,),
-    qubit axes first (ion 1 before ion 2), motional axis last.
+    qubit axes first (ion 1 before ion 2), motional axis last.  ``tail_mass``
+    is carried over from the motional state.
     """
 
     trunc: Truncation
     ions: tuple[int, ...]
     amps: np.ndarray
     tail_mass: float = 0.0
-    flagged: bool = False
 
     def __post_init__(self) -> None:
         if tuple(sorted(set(self.ions))) != self.ions or not set(self.ions) <= {1, 2}:
@@ -492,8 +497,15 @@ class JointState:
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"joint state not normalized: norm^2 = {norm2!r}")
+        if not 0.0 <= self.tail_mass <= 1.0:
+            raise ValueError(f"tail_mass must lie in [0, 1], got {self.tail_mass}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
+
+    @property
+    def flagged(self) -> bool:
+        """True when tail_mass exceeds DEFAULT_TAIL_TOLERANCE."""
+        return self.tail_mass > DEFAULT_TAIL_TOLERANCE
 
     @property
     def qubit_count(self) -> int:
@@ -505,7 +517,7 @@ class JointState:
         return self.ions.index(ion)
 
     def with_amps(self, amps: np.ndarray) -> "JointState":
-        return JointState(self.trunc, self.ions, amps, self.tail_mass, self.flagged)
+        return JointState(self.trunc, self.ions, amps, self.tail_mass)
 
     def ground_probability(self, ion: int) -> float:
         """Probability of finding the given ion in |g>."""
@@ -552,9 +564,7 @@ def joint_state(
         factors.append(ion2.amps)
     for q in reversed(factors):
         amps = np.multiply.outer(q, amps)
-    return JointState(
-        motional.trunc, tuple(ions), amps, motional.tail_mass, motional.flagged
-    )
+    return JointState(motional.trunc, tuple(ions), amps, motional.tail_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +580,7 @@ def truncation_for_coherent(
     The total phonon number of |alpha>_c |beta>_r is Poisson with mean
     |alpha|^2 + |beta|^2, so the discarded mass is a single Poisson tail.
     """
-    lam = abs(alpha) ** 2 + abs(beta) ** 2
+    lam = _abs2(alpha) + _abs2(beta)
     if not math.isfinite(lam):
         raise ValueError("coherent amplitudes must be finite")
     if not tail_tol >= 0.0:
@@ -604,5 +614,4 @@ def state_from_json(text: str) -> MotionalState:
     amps = np.zeros(trunc.dim, dtype=np.complex128)
     for m, n, re, im in data["amps"]:
         amps[trunc.index(int(m), int(n))] = complex(re, im)
-    tail = float(data.get("tail_mass", 0.0))
-    return MotionalState(trunc, amps, tail, tail > DEFAULT_TAIL_TOLERANCE)
+    return MotionalState(trunc, amps, float(data.get("tail_mass", 0.0)))

@@ -61,17 +61,12 @@ def mz_output(in_state: MotionalState, phi: float) -> MotionalState:
     return apply(mz_unitary(phi, in_state.trunc), in_state)
 
 
-def mz_report(
-    in_state: MotionalState, phi: float, fd_step: float = 1e-4
-) -> InterferometerReport:
+def mz_report(in_state: MotionalState, phi: float) -> InterferometerReport:
     """Statistics of the output Jz plus the propagated phase error.
 
-    The slope d<Jz>/dphi is exact.  fd_step is unused; it is still accepted
-    (and restricted to (0, 0.1]) so that callers written for the former
-    finite-difference slope keep working.
+    The slope d<Jz>/dphi is exact: it is read from the same rotated moments
+    as <Jz>, so no finite difference is taken.
     """
-    if not 0.0 < fd_step <= 0.1:
-        raise ValueError(f"fd_step must lie in (0, 0.1], got {fd_step}")
     return phase_sweep(in_state, [phi])[0]
 
 

@@ -295,18 +295,17 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     return js.with_amps(np.moveaxis(a, 0, axis))
 
 
-def carrier_half_pulse(js: JointState, ion: int = 2, phase: float = -0.5 * math.pi) -> JointState:
-    """pi/2 carrier rotation on one ion, |g> -> (|g> + e^{i phase} |e>)/sqrt(2).
+def carrier_half_pulse(js: JointState) -> JointState:
+    """pi/2 carrier rotation on ion 2, |g> -> (|g> - i |e>)/sqrt(2) and
+    |e> -> (|e> - i |g>)/sqrt(2).
 
-    The default phase of -pi/2 sends |g> to (|g> - i |e>)/sqrt(2); flipping
-    the sign of the phase flips the sign of the sigma_x readout in the
-    direct phonon-number measurement.
+    This phase fixes the sign of the sigma_x readout in the direct
+    phonon-number measurement; the opposite phase would flip it.
     """
-    axis = js.axis_of(ion)
-    ph = np.exp(1j * phase)
+    axis = js.axis_of(2)
     a = np.moveaxis(js.amps, axis, 0)
-    g = (a[0] - np.conj(ph) * a[1]) * _SQRT_HALF
-    e = (ph * a[0] + a[1]) * _SQRT_HALF
+    g = (a[0] - 1j * a[1]) * _SQRT_HALF
+    e = (a[1] - 1j * a[0]) * _SQRT_HALF
     return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
 
 
@@ -368,21 +367,20 @@ class DenseUnitary:
         return _unitarity_defect([self.matrix])
 
 
-def expm_oracle(
-    generator: np.ndarray, t: float, cap: int = DEFAULT_ORACLE_CAP
-) -> DenseUnitary:
+def expm_oracle(generator: np.ndarray, t: float) -> DenseUnitary:
     """Dense exponential test oracle.
 
     For a Hermitian generator H the result is exp(-i H t) via
     eigendecomposition; for an anti-Hermitian generator A it is exp(A t) via
     scaling and squaring (equivalently exp(-i (iA) t)).  Rejects matrices
-    larger than ``cap`` on a side; this path is for cross-checks only.
+    larger than ``DEFAULT_ORACLE_CAP`` on a side; this path is for
+    cross-checks only.
     """
     g = np.ascontiguousarray(generator, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("generator must be a square matrix")
-    if g.shape[0] > cap:
-        raise ValueError(f"oracle dimension {g.shape[0]} exceeds cap {cap}")
+    if g.shape[0] > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"oracle dimension {g.shape[0]} exceeds cap {DEFAULT_ORACLE_CAP}")
     scale = max(1.0, float(np.max(np.abs(g))))
     if np.max(np.abs(g - g.conj().T)) <= 1e-12 * scale:
         w, v = np.linalg.eigh(g)
@@ -433,8 +431,9 @@ class LabParams:
         """Constructor enforcing eta_r = 3^(-1/4) eta of the shared trap."""
         return cls(Omega, eta, _BREATHING_RATIO * eta, Delta, Delta_r, Omega_r, t)
 
-    def has_linked_modes(self, atol: float = 1e-12) -> bool:
-        return abs(self.eta_r - _BREATHING_RATIO * self.eta) <= atol
+    def has_linked_modes(self) -> bool:
+        """True when eta_r = 3^(-1/4) eta to 1e-12."""
+        return abs(self.eta_r - _BREATHING_RATIO * self.eta) <= 1e-12
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 
 from .fockspace import (
-    DEFAULT_TAIL_TOLERANCE,
     JointState,
     MotionalState,
     QubitState,
     Truncation,
+    _cat_weight,
     coherent_superposition,
     joint_state,
     make_cat,
@@ -52,20 +52,14 @@ def _parity_sign(parity: str) -> float:
         raise ValueError(f"parity must be one of 'even', 'odd', '+', '-', got {parity!r}")
 
 
-def entangled_cat(
-    alpha: complex,
-    parity: str,
-    theta: float,
-    trunc: Truncation,
-    tail_tol: float = DEFAULT_TAIL_TOLERANCE,
-) -> MotionalState:
+def entangled_cat(alpha: complex, parity: str, theta: float, trunc: Truncation) -> MotionalState:
     """Beam-split a single-mode cat into a two-mode entangled cat.
 
     The input is the even or odd cat in the center-of-mass mode with vacuum
     in the breathing mode; the Jy beam splitter at angle theta produces the
     entangled pair with amplitudes alpha cos(theta/2) and alpha sin(theta/2).
     """
-    cat = make_cat(alpha, "even" if _parity_sign(parity) > 0 else "odd", "c", trunc, tail_tol)
+    cat = make_cat(alpha, "even" if _parity_sign(parity) > 0 else "odd", "c", trunc)
     if cat.flagged:
         raise ValueError(
             f"input cat discards probability {cat.tail_mass:.3g} at this truncation; "
@@ -75,23 +69,14 @@ def entangled_cat(
 
 
 def entangled_cat_target(
-    alpha: complex,
-    parity: str,
-    theta: float,
-    trunc: Truncation,
-    tail_tol: float = DEFAULT_TAIL_TOLERANCE,
+    alpha: complex, parity: str, theta: float, trunc: Truncation
 ) -> MotionalState:
     """Direct expansion of the entangled-cat output, bypassing all operators."""
     sign = _parity_sign(parity)
-    norm2 = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
-    if norm2 <= 1e-300:
-        raise ValueError("odd cat with alpha = 0 is the zero vector")
-    w = 1.0 / math.sqrt(norm2)
+    w = _cat_weight(alpha, sign)
     at = alpha * math.cos(theta / 2.0)
     bt = alpha * math.sin(theta / 2.0)
-    return coherent_superposition(
-        [(w, at, bt), (sign * w, -at, -bt)], trunc, tail_tol
-    )
+    return coherent_superposition([(w, at, bt), (sign * w, -at, -bt)], trunc)
 
 
 def entangled_cat_u2u3(
@@ -100,7 +85,6 @@ def entangled_cat_u2u3(
     parity: str,
     trunc: Truncation,
     ion1: QubitState | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOLERANCE,
 ) -> JointState:
     """Two-pulse recipe: Jy splitter at pi/2, then a 2 pi conditional phase.
 
@@ -119,13 +103,8 @@ def entangled_cat_u2u3(
             "states entangle with the motion under this propagator"
         )
     sign = _parity_sign(parity)
-    norm2 = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
-    if norm2 <= 1e-300:
-        raise ValueError("'-' parity with alpha = 0 gives the zero vector")
-    w = 1.0 / math.sqrt(norm2)
-    motional = coherent_superposition(
-        [(w, alpha, beta), (sign * w, -alpha, beta)], trunc, tail_tol
-    )
+    w = _cat_weight(alpha, sign)
+    motional = coherent_superposition([(w, alpha, beta), (sign * w, -alpha, beta)], trunc)
     if motional.flagged:
         raise ValueError(
             f"input discards probability {motional.tail_mass:.3g} at this truncation; "
@@ -137,17 +116,11 @@ def entangled_cat_u2u3(
 
 
 def entangled_cat_u2u3_target(
-    alpha: complex,
-    beta: complex,
-    parity: str,
-    trunc: Truncation,
-    tail_tol: float = DEFAULT_TAIL_TOLERANCE,
+    alpha: complex, beta: complex, parity: str, trunc: Truncation
 ) -> MotionalState:
     """Normalized |e_minus, e_plus> +- |e_plus, e_minus| with
     e_pm = (beta +- alpha)/sqrt(2), built by direct expansion."""
     sign = _parity_sign(parity)
     e_minus = (beta - alpha) / math.sqrt(2.0)
     e_plus = (beta + alpha) / math.sqrt(2.0)
-    return coherent_superposition(
-        [(1.0, e_minus, e_plus), (sign, e_plus, e_minus)], trunc, tail_tol
-    )
+    return coherent_superposition([(1.0, e_minus, e_plus), (sign, e_plus, e_minus)], trunc)

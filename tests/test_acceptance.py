@@ -146,11 +146,11 @@ def test_criterion_4_mach_zehnder_statistics():
             state = make_coherent(0, math.sqrt(n), trunc)
             assert state.tail_mass < 1e-12
             for phi in np.linspace(0.0, 2 * math.pi, 64, endpoint=False):
-                r = mz_report(state, float(phi), fd_step=1e-4)
+                r = mz_report(state, float(phi))
                 assert abs(r.mean_jz - n / 2 * math.cos(phi)) < 1e-8
                 assert abs(r.mean_jz2 - n / 4 * (1 + n * math.cos(phi) ** 2)) < 1e-7
                 assert abs(r.var_jz - n / 4) < 1e-8
-            r = mz_report(state, math.pi / 2, fd_step=1e-4)
+            r = mz_report(state, math.pi / 2)
             assert abs(r.delta_phi - 1 / math.sqrt(n)) < 1e-6
         assert time.perf_counter() - start < 30.0
 

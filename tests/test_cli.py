@@ -412,6 +412,68 @@ def test_detect_validates_before_printing(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_refuses_points_beyond_memory(capsys, monkeypatch):
+    from phonon_optics import fockspace
+
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 10**6)
+    code, out, err = run_cli(capsys, "sweep", "fock 1 0 nmax 4", "--points", "2000")
+    assert code == 2
+    assert out == ""
+    assert "--points 2000 needs about" in err and "memory limit" in err
+    code, out, _ = run_cli(capsys, "sweep", "fock 1 0 nmax 4", "--points", "500")
+    assert code == 0
+    assert len(out.splitlines()) == 501
+
+
+@pytest.mark.parametrize("method, name", [("single", "reconstruct_single"),
+                                          ("direct", "direct_mean_phonon")])
+def test_detect_reuses_the_comparison(tmp_path, capsys, monkeypatch, method, name):
+    # one call per mode, both made by the comparison; detect used to repeat
+    # the call for its own mode
+    monkeypatch.chdir(tmp_path)
+    original = getattr(detection, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(detection, name, counting)
+    code, _, _ = run_cli(capsys, "detect", "coherent 0 0 1 0 nmax 10", "--method", method)
+    assert code == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("run", "init coherent 1e200 0 0 0 nmax 5\nreport\n"), 2),
+        (("run", "init cat 0 3e154 odd c nmax 5\n"), 2),
+        (("run", "init coherent inf 0 0 0 nmax 5\n"), 1),
+        (("sweep", "coherent 1e200 0 0 0 nmax 5", "--points", "2"), 2),
+        (("sweep", "cat 1e300 0 even r nmax 5"), 2),
+        (("sweep", "coherent 0 0 nan 0 nmax 5"), 1),
+        (("sweep", "fock 1 0 nmax 4", "--points", "100000"), 2),
+        (("detect", "coherent 0 0 1e200 0 nmax 5", "--method", "single"), 2),
+        (("detect", "cat -1e200 0 even c nmax 5", "--method", "direct"), 2),
+        (("detect", "coherent 0 -inf 0 0 nmax 5", "--method", "two"), 1),
+    ],
+)
+def test_hostile_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, want):
+    from phonon_optics import fockspace
+
+    monkeypatch.chdir(tmp_path)
+    # small enough that --points 100000 is refused before any grid is built
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 10**7)
+    if argv[0] == "run":
+        Path("hostile.seq").write_text(argv[1])
+        argv = ("run", "hostile.seq")
+    code, out, err = run_cli(capsys, *argv)  # an escaping exception fails the test
+    assert code == want
+    assert out == ""
+    assert "Traceback" not in err and err.startswith(("error: ", "parse error: "))
+
+
 def test_detect_fit_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(detection, "_NNLS_ITERATIONS_PER_COLUMN", 0)

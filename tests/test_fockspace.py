@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from phonon_optics import (
     MotionalState,
     QubitState,
     Truncation,
+    coherent_superposition,
     expect,
     fidelity,
     inner,
@@ -292,6 +294,9 @@ def test_state_json_round_trip():
     back = state_from_json(text)
     assert fidelity(s, back) == pytest.approx(1.0, abs=1e-15)
     assert back.tail_mass == s.tail_mass
+    # a flag set at construction used to come back recomputed from the tail
+    cut = make_coherent(2.0, 0, Truncation(14))  # tail 2.0e-5
+    assert cut.flagged and state_from_json(state_to_json(cut)).flagged
 
 
 def test_distribution_csv_format():
@@ -339,6 +344,47 @@ def test_truncation_for_coherent_beyond_exp_underflow():
     assert tail_above(t.n_total_max) <= 1e-12 < tail_above(t.n_total_max - 1)
     s = make_coherent(39, 0, t)
     assert not s.flagged
+
+
+@pytest.mark.parametrize("tail_mass", [0.0, 1e-10, 1.0000001e-10, 2.0e-5])
+def test_flagged_is_tail_mass_above_tolerance(tail_mass):
+    assert [f.name for f in dataclasses.fields(MotionalState)] == ["trunc", "amps", "tail_mass"]
+    assert [f.name for f in dataclasses.fields(JointState)] == [
+        "trunc", "ions", "amps", "tail_mass"
+    ]
+    t = Truncation(2)
+    s = MotionalState(t, make_fock(1, 0, t).amps, tail_mass)
+    want = tail_mass > fockspace.DEFAULT_TAIL_TOLERANCE
+    js = joint_state(s, ion2=QubitState.ground())
+    for derived in (s, state_from_json(state_to_json(s)), s.with_amps(s.amps), js,
+                    js.with_amps(js.amps)):
+        assert derived.tail_mass == tail_mass
+        assert derived.flagged == want
+    # an undefined tail would read as unflagged, so neither state takes one
+    with pytest.raises(ValueError, match="tail_mass must lie in"):
+        MotionalState(t, s.amps, math.nan)
+    with pytest.raises(ValueError, match="tail_mass must lie in"):
+        JointState(t, (2,), js.amps, math.nan)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: make_coherent(1e200, 0, t),
+        lambda t: make_coherent(0, 2e154j, t),
+        lambda t: make_cat(-1e200, "even", "r", t),
+        lambda t: coherent_superposition([(1.0, 0.5, 0.0), (1.0, 0.0, 1e300)], t),
+        lambda t: truncation_for_coherent(3e154, 0),
+        lambda t: make_coherent(math.inf, 0, t),
+        lambda t: make_cat(complex(0, math.nan), "odd", "c", t),
+    ],
+    ids=["coherent", "imaginary", "cat", "superposition", "truncation", "inf", "nan"],
+)
+def test_overflowing_coherent_amplitude_is_refused(build):
+    # |alpha|^2 overflows a float above |alpha| ~ 1.3e154; a NumPy warning
+    # on the way would fail the test
+    with pytest.raises(ValueError, match=r"out of range: \|alpha\|\^2 must be finite"):
+        build(Truncation(5))
 
 
 def test_truncation_for_coherent_rejects_bad_input():

@@ -70,7 +70,7 @@ def test_coherent_statistics(n):
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_phase_error_minimum(n):
     state = coherent_input(n)
-    r = mz_report(state, math.pi / 2, fd_step=1e-4)
+    r = mz_report(state, math.pi / 2)
     assert r.delta_phi == pytest.approx(1 / math.sqrt(n), abs=1e-6)
 
 
@@ -86,12 +86,6 @@ def test_flat_signal_reports_infinite_error():
     state = coherent_input(1)
     r = mz_report(state, 0.0)  # cos has zero slope at phi = 0
     assert math.isinf(r.delta_phi)
-
-
-def test_report_validates_fd_step():
-    state = coherent_input(1)
-    with pytest.raises(ValueError, match="fd_step"):
-        mz_report(state, 0.3, fd_step=0.5)
 
 
 def test_two_pi_periodicity():

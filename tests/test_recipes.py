@@ -170,6 +170,22 @@ def test_u2u3_rejects_non_eigenstate_preparation():
         entangled_cat_u2u3(1.0, 1.0, "+", Truncation(20), ion1=QubitState.ground())
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: entangled_cat(1e200, "even", 0.3, t),
+        lambda t: entangled_cat_target(2e154j, "odd", 0.3, t),
+        lambda t: entangled_cat_u2u3(-1e200, 1.0, "+", t),
+        lambda t: entangled_cat_u2u3(1.0, 1e200, "-", t),
+        lambda t: entangled_cat_u2u3_target(1.0, 1e300, "+", t),
+    ],
+    ids=["cat", "cat-target", "u2u3-alpha", "u2u3-beta", "u2u3-target"],
+)
+def test_overflowing_cat_amplitude_is_refused(build):
+    with pytest.raises(ValueError, match=r"out of range: \|alpha\|\^2 must be finite"):
+        build(Truncation(5))
+
+
 def test_u2u3_rejects_zero_odd_input():
     with pytest.raises(ValueError, match="zero vector"):
         entangled_cat_u2u3(0.0, 1.0, "-", Truncation(20))
