@@ -12,12 +12,15 @@ State specs reuse the sequence language's init clause verbatim, e.g.
 ``"coherent 0 0 2 0 nmax 40"``.  Exit codes: 0 success, 1 parse error,
 2 runtime error, 3 I/O failure.  Floats are printed with 17 significant
 digits so a reader can reproduce them exactly.
+
+Every artifact format lives on the record that owns its fields, as its
+``to_csv`` or ``to_json``; this module only names the files and routes
+each record to one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -110,48 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_json(record) -> str:
-    d = record.distribution
-    return json.dumps(
-        {
-            "kind": "report",
-            "index": record.index,
-            "jx": record.jx,
-            "jy": record.jy,
-            "jz": record.jz,
-            "mean_jz": d.mean_jz,
-            "p_m": [float(x) for x in d.p_m],
-            "p_n": [float(x) for x in d.p_n],
-            "p": d.rows(),  # tuples serialize as JSON arrays
-        }
-    )
-
-
-def _direct_json(est) -> str:
-    return json.dumps(
-        {
-            "kind": "direct",
-            "sigma_x_exact": est.sigma_x_exact,
-            "mean_n_linearized": est.mean_n_linearized,
-            "chi_t": est.chi_t,
-            "mode": est.mode,
-        }
-    )
-
-
-def _trace_json(trace) -> str:
-    return json.dumps(
-        {
-            "kind": "trace",
-            "coupling": trace.coupling,
-            "signal_kind": trace.kind,
-            "mode": trace.mode,
-            "t": [float(x) for x in trace.times],
-            "p_g": [float(x) for x in trace.values],
-        }
-    )
-
-
 def cmd_run(args) -> int:
     path = Path(args.path)
     text = path.read_text(encoding="utf-8")
@@ -160,38 +121,19 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = path.stem
-    ext = args.format
     for record in result.records:
         if isinstance(record, seqlang.ReportRecord):
-            name = f"{stem}_report{record.index}.{ext}"
-            body = record.distribution.to_csv() if ext == "csv" else _report_json(record)
-            print(
-                f"report[{record.index}]: jz={record.jz:.17g} jx={record.jx:.17g} "
-                f"jy={record.jy:.17g} -> {name}"
-            )
+            kind, item = "report", record
+            note = f"jz={item.jz:.17g} jx={item.jx:.17g} jy={item.jy:.17g}"
         elif isinstance(record, seqlang.TraceRecord):
-            name = f"{stem}_trace{record.index}.{ext}"
-            body = record.trace.to_csv() if ext == "csv" else _trace_json(record.trace)
-            print(
-                f"trace[{record.index}]: kind={record.trace.kind} "
-                f"samples={record.trace.times.size} -> {name}"
-            )
+            kind, item = "trace", record.trace
+            note = f"kind={item.kind} samples={item.times.size}"
         else:
-            est = record.estimate
-            if ext == "csv":
-                body = (
-                    "sigma_x_exact,mean_n_linearized,chi_t,mode\n"
-                    f"{est.sigma_x_exact:.17g},{est.mean_n_linearized:.17g},"
-                    f"{est.chi_t:.17g},{est.mode}\n"
-                )
-            else:
-                body = _direct_json(est)
-            name = f"{stem}_direct{record.index}.{ext}"
-            print(
-                f"direct[{record.index}]: mode={est.mode} "
-                f"mean_n={est.mean_n_linearized:.17g} -> {name}"
-            )
+            kind, item = "direct", record.estimate
+            note = f"mode={item.mode} mean_n={item.mean_n_linearized:.17g}"
+        name = f"{path.stem}_{kind}{record.index}.{args.format}"
+        print(f"{kind}[{record.index}]: {note} -> {name}")
+        body = item.to_csv() if args.format == "csv" else item.to_json()
         (out_dir / name).write_text(body, encoding="utf-8")
     final = result.final_state
     print(
@@ -254,7 +196,7 @@ def cmd_detect(args) -> int:
               f"residual={rec.residual:.3g}")
     else:
         est = comparison.directs[args.mode]
-        artifacts.append((f"{prefix}_direct.json", _direct_json(est)))
+        artifacts.append((f"{prefix}_direct.json", est.to_json()))
         print(f"direct[{est.mode}]: sigma_x={est.sigma_x_exact:.17g} "
               f"mean_n={est.mean_n_linearized:.17g}")
 

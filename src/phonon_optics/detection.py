@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,6 +93,18 @@ class SignalTrace:
             lines.append(f"{t:.17g},{v:.17g}")
         return "\n".join(lines) + "\n"
 
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "kind": "trace",
+                "coupling": self.coupling,
+                "signal_kind": self.kind,
+                "mode": self.mode,
+                "t": self.times.tolist(),
+                "p_g": self.values.tolist(),
+            }
+        )
+
 
 @dataclass(frozen=True)
 class ReconstructedNumberDistribution:
@@ -133,6 +145,15 @@ class DirectEstimate:
     mean_n_linearized: float
     chi_t: float
     mode: str
+
+    def to_json(self) -> str:
+        return json.dumps({"kind": "direct", **asdict(self)})
+
+    def to_csv(self) -> str:
+        """A header of the field names and one row of their values."""
+        row = asdict(self)
+        values = (v if isinstance(v, str) else f"{v:.17g}" for v in row.values())
+        return ",".join(row) + "\n" + ",".join(values) + "\n"
 
 
 def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:

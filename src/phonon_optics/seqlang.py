@@ -30,6 +30,7 @@ preserved.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -368,6 +369,25 @@ class ReportRecord:
     jx: float
     jy: float
     jz: float
+
+    def to_json(self) -> str:
+        d = self.distribution
+        return json.dumps(
+            {
+                "kind": "report",
+                "index": self.index,
+                "jx": self.jx,
+                "jy": self.jy,
+                "jz": self.jz,
+                "mean_jz": d.mean_jz,
+                "p_m": d.p_m.tolist(),
+                "p_n": d.p_n.tolist(),
+                "p": d.rows(),  # tuples serialize as JSON arrays
+            }
+        )
+
+    def to_csv(self) -> str:
+        return self.distribution.to_csv()
 
 
 @dataclass
