@@ -150,10 +150,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"empty phase range [{args.phi_min!r}, {args.phi_max!r}): "
                          "--phi-max must differ from --phi-min")
     need = _SWEEP_BYTES_PER_POINT * args.points
-    limit = fockspace._memory_limit_bytes()
-    if limit is not None and need > limit:
-        raise ValueError(f"--points {args.points} needs about {need:.3g} bytes, "
-                         f"more than the memory limit of {limit:.3g} bytes")
+    fockspace._require_memory(need, f"--points {args.points} needs about {need:.3g} bytes")
     state = seqlang.parse_state_spec(args.state_spec, args.nmax)
     step = (args.phi_max - args.phi_min) / args.points
     grid = [args.phi_min + k * step for k in range(args.points)]

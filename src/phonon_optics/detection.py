@@ -42,6 +42,7 @@ from .fockspace import (
     MotionalState,
     QubitState,
     Truncation,
+    _require_memory,
     expect,
     joint_state,
     number_distributions,
@@ -54,6 +55,12 @@ DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
 _PROB_TOL = 1e-12
 _SIGNAL_CHUNK = 32  # samples per slice of the cosine table in ``signal``
 _NNLS_ITERATIONS_PER_COLUMN = 3  # SciPy's NNLS stops at 3 n iterations too
+# tracemalloc reads a peak heap of about 33 B per sample for a trace (its
+# times, values and their temporaries) and 24 B per sample and weight for a
+# fit (the cos^2 design, its temporaries and the free columns); the rest
+# covers the allocator's overhead.
+_TRACE_BYTES_PER_SAMPLE = 48
+_FIT_BYTES_PER_SAMPLE_WEIGHT = 32
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,30 @@ class DirectEstimate:
         row = asdict(self)
         values = (v if isinstance(v, str) else f"{v:.17g}" for v in row.values())
         return ",".join(row) + "\n" + ",".join(values) + "\n"
+
+
+def _require_samples(n_samples: int, n_weights: int = 0) -> None:
+    """Refuse a sample count too small to determine ``n_weights`` weights, or
+    whose trace and fit design of ``n_weights`` columns would not fit in
+    memory, before the sample grid is built."""
+    if n_samples < 2 * n_weights:
+        raise ValueError(
+            f"{n_samples} samples cannot determine {n_weights} weights; "
+            f"need at least {2 * n_weights}"
+        )
+    need = n_samples * (_TRACE_BYTES_PER_SAMPLE + _FIT_BYTES_PER_SAMPLE_WEIGHT * n_weights)
+    _require_memory(need, f"{n_samples} samples need about {need:.3g} bytes")
+
+
+def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> None:
+    """Refuse a probe whose largest phase 2 coupling sqrt(k_max) max|t| is not
+    a finite float, before NumPy fills the cosine table with inf and NaN."""
+    t_max = float(np.abs(times).max(initial=0.0))
+    if not math.isfinite(2.0 * float(coupling) * math.sqrt(k_max) * t_max):
+        raise ValueError(
+            f"probe phase 2 * coupling * sqrt(k) * t is not finite for coupling "
+            f"{coupling!r}, k up to {k_max} and |t| up to {t_max!r}"
+        )
 
 
 def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
@@ -301,6 +332,7 @@ def signal(
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
     order = np.argsort(p)
     ks = np.sort(order[np.cumsum(p[order]) > WEIGHT_FLOOR**2])
+    _require_finite_phase(coupling, int(ks[-1]), times)
     p = p[ks]
     freqs = 2.0 * coupling * np.sqrt(ks)
     # a slice of samples at a time keeps the cosine table at _SIGNAL_CHUNK rows
@@ -375,13 +407,11 @@ def _nnls_on_dictionary(trace: SignalTrace, n_weights: int) -> tuple[np.ndarray,
 
     P_g = sum_k p_k cos^2(coupling * t * sqrt(k)); the constant and the
     oscillating parts enter through the same columns.  The fit needs at
-    least two samples per weight, checked before the dictionary is built.
+    least two samples per weight and a design that fits in memory, both
+    checked before the dictionary is built.
     """
-    if trace.times.size < 2 * n_weights:
-        raise ValueError(
-            f"{trace.times.size} samples cannot determine {n_weights} weights; "
-            f"need at least {2 * n_weights}"
-        )
+    _require_samples(trace.times.size, n_weights)
+    _require_finite_phase(trace.coupling, n_weights - 1, trace.times)
     roots = np.sqrt(np.arange(n_weights, dtype=np.float64))
     design = np.cos(np.outer(trace.times, trace.coupling * roots)) ** 2
     coeffs, residual = _nnls(design, trace.values)
@@ -432,6 +462,11 @@ def direct_mean_phonon(
     chi_t = chi * t
     if not (math.isfinite(chi_t) and chi_t > 0.0):
         raise ValueError(f"chi * t must be finite and positive, got {chi_t!r}")
+    nmax = out_state.trunc.n_total_max
+    if not math.isfinite(2.0 * float(chi_t) * nmax):
+        raise ValueError(
+            f"readout phase 2 * chi_t * nmax is not finite for chi_t {chi_t!r} and nmax {nmax}"
+        )
     dist = number_distributions(out_state)
     p = dist.p_m if mode == "c" else dist.p_n
     k = np.arange(p.size, dtype=np.float64)
@@ -491,6 +526,7 @@ def jz_from_methods(
 
     if m_max is None:
         m_max = out_state.trunc.n_total_max
+    _require_samples(n_samples, m_max + 1)
     times = default_times(coupling, n_samples)
     traces, fits = {}, {}
     for mode in ("c", "r"):

@@ -61,6 +61,17 @@ def _memory_limit_bytes() -> int | None:
     return min(limits, default=None)
 
 
+def _require_memory(need: int, request: str) -> None:
+    """Refuse, before anything is allocated, a request that needs ``need``
+    bytes, more than ``_memory_limit_bytes()``.
+
+    ``request`` opens the error message and says what needs how much.
+    """
+    limit = _memory_limit_bytes()
+    if limit is not None and need > limit:
+        raise ValueError(f"{request}, more than the memory limit of {limit:.3g} bytes")
+
+
 @lru_cache(maxsize=None)
 def _mode_numbers(n_total_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (ms, ns) listing the basis pairs in (total, m) order."""
@@ -99,12 +110,7 @@ class Truncation:
         # the two int64 arrays of mode_numbers, and number_distributions
         # fills a float64 (nmax + 1)^2 table: 32 dim + 8 (nmax + 1)^2 bytes.
         need = 32 * self.dim + 8 * (n + 1) ** 2
-        limit = _memory_limit_bytes()
-        if limit is not None and need > limit:
-            raise ValueError(
-                f"n_total_max = {n} needs {need:.3g} bytes of state arrays, "
-                f"more than the memory limit of {limit:.3g} bytes"
-            )
+        _require_memory(need, f"n_total_max = {n} needs {need:.3g} bytes of state arrays")
 
     @property
     def dim(self) -> int:

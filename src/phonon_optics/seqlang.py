@@ -38,7 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interferometer
-from .detection import DirectEstimate, SignalTrace, direct_mean_phonon, signal
+from .detection import (
+    DirectEstimate,
+    SignalTrace,
+    _require_samples,
+    direct_mean_phonon,
+    signal,
+)
 from .fockspace import (
     JointDistribution,
     MotionalState,
@@ -448,6 +454,7 @@ def execute(program: PulseProgram) -> ExecutionResult:
             else:
                 state, run = _apply_run(run, state, run_line), None
                 if stmt.verb == "jcm":
+                    _require_samples(stmt.args["nsamples"])
                     times = np.linspace(stmt.args["t0"], stmt.args["t1"], stmt.args["nsamples"])
                     trace = signal(state, stmt.args["coupling"], times, stmt.args["kind"])
                     records.append(TraceRecord(idx, trace))

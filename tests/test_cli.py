@@ -425,6 +425,46 @@ def test_sweep_refuses_points_beyond_memory(capsys, monkeypatch):
     assert len(out.splitlines()) == 501
 
 
+DETECT_SINGLE = ("detect", "fock 1 0 nmax 4", "--method", "single")
+DETECT_TWO = ("detect", "fock 1 1 nmax 4", "--method", "two", "--samples", "20000")
+
+
+@pytest.mark.parametrize(
+    "refused, runs, message",
+    [
+        # 1e5 samples x (48 + 32 x 5 weights) B = 2.1e7 B against 1e7 B
+        (DETECT_SINGLE + ("--samples", "100000"), DETECT_SINGLE + ("--samples", "10000"),
+         "100000 samples need about 2.08e+07 bytes"),
+        # the comparison's fits pass; the two-mode fit of 101 weights does not
+        (DETECT_TWO + ("--k-max", "100"), DETECT_TWO + ("--k-max", "4"),
+         "20000 samples need about 6.56e+07 bytes"),
+        (("run", "init fock 1 0 nmax 4\njcm single 1 0 10 1000000\n"),
+         ("run", "init fock 1 0 nmax 4\njcm single 1 0 10 100000\n"),
+         "line 2: 1000000 samples need about 4.8e+07 bytes"),
+    ],
+)
+def test_sample_count_beyond_memory_is_refused(tmp_path, capsys, monkeypatch, refused, runs,
+                                               message):
+    # the limit is patched, so the refused grid is never allocated
+    from phonon_optics import fockspace
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 10**7)
+
+    def call(argv):
+        if argv[0] == "run":
+            Path("samples.seq").write_text(argv[1])
+            argv = ("run", "samples.seq", "--out", "out")
+        return run_cli(capsys, *argv)
+
+    code, out, err = call(refused)
+    assert code == 2
+    assert out == ""
+    assert message in err and "more than the memory limit of 1e+07 bytes" in err
+    assert [p.name for p in tmp_path.iterdir() if p.name != "samples.seq"] == []
+    assert call(runs)[0] == 0
+
+
 @pytest.mark.parametrize("method, name", [("single", "reconstruct_single"),
                                           ("direct", "direct_mean_phonon")])
 def test_detect_reuses_the_comparison(tmp_path, capsys, monkeypatch, method, name):
@@ -457,6 +497,9 @@ def test_detect_reuses_the_comparison(tmp_path, capsys, monkeypatch, method, nam
         (("detect", "coherent 0 0 1e200 0 nmax 5", "--method", "single"), 2),
         (("detect", "cat -1e200 0 even c nmax 5", "--method", "direct"), 2),
         (("detect", "coherent 0 -inf 0 0 nmax 5", "--method", "two"), 1),
+        (("detect", "fock 1 0 nmax 4", "--method", "two", "--coupling", "1e308"), 2),
+        (("detect", "fock 1 0 nmax 4", "--method", "direct", "--chi-t", "1e308"), 2),
+        (("run", "init fock 1 0 nmax 4\njcm single 1e308 0 1e308 4\n"), 2),
     ],
 )
 def test_hostile_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, want):
@@ -480,3 +523,55 @@ def test_detect_fit_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "detect", "fock 1 0 nmax 4", "--method", "single")
     assert code == 2
     assert "did not converge in 0 iterations" in err
+
+
+def _keys(path):
+    return list(json.loads(path.read_text()))
+
+
+def _header(path):
+    return path.read_text().splitlines()[0]
+
+
+TRACE_KEYS = ["kind", "coupling", "signal_kind", "mode", "t", "p_g"]
+DIRECT_KEYS = ["kind", "sigma_x_exact", "mean_n_linearized", "chi_t", "mode"]
+DIRECT_HEADER = "sigma_x_exact,mean_n_linearized,chi_t,mode"
+
+
+def test_run_artifact_formats_are_pinned(tmp_path, capsys):
+    path = tmp_path / "probe.seq"
+    path.write_text("init fock 1 0 nmax 4\nreport\njcm single 1.0 0.0 12.56 32\ndirect c 0.001\n")
+    for fmt in ("json", "csv"):
+        code, _, _ = run_cli(capsys, "run", str(path), "--format", fmt, "--out", str(tmp_path))
+        assert code == 0
+    assert _keys(tmp_path / "probe_report1.json") == [
+        "kind", "index", "jx", "jy", "jz", "mean_jz", "p_m", "p_n", "p"]
+    assert _keys(tmp_path / "probe_trace2.json") == TRACE_KEYS
+    assert _keys(tmp_path / "probe_direct3.json") == DIRECT_KEYS
+    assert _header(tmp_path / "probe_report1.csv") == "m,n,p"
+    assert _header(tmp_path / "probe_trace2.csv") == "t,p_g"
+    assert _header(tmp_path / "probe_direct3.csv") == DIRECT_HEADER
+    assert len((tmp_path / "probe_direct3.csv").read_text().splitlines()) == 2
+
+
+def test_detect_artifact_formats_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for method in ("single", "two", "direct"):
+        code, _, _ = run_cli(capsys, "detect", "fock 1 1 nmax 4", "--method", method,
+                             "--out", method)
+        assert code == 0
+    assert _keys(tmp_path / "single_p.json") == ["p", "residual"]
+    assert _keys(tmp_path / "two_q.json") == ["q", "residual"]
+    assert _keys(tmp_path / "direct_direct.json") == DIRECT_KEYS
+    assert _header(tmp_path / "single_trace.csv") == "t,p_g"
+    assert _header(tmp_path / "two_trace.csv") == "t,p_g"
+
+
+@pytest.mark.parametrize("mode", ["c", "r"])
+def test_run_and_detect_write_the_same_direct_json(tmp_path, capsys, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    Path("d.seq").write_text(f"init coherent 0.5 0 1 0.25 nmax 12\ndirect {mode} 0.002\n")
+    assert run_cli(capsys, "run", "d.seq", "--format", "json")[0] == 0
+    assert run_cli(capsys, "detect", "coherent 0.5 0 1 0.25 nmax 12", "--method", "direct",
+                   "--mode", mode, "--chi-t", "0.002")[0] == 0
+    assert Path("d_direct1.json").read_text() == Path("detect_direct.json").read_text()

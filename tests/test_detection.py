@@ -286,6 +286,16 @@ def test_absurd_weight_count_is_refused_before_the_dictionary(kind, reconstruct)
         reconstruct(trace, 2**62)
 
 
+@pytest.mark.parametrize(
+    "kind, reconstruct", [("single", reconstruct_single), ("two", reconstruct_two)]
+)
+def test_overflowing_fit_phase_is_refused_by_name(kind, reconstruct):
+    # a trace built directly: signal itself refuses this coupling first
+    trace = SignalTrace(np.linspace(0.0, 1e-300, 8), np.ones(8), 1e308, kind)
+    with pytest.raises(ValueError, match="probe phase .* is not finite"):
+        reconstruct(trace, 3)
+
+
 def test_reconstruct_two_level_sets():
     t = Truncation(4)
     trace = signal(make_fock(0, 0, t), 1.0, default_times(1.0, 64), "two")
