@@ -169,6 +169,9 @@ def cmd_detect(args) -> int:
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
     prefix = args.out
+    k_max = state.trunc.n_total_max if args.k_max is None else args.k_max
+    if args.method == "two":  # refuse an oversized fit before the comparison's fits run
+        detection._require_samples(args.samples, k_max + 1)
     # the comparison checks every detection parameter, so it runs before any output
     comparison = detection.jz_from_methods(
         state, coupling=args.coupling, n_samples=args.samples,
@@ -185,7 +188,6 @@ def cmd_detect(args) -> int:
         times = comparison.traces["c"].times  # the probe samples the comparison's times
         trace = detection.signal(state, args.coupling, times, "two", args.mode)
         artifacts.append((f"{prefix}_trace.csv", trace.to_csv()))
-        k_max = state.trunc.n_total_max if args.k_max is None else args.k_max
         rec = detection.reconstruct_two(trace, k_max)
         artifacts.append((f"{prefix}_q.json", rec.to_json()))
         top = max(rec.q, key=rec.q.get)

@@ -339,14 +339,15 @@ class JointDistribution:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def rows(self) -> list[tuple[int, int, float]]:
-        """(m, n, p_mn) for every basis pair, in (total, m) order."""
+    def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays m, n and p_mn over every basis pair, in (total, m) order."""
         ms, ns = _mode_numbers(self.p_m.shape[0] - 1)
-        return list(zip(ms.tolist(), ns.tolist(), self.p_mn[ms, ns].tolist()))
+        return ms, ns, self.p_mn[ms, ns]
 
     def to_csv(self) -> str:
         """Rows "m,n,p" for every basis pair, in (total, m) order."""
-        return "m,n,p\n" + "".join(f"{m},{n},{p:.17g}\n" for m, n, p in self.rows())
+        rows = zip(*(a.tolist() for a in self.triangle()))
+        return "m,n,p\n" + "".join(f"{m},{n},{p:.17g}\n" for m, n, p in rows)
 
 
 def number_distributions(s: MotionalState) -> JointDistribution:

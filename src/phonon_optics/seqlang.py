@@ -55,7 +55,7 @@ from .fockspace import (
     make_fock,
     number_distributions,
 )
-from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
+from .operators import WEIGHT_FLOOR, UnitaryOperator, apply, beam_splitter, phase_shifter
 
 
 class ParseError(Exception):
@@ -300,6 +300,10 @@ def _parse_statement(tokens: list[_Token], line: int) -> Statement:
             raise ParseError(line, ns_tok.col, f"nsamples must be >= 2, got {nsamples}")
         if not t1 > t0:
             raise ParseError(line, tokens[4].col, f"t1 must exceed t0, got {t0} .. {t1}")
+        if not math.isfinite(t1 - t0):
+            raise ParseError(
+                line, tokens[3].col, f"time range t1 - t0 must be finite, got {t0} .. {t1}"
+            )
         args = {"kind": kind, "coupling": coupling, "t0": t0, "t1": t1, "nsamples": nsamples}
     elif verb == "direct":
         mode = r.take_keyword("c", "r")
@@ -377,7 +381,12 @@ class ReportRecord:
     jz: float
 
     def to_json(self) -> str:
+        """Moments, dense marginals and the joint rows [m, n, p] with
+        p > WEIGHT_FLOOR**2, in (total, m) order.  The rows left out are
+        rounding noise: each weighs at most 1e-60, all at most dim * 1e-60."""
         d = self.distribution
+        ms, ns, p = d.triangle()
+        keep = p > WEIGHT_FLOOR**2
         return json.dumps(
             {
                 "kind": "report",
@@ -388,7 +397,7 @@ class ReportRecord:
                 "mean_jz": d.mean_jz,
                 "p_m": d.p_m.tolist(),
                 "p_n": d.p_n.tolist(),
-                "p": d.rows(),  # tuples serialize as JSON arrays
+                "p": list(zip(ms[keep].tolist(), ns[keep].tolist(), p[keep].tolist())),
             }
         )
 

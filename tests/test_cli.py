@@ -379,6 +379,24 @@ def test_detect_two_needs_two_samples_per_weight(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_detect_two_refuses_its_fit_before_the_comparison(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def fit(*args, **kwargs):
+        pytest.fail("an NNLS fit ran before the refusal")
+
+    monkeypatch.setattr(detection, "jz_from_methods", fit)
+    monkeypatch.setattr(detection, "_nnls", fit)
+    code, out, err = run_cli(
+        capsys, "detect", "coherent 7 0.5 0 0 nmax 127", "--method", "two",
+        "--samples", "20000", "--k-max", "100000",
+    )
+    assert code == 2
+    assert out == ""
+    assert "20000 samples cannot determine 100001 weights; need at least 200002" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -500,6 +518,7 @@ def test_detect_reuses_the_comparison(tmp_path, capsys, monkeypatch, method, nam
         (("detect", "fock 1 0 nmax 4", "--method", "two", "--coupling", "1e308"), 2),
         (("detect", "fock 1 0 nmax 4", "--method", "direct", "--chi-t", "1e308"), 2),
         (("run", "init fock 1 0 nmax 4\njcm single 1e308 0 1e308 4\n"), 2),
+        (("run", "init fock 1 0 nmax 4\njcm single 1 -1e308 1e308 4\n"), 1),
     ],
 )
 def test_hostile_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, want):
@@ -515,6 +534,7 @@ def test_hostile_input_exits_without_traceback(tmp_path, capsys, monkeypatch, ar
     assert code == want
     assert out == ""
     assert "Traceback" not in err and err.startswith(("error: ", "parse error: "))
+    assert [p.name for p in tmp_path.iterdir() if p.name != "hostile.seq"] == []
 
 
 def test_detect_fit_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):
