@@ -42,12 +42,21 @@ from .fockspace import (
     MotionalState,
     QubitState,
     Truncation,
+    _frozen,
     _require_memory,
+    _require_mode,
+    _require_same,
     expect,
     joint_state,
     number_distributions,
 )
-from .operators import WEIGHT_FLOOR, _unitarity_defect, carrier_half_pulse, conditional_phase
+from .operators import (
+    WEIGHT_FLOOR,
+    _dense_zeros,
+    _unitarity_defect,
+    carrier_half_pulse,
+    conditional_phase,
+)
 
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
@@ -85,14 +94,11 @@ class SignalTrace:
             raise ValueError("probabilities must be finite and lie in [0, 1]")
         if self.kind not in ("single", "two"):
             raise ValueError(f"kind must be 'single' or 'two', got {self.kind!r}")
-        if self.mode not in ("c", "r"):
-            raise ValueError(f"mode must be 'c' or 'r', got {self.mode!r}")
+        _require_mode(self.mode)
         if not (math.isfinite(self.coupling) and self.coupling > 0):
             raise ValueError(f"coupling must be finite and positive, got {self.coupling!r}")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", _frozen(times))
+        object.__setattr__(self, "values", _frozen(values))
 
     def to_csv(self) -> str:
         lines = ["t,p_g"]
@@ -203,22 +209,21 @@ def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.
 def _jcm_tables(n_total_max: int, kind: str, mode: str):
     """(g_index, e_index, root) arrays for the coupled pairs of one probe.
 
-    With the flat index t(t+1)/2 + m of |m, n> (t = m + n), the |e> partner
-    sits t + 1 entries earlier for |m-1, n>, t for |m, n-1> and 2t for
-    |m-1, n-1>.
+    Pair k couples |g, m, n> at flat index g_index[k] to |e> and the lowered
+    pair at e_index[k], both from ``Truncation.flat``: |m-1, n> for the
+    single kind on mode c, |m, n-1> on mode r, and |m-1, n-1> for the
+    two-mode kind.  root[k] is sqrt of the lowered phonon number (single)
+    or of m n (two-mode), nonzero exactly where the partner exists.
     """
-    ms, ns = Truncation(n_total_max).mode_numbers()
-    totals = ms + ns
+    trunc = Truncation(n_total_max)
+    ms, ns = trunc.mode_numbers()
     if kind == "single":
-        k = ms if mode == "c" else ns
-        g_idx = np.flatnonzero(k >= 1)
-        shift = totals[g_idx] + (1 if mode == "c" else 0)
-        root = np.sqrt(k[g_idx].astype(np.float64))
+        k, lower_m, lower_n = trunc.phonons(mode), mode == "c", mode == "r"
     else:
-        g_idx = np.flatnonzero((ms >= 1) & (ns >= 1))
-        shift = 2 * totals[g_idx]
-        root = np.sqrt((ms[g_idx] * ns[g_idx]).astype(np.float64))
-    return g_idx, g_idx - shift, root
+        k, lower_m, lower_n = ms * ns, 1, 1
+    g_idx = np.flatnonzero(k)
+    e_idx = trunc.flat(ms[g_idx] - lower_m, ns[g_idx] - lower_n)
+    return g_idx, e_idx, np.sqrt(k[g_idx].astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -238,11 +243,7 @@ class JcmUnitary:
     def apply(self, js: JointState) -> JointState:
         if not isinstance(js, JointState):
             raise TypeError("a Jaynes-Cummings unitary acts on a JointState")
-        if js.trunc != self.trunc:
-            raise ValueError(
-                f"truncation mismatch: operator has n_total_max = "
-                f"{self.trunc.n_total_max}, state has {js.trunc.n_total_max}"
-            )
+        _require_same(self, js)
         axis = js.axis_of(2)
         a = np.moveaxis(js.amps, axis, 0)
         g, e = a[0].copy(), a[1].copy()
@@ -258,9 +259,11 @@ class JcmUnitary:
         return _unitarity_defect(map(_rabi_rotation, self.angle))
 
     def as_matrix(self) -> np.ndarray:
-        """The (2 dim) joint matrix, ion-2 qubit axis first, motional axis last."""
+        """The (2 dim) joint matrix, ion-2 qubit axis first, motional axis last;
+        refused before it is allocated when it exceeds the memory limit."""
         dim = self.trunc.dim
-        out = np.eye(2 * dim, dtype=np.complex128)
+        out = _dense_zeros(2 * dim)
+        np.fill_diagonal(out, 1.0)
         for gi, ei, theta in zip(self.g_index, self.e_index, self.angle):
             rows = np.array([gi, dim + ei])
             out[np.ix_(rows, rows)] = _rabi_rotation(theta)
@@ -283,8 +286,7 @@ def jcm_unitary(
     """
     if kind not in ("single", "two"):
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
-    if mode not in ("c", "r"):
-        raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
+    _require_mode(mode)
     g_idx, e_idx, root = _jcm_tables(trunc.n_total_max, kind, mode)
     return JcmUnitary(trunc, g_idx, e_idx, coupling * t * root)
 

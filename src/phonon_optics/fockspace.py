@@ -8,6 +8,19 @@ subspace is one contiguous block.  Keeping complete total-number blocks is
 what makes number-conserving unitaries exactly unitary on the truncated
 space, with no leakage at the cutoff.
 
+This module is the one home of the basis and its invariants; ``operators``
+and ``detection`` call it instead of restating them:
+
+* the layout: ``Truncation.flat`` gives the flat index t(t+1)/2 + m of
+  |m, n> (t = m + n), and ``index``, ``block``, ``dim`` and
+  ``mode_numbers`` all derive from it;
+* the mode labels: ``Truncation.phonons`` maps ``c`` to m and ``r`` to n,
+  and ``_require_mode`` refuses any other label;
+* ``_require_same`` refuses two objects on different truncations;
+* ``_unit_amps`` casts, checks and freezes the amplitudes of every state
+  class, ``_frozen`` makes any array read-only and ``_require_tail``
+  checks a discarded probability.
+
 Qubit registers use the convention sigma_z |g> = -|g>, sigma_z |e> = +|e>,
 with basis index 0 = |g> and 1 = |e>.
 
@@ -72,19 +85,52 @@ def _require_memory(need: int, request: str) -> None:
         raise ValueError(f"{request}, more than the memory limit of {limit:.3g} bytes")
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in ("c", "r"):
+        raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
+
+
+def _require_same(a, b) -> None:
+    """Refuse two objects (states or operators) on different truncations."""
+    if a.trunc != b.trunc:
+        raise ValueError(
+            f"truncation mismatch: n_total_max = {a.trunc.n_total_max} "
+            f"vs {b.trunc.n_total_max}"
+        )
+
+
+def _require_tail(tail_mass: float) -> None:
+    if not 0.0 <= tail_mass <= 1.0:
+        raise ValueError(f"tail_mass must lie in [0, 1], got {tail_mass}")
+
+
+def _unit_amps(amps, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``amps`` as a read-only contiguous complex array of the given shape,
+    refused unless it is finite with unit norm to 1e-12; ``what`` names the
+    state in the error messages."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    if amps.shape != shape:
+        raise ValueError(f"{what} amplitudes have shape {amps.shape}, expected {shape}")
+    if not np.isfinite(amps).all():
+        raise ValueError(f"{what} has non-finite amplitudes")
+    norm2 = float(np.vdot(amps, amps).real)
+    if abs(norm2 - 1.0) > _NORM_TOL:
+        raise ValueError(f"{what} not normalized: norm^2 = {norm2!r}")
+    return _frozen(amps)
+
+
 @lru_cache(maxsize=None)
 def _mode_numbers(n_total_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (ms, ns) listing the basis pairs in (total, m) order."""
-    ms = np.concatenate(
-        [np.arange(total + 1) for total in range(n_total_max + 1)]
-    ).astype(np.int64)
-    totals = np.concatenate(
-        [np.full(total + 1, total) for total in range(n_total_max + 1)]
-    ).astype(np.int64)
-    ns = totals - ms
-    ms.setflags(write=False)
-    ns.setflags(write=False)
-    return ms, ns
+    totals = np.repeat(np.arange(n_total_max + 1), np.arange(1, n_total_max + 2))
+    ms = np.arange(totals.size) - Truncation.flat(0, totals)
+    return _frozen(ms), _frozen(totals - ms)
 
 
 @dataclass(frozen=True)
@@ -112,9 +158,16 @@ class Truncation:
         need = 32 * self.dim + 8 * (n + 1) ** 2
         _require_memory(need, f"n_total_max = {n} needs {need:.3g} bytes of state arrays")
 
+    @staticmethod
+    def flat(m, n):
+        """Flat index t(t+1)/2 + m of |m, n>, t = m + n, for ints or integer
+        arrays; unchecked, so the caller keeps (m, n) inside the truncation."""
+        total = m + n
+        return total * (total + 1) // 2 + m
+
     @property
     def dim(self) -> int:
-        return (self.n_total_max + 1) * (self.n_total_max + 2) // 2
+        return self.flat(0, self.n_total_max + 1)
 
     def contains(self, m: int, n: int) -> bool:
         return m >= 0 and n >= 0 and m + n <= self.n_total_max
@@ -126,17 +179,22 @@ class Truncation:
                 f"(m, n) = ({m}, {n}) outside truncation: need m, n >= 0 and "
                 f"m + n <= {self.n_total_max}"
             )
-        total = m + n
-        return total * (total + 1) // 2 + m
+        return self.flat(m, n)
 
     def block(self, total: int) -> slice:
         """Slice of the flat array holding the m + n = total subspace."""
         if not 0 <= total <= self.n_total_max:
             raise ValueError(f"no block for total = {total}")
-        return slice(total * (total + 1) // 2, (total + 1) * (total + 2) // 2)
+        return slice(self.flat(0, total), self.flat(0, total + 1))
 
     def mode_numbers(self) -> tuple[np.ndarray, np.ndarray]:
         return _mode_numbers(self.n_total_max)
+
+    def phonons(self, mode: str) -> np.ndarray:
+        """Phonon numbers of mode ``c`` (m) or ``r`` (n) over the basis."""
+        _require_mode(mode)
+        ms, ns = self.mode_numbers()
+        return ms if mode == "c" else ns
 
 
 @dataclass(frozen=True)
@@ -158,20 +216,8 @@ class MotionalState:
     tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        if amps.shape != (self.trunc.dim,):
-            raise ValueError(
-                f"amplitude array has shape {amps.shape}, expected ({self.trunc.dim},)"
-            )
-        if not np.isfinite(amps).all():
-            raise ValueError("state has non-finite amplitudes")
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: sum |c|^2 = {norm2!r}")
-        if not 0.0 <= self.tail_mass <= 1.0:
-            raise ValueError(f"tail_mass must lie in [0, 1], got {self.tail_mass}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _unit_amps(self.amps, (self.trunc.dim,), "state"))
+        _require_tail(self.tail_mass)
 
     @property
     def flagged(self) -> bool:
@@ -299,8 +345,7 @@ def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> Motio
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if mode not in ("c", "r"):
-        raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
+    _require_mode(mode)
     sign = 1.0 if parity == "even" else -1.0
     weight = _cat_weight(alpha, sign)
     if mode == "c":
@@ -312,10 +357,7 @@ def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> Motio
 
 def inner(a: MotionalState, b: MotionalState) -> complex:
     """<a|b>; both states must share a truncation."""
-    if a.trunc != b.trunc:
-        raise ValueError(
-            f"truncation mismatch: {a.trunc.n_total_max} vs {b.trunc.n_total_max}"
-        )
+    _require_same(a, b)
     return complex(np.vdot(a.amps, b.amps))
 
 
@@ -336,8 +378,7 @@ class JointDistribution:
     def __post_init__(self) -> None:
         for name in ("p_mn", "p_m", "p_n"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays m, n and p_mn over every basis pair, in (total, m) order."""
@@ -432,16 +473,7 @@ class QubitState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        if amps.shape != (2,):
-            raise ValueError("qubit state needs exactly two amplitudes")
-        if not np.isfinite(amps).all():
-            raise ValueError("qubit state has non-finite amplitudes")
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > _NORM_TOL:
-            raise ValueError(f"qubit state not normalized: |a_g|^2+|a_e|^2 = {norm2!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _unit_amps(self.amps, (2,), "qubit state"))
 
     @classmethod
     def of(cls, g: complex, e: complex) -> "QubitState":
@@ -495,19 +527,9 @@ class JointState:
     def __post_init__(self) -> None:
         if tuple(sorted(set(self.ions))) != self.ions or not set(self.ions) <= {1, 2}:
             raise ValueError(f"ions must be a sorted subset of (1, 2), got {self.ions}")
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        want = (2,) * len(self.ions) + (self.trunc.dim,)
-        if amps.shape != want:
-            raise ValueError(f"amplitude tensor has shape {amps.shape}, expected {want}")
-        if not np.isfinite(amps).all():
-            raise ValueError("joint state has non-finite amplitudes")
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > _NORM_TOL:
-            raise ValueError(f"joint state not normalized: norm^2 = {norm2!r}")
-        if not 0.0 <= self.tail_mass <= 1.0:
-            raise ValueError(f"tail_mass must lie in [0, 1], got {self.tail_mass}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        shape = (2,) * len(self.ions) + (self.trunc.dim,)
+        object.__setattr__(self, "amps", _unit_amps(self.amps, shape, "joint state"))
+        _require_tail(self.tail_mass)
 
     @property
     def flagged(self) -> bool:
@@ -547,8 +569,7 @@ class JointState:
 
     def motional_fidelity(self, target: MotionalState) -> float:
         """<target| rho_motional |target>, i.e. fidelity with a pure target."""
-        if target.trunc != self.trunc:
-            raise ValueError("truncation mismatch between joint state and target")
+        _require_same(self, target)
         flat = self.amps.reshape(-1, self.trunc.dim)
         overlaps = flat @ target.amps.conj()
         return float(np.sum(np.abs(overlaps) ** 2))

@@ -51,7 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import JointState, MotionalState, Truncation
+from .fockspace import (
+    JointState,
+    MotionalState,
+    Truncation,
+    _require_memory,
+    _require_mode,
+    _require_same,
+)
 
 # Qubit basis order (g, e) with sigma_z |g> = -|g>.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -89,21 +96,13 @@ class UnitaryOperator:
     def __matmul__(self, other):
         if not isinstance(other, UnitaryOperator):
             return NotImplemented
-        if other.trunc != self.trunc:
-            raise ValueError(
-                f"truncation mismatch: n_total_max = {self.trunc.n_total_max} "
-                f"@ n_total_max = {other.trunc.n_total_max}"
-            )
+        _require_same(self, other)
         return UnitaryOperator(self.trunc, self.matrix @ other.matrix)
 
     def apply(self, state: MotionalState) -> MotionalState:
         if not isinstance(state, MotionalState):
             raise TypeError("a passive unitary acts on a MotionalState")
-        if state.trunc != self.trunc:
-            raise ValueError(
-                f"truncation mismatch: operator has n_total_max = "
-                f"{self.trunc.n_total_max}, state has {state.trunc.n_total_max}"
-            )
+        _require_same(self, state)
         return state.with_amps(_apply_passive(state.amps, self.matrix, self.trunc))
 
     def unitarity_defect(self) -> float:
@@ -114,6 +113,11 @@ class UnitaryOperator:
         )
 
     def as_matrix(self) -> np.ndarray:
+        """The dense Fock matrix; refused before the identity is allocated
+        when it and the rotation's peak on it exceed the memory limit."""
+        eye_bytes = 16 * self.trunc.dim**2
+        need = eye_bytes + _passive_need(eye_bytes, self.trunc.n_total_max, self.trunc)
+        _require_memory(need, f"the dense matrix of a passive unitary needs about {need:.3g} bytes")
         # row i of the transformed identity is U e_i, i.e. column i of U
         eye = np.eye(self.trunc.dim, dtype=np.complex128)
         return _apply_passive(eye, self.matrix, self.trunc).T
@@ -123,6 +127,21 @@ def _unitarity_defect(blocks) -> float:
     """max |B+ B - 1| over square blocks; 0 for none."""
     return max((float(np.max(np.abs(b.conj().T @ b - np.eye(len(b))))) for b in blocks),
                default=0.0)
+
+
+def _passive_need(nbytes: int, top: int, trunc: Truncation) -> int:
+    """Peak heap bytes of ``_apply_passive`` on ``nbytes`` of amplitudes
+    whose rotation stops at block ``top``, beyond the input itself.
+
+    Measured by tracemalloc at nmax 40-500 on batches of 1 to 16 states of
+    16 dim bytes each, and on the identity up to nmax 100: the phased copy of the input and its transpose x peak
+    at 2 nbytes; x with the d blocks in flight at nbytes plus about 6.2
+    blocks of 8 (top + 1)^2 bytes; x with the closing phase at nbytes plus
+    two states.  jz holds half a state throughout, and 64 KiB covers the
+    fixed overhead that dominates below nmax 40.  The bound lies above every
+    measured peak, and within 1.5 times it from nmax 100 up.
+    """
+    return nbytes + max(nbytes, 50 * (top + 1) ** 2) + 40 * trunc.dim + 2**16
 
 
 def _small_d(beta: float, n_total_max: int):
@@ -187,15 +206,17 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
     takes one real matmul on the float view of the amplitudes, as
     ``_small_d`` produces it, and is dropped after use.
 
-    The rotation conserves N, so a block's weight is the same before and
-    after it.  With top the highest N whose tail (the squared norm of blocks
-    N..nmax, summed over the batch) exceeds WEIGHT_FLOOR**2, only d_0..d_top
-    are built; the blocks above top keep their amplitudes and still get both
+    The rotation conserves N, and the diagonal phases keep every modulus,
+    so a block's weight can be read from arr before anything is rotated.
+    With top the highest N whose tail (the squared norm of blocks N..nmax,
+    summed over the batch) exceeds WEIGHT_FLOOR**2, only d_0..d_top are
+    built; the blocks above top keep their amplitudes and still get both
     diagonal phases.  The map applied is therefore exactly unitary, and it
     differs from the full rotation only on blocks of norm at most
     WEIGHT_FLOOR, so the output moves by at most 2 WEIGHT_FLOOR in 2-norm.
     ``as_matrix`` passes the identity, which weights every block, so it
-    builds them all.
+    builds them all.  The peak that top implies, ``_passive_need``, is
+    checked against the memory limit before the rotated copy is built.
     """
     if not np.isfinite(m).all():  # a non-finite angle, refused before any block is built
         raise ValueError("one-phonon matrix has non-finite amplitudes")
@@ -207,13 +228,17 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
     jz = 0.5 * (ms - ns)
     if beta == 0.0:
         return arr * np.exp(1j * (delta * (ms + ns) + 2.0 * s * jz))
+    rows = arr.reshape(-1, trunc.dim)
+    weight = np.einsum("ij,ij->j", rows.real, rows.real)
+    weight += np.einsum("ij,ij->j", rows.imag, rows.imag)
+    weight = np.add.reduceat(weight, trunc.flat(0, np.arange(trunc.n_total_max + 1)))
+    tail = np.cumsum(weight[::-1])[::-1]  # tail[N]: squared norm of blocks N..nmax
+    top = max(int(np.count_nonzero(tail > WEIGHT_FLOOR**2)) - 1, 0)
+    need = _passive_need(arr.nbytes, top, trunc)
+    _require_memory(need, f"a passive rotation up to N = {top} needs about {need:.3g} bytes")
     # (dim, batch) with contiguous rows, so each block is one contiguous slab.
     x = np.ascontiguousarray((arr * np.exp(1j * (s - d) * jz)).reshape(-1, trunc.dim).T)
     flat = x.view(np.float64)
-    totals = np.arange(trunc.n_total_max + 1)
-    weight = np.add.reduceat(np.einsum("ij,ij->i", flat, flat), totals * (totals + 1) // 2)
-    tail = np.cumsum(weight[::-1])[::-1]  # tail[N]: squared norm of blocks N..nmax
-    top = max(int(np.count_nonzero(tail > WEIGHT_FLOOR**2)) - 1, 0)
     for total, block in enumerate(_small_d(beta, top)):
         sl = trunc.block(total)
         x[sl] = (block @ flat[sl]).view(np.complex128)
@@ -243,8 +268,7 @@ def beam_splitter(kind: str, theta: float, trunc: Truncation) -> UnitaryOperator
 
 def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
     """exp(+i phi a+ a) on mode ``c`` or exp(+i phi b+ b) on mode ``r``."""
-    if mode not in ("c", "r"):
-        raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
+    _require_mode(mode)
     e = cmath.exp(1j * phi)
     m = np.diag([e, 1.0] if mode == "c" else [1.0, e])
     return UnitaryOperator(trunc, m)
@@ -284,11 +308,8 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     With ion 2 prepared in |g> this realizes the plain phase shifter at
     phi = chi_t / 2.
     """
-    if mode not in ("c", "r"):
-        raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
+    k = js.trunc.phonons(mode)
     axis = js.axis_of(2)
-    ms, ns = js.trunc.mode_numbers()
-    k = ms if mode == "c" else ns
     a = np.moveaxis(js.amps, axis, 0).copy()
     a[0] = a[0] * np.exp(0.5j * chi_t * k)
     a[1] = a[1] * np.exp(-1.5j * chi_t * k)
@@ -316,23 +337,29 @@ def carrier_half_pulse(js: JointState) -> JointState:
 
 def dense_annihilation(trunc: Truncation, mode: str) -> np.ndarray:
     """Dense annihilation matrix of one mode on the triangular basis."""
-    if mode not in ("c", "r"):
-        raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
+    k = trunc.phonons(mode)
     ms, ns = trunc.mode_numbers()
-    k = ms if mode == "c" else ns
     cols = np.flatnonzero(k)
-    # |m, n> lowers to |m - 1, n> or |m, n - 1>, whose flat index is
-    # t(t + 1)/2 + m' with t = m + n - 1 and m' its first-mode number
-    total = ms[cols] + ns[cols] - 1
-    rows = total * (total + 1) // 2 + ms[cols] - (1 if mode == "c" else 0)
-    out = np.zeros((trunc.dim, trunc.dim), dtype=np.complex128)
+    # |m, n> lowers to |m - 1, n> (mode c) or |m, n - 1> (mode r)
+    rows = trunc.flat(ms[cols] - (mode == "c"), ns[cols] - (mode == "r"))
+    out = _dense_zeros(trunc.dim)
     out[rows, cols] = np.sqrt(k[cols])
     return out
 
 
 def dense_number(trunc: Truncation, mode: str) -> np.ndarray:
-    ms, ns = trunc.mode_numbers()
-    return np.diag((ms if mode == "c" else ns).astype(np.complex128))
+    k = trunc.phonons(mode)
+    out = _dense_zeros(trunc.dim)
+    np.fill_diagonal(out, k)
+    return out
+
+
+def _dense_zeros(side: int) -> np.ndarray:
+    """A complex side x side zero matrix, refused before it is allocated
+    when its 16 side^2 bytes exceed the memory limit."""
+    need = 16 * side**2
+    _require_memory(need, f"a dense {side} x {side} matrix needs {need:.3g} bytes")
+    return np.zeros((side, side), dtype=np.complex128)
 
 
 def _dense_hops(trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:

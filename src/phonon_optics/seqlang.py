@@ -136,13 +136,6 @@ def parse_angle(text: str) -> Angle:
     return Angle.from_value(value)
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    col_start: int
-    col_end: int
-
-
 @dataclass
 class Statement:
     verb: str
@@ -152,7 +145,7 @@ class Statement:
 @dataclass
 class PulseProgram:
     statements: list[Statement]
-    source_spans: list[SourceSpan]
+    lines: list[int]  # the source line of each statement
 
     @property
     def nmax(self) -> int:
@@ -333,7 +326,7 @@ def _tokenize(text: str) -> list[list[_Token]]:
 def parse(text: str) -> PulseProgram:
     """Parse program text; raises ParseError with line and column on failure."""
     statements: list[Statement] = []
-    spans: list[SourceSpan] = []
+    lines: list[int] = []
     for tokens in _tokenize(text):
         line = tokens[0].line
         stmt = _parse_statement(tokens, line)
@@ -342,10 +335,10 @@ def parse(text: str) -> PulseProgram:
         if stmt.verb != "init" and not statements:
             raise ParseError(line, tokens[0].col, "the program must start with 'init'")
         statements.append(stmt)
-        spans.append(SourceSpan(line, tokens[0].col, tokens[-1].end))
+        lines.append(line)
     if not statements:
         raise ParseError(1, 1, "empty program: missing 'init'")
-    return PulseProgram(statements, spans)
+    return PulseProgram(statements, lines)
 
 
 def parse_state_spec(spec: str, nmax_override: int | None = None) -> MotionalState:
@@ -453,8 +446,7 @@ def execute(program: PulseProgram) -> ExecutionResult:
     state: MotionalState | None = None
     run: UnitaryOperator | None = None  # the pending passive statements, folded
     run_line = 0
-    for idx, (stmt, span) in enumerate(zip(program.statements, program.source_spans)):
-        line = span.line
+    for idx, (stmt, line) in enumerate(zip(program.statements, program.lines)):
         try:
             if stmt.verb == "init":
                 state = _build_initial_state(stmt.args, line)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from phonon_optics.seqlang import Angle, PulseProgram, SourceSpan, Statement
+from phonon_optics.seqlang import Angle, PulseProgram, Statement
 
 
 def random_angle(rng):
@@ -58,5 +58,4 @@ def random_program(rng) -> PulseProgram:
         else:
             args = {}
         statements.append(Statement(verb, args))
-    spans = [SourceSpan(i + 1, 1, 1) for i in range(len(statements))]
-    return PulseProgram(statements, spans)
+    return PulseProgram(statements, list(range(1, len(statements) + 1)))

@@ -9,6 +9,7 @@ from phonon_optics import (
     QubitState,
     SignalTrace,
     Truncation,
+    conditional_phase,
     default_times,
     direct_mean_phonon,
     jcm_propagate,
@@ -16,21 +17,24 @@ from phonon_optics import (
     joint_state,
     jz_from_methods,
     level_sets,
+    make_cat,
     make_coherent,
     make_fock,
     mz_output,
     number_distributions,
+    phase_shifter,
     reconstruct_single,
     reconstruct_two,
     signal,
     truncation_for_coherent,
 )
-from phonon_optics.detection import _SIGNAL_CHUNK
+from phonon_optics.detection import _SIGNAL_CHUNK, _jcm_tables
 from phonon_optics.operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     WEIGHT_FLOOR,
     dense_annihilation,
+    dense_number,
     expm_oracle,
 )
 
@@ -103,6 +107,20 @@ def test_jcm_unitary_properties():
     assert np.max(np.abs(m.conj().T @ m - np.eye(2 * t.dim))) < 1e-12
 
 
+@pytest.mark.parametrize("kind, mode, dm, dn", [
+    ("single", "c", 1, 0), ("single", "r", 0, 1), ("two", "c", 1, 1),
+])
+def test_jcm_tables_pair_each_state_with_its_lowered_partner(kind, mode, dm, dn):
+    # |g, m, n> couples to |e, m - dm, n - dn> with Rabi factor sqrt(m^dm n^dn)
+    for nmax in (0, 1, 5, 30):
+        t = Truncation(nmax)
+        ms, ns = t.mode_numbers()
+        pairs = [(t.index(m, n), t.index(m - dm, n - dn), math.sqrt(m**dm * n**dn))
+                 for m, n in zip(ms.tolist(), ns.tolist()) if m >= dm and n >= dn]
+        g_idx, e_idx, root = _jcm_tables(nmax, kind, mode)
+        assert list(zip(g_idx.tolist(), e_idx.tolist(), root.tolist())) == pairs
+
+
 @pytest.mark.parametrize("kind,mode", [("single", "c"), ("single", "r"), ("two", "c")])
 def test_jcm_matches_dense_hamiltonian(kind, mode):
     t = Truncation(5)
@@ -169,11 +187,29 @@ def test_signal_trace_validation():
         SignalTrace(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 1.0, "both")
 
 
-def test_signal_trace_rejects_unknown_mode_and_bad_coupling():
-    t = Truncation(3)
+def _ion2_ground(t):
+    return joint_state(make_fock(1, 0, t), ion2=QubitState.ground())
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: make_cat(1.0, "even", "x", t),
+    lambda t: phase_shifter("x", 0.3, t),
+    lambda t: conditional_phase("x", 0.3, _ion2_ground(t)),
+    lambda t: dense_annihilation(t, "x"),
+    lambda t: dense_number(t, "x"),
+    lambda t: jcm_unitary(1.0, 0.5, t, "single", "x"),
+    lambda t: SignalTrace(np.linspace(0.0, 1.0, 8), np.ones(8), 1.0, "single", "x"),
+    lambda t: signal(make_fock(1, 0, t), 1.0, np.linspace(0.0, 1.0, 8), "single", "x"),
+    lambda t: direct_mean_phonon(make_fock(1, 0, t), 1e-3, 1.0, "x"),
+], ids=["make_cat", "phase_shifter", "conditional_phase", "dense_annihilation",
+        "dense_number", "jcm_unitary", "SignalTrace", "signal", "direct_mean_phonon"])
+def test_every_function_taking_a_mode_rejects_an_unknown_one(call):
+    with pytest.raises(ValueError, match="mode must be 'c' or 'r', got 'x'"):
+        call(Truncation(3))
+
+
+def test_signal_trace_rejects_bad_coupling():
     times = np.linspace(0.0, 1.0, 8)
-    with pytest.raises(ValueError, match="mode must be 'c' or 'r'"):
-        signal(make_fock(1, 0, t), 1.0, times, "single", "x")
     for coupling in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="coupling must be finite and positive"):
             SignalTrace(times, np.ones(8), coupling, "single")

@@ -93,6 +93,23 @@ def test_truncation_index_ordering():
         assert t.index(int(m), int(n)) == i
 
 
+def test_flat_index_block_and_mode_numbers_share_one_layout():
+    # an independent enumeration of the (total, m) order, against every
+    # function that reads the layout
+    for nmax in range(31):
+        t = Truncation(nmax)
+        pairs = [(m, total - m) for total in range(nmax + 1) for m in range(total + 1)]
+        assert t.dim == len(pairs)
+        ms, ns = t.mode_numbers()
+        assert list(zip(ms.tolist(), ns.tolist())) == pairs
+        assert [t.index(m, n) for m, n in pairs] == list(range(t.dim))
+        m_arr, n_arr = np.array(pairs).T
+        assert t.flat(m_arr, n_arr).tolist() == list(range(t.dim))
+        for total in range(nmax + 1):
+            block = [pairs[i] for i in range(t.dim)[t.block(total)]]
+            assert block == [(m, total - m) for m in range(total + 1)]
+
+
 def test_make_fock_basic():
     t = Truncation(4)
     s = make_fock(1, 0, t)

@@ -16,6 +16,7 @@ from phonon_optics import (
     dense_annihilation,
     dense_jx,
     dense_jy,
+    dense_jz,
     dense_number,
     expm_oracle,
     fidelity,
@@ -192,6 +193,72 @@ def test_absurd_cutoff_is_refused_before_allocating(monkeypatch):
     # where no limit is known, nothing is refused
     monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: None)
     assert Truncation(6).dim == 28
+
+
+def _traced_peak(call):
+    """Peak heap bytes traced while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: beam_splitter("b1", 0.3, t).as_matrix(),
+    lambda t: beam_splitter("b1", 0.3, t).unitarity_defect(),
+    lambda t: jcm_unitary(1.0, 0.5, t, "single").as_matrix(),
+    lambda t: dense_annihilation(t, "c"),
+    lambda t: dense_number(t, "r"),
+    lambda t: dense_jx(t),
+    lambda t: dense_jz(t),
+], ids=["as_matrix", "unitarity_defect", "jcm_as_matrix", "dense_annihilation",
+        "dense_number", "dense_jx", "dense_jz"])
+def test_dense_matrices_are_refused_before_allocating(monkeypatch, build):
+    # at nmax 40 (dim 861) one dense matrix takes 11.9 MB, above a 10 MB limit
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: 10**7)
+    t = Truncation(40)
+
+    def refused():
+        with pytest.raises(ValueError, match="memory limit"):
+            build(t)
+
+    assert _traced_peak(refused) < 2**20
+    # at nmax 10 (dim 66) everything fits
+    build(Truncation(10))
+
+
+def test_passive_rotation_peak_is_refused_before_allocating(monkeypatch):
+    # nmax 300: the state arrays (2.2 MB) fit in 4 MB.  Rotating every block
+    # of |0, 300> needs about 7.1 MB; |1, 0> stops at block 1 and needs 3.3 MB.
+    t = Truncation(300)
+    u = beam_splitter("b1", 0.3, t)
+    heavy, light = make_fock(0, 300, t), make_fock(1, 0, t)
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: 4 * 10**6)
+
+    def refused():
+        with pytest.raises(ValueError, match=r"rotation up to N = 300 needs about 7.14e\+06 bytes"):
+            apply(u, heavy)
+
+    # only per-basis arrays (jz, the block weights) precede the check; the
+    # rotation itself would peak near 7.7 states
+    assert _traced_peak(refused) < 3 * heavy.amps.nbytes
+    assert abs(apply(u, light).amplitude(1, 0)) == pytest.approx(math.cos(0.15))
+
+
+@pytest.mark.parametrize("nmax, top, batch", [(100, 100, 1), (300, 300, 1), (300, 40, 1),
+                                              (100, 100, 4), (20, 20, 231)])
+def test_passive_preflight_bounds_the_measured_peak(nmax, top, batch):
+    t = Truncation(nmax)
+    rng = np.random.default_rng(nmax + top + batch)
+    arr = np.zeros((batch, t.dim), dtype=np.complex128)
+    low = t.block(top).stop
+    arr[:, :low] = rng.normal(size=(batch, low)) + 1j * rng.normal(size=(batch, low))
+    t.mode_numbers()  # cached, like every state's
+    m = operators._splitter("b2", 0.7) @ np.diag([np.exp(0.4j), 1.0])
+    peak = _traced_peak(lambda: operators._apply_passive(arr, m, t))
+    assert peak <= operators._passive_need(arr.nbytes, top, t)
 
 
 def test_applying_a_splitter_keeps_no_rotation_block():
