@@ -16,11 +16,18 @@ digits so a reader can reproduce them exactly.
 Every artifact format lives on the record that owns its fields, as its
 ``to_csv`` or ``to_json``; this module only names the files and routes
 each record to one.
+
+Run as a program (``python -m phonon_optics.cli`` or the ``phonon-optics``
+script, both of which call ``main()`` without arguments), ``main`` first
+calls ``gc.freeze()``: the objects the imports created live until exit, so
+the collector, and the collections at interpreter shutdown, skip them.  A
+call ``main(argv)`` from Python leaves its host's collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import re
 import sys
@@ -207,9 +214,12 @@ def cmd_detect(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
+        # The import heap lives until exit, so the collector and the
+        # shutdown collections need not walk it again.
+        gc.freeze()
         argv = sys.argv[1:]
+    parser = build_parser()
     args = parser.parse_args(_attach_negative_angles(list(argv)))
     try:
         return args.handler(args)

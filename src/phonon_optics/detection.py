@@ -323,6 +323,7 @@ def signal(
     sum is at most WEIGHT_FLOOR**2, get no column in the cosine table, so
     each sample moves by at most WEIGHT_FLOOR**2 / 2.
     """
+    _require_mode(mode)
     times = np.ascontiguousarray(times, dtype=np.float64)
     if kind == "single":
         dist = number_distributions(out_state)
@@ -461,6 +462,7 @@ def direct_mean_phonon(
     conditional phase, sigma_x expectation) and checks it against the exact
     diagonal form -<sin(2 chi t n)> to 1e-12 before linearizing.
     """
+    _require_mode(mode)
     chi_t = chi * t
     if not (math.isfinite(chi_t) and chi_t > 0.0):
         raise ValueError(f"chi * t must be finite and positive, got {chi_t!r}")

@@ -362,9 +362,19 @@ def _dense_zeros(side: int) -> np.ndarray:
     return np.zeros((side, side), dtype=np.complex128)
 
 
+def _require_dense(count: int, side: int) -> None:
+    """Refuse, before anything is allocated, a build that holds ``count``
+    complex side x side matrices at once, 16 side^2 bytes each."""
+    need = 16 * count * side**2
+    _require_memory(need, f"{count} dense {side} x {side} matrices at once need {need:.3g} bytes")
+
+
 def _dense_hops(trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
     # a+ b and a b+ conserve the total, so composing lowering-first keeps
-    # every intermediate inside the triangular basis.
+    # every intermediate inside the triangular basis.  The second product
+    # is built while both annihilators, the first product and a conjugate
+    # transpose are alive: 5 matrices.
+    _require_dense(5, trunc.dim)
     ac = dense_annihilation(trunc, "c")
     ar = dense_annihilation(trunc, "r")
     return ac.conj().T @ ar, ar.conj().T @ ac
@@ -381,6 +391,9 @@ def dense_jy(trunc: Truncation) -> np.ndarray:
 
 
 def dense_jz(trunc: Truncation) -> np.ndarray:
+    # NumPy computes the difference and the product into the first
+    # temporary, so both number matrices are the peak.
+    _require_dense(2, trunc.dim)
     return 0.5 * (dense_number(trunc, "c") - dense_number(trunc, "r"))
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -271,6 +272,29 @@ def test_run_with_splitters_leaves_scipy_unloaded(tmp_path):
     )
     assert done.stdout.strip().splitlines()[-1] == "0 []"
     assert (tmp_path / "split_report4.csv").exists()
+
+
+def test_program_path_freezes_the_import_heap(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import gc, sys; from phonon_optics.cli import main; "
+        "sys.argv = ['phonon-optics', 'sweep', 'fock 1 0 nmax 2', '--points', '2', "
+        "'--out', 'sweep.csv']; "
+        "code = main(); print(code, gc.get_freeze_count() > 0)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True, cwd=tmp_path,
+    )
+    assert done.stdout.splitlines()[-1] == "0 True"
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, "sweep", "fock 1 0 nmax 2", "--points", "2")
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_sweep_bad_state_spec(capsys):

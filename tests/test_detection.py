@@ -203,7 +203,12 @@ def _ion2_ground(t):
     lambda t: direct_mean_phonon(make_fock(1, 0, t), 1e-3, 1.0, "x"),
 ], ids=["make_cat", "phase_shifter", "conditional_phase", "dense_annihilation",
         "dense_number", "jcm_unitary", "SignalTrace", "signal", "direct_mean_phonon"])
-def test_every_function_taking_a_mode_rejects_an_unknown_one(call):
+def test_every_function_taking_a_mode_rejects_an_unknown_one(call, monkeypatch):
+    # the label is refused before any distribution is built
+    def unreachable(state):
+        raise AssertionError("number_distributions ran before the mode check")
+
+    monkeypatch.setattr("phonon_optics.detection.number_distributions", unreachable)
     with pytest.raises(ValueError, match="mode must be 'c' or 'r', got 'x'"):
         call(Truncation(3))
 

@@ -229,6 +229,26 @@ def test_dense_matrices_are_refused_before_allocating(monkeypatch, build):
     build(Truncation(10))
 
 
+@pytest.mark.parametrize("build, peak", [(dense_jx, 5), (dense_jy, 5), (dense_jz, 2)],
+                         ids=["dense_jx", "dense_jy", "dense_jz"])
+def test_dense_peaks_are_refused_before_allocating(monkeypatch, build, peak):
+    # each single matrix fits in a limit half a matrix below the peak, but
+    # the build would hold `peak` of them at once
+    t = Truncation(40)
+    one = 16 * t.dim**2
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes",
+                        lambda: int((peak - 0.5) * one))
+
+    def refused():
+        with pytest.raises(ValueError, match=f"{peak} dense 861 x 861 matrices"):
+            build(t)
+
+    assert _traced_peak(refused) < 2**20
+    # beyond the matrices the build holds only per-basis arrays
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: peak * one)
+    assert _traced_peak(lambda: build(t)) < peak * one + 2**20
+
+
 def test_passive_rotation_peak_is_refused_before_allocating(monkeypatch):
     # nmax 300: the state arrays (2.2 MB) fit in 4 MB.  Rotating every block
     # of |0, 300> needs about 7.1 MB; |1, 0> stops at block 1 and needs 3.3 MB.

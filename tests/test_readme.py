@@ -2,12 +2,16 @@
 
 Each call goes through ``cli.main`` in a temporary directory holding a copy
 of ``demos/``; it must exit 0, and every artifact it names on stdout must
-exist.
+exist.  Each README call also runs as a program, ``python -m
+phonon_optics.cli``, and must print and write the same bytes as in process.
 """
 
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +64,28 @@ def test_readme_command_line_call_runs(line, capsys, in_demo_copy):
     argv = shlex.split(line)[1:]
     named = _run(capsys, argv)
     assert named or argv[0] == "sweep"  # a sweep without --out writes stdout only
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("line", _readme_calls())
+def test_readme_call_as_a_program_matches_in_process(line, capsys, tmp_path, monkeypatch):
+    argv = shlex.split(line)[1:]
+    program, in_process = tmp_path / "program", tmp_path / "in_process"
+    for where in (program, in_process):
+        shutil.copytree(ROOT / "demos", where / "demos")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "phonon_optics.cli", *argv], cwd=program,
+                          env=env, capture_output=True, timeout=120)
+    monkeypatch.chdir(in_process)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert code == 0
+    assert done.stdout == out.encode("utf-8")
+    assert _tree(program) == _tree(in_process)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
