@@ -362,39 +362,38 @@ def _dense_zeros(side: int) -> np.ndarray:
     return np.zeros((side, side), dtype=np.complex128)
 
 
-def _require_dense(count: int, side: int) -> None:
-    """Refuse, before anything is allocated, a build that holds ``count``
-    complex side x side matrices at once, 16 side^2 bytes each."""
-    need = 16 * count * side**2
-    _require_memory(need, f"{count} dense {side} x {side} matrices at once need {need:.3g} bytes")
+def _dense_jxy(trunc: Truncation, weight: complex) -> np.ndarray:
+    """weight a+ b + conj(weight) a b+ as one dense matrix.
 
-
-def _dense_hops(trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
-    # a+ b and a b+ conserve the total, so composing lowering-first keeps
-    # every intermediate inside the triangular basis.  The second product
-    # is built while both annihilators, the first product and a conjugate
-    # transpose are alive: 5 matrices.
-    _require_dense(5, trunc.dim)
-    ac = dense_annihilation(trunc, "c")
-    ar = dense_annihilation(trunc, "r")
-    return ac.conj().T @ ar, ar.conj().T @ ac
+    a+ b |m, n> = sqrt(m + 1) sqrt(n) |m + 1, n - 1>, placed by
+    ``Truncation.flat``, and a b+ is its transpose.  These matrices are the
+    oracle for ``fockspace.expect`` and ``_apply_jx``, so they do not read
+    the hop table those use.
+    """
+    out = _dense_zeros(trunc.dim)
+    ms, ns = trunc.mode_numbers()
+    cols = np.flatnonzero(ns)
+    m, n = ms[cols], ns[cols]
+    rows = trunc.flat(m + 1, n - 1)
+    coef = np.sqrt(m + 1) * np.sqrt(n)
+    out[rows, cols] = weight * coef
+    out[cols, rows] = np.conj(weight) * coef
+    return out
 
 
 def dense_jx(trunc: Truncation) -> np.ndarray:
-    up, down = _dense_hops(trunc)
-    return 0.5 * (up + down)
+    return _dense_jxy(trunc, 0.5)
 
 
 def dense_jy(trunc: Truncation) -> np.ndarray:
-    up, down = _dense_hops(trunc)
-    return (up - down) / 2j
+    return _dense_jxy(trunc, -0.5j)
 
 
 def dense_jz(trunc: Truncation) -> np.ndarray:
-    # NumPy computes the difference and the product into the first
-    # temporary, so both number matrices are the peak.
-    _require_dense(2, trunc.dim)
-    return 0.5 * (dense_number(trunc, "c") - dense_number(trunc, "r"))
+    out = _dense_zeros(trunc.dim)
+    ms, ns = trunc.mode_numbers()
+    np.fill_diagonal(out, 0.5 * (ms - ns))
+    return out
 
 
 @dataclass(frozen=True)

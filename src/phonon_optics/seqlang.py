@@ -11,6 +11,9 @@ Angles are decimal radians or rational multiples of pi: ``pi``, ``pi/2``,
 ``3*pi/4``, ``-pi/3`` and so on (integer numerator and denominator).  All
 other numbers are plain decimal literals.  Exactly one ``init`` statement is
 required and it must come first; verbs and keywords are case insensitive.
+The argument slots of each verb and of each ``init`` state kind live in one
+table, ``_GRAMMAR``, the one home of the grammar above: ``parse`` walks it
+and ``format_program`` writes the arguments back in its order.
 
 ``execute`` threads a motional state through the statements.  ``cphase``
 acts with ion 2 implicitly prepared in |g>, which turns the conditional
@@ -172,52 +175,47 @@ class _LineReader:
         self.verb = verb
         self.verb_end = verb_end
         self.pos = 0
-
-    def _fail_here(self, message: str):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ParseError(self.line, tok.col, message)
-        col = self.tokens[-1].end if self.tokens else self.verb_end
-        raise ParseError(self.line, col, message)
+        self.cols: dict[str, int] = {}  # the column of each slot read, by key
 
     def take(self, what: str) -> _Token:
         if self.pos >= len(self.tokens):
-            self._fail_here(f"'{self.verb}' is missing {what}")
+            col = self.tokens[-1].end if self.tokens else self.verb_end
+            raise ParseError(self.line, col, f"'{self.verb}' is missing {what}")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def take_keyword(self, *options: str) -> str:
-        tok = self.take("one of " + "/".join(options))
-        word = tok.text.lower()
-        if word not in options:
-            raise ParseError(
-                self.line, tok.col, f"expected one of {'/'.join(options)}, got {tok.text!r}"
-            )
-        return word
-
-    def take_int(self, what: str) -> tuple[int, _Token]:
+    def read(self, key: str, kind):
+        """The next token as the slot ``key`` of ``kind``: a tuple of
+        keywords, ``Angle``, ``int`` or ``float``."""
+        keywords = isinstance(kind, tuple)
+        what = "one of " + "/".join(kind) if keywords else "an angle" if kind is Angle else key
         tok = self.take(what)
-        if not _INT_RE.match(tok.text):
-            raise ParseError(self.line, tok.col, f"expected an integer {what}, got {tok.text!r}")
-        return int(tok.text), tok
-
-    def take_float(self, what: str) -> float:
-        tok = self.take(what)
-        try:
-            value = float(tok.text)
-        except ValueError:
-            raise ParseError(self.line, tok.col, f"expected a number for {what}, got {tok.text!r}")
-        if not math.isfinite(value):
-            raise ParseError(self.line, tok.col, f"{what} must be finite, got {tok.text!r}")
-        return value
-
-    def take_angle(self) -> Angle:
-        tok = self.take("an angle")
-        try:
-            return parse_angle(tok.text)
-        except ValueError as exc:
-            raise ParseError(self.line, tok.col, str(exc)) from None
+        text = tok.text
+        self.cols[key] = tok.col
+        if keywords:
+            if text.lower() in kind:
+                return text.lower()
+            message = f"expected {what}, got {text!r}"
+        elif kind is Angle:
+            try:
+                return parse_angle(text)
+            except ValueError as exc:
+                message = str(exc)
+        elif kind is int:
+            if _INT_RE.match(text):
+                return int(text)
+            message = f"expected an integer {key}, got {text!r}"
+        else:
+            try:
+                value = float(text)
+            except ValueError:
+                message = f"expected a number for {key}, got {text!r}"
+            else:
+                if math.isfinite(value):
+                    return value
+                message = f"{key} must be finite, got {text!r}"
+        raise ParseError(self.line, tok.col, message)
 
     def finish(self):
         if self.pos < len(self.tokens):
@@ -227,42 +225,51 @@ class _LineReader:
             )
 
 
-def _parse_init(r: _LineReader) -> dict:
-    kind = r.take_keyword("fock", "coherent", "cat")
-    if kind == "fock":
-        m, m_tok = r.take_int("M")
-        n, n_tok = r.take_int("N")
-        state = ("fock", m, n)
-        index_toks = (m_tok, n_tok)
-    elif kind == "coherent":
-        are = r.take_float("alpha real part")
-        aim = r.take_float("alpha imaginary part")
-        bre = r.take_float("beta real part")
-        bim = r.take_float("beta imaginary part")
-        state = ("coherent", are, aim, bre, bim)
-        index_toks = ()
-    else:
-        are = r.take_float("alpha real part")
-        aim = r.take_float("alpha imaginary part")
-        parity = r.take_keyword("even", "odd")
-        mode = r.take_keyword("c", "r")
-        state = ("cat", are, aim, parity, mode)
-        index_toks = ()
+# The argument grammar, its one home: each verb, and each ``init`` state
+# kind, to its ordered slots (key, kind).  A verb's keys are its ``args``
+# keys; a state's keys name its slots in messages and in ``cols``.
+_GRAMMAR = {
+    "init": {
+        "fock": (("M", int), ("N", int)),
+        "coherent": (
+            ("alpha real part", float), ("alpha imaginary part", float),
+            ("beta real part", float), ("beta imaginary part", float),
+        ),
+        "cat": (
+            ("alpha real part", float), ("alpha imaginary part", float),
+            ("parity", ("even", "odd")), ("mode", ("c", "r")),
+        ),
+    },
+    "bs1": (("theta", Angle),),
+    "bs2": (("theta", Angle),),
+    "ps": (("mode", ("c", "r")), ("angle", Angle)),
+    "cphase": (("mode", ("c", "r")), ("angle", Angle)),
+    "mz": (("phi", Angle),),
+    "jcm": (
+        ("kind", ("single", "two")),
+        ("coupling", float), ("t0", float), ("t1", float), ("nsamples", int),
+    ),
+    "direct": (("mode", ("c", "r")), ("chi_t", float)),
+    "report": (),
+}
 
+
+def _parse_init(r: _LineReader) -> dict:
+    kind = r.read("state", tuple(_GRAMMAR["init"]))
+    state = (kind, *(r.read(key, slot) for key, slot in _GRAMMAR["init"][kind]))
     key = r.take("the keyword 'nmax'")
     if key.text.lower() != "nmax":
         raise ParseError(r.line, key.col, f"expected keyword 'nmax', got {key.text!r}")
-    nmax, nmax_tok = r.take_int("nmax")
+    nmax = r.read("nmax", int)
     if nmax < 0:
-        raise ParseError(r.line, nmax_tok.col, f"nmax must be >= 0, got {nmax}")
+        raise ParseError(r.line, r.cols["nmax"], f"nmax must be >= 0, got {nmax}")
     if kind == "fock":
         m, n = state[1], state[2]
         if m < 0 or n < 0:
-            bad = index_toks[0] if m < 0 else index_toks[1]
-            raise ParseError(r.line, bad.col, "fock indices must be >= 0")
+            raise ParseError(r.line, r.cols["M" if m < 0 else "N"], "fock indices must be >= 0")
         if m + n > nmax:
             raise ParseError(
-                r.line, index_toks[0].col,
+                r.line, r.cols["M"],
                 f"fock state ({m}, {n}) exceeds the truncation: {m} + {n} > nmax = {nmax}",
             )
     return {"state": state, "nmax": nmax}
@@ -271,40 +278,25 @@ def _parse_init(r: _LineReader) -> dict:
 def _parse_statement(tokens: list[_Token], line: int) -> Statement:
     verb_tok = tokens[0]
     verb = verb_tok.text.lower()
+    if verb not in _GRAMMAR:
+        raise ParseError(line, verb_tok.col, f"unknown verb {verb_tok.text!r}")
     r = _LineReader(tokens[1:], line, verb, verb_tok.end)
     if verb == "init":
         args = _parse_init(r)
-    elif verb in ("bs1", "bs2"):
-        args = {"theta": r.take_angle()}
-    elif verb in ("ps", "cphase"):
-        mode = r.take_keyword("c", "r")
-        args = {"mode": mode, "angle": r.take_angle()}
-    elif verb == "mz":
-        args = {"phi": r.take_angle()}
-    elif verb == "jcm":
-        kind = r.take_keyword("single", "two")
-        coupling = r.take_float("coupling")
-        t0 = r.take_float("t0")
-        t1 = r.take_float("t1")
-        nsamples, ns_tok = r.take_int("nsamples")
+    else:
+        args = {key: r.read(key, kind) for key, kind in _GRAMMAR[verb]}
+    if verb == "jcm":
+        coupling, t0, t1, nsamples = (args[k] for k in ("coupling", "t0", "t1", "nsamples"))
         if not coupling > 0:
-            raise ParseError(line, tokens[2].col, f"coupling must be positive, got {coupling}")
+            raise ParseError(line, r.cols["coupling"], f"coupling must be positive, got {coupling}")
         if nsamples < 2:
-            raise ParseError(line, ns_tok.col, f"nsamples must be >= 2, got {nsamples}")
+            raise ParseError(line, r.cols["nsamples"], f"nsamples must be >= 2, got {nsamples}")
         if not t1 > t0:
-            raise ParseError(line, tokens[4].col, f"t1 must exceed t0, got {t0} .. {t1}")
+            raise ParseError(line, r.cols["t1"], f"t1 must exceed t0, got {t0} .. {t1}")
         if not math.isfinite(t1 - t0):
             raise ParseError(
-                line, tokens[3].col, f"time range t1 - t0 must be finite, got {t0} .. {t1}"
+                line, r.cols["t0"], f"time range t1 - t0 must be finite, got {t0} .. {t1}"
             )
-        args = {"kind": kind, "coupling": coupling, "t0": t0, "t1": t1, "nsamples": nsamples}
-    elif verb == "direct":
-        mode = r.take_keyword("c", "r")
-        args = {"mode": mode, "chi_t": r.take_float("chi_t")}
-    elif verb == "report":
-        args = {}
-    else:
-        raise ParseError(line, verb_tok.col, f"unknown verb {verb_tok.text!r}")
     r.finish()
     return Statement(verb, args)
 
@@ -474,30 +466,23 @@ def execute(program: PulseProgram) -> ExecutionResult:
     return ExecutionResult(_apply_run(run, state, run_line), records)
 
 
+def _text(value) -> str:
+    """An argument's canonical text; a state tuple is its words in order."""
+    if isinstance(value, Angle):
+        return value.text()
+    if isinstance(value, tuple):
+        return " ".join(map(_text, value))
+    return str(value)
+
+
 def _format_statement(stmt: Statement) -> str:
-    if stmt.verb == "init":
-        state = stmt.args["state"]
-        if state[0] == "fock":
-            body = f"fock {state[1]} {state[2]}"
-        elif state[0] == "coherent":
-            body = "coherent " + " ".join(repr(x) for x in state[1:])
-        else:
-            body = f"cat {state[1]!r} {state[2]!r} {state[3]} {state[4]}"
-        return f"init {body} nmax {stmt.args['nmax']}"
-    if stmt.verb in ("bs1", "bs2"):
-        return f"{stmt.verb} {stmt.args['theta'].text()}"
-    if stmt.verb in ("ps", "cphase"):
-        return f"{stmt.verb} {stmt.args['mode']} {stmt.args['angle'].text()}"
-    if stmt.verb == "mz":
-        return f"mz {stmt.args['phi'].text()}"
-    if stmt.verb == "jcm":
-        a = stmt.args
-        return (
-            f"jcm {a['kind']} {a['coupling']!r} {a['t0']!r} {a['t1']!r} {a['nsamples']}"
-        )
-    if stmt.verb == "direct":
-        return f"direct {stmt.args['mode']} {stmt.args['chi_t']!r}"
-    return "report"
+    """The verb, then each argument's text; ``nmax`` follows its keyword."""
+    words = [stmt.verb]
+    for key, value in stmt.args.items():
+        if key == "nmax":
+            words.append(key)
+        words.append(_text(value))
+    return " ".join(words)
 
 
 def format_program(program: PulseProgram) -> str:

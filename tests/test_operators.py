@@ -212,9 +212,10 @@ def _traced_peak(call):
     lambda t: dense_annihilation(t, "c"),
     lambda t: dense_number(t, "r"),
     lambda t: dense_jx(t),
+    lambda t: dense_jy(t),
     lambda t: dense_jz(t),
 ], ids=["as_matrix", "unitarity_defect", "jcm_as_matrix", "dense_annihilation",
-        "dense_number", "dense_jx", "dense_jz"])
+        "dense_number", "dense_jx", "dense_jy", "dense_jz"])
 def test_dense_matrices_are_refused_before_allocating(monkeypatch, build):
     # at nmax 40 (dim 861) one dense matrix takes 11.9 MB, above a 10 MB limit
     monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: 10**7)
@@ -229,24 +230,23 @@ def test_dense_matrices_are_refused_before_allocating(monkeypatch, build):
     build(Truncation(10))
 
 
-@pytest.mark.parametrize("build, peak", [(dense_jx, 5), (dense_jy, 5), (dense_jz, 2)],
+@pytest.mark.parametrize("build", [dense_jx, dense_jy, dense_jz],
                          ids=["dense_jx", "dense_jy", "dense_jz"])
-def test_dense_peaks_are_refused_before_allocating(monkeypatch, build, peak):
-    # each single matrix fits in a limit half a matrix below the peak, but
-    # the build would hold `peak` of them at once
+def test_dense_peaks_are_refused_before_allocating(monkeypatch, build):
+    # each build holds one dense matrix: a byte short of it is refused,
+    # and at exactly one matrix it builds
     t = Truncation(40)
     one = 16 * t.dim**2
-    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes",
-                        lambda: int((peak - 0.5) * one))
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: one - 1)
 
     def refused():
-        with pytest.raises(ValueError, match=f"{peak} dense 861 x 861 matrices"):
+        with pytest.raises(ValueError, match="a dense 861 x 861 matrix needs"):
             build(t)
 
     assert _traced_peak(refused) < 2**20
-    # beyond the matrices the build holds only per-basis arrays
-    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: peak * one)
-    assert _traced_peak(lambda: build(t)) < peak * one + 2**20
+    # beyond the matrix the build holds only per-basis arrays
+    monkeypatch.setattr("phonon_optics.fockspace._memory_limit_bytes", lambda: one)
+    assert _traced_peak(lambda: build(t)) < one + 2**20
 
 
 def test_passive_rotation_peak_is_refused_before_allocating(monkeypatch):

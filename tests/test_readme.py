@@ -4,6 +4,7 @@ Each call goes through ``cli.main`` in a temporary directory holding a copy
 of ``demos/``; it must exit 0, and every artifact it names on stdout must
 exist.  Each README call also runs as a program, ``python -m
 phonon_optics.cli``, and must print and write the same bytes as in process.
+The README's grammar of the pulse language is the ``seqlang`` docstring's.
 """
 
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from phonon_optics import seqlang
 from phonon_optics.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,3 +95,57 @@ def test_readme_call_as_a_program_matches_in_process(line, capsys, tmp_path, mon
 def test_demo_program_runs(demo, fmt, capsys, in_demo_copy):
     named = _run(capsys, ["run", f"demos/{demo}", "--format", fmt, "--out", "artifacts"])
     assert named and all(path.suffix == f".{fmt}" for path in named)
+
+
+# one canonical statement for each verb the grammar names
+_EXAMPLES = {
+    "init": "init cat 1.5 0.0 odd c nmax 30",
+    "bs1": "bs1 pi/2",
+    "bs2": "bs2 0.25",
+    "ps": "ps r -pi/4",
+    "cphase": "cphase c 2*pi",
+    "mz": "mz pi/3",
+    "jcm": "jcm two 0.5 0.0 12.0 64",
+    "direct": "direct r 0.001",
+    "report": "report",
+}
+
+
+def _readme_grammar() -> list[str]:
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\nGrammar, ", 1)[1]
+    return section.split("```text\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def _docstring_grammar() -> list[str]:
+    """The first run of indented lines in the ``seqlang`` docstring."""
+    lines = seqlang.__doc__.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("    "))
+    block = []
+    for line in lines[start:]:
+        if not line.startswith("    "):
+            break
+        block.append(line[4:])
+    return block
+
+
+def _verbs(grammar: list[str]) -> list[str]:
+    """The first word of each top-level alternative, groups removed."""
+    verbs = []
+    for line in grammar:
+        while (flat := re.sub(r"\([^()]*\)", "", line)) != line:
+            line = flat
+        verbs += [alt.split()[0] for alt in line.split(" | ")]
+    return verbs
+
+
+def test_readme_grammar_is_the_module_grammar():
+    assert _readme_grammar() == _docstring_grammar()
+    assert _verbs(_readme_grammar()) == list(_EXAMPLES) == list(seqlang._GRAMMAR)
+
+
+@pytest.mark.parametrize("verb", list(_EXAMPLES))
+def test_each_grammar_verb_has_an_example_that_parses(verb):
+    text = _EXAMPLES[verb] if verb == "init" else f"init fock 0 0 nmax 2\n{_EXAMPLES[verb]}"
+    program = seqlang.parse(text)
+    assert program.statements[-1].verb == verb
+    assert seqlang.format_program(program) == text + "\n"

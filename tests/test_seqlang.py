@@ -132,6 +132,144 @@ def test_jcm_coupling_must_be_positive(coupling):
     assert exc_info.value.col == 12
 
 
+# Each slot of each verb and init kind: cut the statement before it, drop it,
+# or put a token of another kind in its place.  The init kinds stand alone on
+# line 1; every other verb follows a fixed init on line 2.
+_CANONICAL = {
+    "fock": "init fock 1 0 nmax 4",
+    "coherent": "init coherent 0.5 -0.25 2 0 nmax 20",
+    "cat": "init cat 1.5 0 odd c nmax 30",
+    "bs1": "bs1 pi/2",
+    "bs2": "bs2 0.25",
+    "ps": "ps r -pi/4",
+    "cphase": "cphase c 2*pi",
+    "mz": "mz pi/3",
+    "jcm": "jcm two 0.5 0.0 12.0 64",
+    "direct": "direct r 0.001",
+}
+
+
+@pytest.mark.parametrize(
+    "name, slot, edit, expected",
+    [
+    ('fock', 1, 'cut', (1, 5, "'init' is missing one of fock/coherent/cat")),
+    ('fock', 1, 'drop', (1, 6, "expected one of fock/coherent/cat, got '1'")),
+    ('fock', 1, '1.5', (1, 6, "expected one of fock/coherent/cat, got '1.5'")),
+    ('fock', 2, 'cut', (1, 10, "'init' is missing M")),
+    ('fock', 2, 'drop', (1, 13, "expected an integer N, got 'nmax'")),
+    ('fock', 2, '1.5', (1, 11, "expected an integer M, got '1.5'")),
+    ('fock', 3, 'cut', (1, 12, "'init' is missing N")),
+    ('fock', 3, 'drop', (1, 13, "expected an integer N, got 'nmax'")),
+    ('fock', 3, '1.5', (1, 13, "expected an integer N, got '1.5'")),
+    ('fock', 4, 'cut', (1, 14, "'init' is missing the keyword 'nmax'")),
+    ('fock', 4, 'drop', (1, 15, "expected keyword 'nmax', got '4'")),
+    ('fock', 4, '1.5', (1, 15, "expected keyword 'nmax', got '1.5'")),
+    ('fock', 5, 'cut', (1, 19, "'init' is missing nmax")),
+    ('fock', 5, 'drop', (1, 19, "'init' is missing nmax")),
+    ('fock', 5, '1.5', (1, 20, "expected an integer nmax, got '1.5'")),
+    ('coherent', 1, 'cut', (1, 5, "'init' is missing one of fock/coherent/cat")),
+    ('coherent', 1, 'drop', (1, 6, "expected one of fock/coherent/cat, got '0.5'")),
+    ('coherent', 1, '1.5', (1, 6, "expected one of fock/coherent/cat, got '1.5'")),
+    ('coherent', 2, 'cut', (1, 14, "'init' is missing alpha real part")),
+    ('coherent', 2, 'drop', (1, 25, "expected a number for beta imaginary part, got 'nmax'")),
+    ('coherent', 2, 'pi', (1, 15, "expected a number for alpha real part, got 'pi'")),
+    ('coherent', 3, 'cut', (1, 18, "'init' is missing alpha imaginary part")),
+    ('coherent', 3, 'drop', (1, 23, "expected a number for beta imaginary part, got 'nmax'")),
+    ('coherent', 3, 'pi', (1, 19, "expected a number for alpha imaginary part, got 'pi'")),
+    ('coherent', 4, 'cut', (1, 24, "'init' is missing beta real part")),
+    ('coherent', 4, 'drop', (1, 27, "expected a number for beta imaginary part, got 'nmax'")),
+    ('coherent', 4, 'pi', (1, 25, "expected a number for beta real part, got 'pi'")),
+    ('coherent', 5, 'cut', (1, 26, "'init' is missing beta imaginary part")),
+    ('coherent', 5, 'drop', (1, 27, "expected a number for beta imaginary part, got 'nmax'")),
+    ('coherent', 5, 'pi', (1, 27, "expected a number for beta imaginary part, got 'pi'")),
+    ('coherent', 6, 'cut', (1, 28, "'init' is missing the keyword 'nmax'")),
+    ('coherent', 6, 'drop', (1, 29, "expected keyword 'nmax', got '20'")),
+    ('coherent', 6, '1.5', (1, 29, "expected keyword 'nmax', got '1.5'")),
+    ('coherent', 7, 'cut', (1, 33, "'init' is missing nmax")),
+    ('coherent', 7, 'drop', (1, 33, "'init' is missing nmax")),
+    ('coherent', 7, '1.5', (1, 34, "expected an integer nmax, got '1.5'")),
+    ('cat', 1, 'cut', (1, 5, "'init' is missing one of fock/coherent/cat")),
+    ('cat', 1, 'drop', (1, 6, "expected one of fock/coherent/cat, got '1.5'")),
+    ('cat', 1, '1.5', (1, 6, "expected one of fock/coherent/cat, got '1.5'")),
+    ('cat', 2, 'cut', (1, 9, "'init' is missing alpha real part")),
+    ('cat', 2, 'drop', (1, 12, "expected a number for alpha imaginary part, got 'odd'")),
+    ('cat', 2, 'pi', (1, 10, "expected a number for alpha real part, got 'pi'")),
+    ('cat', 3, 'cut', (1, 13, "'init' is missing alpha imaginary part")),
+    ('cat', 3, 'drop', (1, 14, "expected a number for alpha imaginary part, got 'odd'")),
+    ('cat', 3, 'pi', (1, 14, "expected a number for alpha imaginary part, got 'pi'")),
+    ('cat', 4, 'cut', (1, 15, "'init' is missing one of even/odd")),
+    ('cat', 4, 'drop', (1, 16, "expected one of even/odd, got 'c'")),
+    ('cat', 4, '1.5', (1, 16, "expected one of even/odd, got '1.5'")),
+    ('cat', 5, 'cut', (1, 19, "'init' is missing one of c/r")),
+    ('cat', 5, 'drop', (1, 20, "expected one of c/r, got 'nmax'")),
+    ('cat', 5, '1.5', (1, 20, "expected one of c/r, got '1.5'")),
+    ('cat', 6, 'cut', (1, 21, "'init' is missing the keyword 'nmax'")),
+    ('cat', 6, 'drop', (1, 22, "expected keyword 'nmax', got '30'")),
+    ('cat', 6, '1.5', (1, 22, "expected keyword 'nmax', got '1.5'")),
+    ('cat', 7, 'cut', (1, 26, "'init' is missing nmax")),
+    ('cat', 7, 'drop', (1, 26, "'init' is missing nmax")),
+    ('cat', 7, '1.5', (1, 27, "expected an integer nmax, got '1.5'")),
+    ('bs1', 1, 'cut', (2, 4, "'bs1' is missing an angle")),
+    ('bs1', 1, 'drop', (2, 4, "'bs1' is missing an angle")),
+    ('bs1', 1, 'c', (2, 5, "expected an angle (decimal radians or a pi fraction), got 'c'")),
+    ('bs2', 1, 'cut', (2, 4, "'bs2' is missing an angle")),
+    ('bs2', 1, 'drop', (2, 4, "'bs2' is missing an angle")),
+    ('bs2', 1, 'c', (2, 5, "expected an angle (decimal radians or a pi fraction), got 'c'")),
+    ('ps', 1, 'cut', (2, 3, "'ps' is missing one of c/r")),
+    ('ps', 1, 'drop', (2, 4, "expected one of c/r, got '-pi/4'")),
+    ('ps', 1, '1.5', (2, 4, "expected one of c/r, got '1.5'")),
+    ('ps', 2, 'cut', (2, 5, "'ps' is missing an angle")),
+    ('ps', 2, 'drop', (2, 5, "'ps' is missing an angle")),
+    ('ps', 2, 'c', (2, 6, "expected an angle (decimal radians or a pi fraction), got 'c'")),
+    ('cphase', 1, 'cut', (2, 7, "'cphase' is missing one of c/r")),
+    ('cphase', 1, 'drop', (2, 8, "expected one of c/r, got '2*pi'")),
+    ('cphase', 1, '1.5', (2, 8, "expected one of c/r, got '1.5'")),
+    ('cphase', 2, 'cut', (2, 9, "'cphase' is missing an angle")),
+    ('cphase', 2, 'drop', (2, 9, "'cphase' is missing an angle")),
+    ('cphase', 2, 'c', (2, 10, "expected an angle (decimal radians or a pi fraction), got 'c'")),
+    ('mz', 1, 'cut', (2, 3, "'mz' is missing an angle")),
+    ('mz', 1, 'drop', (2, 3, "'mz' is missing an angle")),
+    ('mz', 1, 'c', (2, 4, "expected an angle (decimal radians or a pi fraction), got 'c'")),
+    ('jcm', 1, 'cut', (2, 4, "'jcm' is missing one of single/two")),
+    ('jcm', 1, 'drop', (2, 5, "expected one of single/two, got '0.5'")),
+    ('jcm', 1, '1.5', (2, 5, "expected one of single/two, got '1.5'")),
+    ('jcm', 2, 'cut', (2, 8, "'jcm' is missing coupling")),
+    ('jcm', 2, 'drop', (2, 20, "'jcm' is missing nsamples")),
+    ('jcm', 2, 'pi', (2, 9, "expected a number for coupling, got 'pi'")),
+    ('jcm', 3, 'cut', (2, 12, "'jcm' is missing t0")),
+    ('jcm', 3, 'drop', (2, 20, "'jcm' is missing nsamples")),
+    ('jcm', 3, 'pi', (2, 13, "expected a number for t0, got 'pi'")),
+    ('jcm', 4, 'cut', (2, 16, "'jcm' is missing t1")),
+    ('jcm', 4, 'drop', (2, 19, "'jcm' is missing nsamples")),
+    ('jcm', 4, 'pi', (2, 17, "expected a number for t1, got 'pi'")),
+    ('jcm', 5, 'cut', (2, 21, "'jcm' is missing nsamples")),
+    ('jcm', 5, 'drop', (2, 21, "'jcm' is missing nsamples")),
+    ('jcm', 5, '1.5', (2, 22, "expected an integer nsamples, got '1.5'")),
+    ('direct', 1, 'cut', (2, 7, "'direct' is missing one of c/r")),
+    ('direct', 1, 'drop', (2, 8, "expected one of c/r, got '0.001'")),
+    ('direct', 1, '1.5', (2, 8, "expected one of c/r, got '1.5'")),
+    ('direct', 2, 'cut', (2, 9, "'direct' is missing chi_t")),
+    ('direct', 2, 'drop', (2, 9, "'direct' is missing chi_t")),
+    ('direct', 2, 'pi', (2, 10, "expected a number for chi_t, got 'pi'")),
+    ],
+)
+def test_every_grammar_slot_is_located(name, slot, edit, expected):
+    tokens = _CANONICAL[name].split()
+    if edit == "cut":
+        del tokens[slot:]
+    elif edit == "drop":
+        del tokens[slot]
+    else:
+        tokens[slot] = edit
+    text = " ".join(tokens)
+    if tokens[0] != "init":
+        text = "init fock 0 0 nmax 2\n" + text
+    with pytest.raises(ParseError) as exc_info:
+        parse(text)
+    err = exc_info.value
+    assert (err.line, err.col, err.message) == expected
+
+
 def test_angle_literal_forms():
     p = parse(
         "init fock 0 0 nmax 2\n"
