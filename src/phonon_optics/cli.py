@@ -24,8 +24,6 @@ the collector, and the collections at interpreter shutdown, skip them.  A
 call ``main(argv)`` from Python leaves its host's collector alone.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import math

@@ -28,12 +28,10 @@ The exact probe propagator ``JcmUnitary`` lives here as the reference for
 based binomial noise option is a possible extension.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +41,7 @@ from .fockspace import (
     QubitState,
     Truncation,
     _frozen,
+    _read_only,
     _require_memory,
     _require_mode,
     _require_same,
@@ -72,19 +71,20 @@ _TRACE_BYTES_PER_SAMPLE = 48
 _FIT_BYTES_PER_SAMPLE_WEIGHT = 32
 
 
-@dataclass(frozen=True)
 class SignalTrace:
-    """Time-sampled ground-state probability of the probe ion."""
+    """Time-sampled ground-state probability of the probe ion.
 
-    times: np.ndarray
-    values: np.ndarray
-    coupling: float
-    kind: str  # 'single' | 'two'
-    mode: str = "c"  # probed mode for the single kind
+    ``kind`` is ``single`` or ``two``; ``mode`` is the probed mode of the
+    single kind.
+    """
 
-    def __post_init__(self) -> None:
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+    __slots__ = ("times", "values", "coupling", "kind", "mode")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, times: np.ndarray, values: np.ndarray, coupling: float, kind: str,
+                 mode: str = "c") -> None:
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
@@ -92,13 +92,16 @@ class SignalTrace:
         # NaN fails both comparisons, so it is rejected with the out-of-range values
         if not np.all((values >= -_PROB_TOL) & (values <= 1.0 + _PROB_TOL)):
             raise ValueError("probabilities must be finite and lie in [0, 1]")
-        if self.kind not in ("single", "two"):
-            raise ValueError(f"kind must be 'single' or 'two', got {self.kind!r}")
-        _require_mode(self.mode)
-        if not (math.isfinite(self.coupling) and self.coupling > 0):
-            raise ValueError(f"coupling must be finite and positive, got {self.coupling!r}")
+        if kind not in ("single", "two"):
+            raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
+        _require_mode(mode)
+        if not (math.isfinite(coupling) and coupling > 0):
+            raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
         object.__setattr__(self, "times", _frozen(times))
         object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "mode", mode)
 
     def to_csv(self) -> str:
         lines = ["t,p_g"]
@@ -119,12 +122,15 @@ class SignalTrace:
         )
 
 
-@dataclass(frozen=True)
 class ReconstructedNumberDistribution:
     """Marginal phonon-number distribution fitted from a single-mode trace."""
 
-    p: np.ndarray
-    residual: float
+    __slots__ = ("p", "residual")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, p: np.ndarray, residual: float) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def mean_n(self) -> float:
@@ -135,13 +141,16 @@ class ReconstructedNumberDistribution:
         return json.dumps({"p": [float(x) for x in self.p], "residual": self.residual})
 
 
-@dataclass(frozen=True)
 class LevelSetDistribution:
     """Probabilities of the product value k = m * n, the most a two-mode
     probe can identify."""
 
-    q: dict[int, float]
-    residual: float
+    __slots__ = ("q", "residual")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, q: dict[int, float], residual: float) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "residual", residual)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -150,8 +159,7 @@ class LevelSetDistribution:
         )
 
 
-@dataclass(frozen=True)
-class DirectEstimate:
+class DirectEstimate(NamedTuple):
     """Result of the carrier-pulse + conditional-phase readout."""
 
     sigma_x_exact: float
@@ -160,11 +168,11 @@ class DirectEstimate:
     mode: str
 
     def to_json(self) -> str:
-        return json.dumps({"kind": "direct", **asdict(self)})
+        return json.dumps({"kind": "direct", **self._asdict()})
 
     def to_csv(self) -> str:
         """A header of the field names and one row of their values."""
-        row = asdict(self)
+        row = self._asdict()
         values = (v if isinstance(v, str) else f"{v:.17g}" for v in row.values())
         return ",".join(row) + "\n" + ",".join(values) + "\n"
 
@@ -226,7 +234,6 @@ def _jcm_tables(n_total_max: int, kind: str, mode: str):
     return g_idx, e_idx, np.sqrt(k[g_idx].astype(np.float64))
 
 
-@dataclass(frozen=True)
 class JcmUnitary:
     """Exact probe propagator on a JointState with an ion-2 register.
 
@@ -235,10 +242,15 @@ class JcmUnitary:
     the cosine and sine of ``angle[k]``; all other states are stationary.
     """
 
-    trunc: Truncation
-    g_index: np.ndarray
-    e_index: np.ndarray
-    angle: np.ndarray
+    __slots__ = ("trunc", "g_index", "e_index", "angle")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, trunc: Truncation, g_index: np.ndarray, e_index: np.ndarray,
+                 angle: np.ndarray) -> None:
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "g_index", g_index)
+        object.__setattr__(self, "e_index", e_index)
+        object.__setattr__(self, "angle", angle)
 
     def apply(self, js: JointState) -> JointState:
         if not isinstance(js, JointState):
@@ -487,7 +499,6 @@ def direct_mean_phonon(
     return DirectEstimate(sigma_x, -sigma_x / (2.0 * chi_t), chi_t, mode)
 
 
-@dataclass(frozen=True)
 class JzComparison:
     """Mean Jz of one state measured three independent ways.
 
@@ -496,12 +507,18 @@ class JzComparison:
     two measured values come from.
     """
 
-    jz_exact: float
-    jz_reconstructed: float
-    jz_direct: float
-    traces: dict[str, SignalTrace]
-    fits: dict[str, ReconstructedNumberDistribution]
-    directs: dict[str, DirectEstimate]
+    __slots__ = ("jz_exact", "jz_reconstructed", "jz_direct", "traces", "fits", "directs")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, jz_exact: float, jz_reconstructed: float, jz_direct: float,
+                 traces: dict[str, SignalTrace], fits: dict[str, ReconstructedNumberDistribution],
+                 directs: dict[str, DirectEstimate]) -> None:
+        object.__setattr__(self, "jz_exact", jz_exact)
+        object.__setattr__(self, "jz_reconstructed", jz_reconstructed)
+        object.__setattr__(self, "jz_direct", jz_direct)
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "fits", fits)
+        object.__setattr__(self, "directs", directs)
 
     @property
     def max_pairwise_deviation(self) -> float:

@@ -25,16 +25,16 @@ Qubit registers use the convention sigma_z |g> = -|g>, sigma_z |e> = +|e>,
 with basis index 0 = |g> and 1 = |e>.
 
 Everything here is immutable after construction and all operations are pure
-functions, so concurrent read access needs no synchronization.
+functions, so concurrent read access needs no synchronization.  The state
+classes are plain ``__slots__`` classes: each ``__init__`` checks and stores
+its fields through ``object.__setattr__``, and ``_read_only`` refuses every
+later assignment or deletion.  Only ``Truncation`` compares by value.
 """
-
-from __future__ import annotations
 
 import json
 import math
 import operator
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -85,6 +85,11 @@ def _require_memory(need: int, request: str) -> None:
         raise ValueError(f"{request}, more than the memory limit of {limit:.3g} bytes")
 
 
+def _read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of every read-only class."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only."""
     arr.setflags(write=False)
@@ -133,7 +138,6 @@ def _mode_numbers(n_total_max: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(ms), _frozen(totals - ms)
 
 
-@dataclass(frozen=True)
 class Truncation:
     """Total-phonon cutoff: basis pairs (m, n) with m + n <= n_total_max.
 
@@ -142,13 +146,14 @@ class Truncation:
     cutoff fails before anything is allocated.
     """
 
-    n_total_max: int
+    __slots__ = ("n_total_max",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_total_max: int) -> None:
         try:
-            n = operator.index(self.n_total_max)
+            n = operator.index(n_total_max)
         except TypeError:
-            raise ValueError(f"n_total_max must be an integer, got {self.n_total_max!r}") from None
+            raise ValueError(f"n_total_max must be an integer, got {n_total_max!r}") from None
         if n < 0:
             raise ValueError(f"n_total_max must be >= 0, got {n}")
         object.__setattr__(self, "n_total_max", n)
@@ -157,6 +162,14 @@ class Truncation:
         # fills a float64 (nmax + 1)^2 table: 32 dim + 8 (nmax + 1)^2 bytes.
         need = 32 * self.dim + 8 * (n + 1) ** 2
         _require_memory(need, f"n_total_max = {n} needs {need:.3g} bytes of state arrays")
+
+    def __eq__(self, other):
+        if not isinstance(other, Truncation):
+            return NotImplemented
+        return self.n_total_max == other.n_total_max
+
+    def __hash__(self) -> int:  # defining __eq__ alone would drop it
+        return hash(self.n_total_max)
 
     @staticmethod
     def flat(m, n):
@@ -197,7 +210,6 @@ class Truncation:
         return ms if mode == "c" else ns
 
 
-@dataclass(frozen=True)
 class MotionalState:
     """Pure two-mode motional state on a triangular truncated basis.
 
@@ -211,13 +223,14 @@ class MotionalState:
         Probability discarded when the state was truncated at construction.
     """
 
-    trunc: Truncation
-    amps: np.ndarray
-    tail_mass: float = 0.0
+    __slots__ = ("trunc", "amps", "tail_mass")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amps", _unit_amps(self.amps, (self.trunc.dim,), "state"))
-        _require_tail(self.tail_mass)
+    def __init__(self, trunc: Truncation, amps: np.ndarray, tail_mass: float = 0.0) -> None:
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "amps", _unit_amps(amps, (trunc.dim,), "state"))
+        _require_tail(tail_mass)
+        object.__setattr__(self, "tail_mass", tail_mass)
 
     @property
     def flagged(self) -> bool:
@@ -366,19 +379,22 @@ def fidelity(a: MotionalState, b: MotionalState) -> float:
     return abs(inner(a, b)) ** 2
 
 
-@dataclass(frozen=True)
 class JointDistribution:
-    """Joint and marginal phonon-number distributions of a motional state."""
+    """Joint and marginal phonon-number distributions of a motional state.
 
-    p_mn: np.ndarray  # square (n_total_max+1)^2 array, zero outside the triangle
-    p_m: np.ndarray
-    p_n: np.ndarray
-    mean_jz: float
+    ``p_mn`` is the square (n_total_max + 1)^2 array, zero outside the
+    triangle; ``p_m`` and ``p_n`` are its marginals.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("p_mn", "p_m", "p_n"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, _frozen(arr))
+    __slots__ = ("p_mn", "p_m", "p_n", "mean_jz")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, p_mn: np.ndarray, p_m: np.ndarray, p_n: np.ndarray,
+                 mean_jz: float) -> None:
+        object.__setattr__(self, "p_mn", _frozen(np.asarray(p_mn, dtype=np.float64)))
+        object.__setattr__(self, "p_m", _frozen(np.asarray(p_m, dtype=np.float64)))
+        object.__setattr__(self, "p_n", _frozen(np.asarray(p_n, dtype=np.float64)))
+        object.__setattr__(self, "mean_jz", mean_jz)
 
     def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays m, n and p_mn over every basis pair, in (total, m) order."""
@@ -466,14 +482,14 @@ def reduced_purity(s: MotionalState) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QubitState:
     """Internal two-level state, amplitudes ordered (g, e)."""
 
-    amps: np.ndarray
+    __slots__ = ("amps",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amps", _unit_amps(self.amps, (2,), "qubit state"))
+    def __init__(self, amps: np.ndarray) -> None:
+        object.__setattr__(self, "amps", _unit_amps(amps, (2,), "qubit state"))
 
     @classmethod
     def of(cls, g: complex, e: complex) -> "QubitState":
@@ -509,7 +525,6 @@ class QubitState:
         return None
 
 
-@dataclass(frozen=True)
 class JointState:
     """One or two qubit registers tensored with a motional state.
 
@@ -519,17 +534,19 @@ class JointState:
     is carried over from the motional state.
     """
 
-    trunc: Truncation
-    ions: tuple[int, ...]
-    amps: np.ndarray
-    tail_mass: float = 0.0
+    __slots__ = ("trunc", "ions", "amps", "tail_mass")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if tuple(sorted(set(self.ions))) != self.ions or not set(self.ions) <= {1, 2}:
-            raise ValueError(f"ions must be a sorted subset of (1, 2), got {self.ions}")
-        shape = (2,) * len(self.ions) + (self.trunc.dim,)
-        object.__setattr__(self, "amps", _unit_amps(self.amps, shape, "joint state"))
-        _require_tail(self.tail_mass)
+    def __init__(self, trunc: Truncation, ions: tuple[int, ...], amps: np.ndarray,
+                 tail_mass: float = 0.0) -> None:
+        if tuple(sorted(set(ions))) != ions or not set(ions) <= {1, 2}:
+            raise ValueError(f"ions must be a sorted subset of (1, 2), got {ions}")
+        shape = (2,) * len(ions) + (trunc.dim,)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "ions", ions)
+        object.__setattr__(self, "amps", _unit_amps(amps, shape, "joint state"))
+        _require_tail(tail_mass)
+        object.__setattr__(self, "tail_mass", tail_mass)
 
     @property
     def flagged(self) -> bool:

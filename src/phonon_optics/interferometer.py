@@ -16,21 +16,17 @@ state then give <Jz>, <Jz^2> and the exact slope d<Jz>/dphi at every
 phase, for arbitrary input states.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .fockspace import MotionalState, Truncation, _apply_jx
+from .fockspace import MotionalState, Truncation, _apply_jx, _read_only
 from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
 
 SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
 
 
-@dataclass(frozen=True)
 class InterferometerReport:
     """Output statistics at one phase setting.
 
@@ -38,16 +34,25 @@ class InterferometerReport:
     vanishes (|slope| below 1e-14).
     """
 
-    phi: float
-    mean_jz: float
-    mean_jz2: float
-    var_jz: float
-    dmeanjz_dphi: float
-    delta_phi: float
+    __slots__ = ("phi", "mean_jz", "mean_jz2", "var_jz", "dmeanjz_dphi", "delta_phi")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.var_jz < -1e-12:
-            raise ValueError(f"variance {self.var_jz} below roundoff floor")
+    def __init__(self, phi: float, mean_jz: float, mean_jz2: float, var_jz: float,
+                 dmeanjz_dphi: float, delta_phi: float) -> None:
+        if var_jz < -1e-12:
+            raise ValueError(f"variance {var_jz} below roundoff floor")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "mean_jz", mean_jz)
+        object.__setattr__(self, "mean_jz2", mean_jz2)
+        object.__setattr__(self, "var_jz", var_jz)
+        object.__setattr__(self, "dmeanjz_dphi", dmeanjz_dphi)
+        object.__setattr__(self, "delta_phi", delta_phi)
+
+    def __eq__(self, other):
+        if not isinstance(other, InterferometerReport):
+            return NotImplemented
+        fields = InterferometerReport.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 
 def mz_unitary(phi: float, trunc: Truncation) -> UnitaryOperator:

@@ -43,11 +43,8 @@ operator and nothing else; the Jaynes-Cummings probe propagator lives in
 ``DenseUnitary`` for tests only.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +52,7 @@ from .fockspace import (
     JointState,
     MotionalState,
     Truncation,
+    _read_only,
     _require_memory,
     _require_mode,
     _require_same,
@@ -77,7 +75,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 WEIGHT_FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
 class UnitaryOperator:
     """A passive unitary: a splitter, a phase shifter or any product of them.
 
@@ -89,9 +86,14 @@ class UnitaryOperator:
     stays because the benchmark's traced child reads it.
     """
 
-    trunc: Truncation
-    matrix: np.ndarray
-    blocks: tuple[np.ndarray, ...] = ()
+    __slots__ = ("trunc", "matrix", "blocks")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, trunc: Truncation, matrix: np.ndarray,
+                 blocks: tuple[np.ndarray, ...] = ()) -> None:
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "blocks", blocks)
 
     def __matmul__(self, other):
         if not isinstance(other, UnitaryOperator):
@@ -396,11 +398,14 @@ def dense_jz(trunc: Truncation) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class DenseUnitary:
     """A full unitary matrix, the output of the test oracle ``expm_oracle``."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        object.__setattr__(self, "matrix", matrix)
 
     def unitarity_defect(self) -> float:
         return _unitarity_defect([self.matrix])
@@ -440,7 +445,6 @@ def expm_oracle(generator: np.ndarray, t: float) -> DenseUnitary:
 _BREATHING_RATIO = 3.0 ** (-0.25)  # eta_r / eta for the linear two-ion trap
 
 
-@dataclass(frozen=True)
 class LabParams:
     """Laser and trap parameters driving the effective interactions.
 
@@ -449,13 +453,18 @@ class LabParams:
     dispersive detunings (rad/s); t the interaction time (s).
     """
 
-    Omega: float
-    eta: float
-    eta_r: float
-    Delta: float
-    Delta_r: float
-    Omega_r: float
-    t: float
+    __slots__ = ("Omega", "eta", "eta_r", "Delta", "Delta_r", "Omega_r", "t")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, Omega: float, eta: float, eta_r: float, Delta: float, Delta_r: float,
+                 Omega_r: float, t: float) -> None:
+        object.__setattr__(self, "Omega", Omega)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta_r", eta_r)
+        object.__setattr__(self, "Delta", Delta)
+        object.__setattr__(self, "Delta_r", Delta_r)
+        object.__setattr__(self, "Omega_r", Omega_r)
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def linked(
@@ -475,7 +484,6 @@ class LabParams:
         return abs(self.eta_r - _BREATHING_RATIO * self.eta) <= 1e-12
 
 
-@dataclass(frozen=True)
 class EffectiveAngles:
     """Dimensionless angles and rates of the effective dynamics.
 
@@ -485,13 +493,18 @@ class EffectiveAngles:
     (rad/s).
     """
 
-    theta: float
-    phi: float
-    phi_r: float
-    chi: float
-    chi_r: float
-    lam: float
-    g: float
+    __slots__ = ("theta", "phi", "phi_r", "chi", "chi_r", "lam", "g")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, theta: float, phi: float, phi_r: float, chi: float, chi_r: float,
+                 lam: float, g: float) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi_r", phi_r)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "chi_r", chi_r)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "g", g)
 
 
 def lab_to_angles(p: LabParams) -> EffectiveAngles:

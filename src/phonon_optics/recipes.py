@@ -5,8 +5,6 @@ from coherent-state amplitudes, with no operator application, so round-trip
 tests never compare an implementation against itself.
 """
 
-from __future__ import annotations
-
 import math
 
 from .fockspace import (

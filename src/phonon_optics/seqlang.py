@@ -31,12 +31,10 @@ program reproduces the statement structure exactly; comments are not
 preserved.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +50,7 @@ from .fockspace import (
     JointDistribution,
     MotionalState,
     Truncation,
+    _read_only,
     expect,
     make_cat,
     make_coherent,
@@ -84,8 +83,7 @@ _PI_RE = re.compile(r"^([+-]?)(?:(\d+)\*)?pi(?:/(\d+))?$", re.IGNORECASE)
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(NamedTuple):
     """Angle literal; keeps the rational-pi spelling when one was used."""
 
     value: float
@@ -139,27 +137,32 @@ def parse_angle(text: str) -> Angle:
     return Angle.from_value(value)
 
 
-@dataclass
-class Statement:
+class Statement(NamedTuple):
     verb: str
     args: dict
 
 
-@dataclass
 class PulseProgram:
-    statements: list[Statement]
-    lines: list[int]  # the source line of each statement
+    __slots__ = ("statements", "lines")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, statements: list[Statement], lines: list[int]) -> None:
+        object.__setattr__(self, "statements", statements)
+        object.__setattr__(self, "lines", lines)  # the source line of each statement
 
     @property
     def nmax(self) -> int:
         return self.statements[0].args["nmax"]
 
 
-@dataclass(frozen=True)
 class _Token:
-    text: str
-    line: int
-    col: int  # 1-based
+    __slots__ = ("text", "line", "col")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, text: str, line: int, col: int) -> None:
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)  # 1-based
 
     @property
     def end(self) -> int:
@@ -204,8 +207,13 @@ class _LineReader:
                 message = str(exc)
         elif kind is int:
             if _INT_RE.match(text):
-                return int(text)
-            message = f"expected an integer {key}, got {text!r}"
+                try:
+                    return int(text)
+                except ValueError:  # longer than int() converts (4,300 digits by default)
+                    digits = len(text.lstrip("+-"))
+                    message = f"{key} has {digits} digits, too many to read as an integer"
+            else:
+                message = f"expected an integer {key}, got {text!r}"
         else:
             try:
                 value = float(text)
@@ -357,13 +365,17 @@ def _build_initial_state(args: dict, line: int) -> MotionalState:
         raise ExecutionError(line, str(exc)) from exc
 
 
-@dataclass
 class ReportRecord:
-    index: int
-    distribution: JointDistribution
-    jx: float
-    jy: float
-    jz: float
+    __slots__ = ("index", "distribution", "jx", "jy", "jz")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, index: int, distribution: JointDistribution, jx: float, jy: float,
+                 jz: float) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "distribution", distribution)
+        object.__setattr__(self, "jx", jx)
+        object.__setattr__(self, "jy", jy)
+        object.__setattr__(self, "jz", jz)
 
     def to_json(self) -> str:
         """Moments, dense marginals and the joint rows [m, n, p] with
@@ -390,22 +402,31 @@ class ReportRecord:
         return self.distribution.to_csv()
 
 
-@dataclass
 class TraceRecord:
-    index: int
-    trace: SignalTrace
+    __slots__ = ("index", "trace")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, index: int, trace: SignalTrace) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "trace", trace)
 
 
-@dataclass
 class DirectRecord:
-    index: int
-    estimate: DirectEstimate
+    __slots__ = ("index", "estimate")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, index: int, estimate: DirectEstimate) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "estimate", estimate)
 
 
-@dataclass
 class ExecutionResult:
-    final_state: MotionalState
-    records: list
+    __slots__ = ("final_state", "records")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, final_state: MotionalState, records: list) -> None:
+        object.__setattr__(self, "final_state", final_state)
+        object.__setattr__(self, "records", records)
 
 
 def _passive(stmt: Statement, trunc: Truncation) -> UnitaryOperator | None:

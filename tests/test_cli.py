@@ -561,6 +561,23 @@ def test_hostile_input_exits_without_traceback(tmp_path, capsys, monkeypatch, ar
     assert [p.name for p in tmp_path.iterdir() if p.name != "hostile.seq"] == []
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "detect"])
+def test_integer_too_long_to_convert_is_a_parse_error(tmp_path, capsys, monkeypatch, command):
+    # int() refuses text of more than 4,300 digits with its own ValueError;
+    # the parser reports it at the token, like any other bad slot
+    monkeypatch.chdir(tmp_path)
+    spec = "fock 0 0 nmax " + "9" * 5000
+    if command == "run":
+        Path("long.seq").write_text(f"init {spec}\n")
+        argv = ("run", "long.seq")
+    else:
+        argv = (command, spec) + (("--method", "direct") if command == "detect" else ())
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "parse error: 1:20: nmax has 5000 digits, too many to read as an integer\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["long.seq"] if command == "run" else [])
+
+
 def test_detect_fit_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(detection, "_NNLS_ITERATIONS_PER_COLUMN", 0)

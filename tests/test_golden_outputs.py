@@ -13,16 +13,17 @@ import pytest
 from golden_outputs import MANIFEST, cases, run_case
 
 GOLDEN = json.loads(MANIFEST.read_text(encoding="utf-8"))
+CASES = cases()
 
 
 def test_manifest_covers_every_case():
-    assert sorted(GOLDEN) == sorted(cases())
+    assert sorted(GOLDEN) == sorted(CASES)
 
 
-@pytest.mark.parametrize("name", sorted(cases()))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     want = GOLDEN[name]
-    got = run_case(*cases()[name])
+    got = run_case(*CASES[name])
     assert got["argv"] == want["argv"], f"{name}: the workload builds a different call"
     assert got["exit"] == want["exit"], f"{name}: exit code changed"
     assert sorted(got["outputs"]) == sorted(want["outputs"]), f"{name}: the set of outputs changed"

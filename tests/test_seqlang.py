@@ -108,6 +108,27 @@ def test_type_errors_are_located():
         parse("init fock 0 0 nmax 4\njcm both 1 0 1 8")
 
 
+LONG_INT = "9" * 5000  # more digits than int() converts from text by default
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (f"init fock 0 0 nmax {LONG_INT}", (1, 20, "nmax")),
+        (f"init fock {LONG_INT} 0 nmax 4", (1, 11, "M")),
+        (f"init fock 0 0 nmax 4\njcm single 1 0 1 -{LONG_INT}", (2, 18, "nsamples")),
+    ],
+    ids=["nmax", "fock index", "negative nsamples"],
+)
+def test_integer_too_long_to_convert_is_located(text, where):
+    line, col, key = where
+    with pytest.raises(ParseError) as exc_info:
+        parse(text)
+    err = exc_info.value
+    assert (err.line, err.col) == (line, col)
+    assert err.message == f"{key} has 5000 digits, too many to read as an integer"
+
+
 def test_fock_index_beyond_nmax():
     with pytest.raises(ParseError, match="exceeds the truncation") as exc_info:
         parse("init fock 2 3 nmax 4")
@@ -482,6 +503,12 @@ def test_parse_state_spec():
     assert s.trunc.n_total_max == 40
     s = parse_state_spec("fock 1 0 nmax 4", nmax_override=9)
     assert s.trunc.n_total_max == 9
+
+
+def test_parse_state_spec_locates_an_integer_too_long_to_convert():
+    with pytest.raises(ParseError, match="nmax has 5000 digits") as exc_info:
+        parse_state_spec(f"fock 0 0 nmax {LONG_INT}")
+    assert exc_info.value.col == 20  # the spec is parsed as "init " + spec
 
 
 def test_parse_state_spec_rejects_garbage():
