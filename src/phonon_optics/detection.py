@@ -41,7 +41,7 @@ from .fockspace import (
     QubitState,
     Truncation,
     _frozen,
-    _read_only,
+    _Record,
     _require_memory,
     _require_mode,
     _require_same,
@@ -71,7 +71,7 @@ _TRACE_BYTES_PER_SAMPLE = 48
 _FIT_BYTES_PER_SAMPLE_WEIGHT = 32
 
 
-class SignalTrace:
+class SignalTrace(_Record):
     """Time-sampled ground-state probability of the probe ion.
 
     ``kind`` is ``single`` or ``two``; ``mode`` is the probed mode of the
@@ -79,7 +79,6 @@ class SignalTrace:
     """
 
     __slots__ = ("times", "values", "coupling", "kind", "mode")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, times: np.ndarray, values: np.ndarray, coupling: float, kind: str,
                  mode: str = "c") -> None:
@@ -97,11 +96,7 @@ class SignalTrace:
         _require_mode(mode)
         if not (math.isfinite(coupling) and coupling > 0):
             raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
-        object.__setattr__(self, "times", _frozen(times))
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(_frozen(times), _frozen(values), coupling, kind, mode)
 
     def to_csv(self) -> str:
         lines = ["t,p_g"]
@@ -122,15 +117,10 @@ class SignalTrace:
         )
 
 
-class ReconstructedNumberDistribution:
+class ReconstructedNumberDistribution(_Record):
     """Marginal phonon-number distribution fitted from a single-mode trace."""
 
     __slots__ = ("p", "residual")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, p: np.ndarray, residual: float) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "residual", residual)
 
     @property
     def mean_n(self) -> float:
@@ -141,16 +131,11 @@ class ReconstructedNumberDistribution:
         return json.dumps({"p": [float(x) for x in self.p], "residual": self.residual})
 
 
-class LevelSetDistribution:
+class LevelSetDistribution(_Record):
     """Probabilities of the product value k = m * n, the most a two-mode
     probe can identify."""
 
     __slots__ = ("q", "residual")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, q: dict[int, float], residual: float) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "residual", residual)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -234,7 +219,7 @@ def _jcm_tables(n_total_max: int, kind: str, mode: str):
     return g_idx, e_idx, np.sqrt(k[g_idx].astype(np.float64))
 
 
-class JcmUnitary:
+class JcmUnitary(_Record):
     """Exact probe propagator on a JointState with an ion-2 register.
 
     Pair k rotates |g>_2 (x) motional state ``g_index[k]`` and its lowered
@@ -243,14 +228,6 @@ class JcmUnitary:
     """
 
     __slots__ = ("trunc", "g_index", "e_index", "angle")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, trunc: Truncation, g_index: np.ndarray, e_index: np.ndarray,
-                 angle: np.ndarray) -> None:
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "g_index", g_index)
-        object.__setattr__(self, "e_index", e_index)
-        object.__setattr__(self, "angle", angle)
 
     def apply(self, js: JointState) -> JointState:
         if not isinstance(js, JointState):
@@ -499,7 +476,7 @@ def direct_mean_phonon(
     return DirectEstimate(sigma_x, -sigma_x / (2.0 * chi_t), chi_t, mode)
 
 
-class JzComparison:
+class JzComparison(_Record):
     """Mean Jz of one state measured three independent ways.
 
     ``traces``, ``fits`` and ``directs`` hold, per mode ``c`` and ``r``, the
@@ -508,17 +485,6 @@ class JzComparison:
     """
 
     __slots__ = ("jz_exact", "jz_reconstructed", "jz_direct", "traces", "fits", "directs")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, jz_exact: float, jz_reconstructed: float, jz_direct: float,
-                 traces: dict[str, SignalTrace], fits: dict[str, ReconstructedNumberDistribution],
-                 directs: dict[str, DirectEstimate]) -> None:
-        object.__setattr__(self, "jz_exact", jz_exact)
-        object.__setattr__(self, "jz_reconstructed", jz_reconstructed)
-        object.__setattr__(self, "jz_direct", jz_direct)
-        object.__setattr__(self, "traces", traces)
-        object.__setattr__(self, "fits", fits)
-        object.__setattr__(self, "directs", directs)
 
     @property
     def max_pairwise_deviation(self) -> float:

@@ -25,10 +25,11 @@ Qubit registers use the convention sigma_z |g> = -|g>, sigma_z |e> = +|e>,
 with basis index 0 = |g> and 1 = |e>.
 
 Everything here is immutable after construction and all operations are pure
-functions, so concurrent read access needs no synchronization.  The state
-classes are plain ``__slots__`` classes: each ``__init__`` checks and stores
-its fields through ``object.__setattr__``, and ``_read_only`` refuses every
-later assignment or deletion.  Only ``Truncation`` compares by value.
+functions, so concurrent read access needs no synchronization.  Every
+read-only class of the package subclasses ``_Record``, which stores one value
+per ``__slots__`` field and, through ``_read_only``, refuses every later
+assignment or deletion; a class that checks its arguments does so in its own
+``__init__`` and then passes them on.  Only ``Truncation`` compares by value.
 """
 
 import json
@@ -86,8 +87,27 @@ def _require_memory(need: int, request: str) -> None:
 
 
 def _read_only(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of every read-only class."""
+    """``__setattr__`` and ``__delattr__`` of ``_Record``."""
     raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
+class _Record:
+    """Base of the package's read-only classes.
+
+    A subclass names its fields in ``__slots__``; ``__init__`` stores one
+    value per slot, in slot order, and nothing may set or delete a field
+    afterwards.  It generates no ``__eq__``, ``__repr__`` or ``__hash__``.
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, *values) -> None:
+        slots = type(self).__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} values, got {len(values)}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -138,7 +158,7 @@ def _mode_numbers(n_total_max: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(ms), _frozen(totals - ms)
 
 
-class Truncation:
+class Truncation(_Record):
     """Total-phonon cutoff: basis pairs (m, n) with m + n <= n_total_max.
 
     Construction refuses a non-integer or negative cutoff, and one whose
@@ -147,7 +167,6 @@ class Truncation:
     """
 
     __slots__ = ("n_total_max",)
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, n_total_max: int) -> None:
         try:
@@ -156,12 +175,12 @@ class Truncation:
             raise ValueError(f"n_total_max must be an integer, got {n_total_max!r}") from None
         if n < 0:
             raise ValueError(f"n_total_max must be >= 0, got {n}")
-        object.__setattr__(self, "n_total_max", n)
         # A state allocates, per basis state, its complex128 amplitudes and
         # the two int64 arrays of mode_numbers, and number_distributions
         # fills a float64 (nmax + 1)^2 table: 32 dim + 8 (nmax + 1)^2 bytes.
-        need = 32 * self.dim + 8 * (n + 1) ** 2
+        need = 32 * self.flat(0, n + 1) + 8 * (n + 1) ** 2
         _require_memory(need, f"n_total_max = {n} needs {need:.3g} bytes of state arrays")
+        super().__init__(n)
 
     def __eq__(self, other):
         if not isinstance(other, Truncation):
@@ -210,7 +229,7 @@ class Truncation:
         return ms if mode == "c" else ns
 
 
-class MotionalState:
+class MotionalState(_Record):
     """Pure two-mode motional state on a triangular truncated basis.
 
     Attributes
@@ -224,13 +243,11 @@ class MotionalState:
     """
 
     __slots__ = ("trunc", "amps", "tail_mass")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, trunc: Truncation, amps: np.ndarray, tail_mass: float = 0.0) -> None:
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "amps", _unit_amps(amps, (trunc.dim,), "state"))
+        amps = _unit_amps(amps, (trunc.dim,), "state")
         _require_tail(tail_mass)
-        object.__setattr__(self, "tail_mass", tail_mass)
+        super().__init__(trunc, amps, tail_mass)
 
     @property
     def flagged(self) -> bool:
@@ -379,7 +396,7 @@ def fidelity(a: MotionalState, b: MotionalState) -> float:
     return abs(inner(a, b)) ** 2
 
 
-class JointDistribution:
+class JointDistribution(_Record):
     """Joint and marginal phonon-number distributions of a motional state.
 
     ``p_mn`` is the square (n_total_max + 1)^2 array, zero outside the
@@ -387,14 +404,11 @@ class JointDistribution:
     """
 
     __slots__ = ("p_mn", "p_m", "p_n", "mean_jz")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, p_mn: np.ndarray, p_m: np.ndarray, p_n: np.ndarray,
                  mean_jz: float) -> None:
-        object.__setattr__(self, "p_mn", _frozen(np.asarray(p_mn, dtype=np.float64)))
-        object.__setattr__(self, "p_m", _frozen(np.asarray(p_m, dtype=np.float64)))
-        object.__setattr__(self, "p_n", _frozen(np.asarray(p_n, dtype=np.float64)))
-        object.__setattr__(self, "mean_jz", mean_jz)
+        p_mn, p_m, p_n = (_frozen(np.asarray(p, dtype=np.float64)) for p in (p_mn, p_m, p_n))
+        super().__init__(p_mn, p_m, p_n, mean_jz)
 
     def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays m, n and p_mn over every basis pair, in (total, m) order."""
@@ -482,14 +496,13 @@ def reduced_purity(s: MotionalState) -> float:
 # ---------------------------------------------------------------------------
 
 
-class QubitState:
+class QubitState(_Record):
     """Internal two-level state, amplitudes ordered (g, e)."""
 
     __slots__ = ("amps",)
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, amps: np.ndarray) -> None:
-        object.__setattr__(self, "amps", _unit_amps(amps, (2,), "qubit state"))
+        super().__init__(_unit_amps(amps, (2,), "qubit state"))
 
     @classmethod
     def of(cls, g: complex, e: complex) -> "QubitState":
@@ -525,7 +538,7 @@ class QubitState:
         return None
 
 
-class JointState:
+class JointState(_Record):
     """One or two qubit registers tensored with a motional state.
 
     ``ions`` records which physical ions carry a register, in increasing
@@ -535,18 +548,14 @@ class JointState:
     """
 
     __slots__ = ("trunc", "ions", "amps", "tail_mass")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, trunc: Truncation, ions: tuple[int, ...], amps: np.ndarray,
                  tail_mass: float = 0.0) -> None:
         if tuple(sorted(set(ions))) != ions or not set(ions) <= {1, 2}:
             raise ValueError(f"ions must be a sorted subset of (1, 2), got {ions}")
-        shape = (2,) * len(ions) + (trunc.dim,)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "ions", ions)
-        object.__setattr__(self, "amps", _unit_amps(amps, shape, "joint state"))
+        amps = _unit_amps(amps, (2,) * len(ions) + (trunc.dim,), "joint state")
         _require_tail(tail_mass)
-        object.__setattr__(self, "tail_mass", tail_mass)
+        super().__init__(trunc, ions, amps, tail_mass)
 
     @property
     def flagged(self) -> bool:

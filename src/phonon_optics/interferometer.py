@@ -21,13 +21,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .fockspace import MotionalState, Truncation, _apply_jx, _read_only
+from .fockspace import MotionalState, Truncation, _apply_jx, _Record
 from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
 
 SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
 
 
-class InterferometerReport:
+class InterferometerReport(_Record):
     """Output statistics at one phase setting.
 
     delta_phi is sqrt(var_jz) / |d<Jz>/dphi|, or +inf where the signal slope
@@ -35,18 +35,12 @@ class InterferometerReport:
     """
 
     __slots__ = ("phi", "mean_jz", "mean_jz2", "var_jz", "dmeanjz_dphi", "delta_phi")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, phi: float, mean_jz: float, mean_jz2: float, var_jz: float,
                  dmeanjz_dphi: float, delta_phi: float) -> None:
         if var_jz < -1e-12:
             raise ValueError(f"variance {var_jz} below roundoff floor")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "mean_jz", mean_jz)
-        object.__setattr__(self, "mean_jz2", mean_jz2)
-        object.__setattr__(self, "var_jz", var_jz)
-        object.__setattr__(self, "dmeanjz_dphi", dmeanjz_dphi)
-        object.__setattr__(self, "delta_phi", delta_phi)
+        super().__init__(phi, mean_jz, mean_jz2, var_jz, dmeanjz_dphi, delta_phi)
 
     def __eq__(self, other):
         if not isinstance(other, InterferometerReport):

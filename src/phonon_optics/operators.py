@@ -52,7 +52,7 @@ from .fockspace import (
     JointState,
     MotionalState,
     Truncation,
-    _read_only,
+    _Record,
     _require_memory,
     _require_mode,
     _require_same,
@@ -75,25 +75,18 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 WEIGHT_FLOOR = 1e-30
 
 
-class UnitaryOperator:
+class UnitaryOperator(_Record):
     """A passive unitary: a splitter, a phase shifter or any product of them.
 
     ``matrix`` is its 2x2 one-phonon unitary M on (|1, 0>, |0, 1>), so column
     0 is the image of a+ in the (a+, b+) basis.  ``u2 @ u1`` composes two
     operators by the 2x2 product; ``apply`` and ``as_matrix`` go through the
     Euler form of ``_apply_passive``, so the Fock matrix is built only on
-    demand.  ``blocks`` is always empty, since no rotation block is kept; it
-    stays because the benchmark's traced child reads it.
+    demand.
     """
 
-    __slots__ = ("trunc", "matrix", "blocks")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, trunc: Truncation, matrix: np.ndarray,
-                 blocks: tuple[np.ndarray, ...] = ()) -> None:
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "blocks", blocks)
+    __slots__ = ("trunc", "matrix")
+    blocks = ()  # no rotation block is kept; the benchmark's traced child reads this
 
     def __matmul__(self, other):
         if not isinstance(other, UnitaryOperator):
@@ -398,14 +391,10 @@ def dense_jz(trunc: Truncation) -> np.ndarray:
     return out
 
 
-class DenseUnitary:
+class DenseUnitary(_Record):
     """A full unitary matrix, the output of the test oracle ``expm_oracle``."""
 
     __slots__ = ("matrix",)
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        object.__setattr__(self, "matrix", matrix)
 
     def unitarity_defect(self) -> float:
         return _unitarity_defect([self.matrix])
@@ -445,7 +434,7 @@ def expm_oracle(generator: np.ndarray, t: float) -> DenseUnitary:
 _BREATHING_RATIO = 3.0 ** (-0.25)  # eta_r / eta for the linear two-ion trap
 
 
-class LabParams:
+class LabParams(_Record):
     """Laser and trap parameters driving the effective interactions.
 
     Omega, Omega_r are Rabi frequencies (rad/s); eta, eta_r the Lamb-Dicke
@@ -454,17 +443,10 @@ class LabParams:
     """
 
     __slots__ = ("Omega", "eta", "eta_r", "Delta", "Delta_r", "Omega_r", "t")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, Omega: float, eta: float, eta_r: float, Delta: float, Delta_r: float,
-                 Omega_r: float, t: float) -> None:
-        object.__setattr__(self, "Omega", Omega)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eta_r", eta_r)
-        object.__setattr__(self, "Delta", Delta)
-        object.__setattr__(self, "Delta_r", Delta_r)
-        object.__setattr__(self, "Omega_r", Omega_r)
-        object.__setattr__(self, "t", t)
+                 Omega_r: float, t: float) -> None:  # callers name the parameters
+        super().__init__(Omega, eta, eta_r, Delta, Delta_r, Omega_r, t)
 
     @classmethod
     def linked(
@@ -484,7 +466,7 @@ class LabParams:
         return abs(self.eta_r - _BREATHING_RATIO * self.eta) <= 1e-12
 
 
-class EffectiveAngles:
+class EffectiveAngles(_Record):
     """Dimensionless angles and rates of the effective dynamics.
 
     theta is the beam-splitter rotation angle, phi and phi_r the phase-shift
@@ -494,17 +476,6 @@ class EffectiveAngles:
     """
 
     __slots__ = ("theta", "phi", "phi_r", "chi", "chi_r", "lam", "g")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, theta: float, phi: float, phi_r: float, chi: float, chi_r: float,
-                 lam: float, g: float) -> None:
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "phi_r", phi_r)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "chi_r", chi_r)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "g", g)
 
 
 def lab_to_angles(p: LabParams) -> EffectiveAngles:
@@ -519,11 +490,11 @@ def lab_to_angles(p: LabParams) -> EffectiveAngles:
     chi = p.eta**2 * p.Omega**2 / (2.0 * p.Delta)
     chi_r = p.eta_r**2 * p.Omega_r**2 / (2.0 * p.Delta_r)
     return EffectiveAngles(
-        theta=2.0 * p.Omega * p.eta * p.eta_r * p.t,
-        phi=chi * p.t / 2.0,
-        phi_r=chi_r * p.t / 2.0,
-        chi=chi,
-        chi_r=chi_r,
-        lam=p.eta * p.Omega / 2.0,
-        g=p.Omega * p.eta * p.eta_r,
+        2.0 * p.Omega * p.eta * p.eta_r * p.t,  # theta
+        chi * p.t / 2.0,  # phi
+        chi_r * p.t / 2.0,  # phi_r
+        chi,
+        chi_r,
+        p.eta * p.Omega / 2.0,  # lam
+        p.Omega * p.eta * p.eta_r,  # g
     )

@@ -39,18 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import interferometer
-from .detection import (
-    DirectEstimate,
-    SignalTrace,
-    _require_samples,
-    direct_mean_phonon,
-    signal,
-)
+from .detection import _require_samples, direct_mean_phonon, signal
 from .fockspace import (
-    JointDistribution,
     MotionalState,
     Truncation,
-    _read_only,
+    _Record,
     expect,
     make_cat,
     make_coherent,
@@ -109,6 +102,17 @@ class Angle(NamedTuple):
         return head if self.pi_den == 1 else f"{head}/{self.pi_den}"
 
 
+def _read_int(text: str, what: str) -> int:
+    """``int(text)`` for a signed decimal ``text``, with a ValueError naming
+    ``what`` where it is longer than ``int()`` converts (4,300 digits by
+    default)."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise ValueError(f"{what} has {digits} digits, too many to read as an integer") from None
+
+
 def parse_angle(text: str) -> Angle:
     """Angle literal: decimal radians or a rational multiple of pi.
 
@@ -118,8 +122,8 @@ def parse_angle(text: str) -> Angle:
     m = _PI_RE.match(text)
     if m:
         sign = -1 if m.group(1) == "-" else 1
-        num = sign * (int(m.group(2)) if m.group(2) else 1)
-        den = int(m.group(3)) if m.group(3) else 1
+        num = sign * (_read_int(m.group(2), "pi numerator") if m.group(2) else 1)
+        den = _read_int(m.group(3), "pi denominator") if m.group(3) else 1
         if den == 0:
             raise ValueError("angle denominator must be nonzero")
         try:
@@ -142,27 +146,16 @@ class Statement(NamedTuple):
     args: dict
 
 
-class PulseProgram:
-    __slots__ = ("statements", "lines")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, statements: list[Statement], lines: list[int]) -> None:
-        object.__setattr__(self, "statements", statements)
-        object.__setattr__(self, "lines", lines)  # the source line of each statement
+class PulseProgram(_Record):
+    __slots__ = ("statements", "lines")  # lines: the source line of each statement
 
     @property
     def nmax(self) -> int:
         return self.statements[0].args["nmax"]
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, text: str, line: int, col: int) -> None:
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)  # 1-based
+class _Token(_Record):
+    __slots__ = ("text", "line", "col")  # col is 1-based
 
     @property
     def end(self) -> int:
@@ -208,10 +201,9 @@ class _LineReader:
         elif kind is int:
             if _INT_RE.match(text):
                 try:
-                    return int(text)
-                except ValueError:  # longer than int() converts (4,300 digits by default)
-                    digits = len(text.lstrip("+-"))
-                    message = f"{key} has {digits} digits, too many to read as an integer"
+                    return _read_int(text, key)
+                except ValueError as exc:
+                    message = str(exc)
             else:
                 message = f"expected an integer {key}, got {text!r}"
         else:
@@ -365,17 +357,8 @@ def _build_initial_state(args: dict, line: int) -> MotionalState:
         raise ExecutionError(line, str(exc)) from exc
 
 
-class ReportRecord:
+class ReportRecord(_Record):
     __slots__ = ("index", "distribution", "jx", "jy", "jz")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, index: int, distribution: JointDistribution, jx: float, jy: float,
-                 jz: float) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "distribution", distribution)
-        object.__setattr__(self, "jx", jx)
-        object.__setattr__(self, "jy", jy)
-        object.__setattr__(self, "jz", jz)
 
     def to_json(self) -> str:
         """Moments, dense marginals and the joint rows [m, n, p] with
@@ -402,31 +385,16 @@ class ReportRecord:
         return self.distribution.to_csv()
 
 
-class TraceRecord:
+class TraceRecord(_Record):
     __slots__ = ("index", "trace")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, index: int, trace: SignalTrace) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "trace", trace)
 
 
-class DirectRecord:
+class DirectRecord(_Record):
     __slots__ = ("index", "estimate")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, index: int, estimate: DirectEstimate) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "estimate", estimate)
 
 
-class ExecutionResult:
+class ExecutionResult(_Record):
     __slots__ = ("final_state", "records")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, final_state: MotionalState, records: list) -> None:
-        object.__setattr__(self, "final_state", final_state)
-        object.__setattr__(self, "records", records)
 
 
 def _passive(stmt: Statement, trunc: Truncation) -> UnitaryOperator | None:

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_optics import detection
+from phonon_optics import detection, parse
 from phonon_optics.cli import main
+from phonon_optics.seqlang import ParseError
 
 MZ_DEMO = "init coherent 0 0 2 0 nmax 40\nmz pi/3\nreport\n"
 
@@ -205,14 +206,15 @@ def test_sweep_rejects_non_finite_grid(capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # the import alone, then every detect method, each of which runs the fit
+    # the import alone, then every detect method, each of which runs the fit;
+    # the import loads no dataclasses either, whose own import costs 1.6 ms
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
         "import contextlib, io, sys, phonon_optics.cli\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_modules())\n"
+        "print(scipy_modules(), 'dataclasses' in sys.modules)\n"
         "for method in ('single', 'two', 'direct'):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = phonon_optics.cli.main(['detect', 'coherent 0 0 1 0.5 nmax 8',\n"
@@ -223,7 +225,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         timeout=120, check=True, cwd=tmp_path,
     )
-    assert done.stdout.splitlines() == ["[]", "single 0 []", "two 0 []", "direct 0 []"]
+    assert done.stdout.splitlines() == ["[] False", "single 0 []", "two 0 []", "direct 0 []"]
 
 
 @pytest.mark.parametrize("value", ["-pi/2", "-2*pi/3", "-1e-1", "-.5"])
@@ -576,6 +578,31 @@ def test_integer_too_long_to_convert_is_a_parse_error(tmp_path, capsys, monkeypa
     assert (code, out) == (1, "")
     assert err == "parse error: 1:20: nmax has 5000 digits, too many to read as an integer\n"
     assert [p.name for p in tmp_path.iterdir()] == (["long.seq"] if command == "run" else [])
+
+
+@pytest.mark.parametrize(
+    "angle, part", [("9" * 5000 + "*pi", "numerator"), ("-pi/" + "9" * 5000, "denominator")],
+    ids=["numerator", "denominator"],
+)
+def test_pi_fraction_too_long_to_convert_is_refused(tmp_path, capsys, monkeypatch, angle, part):
+    # int() refuses either part of more than 4,300 digits with its own
+    # ValueError, which asks for sys.set_int_max_str_digits()
+    monkeypatch.chdir(tmp_path)
+    message = f"pi {part} has 5000 digits, too many to read as an integer"
+    program = f"init fock 0 0 nmax 2\nbs1 {angle}\n"
+    with pytest.raises(ParseError) as exc:
+        parse(program)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (2, 5, message)
+
+    Path("long.seq").write_text(program)
+    assert run_cli(capsys, "run", "long.seq") == (1, "", f"parse error: 2:5: {message}\n")
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "fock 0 0 nmax 2", "--phi-min", angle])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.endswith(f"--phi-min: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["long.seq"]
 
 
 def test_detect_fit_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):

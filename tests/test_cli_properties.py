@@ -4,15 +4,16 @@
 Programs and state specs are drawn from the grammar table
 ``seqlang._GRAMMAR`` and flags from ``cli.build_parser``.  Each slot and
 flag value is either a plausible token of its kind or one from a hostile
-pool: integers too long for ``int()`` to read, non-finite and extreme
-floats, ``-0``, ``pi/0``, empty fields, Unicode digits and a verb where a
+pool: integers and pi fractions too long for ``int()`` to read,
+non-finite and extreme floats, ``-0``, ``pi/0``, empty fields, Unicode digits and a verb where a
 number goes.  Every cutoff the draw can reach is at most 6, and the memory
 limit is patched to 1e7 bytes, so no call can grow large.
 
 Whatever the draw, the call must:
 
 * exit with a documented code (0 success, 1 parse error, 2 runtime or
-  usage error, 3 I/O failure) and print no traceback;
+  usage error, 3 I/O failure) and print no traceback, nor Python's advice
+  to raise ``sys.set_int_max_str_digits()``;
 * on exit 0, print and write no ``nan`` and no ``inf``, except the
   documented ``+inf`` of ``delta_phi`` where the sweep's slope vanishes;
 * on any other exit, write no artifact.
@@ -41,6 +42,7 @@ from phonon_optics.interferometer import SWEEP_CSV_HEADER  # noqa: E402
 HOSTILE = (
     "9" * 4301,  # one digit more than int() reads from text by default
     "-" + "7" * 5000,
+    "9" * 4301 + "*pi", "pi/" + "9" * 4301,  # either part of a pi fraction
     "nan", "inf", "-inf", "-0", "1e308", "1e-320", "pi/0",
     "",  # an empty field
     "٣", "４",  # ARABIC-INDIC DIGIT THREE, FULLWIDTH DIGIT FOUR
@@ -166,6 +168,7 @@ def test_hostile_argv_exits_cleanly(call):
     event(f"{argv[0]} exits {code}")
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
     if code == 0:
         assert err == ""
         assert not _non_finite(out), out

@@ -1,10 +1,11 @@
 """The record contract of the package's classes.
 
 States, operators and results are read-only after construction, and
-``Truncation``, ``Angle`` and ``Statement`` compare by value.  The classes
-are plain ``__slots__`` classes and a few ``typing.NamedTuple`` records;
-none may be a dataclass, whose methods are generated when the package is
-imported.
+``Truncation``, ``Angle`` and ``Statement`` compare by value.  Every class
+subclasses ``fockspace._Record``, which stores one value per slot and
+refuses any later assignment, except three ``typing.NamedTuple`` records,
+two exceptions and the mutable ``seqlang._LineReader``; none may be a
+dataclass, whose methods are generated when the package is imported.
 """
 
 import dataclasses
@@ -13,17 +14,21 @@ import inspect
 import json
 import pkgutil
 
+import numpy as np
 import pytest
 
 import phonon_optics
 from phonon_optics import (
     DirectEstimate,
+    ExecutionResult,
     LabParams,
     QubitState,
     Truncation,
     beam_splitter,
     default_times,
     direct_mean_phonon,
+    execute,
+    jz_from_methods,
     joint_state,
     lab_to_angles,
     make_fock,
@@ -35,11 +40,15 @@ from phonon_optics import (
     signal,
 )
 from phonon_optics.detection import jcm_unitary
-from phonon_optics.seqlang import Angle, Statement, parse_angle
+from phonon_optics.fockspace import _Record
+from phonon_optics.operators import expm_oracle
+from phonon_optics.seqlang import Angle, Statement, _tokenize, parse_angle
 
 TRUNC = Truncation(3)
 STATE = make_fock(1, 0, TRUNC)
 TIMES = default_times(1.0, 16)
+LAB = (1.0, 0.1, 0.076, 1e6, 1e6, 1.0, 1e-3)
+PROGRAM = "init fock 1 0 nmax 3\njcm single 1 0 1 16\ndirect c 0.001\nreport\n"
 
 # (what, builder, one of its fields)
 READ_ONLY = [
@@ -59,8 +68,15 @@ READ_ONLY = [
     ("DirectEstimate", lambda: direct_mean_phonon(STATE, 1e-3, 1.0), "mode"),
     ("Statement", lambda: parse("init fock 1 0 nmax 3").statements[0], "args"),
     ("PulseProgram", lambda: parse("init fock 1 0 nmax 3"), "statements"),
-    ("EffectiveAngles",
-     lambda: lab_to_angles(LabParams(1.0, 0.1, 0.076, 1e6, 1e6, 1.0, 1e-3)), "theta"),
+    ("EffectiveAngles", lambda: lab_to_angles(LabParams(*LAB)), "theta"),
+    ("LabParams", lambda: LabParams(*LAB), "eta"),
+    ("DenseUnitary", lambda: expm_oracle(np.diag([0.0, 1.0]), 0.5), "matrix"),
+    ("JzComparison", lambda: jz_from_methods(STATE, n_samples=16), "jz_direct"),
+    ("TraceRecord", lambda: execute(parse(PROGRAM)).records[0], "trace"),
+    ("DirectRecord", lambda: execute(parse(PROGRAM)).records[1], "estimate"),
+    ("ReportRecord", lambda: execute(parse(PROGRAM)).records[2], "distribution"),
+    ("ExecutionResult", lambda: execute(parse(PROGRAM)), "records"),
+    ("_Token", lambda: _tokenize("bs1 pi/2")[0][1], "col"),
 ]
 
 
@@ -108,9 +124,33 @@ def _package_classes():
                 yield f"{info.name}.{name}"
 
 
+def _package_class(name):
+    module, attr = name.split(".")
+    return getattr(importlib.import_module(f"phonon_optics.{module}"), attr)
+
+
 @pytest.mark.parametrize("name", sorted(_package_classes()))
 def test_no_class_is_a_dataclass(name):
-    module, attr = name.split(".")
-    cls = getattr(importlib.import_module(f"phonon_optics.{module}"), attr)
-    assert not dataclasses.is_dataclass(cls)
+    assert not dataclasses.is_dataclass(_package_class(name))
+
+
+NOT_RECORDS = {
+    "seqlang.Angle", "seqlang.Statement", "detection.DirectEstimate",  # tuple semantics
+    "seqlang.ParseError", "seqlang.ExecutionError",
+    "seqlang._LineReader",  # a cursor over one line's tokens
+    "fockspace._Record",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(_package_classes()) - NOT_RECORDS))
+def test_every_other_class_is_a_record(name):
+    cls = _package_class(name)
+    assert issubclass(cls, _Record)
+    assert "__setattr__" not in vars(cls) and "__delattr__" not in vars(cls)
+
+
+@pytest.mark.parametrize("values", [(), (1,), (1, 2, 3)])
+def test_a_wrong_field_count_names_the_class(values):
+    with pytest.raises(TypeError, match=f"^ExecutionResult takes 2 values, got {len(values)}$"):
+        ExecutionResult(*values)
 
