@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (seqlang.ExecutionError, ValueError, AssertionError, MemoryError) as exc:
+    except (seqlang.ExecutionError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

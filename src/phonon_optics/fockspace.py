@@ -36,6 +36,7 @@ import json
 import math
 import operator
 import os
+import sys
 from functools import lru_cache
 from typing import Sequence
 
@@ -114,6 +115,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only."""
     arr.setflags(write=False)
     return arr
+
+
+def _read_int(text: str, what: str) -> int:
+    """``int(text)`` for a signed decimal ``text``; a ValueError naming ``what``
+    where it is longer than ``int()`` converts (4,300 digits by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise ValueError(f"{what} has {digits} digits, too many to read as an integer") from None
 
 
 def _require_mode(mode: str) -> None:
@@ -445,7 +456,7 @@ def _hop_tables(n_total_max: int):
     """
     ms, ns = _mode_numbers(n_total_max)
     src = np.flatnonzero(ns >= 1)
-    return src, np.sqrt((ms[src] + 1.0) * ns[src])
+    return _frozen(src), _frozen(np.sqrt((ms[src] + 1.0) * ns[src]))
 
 
 def _apply_jx(amps: np.ndarray, trunc: Truncation) -> np.ndarray:
@@ -607,18 +618,11 @@ def joint_state(
     ion2: QubitState | None = None,
 ) -> JointState:
     """Tensor qubit registers onto a motional state (ion 1 axis first)."""
-    ions: list[int] = []
+    registers = [(ion, q) for ion, q in ((1, ion1), (2, ion2)) if q is not None]
     amps = motional.amps
-    factors: list[np.ndarray] = []
-    if ion1 is not None:
-        ions.append(1)
-        factors.append(ion1.amps)
-    if ion2 is not None:
-        ions.append(2)
-        factors.append(ion2.amps)
-    for q in reversed(factors):
-        amps = np.multiply.outer(q, amps)
-    return JointState(motional.trunc, tuple(ions), amps, motional.tail_mass)
+    for _, q in reversed(registers):
+        amps = np.multiply.outer(q.amps, amps)
+    return JointState(motional.trunc, tuple(ion for ion, _ in registers), amps, motional.tail_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +666,34 @@ def state_to_json(s: MotionalState) -> str:
     )
 
 
+def _json_number(value, what: str, kind: str = "number"):
+    """``value`` if it is a finite JSON number, or for ``kind`` "integer" a
+    JSON integer; a bool is neither.  Else a ValueError naming ``what``."""
+    types = (int,) if kind == "integer" else (int, float)
+    # NaN fails the comparison; an integer beyond the float range compares exactly
+    if type(value) not in types or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite JSON {kind}, got {value!r:.40}")
+    return value
+
+
 def state_from_json(text: str) -> MotionalState:
-    data = json.loads(text)
-    trunc = Truncation(int(data["n_total_max"]))
-    amps = np.zeros(trunc.dim, dtype=np.complex128)
-    for m, n, re, im in data["amps"]:
-        amps[trunc.index(int(m), int(n))] = complex(re, im)
-    return MotionalState(trunc, amps, float(data.get("tail_mass", 0.0)))
+    """Read the format of ``state_to_json`` and nothing else: a malformed
+    document, such as one listing a pair twice, is a ValueError naming the field."""
+    try:
+        data = json.loads(text, parse_int=lambda s: _read_int(s, "a JSON integer"))
+    except RecursionError:
+        raise ValueError("state JSON is nested too deeply") from None
+    if not (isinstance(data, dict) and isinstance(data.get("amps"), list)):
+        raise ValueError(f"state JSON must be an object with an 'amps' list, got {data!r:.40}")
+    trunc = Truncation(_json_number(data.get("n_total_max"), "n_total_max", "integer"))
+    amps, seen = np.zeros(trunc.dim, dtype=np.complex128), set()
+    for i, row in enumerate(data["amps"]):
+        if not (isinstance(row, list) and len(row) == 4):
+            raise ValueError(f"amps[{i}] must be a row [m, n, re, im], got {row!r:.40}")
+        m, n = (_json_number(v, f"amps[{i}] {k}", "integer") for k, v in zip("mn", row))
+        re, im = (_json_number(v, f"amps[{i}] {k}") for k, v in zip(("re", "im"), row[2:]))
+        if (m, n) in seen:
+            raise ValueError(f"amps[{i}] lists (m, n) = ({m}, {n}) a second time")
+        seen.add((m, n))
+        amps[trunc.index(m, n)] = complex(re, im)
+    return MotionalState(trunc, amps, float(_json_number(data.get("tail_mass", 0.0), "tail_mass")))

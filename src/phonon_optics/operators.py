@@ -403,9 +403,9 @@ class DenseUnitary(_Record):
 def expm_oracle(generator: np.ndarray, t: float) -> DenseUnitary:
     """Dense exponential test oracle.
 
-    For a Hermitian generator H the result is exp(-i H t) via
-    eigendecomposition; for an anti-Hermitian generator A it is exp(A t) via
-    scaling and squaring (equivalently exp(-i (iA) t)).  Rejects matrices
+    For a Hermitian generator H the result is exp(-i H t), for an
+    anti-Hermitian generator A it is exp(A t) = exp(-i (iA) t); both come
+    from the eigendecomposition of the Hermitian H or iA.  Rejects matrices
     larger than ``DEFAULT_ORACLE_CAP`` on a side; this path is for
     cross-checks only.
     """
@@ -416,15 +416,13 @@ def expm_oracle(generator: np.ndarray, t: float) -> DenseUnitary:
         raise ValueError(f"oracle dimension {g.shape[0]} exceeds cap {DEFAULT_ORACLE_CAP}")
     scale = max(1.0, float(np.max(np.abs(g))))
     if np.max(np.abs(g - g.conj().T)) <= 1e-12 * scale:
-        w, v = np.linalg.eigh(g)
-        u = (v * np.exp(-1j * t * w)) @ v.conj().T
+        h = g
     elif np.max(np.abs(g + g.conj().T)) <= 1e-12 * scale:
-        import scipy.linalg  # test-only path; keeps scipy out of the CLI import
-
-        u = scipy.linalg.expm(t * g)
+        h = 1j * g  # exp(g t) = exp(-i (i g) t)
     else:
         raise ValueError("generator is neither Hermitian nor anti-Hermitian")
-    return DenseUnitary(u)
+    w, v = np.linalg.eigh(h)
+    return DenseUnitary((v * np.exp(-1j * t * w)) @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------

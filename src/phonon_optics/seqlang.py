@@ -43,6 +43,7 @@ from .detection import _require_samples, direct_mean_phonon, signal
 from .fockspace import (
     MotionalState,
     Truncation,
+    _read_int,
     _Record,
     expect,
     make_cat,
@@ -100,17 +101,6 @@ class Angle(NamedTuple):
         mag = abs(self.pi_num)
         head = f"{sign}pi" if mag == 1 else f"{sign}{mag}*pi"
         return head if self.pi_den == 1 else f"{head}/{self.pi_den}"
-
-
-def _read_int(text: str, what: str) -> int:
-    """``int(text)`` for a signed decimal ``text``, with a ValueError naming
-    ``what`` where it is longer than ``int()`` converts (4,300 digits by
-    default)."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = len(text.lstrip("+-"))
-        raise ValueError(f"{what} has {digits} digits, too many to read as an integer") from None
 
 
 def parse_angle(text: str) -> Angle:
@@ -417,7 +407,7 @@ def _apply_run(run: UnitaryOperator | None, state: MotionalState, line: int) -> 
         return state
     try:
         return apply(run, state)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise ExecutionError(line, str(exc)) from exc
 
 
@@ -450,7 +440,7 @@ def execute(program: PulseProgram) -> ExecutionResult:
                     raise ExecutionError(line, f"unknown verb {stmt.verb!r}")
         except ExecutionError:
             raise
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             raise ExecutionError(line, str(exc)) from exc
     return ExecutionResult(_apply_run(run, state, run_line), records)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_optics import detection, parse
+from phonon_optics import detection, number_distributions, parse, parse_state_spec
 from phonon_optics.cli import main
 from phonon_optics.seqlang import ParseError
 
@@ -357,6 +357,38 @@ def test_detect_direct(tmp_path, capsys, monkeypatch):
     est = json.loads((tmp_path / "detect_direct.json").read_text())
     # MZ output at phi = pi/3 holds 3 phonons in the c.m. mode
     assert est["mean_n_linearized"] == pytest.approx(3.0, abs=1e-3)
+
+
+def closed_form_mean_n(spec, chi_t):
+    """-<sigma_x2> / (2 chi_t), with <sigma_x2> = -sum_k p_k sin(2 chi_t k)
+    over the c-mode marginal of ``spec``."""
+    p = number_distributions(parse_state_spec(spec)).p_m
+    return float(np.sin(2 * chi_t * np.arange(p.size)) @ p) / (2 * chi_t)
+
+
+# At phases 2 chi_t n this large, the closed form and a replay of the carrier
+# pulse and conditional phase round apart by more than 1e-12; the readout used
+# to replay the protocol on every call and refuse these with exit 2.
+@pytest.mark.parametrize("method", ["direct", "single"])
+def test_detect_direct_readout_at_large_phase(tmp_path, capsys, monkeypatch, method):
+    monkeypatch.chdir(tmp_path)
+    spec = "fock 40 0 nmax 40"
+    code, out, err = run_cli(capsys, "detect", spec, "--method", method, "--chi-t", "777.77")
+    assert (code, err) == (0, "")
+    if method == "direct":
+        got = json.loads((tmp_path / "detect_direct.json").read_text())["mean_n_linearized"]
+    else:  # the comparison's jz_direct is (n_c - n_r) / 2, and n_r = 0 here
+        got = 2 * float(out.split("jz_direct=")[1].split()[0])
+    assert got == pytest.approx(closed_form_mean_n(spec, 777.77), rel=1e-12)
+
+
+def test_run_direct_readout_at_large_phase(tmp_path, capsys):
+    path = tmp_path / "big.seq"
+    path.write_text("init fock 300 0 nmax 300\ndirect c 12345.678\n")
+    code, _, err = run_cli(capsys, "run", str(path), "--format", "json", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    got = json.loads((tmp_path / "big_direct1.json").read_text())["mean_n_linearized"]
+    assert got == pytest.approx(closed_form_mean_n("fock 300 0 nmax 300", 12345.678), rel=1e-12)
 
 
 def test_detect_bad_params_exit_code(tmp_path, capsys, monkeypatch):

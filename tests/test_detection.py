@@ -121,6 +121,20 @@ def test_jcm_tables_pair_each_state_with_its_lowered_partner(kind, mode, dm, dn)
         assert list(zip(g_idx.tolist(), e_idx.tolist(), root.tolist())) == pairs
 
 
+def test_cached_probe_tables_are_read_only():
+    # the tables are cached per cutoff, so a write through one propagator
+    # used to reach every later propagator at that cutoff
+    t = Truncation(3)
+    u = jcm_unitary(1.0, 0.5, t, "single")
+    for table in (u.g_index, u.e_index):
+        with pytest.raises(ValueError, match="read-only"):
+            table[:] = 0
+    fresh = jcm_unitary(2.0, 0.25, t, "single")
+    ms, ns = t.mode_numbers()
+    assert fresh.g_index.tolist() == np.flatnonzero(ms).tolist() == [2, 4, 5, 7, 8, 9]
+    assert fresh.e_index.tolist() == t.flat(ms[fresh.g_index] - 1, ns[fresh.g_index]).tolist()
+
+
 @pytest.mark.parametrize("kind,mode", [("single", "c"), ("single", "r"), ("two", "c")])
 def test_jcm_matches_dense_hamiltonian(kind, mode):
     t = Truncation(5)

@@ -315,6 +315,57 @@ def test_state_json_round_trip():
     assert cut.flagged and state_from_json(state_to_json(cut)).flagged
 
 
+def test_hop_tables_are_read_only():
+    src, coef = fockspace._hop_tables(3)
+    for table in (src, coef):
+        with pytest.raises(ValueError, match="read-only"):
+            table[:] = 0
+    s = make_coherent(0.3, 0.2, Truncation(3))
+    assert expect(s, "jx") == pytest.approx(0.06, abs=2e-3)  # alpha beta at a small cutoff
+
+
+STATE = '"n_total_max": 2, "amps": [[0, 0, 1, 0]]'
+
+
+@pytest.mark.parametrize("text, message", [
+    # a non-integer cutoff and pair used to be truncated in silence
+    ('{"n_total_max": 2.7, "amps": [[0.9, 0, 1, 0]]}',
+     "n_total_max must be a finite JSON integer, got 2.7"),
+    ('{"n_total_max": "3", "amps": [[0, 0, 1, 0]]}',
+     "n_total_max must be a finite JSON integer, got '3'"),
+    ('{"n_total_max": true, "amps": [[0, 0, 1, 0]]}',
+     "n_total_max must be a finite JSON integer, got True"),
+    ('{"n_total_max": 2, "amps": [[false, true, 1, 0]]}',
+     "amps[0] m must be a finite JSON integer, got False"),
+    ('{%s, "tail_mass": "0.5"}' % STATE, "tail_mass must be a finite JSON number, got '0.5'"),
+    ('{%s, "tail_mass": NaN}' % STATE, "tail_mass must be a finite JSON number, got nan"),
+    # these used to escape as TypeError, KeyError and Python's own integer limit
+    ('{"n_total_max": 2, "amps": [[0, 0, "1", 0]]}',
+     "amps[0] re must be a finite JSON number, got '1'"),
+    ('{"n_total_max": 2}', "state JSON must be an object with an 'amps' list"),
+    ('[[0, 0, 1, 0]]', "state JSON must be an object with an 'amps' list"),
+    ('{"n_total_max": %s, "amps": []}' % ("9" * 5000),
+     "a JSON integer has 5000 digits, too many to read as an integer"),
+    ('{"n_total_max": 2, "amps": [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]}',
+     "amps[2] lists (m, n) = (0, 0) a second time"),
+    ('{"n_total_max": 2, "amps": [[0, 0, 1, %s]]}' % ("9" * 400),
+     "amps[0] im must be a finite JSON number"),
+    ('{"n_total_max": 2, "amps": [[0, 0, 1e999, 0]]}',
+     "amps[0] re must be a finite JSON number, got inf"),
+    ('{"n_total_max": 2, "amps": [[0, 0, 1]]}', "amps[0] must be a row [m, n, re, im]"),
+    ('{"n_total_max": 2, "amps": [[0, 3, 1, 0]]}', "(m, n) = (0, 3) outside truncation"),
+    ("[" * 100000 + "]" * 100000, "state JSON is nested too deeply"),
+], ids=["float-cutoff", "string-cutoff", "bool-cutoff", "bool-pair", "string-tail", "nan-tail",
+        "string-amplitude", "no-amps", "top-level-list", "long-integer", "pair-twice",
+        "huge-integer-amplitude", "infinite-amplitude", "short-row", "pair-outside",
+        "deep-nesting"])
+def test_state_from_json_refuses_what_state_to_json_never_writes(text, message):
+    with pytest.raises(ValueError) as info:
+        state_from_json(text)
+    assert type(info.value) is ValueError
+    assert message in str(info.value)
+
+
 def test_distribution_csv_format():
     d = number_distributions(make_fock(1, 1, Truncation(2)))
     lines = d.to_csv().strip().splitlines()
