@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--phi-max", type=_angle, default=2.0 * math.pi,
                          help="grid is half open: [phi-min, phi-max)")
     p_sweep.add_argument("--points", type=int, default=64)
-    p_sweep.add_argument("--nmax", type=int, default=None,
-                         help="override the truncation of the state spec")
     p_sweep.add_argument("--out", default=None, help="CSV file (default stdout)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
@@ -111,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--mz", type=_angle, default=None,
                        help="push the state through the interferometer at this "
                             "phase before detecting")
-    p_det.add_argument("--nmax", type=int, default=None,
-                       help="override the truncation of the state spec")
     p_det.add_argument("--out", default="detect", help="artifact file prefix")
     p_det.set_defaults(handler=cmd_detect)
     return parser
@@ -156,7 +152,7 @@ def cmd_sweep(args) -> int:
                          "--phi-max must differ from --phi-min")
     need = _SWEEP_BYTES_PER_POINT * args.points
     fockspace._require_memory(need, f"--points {args.points} needs about {need:.3g} bytes")
-    state = seqlang.parse_state_spec(args.state_spec, args.nmax)
+    state = seqlang.parse_state_spec(args.state_spec)
     step = (args.phi_max - args.phi_min) / args.points
     grid = [args.phi_min + k * step for k in range(args.points)]
     reports = interferometer.phase_sweep(state, grid)
@@ -170,7 +166,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    state = seqlang.parse_state_spec(args.state_spec, args.nmax)
+    state = seqlang.parse_state_spec(args.state_spec)
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
     prefix = args.out

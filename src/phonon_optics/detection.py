@@ -25,8 +25,7 @@ Three measurement schemes for the interferometer output:
    the tests run the protocol on a ``JointState`` as its reference.
 
 The exact probe propagator ``JcmUnitary`` lives here as the reference for
-``signal``.  Traces are exact probabilities (no shot noise); a sample-count
-based binomial noise option is a possible extension.
+``signal``.  Traces are exact probabilities (no shot noise).
 """
 
 import json

@@ -127,6 +127,17 @@ def _read_int(text: str, what: str) -> int:
         raise ValueError(f"{what} has {digits} digits, too many to read as an integer") from None
 
 
+def _integer(value, what: str) -> int:
+    """``operator.index(value)`` for an integer that is not a bool, such as a
+    NumPy integer; a ValueError naming ``what`` for anything else."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _require_mode(mode: str) -> None:
     if mode not in ("c", "r"):
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
@@ -172,18 +183,15 @@ def _mode_numbers(n_total_max: int) -> tuple[np.ndarray, np.ndarray]:
 class Truncation(_Record):
     """Total-phonon cutoff: basis pairs (m, n) with m + n <= n_total_max.
 
-    Construction refuses a non-integer or negative cutoff, and one whose
-    state arrays would exceed ``_memory_limit_bytes()``, so an absurd
-    cutoff fails before anything is allocated.
+    Construction refuses a bool, a non-integer or a negative cutoff, and
+    one whose state arrays would exceed ``_memory_limit_bytes()``, so an
+    absurd cutoff fails before anything is allocated.
     """
 
     __slots__ = ("n_total_max",)
 
     def __init__(self, n_total_max: int) -> None:
-        try:
-            n = operator.index(n_total_max)
-        except TypeError:
-            raise ValueError(f"n_total_max must be an integer, got {n_total_max!r}") from None
+        n = _integer(n_total_max, "n_total_max")
         if n < 0:
             raise ValueError(f"n_total_max must be >= 0, got {n}")
         # A state allocates, per basis state, its complex128 amplitudes and
@@ -216,7 +224,8 @@ class Truncation(_Record):
         return m >= 0 and n >= 0 and m + n <= self.n_total_max
 
     def index(self, m: int, n: int) -> int:
-        """Flat index of |m, n>; rejects pairs outside the truncation."""
+        """Flat index of |m, n>; refuses a bool or non-integer m or n, and (m, n) outside."""
+        m, n = _integer(m, "m"), _integer(n, "n")
         if not self.contains(m, n):
             raise ValueError(
                 f"(m, n) = ({m}, {n}) outside truncation: need m, n >= 0 and "
@@ -559,6 +568,7 @@ class JointState(_Record):
     """
 
     __slots__ = ("trunc", "ions", "amps", "tail_mass")
+    flagged = MotionalState.flagged
 
     def __init__(self, trunc: Truncation, ions: tuple[int, ...], amps: np.ndarray,
                  tail_mass: float = 0.0) -> None:
@@ -567,11 +577,6 @@ class JointState(_Record):
         amps = _unit_amps(amps, (2,) * len(ions) + (trunc.dim,), "joint state")
         _require_tail(tail_mass)
         super().__init__(trunc, ions, amps, tail_mass)
-
-    @property
-    def flagged(self) -> bool:
-        """True when tail_mass exceeds DEFAULT_TAIL_TOLERANCE."""
-        return self.tail_mass > DEFAULT_TAIL_TOLERANCE
 
     @property
     def qubit_count(self) -> int:

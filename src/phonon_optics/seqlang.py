@@ -323,15 +323,12 @@ def parse(text: str) -> PulseProgram:
     return PulseProgram(statements, lines)
 
 
-def parse_state_spec(spec: str, nmax_override: int | None = None) -> MotionalState:
+def parse_state_spec(spec: str) -> MotionalState:
     """Build the initial state from the init clause alone (CLI state-spec)."""
     program = parse("init " + spec.strip())
     if len(program.statements) != 1:
         raise ParseError(1, 1, "state spec must be a single init clause")
-    args = dict(program.statements[0].args)
-    if nmax_override is not None:
-        args["nmax"] = nmax_override
-    return _build_initial_state(args, line=1)
+    return _build_initial_state(program.statements[0].args, line=1)
 
 
 def _build_initial_state(args: dict, line: int) -> MotionalState:
@@ -433,13 +430,9 @@ def execute(program: PulseProgram) -> ExecutionResult:
                 elif stmt.verb == "direct":
                     est = direct_mean_phonon(state, stmt.args["chi_t"], 1.0, stmt.args["mode"])
                     records.append(DirectRecord(idx, est))
-                elif stmt.verb == "report":
+                else:  # report, the one verb left that the parser accepts
                     moments = (expect(state, k) for k in ("jx", "jy", "jz"))
                     records.append(ReportRecord(idx, number_distributions(state), *moments))
-                else:  # pragma: no cover - parser rejects unknown verbs
-                    raise ExecutionError(line, f"unknown verb {stmt.verb!r}")
-        except ExecutionError:
-            raise
         except ValueError as exc:
             raise ExecutionError(line, str(exc)) from exc
     return ExecutionResult(_apply_run(run, state, run_line), records)

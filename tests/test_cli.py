@@ -186,6 +186,8 @@ def test_bad_angle_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
         ("--seed", "1", "sweep", "fock 0 0 nmax 2"),
         ("sweep", "fock 0 0 nmax 2", "--workers", "2"),
         ("sweep", "fock 0 0 nmax 2", "--fd-step", "1e-4"),
+        ("sweep", "fock 0 0 nmax 6", "--nmax", "2"),
+        ("detect", "fock 3 3 nmax 6", "--method", "direct", "--nmax", "2"),
     ],
 )
 def test_removed_flags_are_rejected(capsys, argv):

@@ -41,7 +41,7 @@ def test_truncation_rejects_negative():
         Truncation(-1)
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None, True, False, np.True_])
 def test_truncation_rejects_non_integer(bad):
     with pytest.raises(ValueError, match="must be an integer"):
         Truncation(bad)
@@ -51,6 +51,19 @@ def test_truncation_takes_numpy_integers():
     t = Truncation(np.int64(4))
     assert type(t.n_total_max) is int
     assert t == Truncation(4) and t.dim == 15
+
+
+@pytest.mark.parametrize(
+    "m, n, what", [(True, False, "m"), (0, True, "n"), (1.5, 0, "m"), (0, "1", "n")]
+)
+def test_fock_indices_must_be_integers_and_not_bools(m, n, what):
+    # a bool passes operator.index as 0 or 1; a float would reach NumPy's indexing
+    with pytest.raises(ValueError, match=f"{what} must be an integer, got"):
+        make_fock(m, n, Truncation(2))
+
+
+def test_fock_indices_take_numpy_integers():
+    assert make_fock(np.int64(1), np.int32(0), Truncation(2)).amplitude(1, 0) == 1.0
 
 
 def _memory_limit_with(monkeypatch, tmp_path, text):

@@ -557,6 +557,23 @@ def test_lab_to_angles_rejects_zero_detuning():
         lab_to_angles(p)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("Omega", math.nan, "Omega must be finite, got nan"),
+        ("Delta", math.inf, "Delta must be finite, got inf"),
+        ("Omega", 1e200, "overflow phi, chi$"),
+        ("t", 1e308, "overflow theta, phi, phi_r$"),
+    ],
+)
+def test_lab_to_angles_refuses_non_finite_fields_and_angles(field, value, message):
+    # unchecked, these give theta = nan, chi = 0.0 and an OverflowError from Omega**2
+    fields = dict(Omega=1e5, eta=0.1, eta_r=0.076, Delta=1e6, Delta_r=1e6, Omega_r=1e5, t=1e-3)
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        lab_to_angles(LabParams(**fields))
+
+
 def test_linked_trap_relation():
     p = LabParams.linked(1.0, 0.2, 1.0, 1.0, 1.0, 1.0)
     assert p.has_linked_modes()

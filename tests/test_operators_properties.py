@@ -101,6 +101,34 @@ def test_small_d_block_is_orthogonal_and_matches_oracle(beta, total):
     assert np.max(np.abs(d - expm_oracle(jy, beta).matrix)) < 1e-12
 
 
+@settings(max_examples=40)
+@example(0.0, 200)
+@example(math.pi, 200)
+@example(-math.pi, 200)
+@example(1e-300, 200)
+@example(math.pi - 1e-9, 200)
+@example(2.0, 400)
+@given(angles, st.integers(0, 200))
+def test_small_d_blocks_rotate_jz_and_keep_unit_columns(beta, top):
+    # Every block d_N satisfies Jz d = d (cos beta Jz - sin beta Jx) and has
+    # unit columns, each within 1e-9 N; both are O(N^2) since Jx is
+    # tridiagonal, so this reaches cutoffs far beyond the dense oracle.
+    cos_b, sin_b = math.cos(beta), math.sin(beta)
+    root = np.sqrt(np.arange(top + 1, dtype=np.float64))
+    blocks = 0
+    for total, d in enumerate(_small_d(beta, top)):
+        jz = np.arange(total + 1) - 0.5 * total
+        hop = (0.5 * sin_b) * root[1 : total + 1] * root[total:0:-1]  # sin(beta) Jx hops
+        residual = (jz[:, None] - cos_b * jz) * d
+        residual[:, 1:] += d[:, :-1] * hop
+        residual[:, :-1] += d[:, 1:] * hop
+        assert np.max(np.abs(residual)) <= 1e-9 * total, total
+        drift = np.max(np.abs(np.einsum("ij,ij->j", d, d) - 1.0))
+        assert drift <= 1e-9 * total, total
+        blocks += 1
+    assert blocks == top + 1
+
+
 @given(states(), kinds, angles)
 def test_apply_preserves_norm(state, kind, theta):
     out = apply(beam_splitter(kind, theta, state.trunc), state)

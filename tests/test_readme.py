@@ -4,9 +4,11 @@ Each call goes through ``cli.main`` in a temporary directory holding a copy
 of ``demos/``; it must exit 0, and every artifact it names on stdout must
 exist.  Each README call also runs as a program, ``python -m
 phonon_optics.cli``, and must print and write the same bytes as in process.
-The README's grammar of the pulse language is the ``seqlang`` docstring's.
+The README's grammar of the pulse language is the ``seqlang`` docstring's,
+and its "Command line" section names exactly the flags ``cli`` defines.
 """
 
+import argparse
 import os
 import re
 import shlex
@@ -18,16 +20,21 @@ from pathlib import Path
 import pytest
 
 from phonon_optics import seqlang
-from phonon_optics.cli import main
+from phonon_optics.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.seq"))
 
 
+def _command_line_section() -> str:
+    """The README's "Command line" section, up to the next level-2 heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_calls() -> list[str]:
     """The ``phonon-optics ...`` lines of the README's "Command line" block."""
-    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _command_line_section().split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("phonon-optics ")]
 
 
@@ -141,6 +148,20 @@ def _verbs(grammar: list[str]) -> list[str]:
 def test_readme_grammar_is_the_module_grammar():
     assert _readme_grammar() == _docstring_grammar()
     assert _verbs(_readme_grammar()) == list(_EXAMPLES) == list(seqlang._GRAMMAR)
+
+
+def _parser_flags() -> set[str]:
+    """Every ``--flag`` that ``build_parser`` defines, over all subcommands."""
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    return {flag for sub in subcommands.choices.values() for action in sub._actions
+            for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+
+
+def test_readme_names_every_cli_flag():
+    # a flag that nothing lists can outlive its use unnoticed
+    flags = re.findall(r"(?<![\w-])--[a-z][a-z-]*", _command_line_section())
+    assert set(flags) == _parser_flags()
 
 
 @pytest.mark.parametrize("verb", list(_EXAMPLES))

@@ -501,8 +501,6 @@ def test_each_passive_run_rotates_at_most_once(monkeypatch, text, rotations):
 def test_parse_state_spec():
     s = parse_state_spec("coherent 0 0 2 0 nmax 40")
     assert s.trunc.n_total_max == 40
-    s = parse_state_spec("fock 1 0 nmax 4", nmax_override=9)
-    assert s.trunc.n_total_max == 9
 
 
 def test_parse_state_spec_locates_an_integer_too_long_to_convert():
