@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="run one detection scheme")
     p_det.add_argument("state_spec", help="init clause, e.g. 'fock 1 1 nmax 4'")
     p_det.add_argument("--method", choices=("single", "two", "direct"), required=True)
-    p_det.add_argument("--mode", choices=("c", "r"), default="c",
-                       help="probed mode for single/direct (default c)")
+    p_det.add_argument("--mode", choices=("c", "r"), default=None,
+                       help="probed mode for single/direct (default c); "
+                            "refused for two, which probes both modes")
     p_det.add_argument("--coupling", type=float, default=1.0,
                        help="probe coupling in rad/s (default 1.0)")
     p_det.add_argument("--samples", type=int, default=detection.DEFAULT_SAMPLE_COUNT)
@@ -166,6 +167,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.method == "two" and args.mode is not None:
+        raise ValueError("--mode is for --method single and direct: the two-mode probe "
+                         "drives both modes")
+    mode = args.mode or "c"
     state = seqlang.parse_state_spec(args.state_spec)
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
@@ -181,13 +186,13 @@ def cmd_detect(args) -> int:
 
     artifacts: list[tuple[str, str]] = []
     if args.method == "single":
-        rec = comparison.fits[args.mode]
-        artifacts.append((f"{prefix}_trace.csv", comparison.traces[args.mode].to_csv()))
+        rec = comparison.fits[mode]
+        artifacts.append((f"{prefix}_trace.csv", comparison.traces[mode].to_csv()))
         artifacts.append((f"{prefix}_p.json", rec.to_json()))
-        print(f"single[{args.mode}]: mean_n={rec.mean_n:.17g} residual={rec.residual:.3g}")
+        print(f"single[{mode}]: mean_n={rec.mean_n:.17g} residual={rec.residual:.3g}")
     elif args.method == "two":
         times = comparison.traces["c"].times  # the probe samples the comparison's times
-        trace = detection.signal(state, args.coupling, times, "two", args.mode)
+        trace = detection.signal(state, args.coupling, times, "two")
         artifacts.append((f"{prefix}_trace.csv", trace.to_csv()))
         rec = detection.reconstruct_two(trace, k_max)
         artifacts.append((f"{prefix}_q.json", rec.to_json()))
@@ -195,7 +200,7 @@ def cmd_detect(args) -> int:
         print(f"two: dominant product k={top} q_k={rec.q[top]:.17g} "
               f"residual={rec.residual:.3g}")
     else:
-        est = comparison.directs[args.mode]
+        est = comparison.directs[mode]
         artifacts.append((f"{prefix}_direct.json", est.to_json()))
         print(f"direct[{est.mode}]: sigma_x={est.sigma_x_exact:.17g} "
               f"mean_n={est.mean_n_linearized:.17g}")

@@ -30,7 +30,6 @@ The exact probe propagator ``JcmUnitary`` lives here as the reference for
 
 import json
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -188,8 +187,7 @@ def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.
     return np.linspace(0.0, t_end, n_samples)
 
 
-@lru_cache(maxsize=None)
-def _jcm_tables(n_total_max: int, kind: str, mode: str):
+def _jcm_tables(trunc: Truncation, kind: str, mode: str):
     """(g_index, e_index, root) arrays for the coupled pairs of one probe.
 
     Pair k couples |g, m, n> at flat index g_index[k] to |e> and the lowered
@@ -198,7 +196,6 @@ def _jcm_tables(n_total_max: int, kind: str, mode: str):
     two-mode kind.  root[k] is sqrt of the lowered phonon number (single)
     or of m n (two-mode), nonzero exactly where the partner exists.
     """
-    trunc = Truncation(n_total_max)
     ms, ns = trunc.mode_numbers()
     if kind == "single":
         k, lower_m, lower_n = trunc.phonons(mode), mode == "c", mode == "r"
@@ -206,7 +203,7 @@ def _jcm_tables(n_total_max: int, kind: str, mode: str):
         k, lower_m, lower_n = ms * ns, 1, 1
     g_idx = np.flatnonzero(k)
     e_idx = trunc.flat(ms[g_idx] - lower_m, ns[g_idx] - lower_n)
-    return _frozen(g_idx), _frozen(e_idx), _frozen(np.sqrt(k[g_idx].astype(np.float64)))
+    return g_idx, e_idx, np.sqrt(k[g_idx].astype(np.float64))
 
 
 class JcmUnitary(_Record):
@@ -266,8 +263,8 @@ def jcm_unitary(
     if kind not in ("single", "two"):
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
     _require_mode(mode)
-    g_idx, e_idx, root = _jcm_tables(trunc.n_total_max, kind, mode)
-    return JcmUnitary(trunc, g_idx, e_idx, coupling * t * root)
+    g_idx, e_idx, root = _jcm_tables(trunc, kind, mode)
+    return JcmUnitary(trunc, _frozen(g_idx), _frozen(e_idx), coupling * t * root)
 
 
 def jcm_propagate(

@@ -13,7 +13,8 @@ and ``detection`` call it instead of restating them:
 
 * the layout: ``Truncation.flat`` gives the flat index t(t+1)/2 + m of
   |m, n> (t = m + n), and ``index``, ``block``, ``dim`` and
-  ``mode_numbers`` all derive from it;
+  ``mode_numbers`` all derive from it.  Each ``Truncation`` holds its own
+  layout arrays, and nothing is cached at module level;
 * the mode labels: ``Truncation.phonons`` maps ``c`` to m and ``r`` to n,
   and ``_require_mode`` refuses any other label;
 * ``_require_same`` refuses two objects on different truncations;
@@ -37,7 +38,6 @@ import math
 import operator
 import os
 import sys
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -172,34 +172,29 @@ def _unit_amps(amps, shape: tuple[int, ...], what: str) -> np.ndarray:
     return _frozen(amps)
 
 
-@lru_cache(maxsize=None)
-def _mode_numbers(n_total_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (ms, ns) listing the basis pairs in (total, m) order."""
-    totals = np.repeat(np.arange(n_total_max + 1), np.arange(1, n_total_max + 2))
-    ms = np.arange(totals.size) - Truncation.flat(0, totals)
-    return _frozen(ms), _frozen(totals - ms)
-
-
 class Truncation(_Record):
     """Total-phonon cutoff: basis pairs (m, n) with m + n <= n_total_max.
 
     Construction refuses a bool, a non-integer or a negative cutoff, and
     one whose state arrays would exceed ``_memory_limit_bytes()``, so an
-    absurd cutoff fails before anything is allocated.
+    absurd cutoff fails before anything is allocated.  It then builds the
+    read-only layout arrays that ``mode_numbers`` returns.
     """
 
-    __slots__ = ("n_total_max",)
+    __slots__ = ("n_total_max", "_ms", "_ns")
 
     def __init__(self, n_total_max: int) -> None:
         n = _integer(n_total_max, "n_total_max")
         if n < 0:
             raise ValueError(f"n_total_max must be >= 0, got {n}")
-        # A state allocates, per basis state, its complex128 amplitudes and
-        # the two int64 arrays of mode_numbers, and number_distributions
+        # Per basis state, the truncation holds the two int64 arrays of
+        # mode_numbers and a state its complex128 amplitudes; number_distributions
         # fills a float64 (nmax + 1)^2 table: 32 dim + 8 (nmax + 1)^2 bytes.
         need = 32 * self.flat(0, n + 1) + 8 * (n + 1) ** 2
         _require_memory(need, f"n_total_max = {n} needs {need:.3g} bytes of state arrays")
-        super().__init__(n)
+        totals = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
+        ms = np.arange(totals.size) - self.flat(0, totals)
+        super().__init__(n, _frozen(ms), _frozen(totals - ms))
 
     def __eq__(self, other):
         if not isinstance(other, Truncation):
@@ -240,7 +235,8 @@ class Truncation(_Record):
         return slice(self.flat(0, total), self.flat(0, total + 1))
 
     def mode_numbers(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mode_numbers(self.n_total_max)
+        """Arrays (ms, ns) listing the basis pairs in (total, m) order."""
+        return self._ms, self._ns
 
     def phonons(self, mode: str) -> np.ndarray:
         """Phonon numbers of mode ``c`` (m) or ``r`` (n) over the basis."""
@@ -432,7 +428,7 @@ class JointDistribution(_Record):
 
     def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays m, n and p_mn over every basis pair, in (total, m) order."""
-        ms, ns = _mode_numbers(self.p_m.shape[0] - 1)
+        ms, ns = Truncation(self.p_m.shape[0] - 1).mode_numbers()
         return ms, ns, self.p_mn[ms, ns]
 
     def to_csv(self) -> str:
@@ -454,8 +450,7 @@ def number_distributions(s: MotionalState) -> JointDistribution:
     return JointDistribution(p_mn, p_m, p_n, mean_jz)
 
 
-@lru_cache(maxsize=None)
-def _hop_tables(n_total_max: int):
+def _hop_tables(trunc: Truncation):
     """(src, coef) of a+ b on the triangular basis: a+ b |m, n> =
     coef |m + 1, n - 1> for every |m, n> at flat index src with n >= 1.
 
@@ -463,13 +458,13 @@ def _hop_tables(n_total_max: int):
     at src + 1.  a b+ = (a+ b)+ is the same table read backwards, from
     src + 1 to src with the same coefficient sqrt((m + 1) n).
     """
-    ms, ns = _mode_numbers(n_total_max)
+    ms, ns = trunc.mode_numbers()
     src = np.flatnonzero(ns >= 1)
-    return _frozen(src), _frozen(np.sqrt((ms[src] + 1.0) * ns[src]))
+    return src, np.sqrt((ms[src] + 1.0) * ns[src])
 
 
 def _apply_jx(amps: np.ndarray, trunc: Truncation) -> np.ndarray:
-    src, coef = _hop_tables(trunc.n_total_max)
+    src, coef = _hop_tables(trunc)
     out = np.zeros_like(amps)
     out[src + 1] += 0.5 * coef * amps[src]
     out[src] += 0.5 * coef * amps[src + 1]
@@ -496,7 +491,7 @@ def expect(s: MotionalState, obs: str) -> float:
     if key == "jz2":
         return float((0.25 * (ms - ns) ** 2) @ p)
     # <Jx> and <Jy> are the real and imaginary parts of <a+ b>
-    src, coef = _hop_tables(s.trunc.n_total_max)
+    src, coef = _hop_tables(s.trunc)
     hop = np.vdot(s.amps[src + 1], coef * s.amps[src])
     return float(hop.real if key == "jx" else hop.imag)
 

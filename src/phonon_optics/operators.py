@@ -45,6 +45,7 @@ operator and nothing else; the Jaynes-Cummings probe propagator lives in
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -470,12 +471,16 @@ def lab_to_angles(p: LabParams) -> EffectiveAngles:
 
     theta = 2 Omega eta eta_r t, chi = eta^2 Omega^2 / (2 Delta),
     phi = chi t / 2, and likewise for the breathing mode;
-    lam = eta Omega / 2 and g = Omega eta eta_r.  A non-finite field, a zero
-    detuning or an angle that overflows a float is a ValueError naming it.
+    lam = eta Omega / 2 and g = Omega eta eta_r.  A non-finite field, an
+    integer field beyond the float range, a zero detuning or an angle that
+    overflows a float is a ValueError naming it.
     """
     for name in LabParams.__slots__:
-        if not math.isfinite(getattr(p, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(p, name)!r}")
+        value = getattr(p, name)
+        # NaN fails the comparison; an integer beyond the float range compares exactly
+        if not abs(value) <= sys.float_info.max:
+            shown = "an integer beyond the float range" if isinstance(value, int) else repr(value)
+            raise ValueError(f"{name} must be finite, got {shown}")
     if p.Delta == 0.0 or p.Delta_r == 0.0:
         raise ValueError("detunings must be nonzero for the dispersive phases")
     chi = _dispersive_rate(p.eta, p.Omega, p.Delta)

