@@ -38,7 +38,6 @@ from .fockspace import (
     JointState,
     MotionalState,
     Truncation,
-    _frozen,
     _Record,
     _require_memory,
     _require_mode,
@@ -87,7 +86,7 @@ class SignalTrace(_Record):
         _require_mode(mode)
         if not (math.isfinite(coupling) and coupling > 0):
             raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
-        super().__init__(_frozen(times), _frozen(values), coupling, kind, mode)
+        super().__init__(times, values, coupling, kind, mode)
 
     def to_csv(self) -> str:
         rows = (f"{t:.17g},{v:.17g}" for t, v in zip(self.times, self.values))
@@ -264,7 +263,7 @@ def jcm_unitary(
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
     _require_mode(mode)
     g_idx, e_idx, root = _jcm_tables(trunc, kind, mode)
-    return JcmUnitary(trunc, _frozen(g_idx), _frozen(e_idx), coupling * t * root)
+    return JcmUnitary(trunc, g_idx, e_idx, coupling * t * root)
 
 
 def jcm_propagate(

@@ -18,9 +18,8 @@ and ``detection`` call it instead of restating them:
 * the mode labels: ``Truncation.phonons`` maps ``c`` to m and ``r`` to n,
   and ``_require_mode`` refuses any other label;
 * ``_require_same`` refuses two objects on different truncations;
-* ``_unit_amps`` casts, checks and freezes the amplitudes of every state
-  class, ``_frozen`` makes any array read-only and ``_require_tail``
-  checks a discarded probability.
+* ``_unit_amps`` casts and checks the amplitudes of every state class,
+  and ``_require_tail`` checks a discarded probability.
 
 Qubit registers use the convention sigma_z |g> = -|g>, sigma_z |e> = +|e>,
 with basis index 0 = |g> and 1 = |e>.
@@ -28,9 +27,10 @@ with basis index 0 = |g> and 1 = |e>.
 Everything here is immutable after construction and all operations are pure
 functions, so concurrent read access needs no synchronization.  Every
 read-only class of the package subclasses ``_Record``, which stores one value
-per ``__slots__`` field and, through ``_read_only``, refuses every later
-assignment or deletion; a class that checks its arguments does so in its own
-``__init__`` and then passes them on.  Only ``Truncation`` compares by value.
+per ``__slots__`` field, freezes every array it stores and, through
+``_read_only``, refuses every later assignment or deletion; a class that
+checks its arguments does so in its own ``__init__`` and then passes them
+on.  Only ``Truncation`` compares by value.
 """
 
 import json
@@ -96,8 +96,10 @@ class _Record:
     """Base of the package's read-only classes.
 
     A subclass names its fields in ``__slots__``; ``__init__`` stores one
-    value per slot, in slot order, and nothing may set or delete a field
-    afterwards.  It generates no ``__eq__``, ``__repr__`` or ``__hash__``.
+    value per slot, in slot order, and marks each NumPy array read-only in
+    place (the array given, not a copy).  Nothing may set or delete a field
+    afterwards.  It generates no ``__eq__``, ``__repr__`` or ``__hash__``;
+    ``copy`` and ``pickle`` rebuild a record through ``_rebuild``.
     """
 
     __slots__ = ()
@@ -108,13 +110,21 @@ class _Record:
         if len(values) != len(slots):
             raise TypeError(f"{type(self).__name__} takes {len(slots)} values, got {len(values)}")
         for name, value in zip(slots, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        return _rebuild, (type(self), *(getattr(self, name) for name in type(self).__slots__))
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, made read-only."""
-    arr.setflags(write=False)
-    return arr
+
+def _rebuild(cls, *values):
+    """A ``cls`` record holding ``values``, stored (and refrozen) by
+    ``_Record.__init__`` without the subclass's checks: the values come from
+    a record that passed them."""
+    record = cls.__new__(cls)
+    _Record.__init__(record, *values)
+    return record
 
 
 def _read_int(text: str, what: str) -> int:
@@ -158,7 +168,7 @@ def _require_tail(tail_mass: float) -> None:
 
 
 def _unit_amps(amps, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``amps`` as a read-only contiguous complex array of the given shape,
+    """``amps`` as a contiguous complex array of the given shape,
     refused unless it is finite with unit norm to 1e-12; ``what`` names the
     state in the error messages."""
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
@@ -169,7 +179,7 @@ def _unit_amps(amps, shape: tuple[int, ...], what: str) -> np.ndarray:
     norm2 = float(np.vdot(amps, amps).real)
     if abs(norm2 - 1.0) > _NORM_TOL:
         raise ValueError(f"{what} not normalized: norm^2 = {norm2!r}")
-    return _frozen(amps)
+    return amps
 
 
 class Truncation(_Record):
@@ -194,7 +204,7 @@ class Truncation(_Record):
         _require_memory(need, f"n_total_max = {n} needs {need:.3g} bytes of state arrays")
         totals = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
         ms = np.arange(totals.size) - self.flat(0, totals)
-        super().__init__(n, _frozen(ms), _frozen(totals - ms))
+        super().__init__(n, ms, totals - ms)
 
     def __eq__(self, other):
         if not isinstance(other, Truncation):
@@ -420,11 +430,6 @@ class JointDistribution(_Record):
     """
 
     __slots__ = ("p_mn", "p_m", "p_n", "mean_jz")
-
-    def __init__(self, p_mn: np.ndarray, p_m: np.ndarray, p_n: np.ndarray,
-                 mean_jz: float) -> None:
-        p_mn, p_m, p_n = (_frozen(np.asarray(p, dtype=np.float64)) for p in (p_mn, p_m, p_n))
-        super().__init__(p_mn, p_m, p_n, mean_jz)
 
     def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays m, n and p_mn over every basis pair, in (total, m) order."""

@@ -6,13 +6,20 @@ subclasses ``fockspace._Record``, which stores one value per slot and
 refuses any later assignment, except three ``typing.NamedTuple`` records,
 two exceptions and the mutable ``seqlang._LineReader``; none may be a
 dataclass, whose methods are generated when the package is imported.
+Every array a record holds is read-only, frozen by the base alone, and
+every record survives ``copy.copy``, ``copy.deepcopy`` and ``pickle``.
 """
 
+import ast
+import copy
 import dataclasses
 import importlib
 import inspect
 import json
+import math
+import pickle
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +99,111 @@ def test_records_are_read_only(what, build, field):
     with pytest.raises(AttributeError):
         obj.unknown_field = 1
     assert getattr(obj, field) is before
+
+
+def _arrays(obj, path):
+    """(path, array) for every array reachable from ``obj`` through record
+    fields, tuples, lists and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, _Record):
+        for name in type(obj).__slots__:
+            yield from _arrays(getattr(obj, name), f"{path}.{name}")
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays(value, f"{path}[{key!r}]")
+
+
+@pytest.mark.parametrize("what, build, field", READ_ONLY, ids=[r[0] for r in READ_ONLY])
+def test_every_array_a_record_holds_is_read_only(what, build, field):
+    for path, arr in _arrays(build(), what):
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+        assert np.array_equal(arr, before), path
+
+
+def test_a_frozen_splitter_still_splits():
+    t = Truncation(4)
+    u = beam_splitter("b1", math.pi / 2, t)
+    with pytest.raises(ValueError, match="read-only"):
+        u.matrix[:] = 0
+    fock = make_fock(1, 0, t)
+    out = u.apply(fock).amps
+    assert np.array_equal(out, beam_splitter("b1", math.pi / 2, t).apply(fock).amps)
+    assert abs(out[t.index(1, 0)]) ** 2 == pytest.approx(0.5)
+
+
+def _same(a, b):
+    """Same type and equal values, arrays by ``np.array_equal``, records and
+    containers item by item."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, _Record):
+        return all(_same(getattr(a, name), getattr(b, name)) for name in type(a).__slots__)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return a == b
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("what, build, field", READ_ONLY, ids=[r[0] for r in READ_ONLY])
+def test_records_survive_copy_and_pickle(what, build, field):
+    obj = build()
+    for how, clone in COPIES.items():
+        twin = clone(obj)
+        assert _same(twin, obj), how
+        for path, arr in _arrays(twin, what):
+            assert not arr.flags.writeable, (how, path)
+        if isinstance(obj, Truncation):
+            assert twin == obj
+
+
+PACKAGE = Path(phonon_optics.__file__).parent
+
+
+def _scoped_calls(node, scope=()):
+    """(dotted enclosing class and function names, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call):
+            yield ".".join(scope), child
+        yield from _scoped_calls(child, inner)
+
+
+def test_only_the_record_base_freezes_arrays():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) >= 8
+    setflags, frozen, writeable = [], [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        setflags += [
+            f"{path.stem}.{scope}"
+            for scope, call in _scoped_calls(tree)
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "setflags"
+        ]
+        for node in ast.walk(tree):
+            if "_frozen" in (getattr(node, "name", None), getattr(node, "id", None)):
+                frozen.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "writeable":
+                writeable.append(f"{path.name}:{node.lineno}")
+    assert setflags == ["fockspace._Record.__init__"]
+    assert frozen == [] and writeable == []
 
 
 def test_value_classes_compare_by_value():
