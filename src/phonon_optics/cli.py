@@ -184,23 +184,24 @@ def cmd_detect(args) -> int:
         m_max=args.m_max, chi_t=args.chi_t,
     )
 
+    side = "cr".index(mode)  # the comparison's pairs are in (c, r) order
     artifacts: list[tuple[str, str]] = []
     if args.method == "single":
-        rec = comparison.fits[mode]
-        artifacts.append((f"{prefix}_trace.csv", comparison.traces[mode].to_csv()))
+        rec = comparison.fits[side]
+        artifacts.append((f"{prefix}_trace.csv", comparison.traces[side].to_csv()))
         artifacts.append((f"{prefix}_p.json", rec.to_json()))
         print(f"single[{mode}]: mean_n={rec.mean_n:.17g} residual={rec.residual:.3g}")
     elif args.method == "two":
-        times = comparison.traces["c"].times  # the probe samples the comparison's times
+        times = comparison.traces[0].times  # the probe samples the comparison's times
         trace = detection.signal(state, args.coupling, times, "two")
         artifacts.append((f"{prefix}_trace.csv", trace.to_csv()))
         rec = detection.reconstruct_two(trace, k_max)
         artifacts.append((f"{prefix}_q.json", rec.to_json()))
-        top = max(rec.q, key=rec.q.get)
+        top = int(rec.q.argmax())
         print(f"two: dominant product k={top} q_k={rec.q[top]:.17g} "
               f"residual={rec.residual:.3g}")
     else:
-        est = comparison.directs[mode]
+        est = comparison.directs[side]
         artifacts.append((f"{prefix}_direct.json", est.to_json()))
         print(f"direct[{est.mode}]: sigma_x={est.sigma_x_exact:.17g} "
               f"mean_n={est.mean_n_linearized:.17g}")

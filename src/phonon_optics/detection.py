@@ -120,15 +120,14 @@ class ReconstructedNumberDistribution(_Record):
 
 
 class LevelSetDistribution(_Record):
-    """Probabilities of the product value k = m * n, the most a two-mode
-    probe can identify."""
+    """Probabilities q[k] of the product value k = m * n, the most a two-mode
+    probe can identify, as a dense array over k = 0..k_max."""
 
     __slots__ = ("q", "residual")
 
     def to_json(self) -> str:
         return json.dumps(
-            {"q": {str(k): float(v) for k, v in sorted(self.q.items())},
-             "residual": self.residual}
+            {"q": {str(k): v for k, v in enumerate(self.q.tolist())}, "residual": self.residual}
         )
 
 
@@ -273,13 +272,11 @@ def jcm_propagate(
     return jcm_unitary(coupling, t, js.trunc, kind, mode).apply(js)
 
 
-def level_sets(s: MotionalState) -> dict[int, float]:
-    """True q_k = sum over pairs with m * n = k of |c_mn|^2."""
+def level_sets(s: MotionalState) -> np.ndarray:
+    """True q[k] = sum over pairs with m * n = k of |c_mn|^2, dense over
+    k = 0..max m n; a product that no pair reaches reads 0."""
     ms, ns = s.trunc.mode_numbers()
-    k = ms * ns
-    q = np.bincount(k, weights=np.abs(s.amps) ** 2)
-    present = np.flatnonzero(np.bincount(k))
-    return dict(zip(present.tolist(), q[present].tolist()))
+    return np.bincount(ms * ns, weights=np.abs(s.amps) ** 2)
 
 
 def signal(
@@ -304,8 +301,7 @@ def signal(
         dist = number_distributions(out_state)
         p = dist.p_m if mode == "c" else dist.p_n
     elif kind == "two":
-        ms, ns = out_state.trunc.mode_numbers()
-        p = np.bincount(ms * ns, weights=np.abs(out_state.amps) ** 2)
+        p = level_sets(out_state)
     else:
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
     order = np.argsort(p)
@@ -425,7 +421,7 @@ def reconstruct_two(trace: SignalTrace, k_max: int) -> LevelSetDistribution:
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     q, residual = _nnls_on_dictionary(trace, k_max + 1)
-    return LevelSetDistribution({k: float(v) for k, v in enumerate(q)}, residual)
+    return LevelSetDistribution(q, residual)
 
 
 def direct_mean_phonon(
@@ -457,9 +453,9 @@ def direct_mean_phonon(
 class JzComparison(_Record):
     """Mean Jz of one state measured three independent ways.
 
-    ``traces``, ``fits`` and ``directs`` hold, per mode ``c`` and ``r``, the
-    single-mode trace, its reconstruction and the direct readout that the
-    two measured values come from.
+    ``traces``, ``fits`` and ``directs`` are pairs in (c, r) mode order:
+    the single-mode trace, its reconstruction and the direct readout that
+    the two measured values come from.
     """
 
     __slots__ = ("jz_exact", "jz_reconstructed", "jz_direct", "traces", "fits", "directs")
@@ -493,12 +489,10 @@ def jz_from_methods(
         m_max = out_state.trunc.n_total_max
     _require_samples(n_samples, m_max + 1)
     times = default_times(coupling, n_samples)
-    traces, fits = {}, {}
-    for mode in ("c", "r"):
-        traces[mode] = signal(out_state, coupling, times, "single", mode)
-        fits[mode] = reconstruct_single(traces[mode], m_max)
-    jz_rec = 0.5 * (fits["c"].mean_n - fits["r"].mean_n)
+    traces = tuple(signal(out_state, coupling, times, "single", mode) for mode in "cr")
+    fits = tuple(reconstruct_single(trace, m_max) for trace in traces)
+    jz_rec = 0.5 * (fits[0].mean_n - fits[1].mean_n)
 
-    directs = {mode: direct_mean_phonon(out_state, chi_t, 1.0, mode) for mode in ("c", "r")}
-    jz_dir = 0.5 * (directs["c"].mean_n_linearized - directs["r"].mean_n_linearized)
+    directs = tuple(direct_mean_phonon(out_state, chi_t, 1.0, mode) for mode in "cr")
+    jz_dir = 0.5 * (directs[0].mean_n_linearized - directs[1].mean_n_linearized)
     return JzComparison(jz_exact, jz_rec, jz_dir, traces, fits, directs)

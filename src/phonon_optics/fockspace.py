@@ -30,7 +30,8 @@ read-only class of the package subclasses ``_Record``, which stores one value
 per ``__slots__`` field, freezes every array it stores and, through
 ``_read_only``, refuses every later assignment or deletion; a class that
 checks its arguments does so in its own ``__init__`` and then passes them
-on.  Only ``Truncation`` compares by value.
+on.  A record field holds a number, string, tuple, record or read-only
+array, never a list or dict.  Only ``Truncation`` compares by value.
 """
 
 import json
@@ -98,8 +99,10 @@ class _Record:
     A subclass names its fields in ``__slots__``; ``__init__`` stores one
     value per slot, in slot order, and marks each NumPy array read-only in
     place (the array given, not a copy).  Nothing may set or delete a field
-    afterwards.  It generates no ``__eq__``, ``__repr__`` or ``__hash__``;
-    ``copy`` and ``pickle`` rebuild a record through ``_rebuild``.
+    afterwards.  A field holds a number, string, tuple, record or array,
+    never a list or dict; a test, not a per-slot check, holds that rule.
+    It generates no ``__eq__``, ``__repr__`` or ``__hash__``; ``copy`` and
+    ``pickle`` rebuild a record through ``_rebuild``.
     """
 
     __slots__ = ()
@@ -425,15 +428,16 @@ def fidelity(a: MotionalState, b: MotionalState) -> float:
 class JointDistribution(_Record):
     """Joint and marginal phonon-number distributions of a motional state.
 
-    ``p_mn`` is the square (n_total_max + 1)^2 array, zero outside the
-    triangle; ``p_m`` and ``p_n`` are its marginals.
+    ``trunc`` is the state's truncation; ``p_mn`` is the square
+    (n_total_max + 1)^2 array, zero outside the triangle; ``p_m`` and
+    ``p_n`` are its marginals.
     """
 
-    __slots__ = ("p_mn", "p_m", "p_n", "mean_jz")
+    __slots__ = ("trunc", "p_mn", "p_m", "p_n", "mean_jz")
 
     def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays m, n and p_mn over every basis pair, in (total, m) order."""
-        ms, ns = Truncation(self.p_m.shape[0] - 1).mode_numbers()
+        ms, ns = self.trunc.mode_numbers()
         return ms, ns, self.p_mn[ms, ns]
 
     def to_csv(self) -> str:
@@ -452,7 +456,7 @@ def number_distributions(s: MotionalState) -> JointDistribution:
     p_n = p_mn.sum(axis=0)
     k = np.arange(size)
     mean_jz = 0.5 * (float(k @ p_m) - float(k @ p_n))
-    return JointDistribution(p_mn, p_m, p_n, mean_jz)
+    return JointDistribution(s.trunc, p_mn, p_m, p_n, mean_jz)
 
 
 def _hop_tables(trunc: Truncation):

@@ -320,7 +320,7 @@ def parse(text: str) -> PulseProgram:
         lines.append(line)
     if not statements:
         raise ParseError(1, 1, "empty program: missing 'init'")
-    return PulseProgram(statements, lines)
+    return PulseProgram(tuple(statements), tuple(lines))
 
 
 def parse_state_spec(spec: str) -> MotionalState:
@@ -435,7 +435,7 @@ def execute(program: PulseProgram) -> ExecutionResult:
                     records.append(ReportRecord(idx, number_distributions(state), *moments))
         except ValueError as exc:
             raise ExecutionError(line, str(exc)) from exc
-    return ExecutionResult(_apply_run(run, state, run_line), records)
+    return ExecutionResult(_apply_run(run, state, run_line), tuple(records))
 
 
 def _text(value) -> str:

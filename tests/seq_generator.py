@@ -58,4 +58,4 @@ def random_program(rng) -> PulseProgram:
         else:
             args = {}
         statements.append(Statement(verb, args))
-    return PulseProgram(statements, list(range(1, len(statements) + 1)))
+    return PulseProgram(tuple(statements), tuple(range(1, len(statements) + 1)))

@@ -187,8 +187,7 @@ def test_criterion_6_reconstruction_round_trip():
             trace = signal(s, 1.0, times, "two")
             rec = reconstruct_two(trace, 9)
             true_q = level_sets(s)
-            l1 = sum(abs(rec.q.get(k, 0.0) - true_q.get(k, 0.0)) for k in range(10))
-            assert l1 < 1e-3
+            assert np.abs(rec.q - true_q).sum() < 1e-3
         # the identifiability limit: equal products give identical traces
         t = Truncation(6)
         amps = np.zeros(t.dim, complex)

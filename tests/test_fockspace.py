@@ -380,6 +380,22 @@ def test_distribution_csv_format():
     assert lines[5] == "1,1,1"
 
 
+def test_distribution_reads_its_layout_from_the_state_truncation(monkeypatch):
+    t = Truncation(5)
+    d = number_distributions(make_coherent(0.6, 0.4j, t))
+    assert d.trunc is t
+    ms, ns, p = d.triangle()
+    csv = d.to_csv()
+
+    def refuse(self, n_total_max):
+        raise RuntimeError("a distribution built a second truncation")
+
+    monkeypatch.setattr(fockspace.Truncation, "__init__", refuse)
+    again = d.triangle()
+    assert all(np.array_equal(a, b) for a, b in zip(again, (ms, ns, p)))
+    assert d.to_csv() == csv
+
+
 def test_truncation_for_coherent_tail():
     for alpha, beta in ((0, 1), (0, 2), (0, 3), (1, 2)):
         t = truncation_for_coherent(alpha, beta, 1e-12)

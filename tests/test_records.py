@@ -8,6 +8,11 @@ two exceptions and the mutable ``seqlang._LineReader``; none may be a
 dataclass, whose methods are generated when the package is imported.
 Every array a record holds is read-only, frozen by the base alone, and
 every record survives ``copy.copy``, ``copy.deepcopy`` and ``pickle``.
+A record field holds a number, a string, a tuple, a record or a read-only
+array, never a list, dict or set, so nothing a record reaches can be
+rewritten in place.  The one exception is ``Statement.args``, a dict: a
+``Statement`` is a ``NamedTuple`` that pickles by value, and a read-only
+``MappingProxyType`` cannot be pickled.
 """
 
 import ast
@@ -115,6 +120,27 @@ def _arrays(obj, path):
     elif isinstance(obj, dict):
         for key, value in obj.items():
             yield from _arrays(value, f"{path}[{key!r}]")
+
+
+def _containers(obj, path):
+    """(path, type name) for every list, dict or set reachable from ``obj``
+    through record fields and tuples.  ``Statement.args`` is the one field
+    not walked (see the module docstring)."""
+    if isinstance(obj, (list, dict, set)):
+        yield path, type(obj).__name__
+    elif isinstance(obj, Statement):
+        yield from _containers(obj.verb, f"{path}.verb")
+    elif isinstance(obj, _Record):
+        for name in type(obj).__slots__:
+            yield from _containers(getattr(obj, name), f"{path}.{name}")
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from _containers(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("what, build, field", READ_ONLY, ids=[r[0] for r in READ_ONLY])
+def test_no_record_holds_a_mutable_container(what, build, field):
+    assert list(_containers(build(), what)) == []
 
 
 @pytest.mark.parametrize("what, build, field", READ_ONLY, ids=[r[0] for r in READ_ONLY])
