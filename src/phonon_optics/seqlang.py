@@ -12,8 +12,10 @@ Angles are decimal radians or rational multiples of pi: ``pi``, ``pi/2``,
 other numbers are plain decimal literals.  Exactly one ``init`` statement is
 required and it must come first; verbs and keywords are case insensitive.
 The argument slots of each verb and of each ``init`` state kind live in one
-table, ``_GRAMMAR``, the one home of the grammar above: ``parse`` walks it
-and ``format_program`` writes the arguments back in its order.
+table, ``_GRAMMAR``, the one home of the grammar above, keyword ``nmax``
+included.  A parsed ``Statement`` is its verb and ``args``, a tuple of one
+value per slot in grammar order: ``parse`` walks the table and
+``format_program`` writes the verb and each value back in that order.
 
 ``execute`` threads a motional state through the statements.  ``cphase``
 acts with ion 2 implicitly prepared in |g>, which turns the conditional
@@ -133,7 +135,7 @@ def parse_angle(text: str) -> Angle:
 
 class Statement(NamedTuple):
     verb: str
-    args: dict
+    args: tuple  # one value per ``_GRAMMAR`` slot, in order
 
 
 class PulseProgram(_Record):
@@ -141,7 +143,7 @@ class PulseProgram(_Record):
 
     @property
     def nmax(self) -> int:
-        return self.statements[0].args["nmax"]
+        return self.statements[0].args[-1]
 
 
 class _Token(_Record):
@@ -152,82 +154,21 @@ class _Token(_Record):
         return self.col + len(self.text)
 
 
-class _LineReader:
-    """Hands out the tokens of one line with located errors."""
-
-    def __init__(self, tokens: list[_Token], line: int, verb: str, verb_end: int):
-        self.tokens = tokens
-        self.line = line
-        self.verb = verb
-        self.verb_end = verb_end
-        self.pos = 0
-        self.cols: dict[str, int] = {}  # the column of each slot read, by key
-
-    def take(self, what: str) -> _Token:
-        if self.pos >= len(self.tokens):
-            col = self.tokens[-1].end if self.tokens else self.verb_end
-            raise ParseError(self.line, col, f"'{self.verb}' is missing {what}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def read(self, key: str, kind):
-        """The next token as the slot ``key`` of ``kind``: a tuple of
-        keywords, ``Angle``, ``int`` or ``float``."""
-        keywords = isinstance(kind, tuple)
-        what = "one of " + "/".join(kind) if keywords else "an angle" if kind is Angle else key
-        tok = self.take(what)
-        text = tok.text
-        self.cols[key] = tok.col
-        if keywords:
-            if text.lower() in kind:
-                return text.lower()
-            message = f"expected {what}, got {text!r}"
-        elif kind is Angle:
-            try:
-                return parse_angle(text)
-            except ValueError as exc:
-                message = str(exc)
-        elif kind is int:
-            if _INT_RE.match(text):
-                try:
-                    return _read_int(text, key)
-                except ValueError as exc:
-                    message = str(exc)
-            else:
-                message = f"expected an integer {key}, got {text!r}"
-        else:
-            try:
-                value = float(text)
-            except ValueError:
-                message = f"expected a number for {key}, got {text!r}"
-            else:
-                if math.isfinite(value):
-                    return value
-                message = f"{key} must be finite, got {text!r}"
-        raise ParseError(self.line, tok.col, message)
-
-    def finish(self):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ParseError(
-                self.line, tok.col, f"unexpected trailing argument {tok.text!r} after '{self.verb}'"
-            )
-
-
 # The argument grammar, its one home: each verb, and each ``init`` state
-# kind, to its ordered slots (key, kind).  A verb's keys are its ``args``
-# keys; a state's keys name its slots in messages and in ``cols``.
+# kind, to its ordered slots (key, kind).  A statement's ``args`` holds one
+# value per slot, in order; an ``init`` reads its state kind first, then
+# that kind's slots.  The key names the slot in messages.
+_NMAX = (("nmax", ("nmax",)), ("nmax", int))
 _GRAMMAR = {
     "init": {
-        "fock": (("M", int), ("N", int)),
+        "fock": (("M", int), ("N", int), *_NMAX),
         "coherent": (
             ("alpha real part", float), ("alpha imaginary part", float),
-            ("beta real part", float), ("beta imaginary part", float),
+            ("beta real part", float), ("beta imaginary part", float), *_NMAX,
         ),
         "cat": (
             ("alpha real part", float), ("alpha imaginary part", float),
-            ("parity", ("even", "odd")), ("mode", ("c", "r")),
+            ("parity", ("even", "odd")), ("mode", ("c", "r")), *_NMAX,
         ),
     },
     "bs1": (("theta", Angle),),
@@ -244,51 +185,87 @@ _GRAMMAR = {
 }
 
 
-def _parse_init(r: _LineReader) -> dict:
-    kind = r.read("state", tuple(_GRAMMAR["init"]))
-    state = (kind, *(r.read(key, slot) for key, slot in _GRAMMAR["init"][kind]))
-    key = r.take("the keyword 'nmax'")
-    if key.text.lower() != "nmax":
-        raise ParseError(r.line, key.col, f"expected keyword 'nmax', got {key.text!r}")
-    nmax = r.read("nmax", int)
-    if nmax < 0:
-        raise ParseError(r.line, r.cols["nmax"], f"nmax must be >= 0, got {nmax}")
-    if kind == "fock":
-        m, n = state[1], state[2]
-        if m < 0 or n < 0:
-            raise ParseError(r.line, r.cols["M" if m < 0 else "N"], "fock indices must be >= 0")
-        if m + n > nmax:
-            raise ParseError(
-                r.line, r.cols["M"],
-                f"fock state ({m}, {n}) exceeds the truncation: {m} + {n} > nmax = {nmax}",
-            )
-    return {"state": state, "nmax": nmax}
+def _wanted(key: str, kind) -> str:
+    """What the slot ``key`` of ``kind`` asks for, as a missing slot names it."""
+    if isinstance(kind, tuple):
+        return f"the keyword {kind[0]!r}" if len(kind) == 1 else "one of " + "/".join(kind)
+    return "an angle" if kind is Angle else key
 
 
-def _parse_statement(tokens: list[_Token], line: int) -> Statement:
-    verb_tok = tokens[0]
-    verb = verb_tok.text.lower()
-    if verb not in _GRAMMAR:
-        raise ParseError(line, verb_tok.col, f"unknown verb {verb_tok.text!r}")
-    r = _LineReader(tokens[1:], line, verb, verb_tok.end)
-    if verb == "init":
-        args = _parse_init(r)
+def _read(tok: _Token, key: str, kind):
+    """The token as the slot ``key`` of ``kind``: a tuple of keywords,
+    ``Angle``, ``int`` or ``float``."""
+    text = tok.text
+    if isinstance(kind, tuple):
+        if text.lower() in kind:
+            return text.lower()
+        message = f"expected {_wanted(key, kind).removeprefix('the ')}, got {text!r}"
+    elif kind is Angle:
+        try:
+            return parse_angle(text)
+        except ValueError as exc:
+            message = str(exc)
+    elif kind is int:
+        if _INT_RE.match(text):
+            try:
+                return _read_int(text, key)
+            except ValueError as exc:
+                message = str(exc)
+        else:
+            message = f"expected an integer {key}, got {text!r}"
     else:
-        args = {key: r.read(key, kind) for key, kind in _GRAMMAR[verb]}
-    if verb == "jcm":
-        coupling, t0, t1, nsamples = (args[k] for k in ("coupling", "t0", "t1", "nsamples"))
+        try:
+            value = float(text)
+        except ValueError:
+            message = f"expected a number for {key}, got {text!r}"
+        else:
+            if math.isfinite(value):
+                return value
+            message = f"{key} must be finite, got {text!r}"
+    raise ParseError(tok.line, tok.col, message)
+
+
+def _parse_statement(verb: str, words: list[_Token], line: int, verb_end: int) -> Statement:
+    """The statement of ``verb`` from its argument words; a missing first
+    word is reported at column ``verb_end``."""
+    grammar = _GRAMMAR[verb]
+    slots = [("state", tuple(grammar))] if verb == "init" else list(grammar)
+    args = []
+    for i, (key, kind) in enumerate(slots):  # the loop also walks slots appended below
+        if i == len(words):
+            col = words[-1].end if words else verb_end
+            raise ParseError(line, col, f"'{verb}' is missing {_wanted(key, kind)}")
+        args.append(_read(words[i], key, kind))
+        if key == "state":
+            slots += grammar[args[0]]
+    col = [w.col for w in words]
+    if verb == "init":
+        nmax = args[-1]
+        if nmax < 0:
+            raise ParseError(line, col[len(args) - 1], f"nmax must be >= 0, got {nmax}")
+        if args[0] == "fock":
+            m, n = args[1:3]
+            if m < 0 or n < 0:
+                raise ParseError(line, col[1 if m < 0 else 2], "fock indices must be >= 0")
+            if m + n > nmax:
+                raise ParseError(
+                    line, col[1],
+                    f"fock state ({m}, {n}) exceeds the truncation: {m} + {n} > nmax = {nmax}",
+                )
+    elif verb == "jcm":
+        _, coupling, t0, t1, nsamples = args
         if not coupling > 0:
-            raise ParseError(line, r.cols["coupling"], f"coupling must be positive, got {coupling}")
+            raise ParseError(line, col[1], f"coupling must be positive, got {coupling}")
         if nsamples < 2:
-            raise ParseError(line, r.cols["nsamples"], f"nsamples must be >= 2, got {nsamples}")
+            raise ParseError(line, col[4], f"nsamples must be >= 2, got {nsamples}")
         if not t1 > t0:
-            raise ParseError(line, r.cols["t1"], f"t1 must exceed t0, got {t0} .. {t1}")
+            raise ParseError(line, col[3], f"t1 must exceed t0, got {t0} .. {t1}")
         if not math.isfinite(t1 - t0):
-            raise ParseError(
-                line, r.cols["t0"], f"time range t1 - t0 must be finite, got {t0} .. {t1}"
-            )
-    r.finish()
-    return Statement(verb, args)
+            raise ParseError(line, col[2], f"time range t1 - t0 must be finite, got {t0} .. {t1}")
+    if len(words) > len(args):
+        tok = words[len(args)]
+        raise ParseError(line, tok.col, f"unexpected trailing argument {tok.text!r} after '{verb}'")
+    return Statement(verb, tuple(args))
 
 
 def _tokenize(text: str) -> list[list[_Token]]:
@@ -309,13 +286,15 @@ def parse(text: str) -> PulseProgram:
     """Parse program text; raises ParseError with line and column on failure."""
     statements: list[Statement] = []
     lines: list[int] = []
-    for tokens in _tokenize(text):
-        line = tokens[0].line
-        stmt = _parse_statement(tokens, line)
-        if stmt.verb == "init" and statements:
-            raise ParseError(line, tokens[0].col, "'init' must be the first statement")
-        if stmt.verb != "init" and not statements:
-            raise ParseError(line, tokens[0].col, "the program must start with 'init'")
+    for verb_tok, *words in _tokenize(text):
+        line, verb = verb_tok.line, verb_tok.text.lower()
+        if verb not in _GRAMMAR:
+            raise ParseError(line, verb_tok.col, f"unknown verb {verb_tok.text!r}")
+        stmt = _parse_statement(verb, words, line, verb_tok.end)
+        if verb == "init" and statements:
+            raise ParseError(line, verb_tok.col, "'init' must be the first statement")
+        if verb != "init" and not statements:
+            raise ParseError(line, verb_tok.col, "the program must start with 'init'")
         statements.append(stmt)
         lines.append(line)
     if not statements:
@@ -324,22 +303,28 @@ def parse(text: str) -> PulseProgram:
 
 
 def parse_state_spec(spec: str) -> MotionalState:
-    """Build the initial state from the init clause alone (CLI state-spec)."""
-    program = parse("init " + spec.strip())
-    if len(program.statements) != 1:
-        raise ParseError(1, 1, "state spec must be a single init clause")
-    return _build_initial_state(program.statements[0].args, line=1)
+    """Build the initial state from the init clause alone (CLI state-spec),
+    its words read as the ``init`` arguments: errors are located in the
+    spec as given, an empty spec at 1:1."""
+    words, *rest = _tokenize(spec) or [[]]
+    line = words[0].line if words else 1
+    stmt = _parse_statement("init", words, line, 1)
+    if rest:
+        tok = rest[0][0]
+        raise ParseError(tok.line, tok.col, "state spec must be a single init clause")
+    return _build_initial_state(stmt.args, line)
 
 
-def _build_initial_state(args: dict, line: int) -> MotionalState:
-    trunc = Truncation(args["nmax"])
-    state = args["state"]
+def _build_initial_state(args: tuple, line: int) -> MotionalState:
+    kind, *values, _, nmax = args
+    trunc = Truncation(nmax)
     try:
-        if state[0] == "fock":
-            return make_fock(state[1], state[2], trunc)
-        if state[0] == "coherent":
-            return make_coherent(complex(state[1], state[2]), complex(state[3], state[4]), trunc)
-        return make_cat(complex(state[1], state[2]), state[3], state[4], trunc)
+        if kind == "fock":
+            return make_fock(*values, trunc)
+        alpha = complex(*values[:2])
+        if kind == "coherent":
+            return make_coherent(alpha, complex(*values[2:]), trunc)
+        return make_cat(alpha, *values[2:], trunc)  # values[2:]: parity, mode
     except ValueError as exc:
         raise ExecutionError(line, str(exc)) from exc
 
@@ -386,15 +371,15 @@ class ExecutionResult(_Record):
 
 def _passive(stmt: Statement, trunc: Truncation) -> UnitaryOperator | None:
     """The statement's passive operator, or None if it is not passive."""
-    args = stmt.args
-    if stmt.verb in ("bs1", "bs2"):
-        return beam_splitter("b" + stmt.verb[2], args["theta"].value, trunc)
-    if stmt.verb == "ps":
-        return phase_shifter(args["mode"], args["angle"].value, trunc)
-    if stmt.verb == "cphase":  # ion 2 implicitly in |g>: phase shift at chi_t / 2
-        return phase_shifter(args["mode"], args["angle"].value / 2.0, trunc)
-    if stmt.verb == "mz":
-        return interferometer.mz_unitary(args["phi"].value, trunc)
+    verb, args = stmt
+    if verb in ("bs1", "bs2"):  # args: theta
+        return beam_splitter("b" + verb[2], args[0].value, trunc)
+    if verb == "ps":  # args: mode, angle
+        return phase_shifter(args[0], args[1].value, trunc)
+    if verb == "cphase":  # ion 2 implicitly in |g>: phase shift at chi_t / 2
+        return phase_shifter(args[0], args[1].value / 2.0, trunc)
+    if verb == "mz":  # args: phi
+        return interferometer.mz_unitary(args[0].value, trunc)
     return None
 
 
@@ -423,12 +408,13 @@ def execute(program: PulseProgram) -> ExecutionResult:
             else:
                 state, run = _apply_run(run, state, run_line), None
                 if stmt.verb == "jcm":
-                    _require_samples(stmt.args["nsamples"])
-                    times = np.linspace(stmt.args["t0"], stmt.args["t1"], stmt.args["nsamples"])
-                    trace = signal(state, stmt.args["coupling"], times, stmt.args["kind"])
+                    kind, coupling, t0, t1, nsamples = stmt.args
+                    _require_samples(nsamples)
+                    trace = signal(state, coupling, np.linspace(t0, t1, nsamples), kind)
                     records.append(TraceRecord(idx, trace))
                 elif stmt.verb == "direct":
-                    est = direct_mean_phonon(state, stmt.args["chi_t"], 1.0, stmt.args["mode"])
+                    mode, chi_t = stmt.args
+                    est = direct_mean_phonon(state, chi_t, 1.0, mode)
                     records.append(DirectRecord(idx, est))
                 else:  # report, the one verb left that the parser accepts
                     moments = (expect(state, k) for k in ("jx", "jy", "jz"))
@@ -439,22 +425,8 @@ def execute(program: PulseProgram) -> ExecutionResult:
 
 
 def _text(value) -> str:
-    """An argument's canonical text; a state tuple is its words in order."""
-    if isinstance(value, Angle):
-        return value.text()
-    if isinstance(value, tuple):
-        return " ".join(map(_text, value))
-    return str(value)
-
-
-def _format_statement(stmt: Statement) -> str:
-    """The verb, then each argument's text; ``nmax`` follows its keyword."""
-    words = [stmt.verb]
-    for key, value in stmt.args.items():
-        if key == "nmax":
-            words.append(key)
-        words.append(_text(value))
-    return " ".join(words)
+    """An argument's canonical text."""
+    return value.text() if isinstance(value, Angle) else str(value)
 
 
 def format_program(program: PulseProgram) -> str:
@@ -463,4 +435,4 @@ def format_program(program: PulseProgram) -> str:
     Parsing the result reproduces the statement structure; comments and
     original spacing are not preserved.
     """
-    return "\n".join(_format_statement(s) for s in program.statements) + "\n"
+    return "\n".join(" ".join([s.verb, *map(_text, s.args)]) for s in program.statements) + "\n"

@@ -30,32 +30,32 @@ def random_program(rng) -> PulseProgram:
             str(rng.choice(["even", "odd"])),
             str(rng.choice(["c", "r"])),
         )
-    statements = [Statement("init", {"state": state, "nmax": nmax})]
+    statements = [Statement("init", (*state, "nmax", nmax))]
     for _ in range(int(rng.integers(0, 8))):
         verb = str(
             rng.choice(["bs1", "bs2", "ps", "cphase", "mz", "jcm", "direct", "report"])
         )
         if verb in ("bs1", "bs2"):
-            args = {"theta": random_angle(rng)}
+            args = (random_angle(rng),)
         elif verb in ("ps", "cphase"):
-            args = {"mode": str(rng.choice(["c", "r"])), "angle": random_angle(rng)}
+            args = (str(rng.choice(["c", "r"])), random_angle(rng))
         elif verb == "mz":
-            args = {"phi": random_angle(rng)}
+            args = (random_angle(rng),)
         elif verb == "jcm":
             t0 = float(np.round(rng.uniform(0, 5), 4))
-            args = {
-                "kind": str(rng.choice(["single", "two"])),
-                "coupling": float(np.round(rng.uniform(0.1, 3), 4)),
-                "t0": t0,
-                "t1": t0 + float(np.round(rng.uniform(0.5, 20), 4)),
-                "nsamples": int(rng.integers(2, 300)),
-            }
+            args = (
+                str(rng.choice(["single", "two"])),
+                float(np.round(rng.uniform(0.1, 3), 4)),
+                t0,
+                t0 + float(np.round(rng.uniform(0.5, 20), 4)),
+                int(rng.integers(2, 300)),
+            )
         elif verb == "direct":
-            args = {
-                "mode": str(rng.choice(["c", "r"])),
-                "chi_t": float(rng.uniform(1e-4, 0.01)),
-            }
+            args = (
+                str(rng.choice(["c", "r"])),
+                float(rng.uniform(1e-4, 0.01)),
+            )
         else:
-            args = {}
+            args = ()
         statements.append(Statement(verb, args))
     return PulseProgram(tuple(statements), tuple(range(1, len(statements) + 1)))

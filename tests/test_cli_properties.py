@@ -18,9 +18,15 @@ Whatever the draw, the call must:
   documented ``+inf`` of ``delta_phi`` where the sweep's slope vanishes;
 * on any other exit, write no artifact.
 
-The program text and the state spec also go to ``seqlang.parse`` directly:
-it may refuse them only with a located ``ParseError``, and where ``run`` or
-``detect`` reads such a text the call exits 1 with that error.
+The program text goes to ``seqlang.parse`` and the state spec to
+``seqlang.parse_state_spec`` directly: each may refuse its text only with a
+located ``ParseError`` (or, for a spec that parses, an ``ExecutionError``
+from building its state), and where ``run`` or ``detect`` reads such a text
+the call exits 1 with that error.
+
+A second property reads the same drawn programs, respelled now and then in
+upper case or with a ``+`` before each number: every one that parses must
+round-trip through ``format_program``, whose text is a fixed point.
 """
 
 import contextlib
@@ -74,7 +80,6 @@ def statements(draw, verb):
     if verb == "init":
         kind = draw(st.sampled_from(tuple(seqlang._GRAMMAR["init"])))
         words = [kind] + [draw(tokens(k)) for _, k in seqlang._GRAMMAR["init"][kind]]
-        words += ["nmax", draw(tokens(int))]
     else:
         words = [verb] + [draw(tokens(k)) for _, k in seqlang._GRAMMAR[verb]]
     if draw(st.integers(0, 19)) == 0:  # now and then a word too few
@@ -117,14 +122,15 @@ def flags(draw, command):
 
 @st.composite
 def calls(draw):
-    """(argv, the text ``seqlang.parse`` reads, whether parsing comes first)."""
+    """(argv, the program or state spec ``seqlang`` reads, whether parsing
+    comes first)."""
     command = draw(st.sampled_from(["run", "sweep", "detect"]))
     if command == "run":
         text = draw(programs())
         return ["run", "hostile.seq"] + draw(flags("run")), text, True
     spec = draw(statements("init"))
     # sweep checks its grid flags before it reads the spec; detect reads it first
-    return [command, spec] + draw(flags(command)), "init " + spec.strip(), command == "detect"
+    return [command, spec] + draw(flags(command)), spec, command == "detect"
 
 
 def _non_finite(text):
@@ -157,7 +163,12 @@ def _run(argv, program):
 def test_hostile_argv_exits_cleanly(call):
     argv, text, parsed_first = call
     try:
-        seqlang.parse(text)
+        if argv[0] == "run":
+            seqlang.parse(text)
+        else:
+            seqlang.parse_state_spec(text)
+        refusal = None
+    except seqlang.ExecutionError:  # the spec parsed; building its state failed
         refusal = None
     except seqlang.ParseError as exc:  # any other exception fails the property
         refusal = f"parse error: {exc}\n"
@@ -179,3 +190,22 @@ def test_hostile_argv_exits_cleanly(call):
         assert written == {}, sorted(written)
     if parsed_first and refusal is not None and not err.startswith("usage: "):
         assert (code, err) == (1, refusal)
+
+
+def _plus_signs(text):
+    """Each word that starts with a digit, signed with a ``+``."""
+    return re.sub(r"(?<!\S)(?=\d)", "+", text)
+
+
+@settings(max_examples=150)
+@given(programs(), st.sampled_from([str, str.upper, _plus_signs]))
+def test_hostile_but_valid_spellings_round_trip(text, respell):
+    try:
+        program = seqlang.parse(respell(text))
+    except seqlang.ParseError:
+        return
+    event("parsed")
+    canonical = seqlang.format_program(program)
+    again = seqlang.parse(canonical)
+    assert again.statements == program.statements
+    assert seqlang.format_program(again) == canonical

@@ -3,16 +3,14 @@
 States, operators and results are read-only after construction, and
 ``Truncation``, ``Angle`` and ``Statement`` compare by value.  Every class
 subclasses ``fockspace._Record``, which stores one value per slot and
-refuses any later assignment, except three ``typing.NamedTuple`` records,
-two exceptions and the mutable ``seqlang._LineReader``; none may be a
-dataclass, whose methods are generated when the package is imported.
+refuses any later assignment, except three ``typing.NamedTuple`` records
+and two exceptions; none may be a dataclass, whose methods are generated
+when the package is imported.
 Every array a record holds is read-only, frozen by the base alone, and
 every record survives ``copy.copy``, ``copy.deepcopy`` and ``pickle``.
 A record field holds a number, a string, a tuple, a record or a read-only
 array, never a list, dict or set, so nothing a record reaches can be
-rewritten in place.  The one exception is ``Statement.args``, a dict: a
-``Statement`` is a ``NamedTuple`` that pickles by value, and a read-only
-``MappingProxyType`` cannot be pickled.
+rewritten in place: a ``Statement``'s ``args`` is a tuple too.
 """
 
 import ast
@@ -124,12 +122,9 @@ def _arrays(obj, path):
 
 def _containers(obj, path):
     """(path, type name) for every list, dict or set reachable from ``obj``
-    through record fields and tuples.  ``Statement.args`` is the one field
-    not walked (see the module docstring)."""
+    through record fields and tuples."""
     if isinstance(obj, (list, dict, set)):
         yield path, type(obj).__name__
-    elif isinstance(obj, Statement):
-        yield from _containers(obj.verb, f"{path}.verb")
     elif isinstance(obj, _Record):
         for name in type(obj).__slots__:
             yield from _containers(getattr(obj, name), f"{path}.{name}")
@@ -241,8 +236,16 @@ def test_value_classes_compare_by_value():
     text = "init coherent 0 0 2 0 nmax 40\nmz pi/3\nreport\n"
     first, second = parse(text).statements, parse(text).statements
     assert first == second and first[1] is not second[1]
-    assert first[1] == Statement("mz", {"phi": Angle.from_pi(1, 3)})
-    assert first[1] != Statement("mz", {"phi": Angle.from_pi(1, 4)})
+    assert first[1] == Statement("mz", (Angle.from_pi(1, 3),))
+    assert first[1] != Statement("mz", (Angle.from_pi(1, 4),))
+
+
+def test_parsed_statements_are_hashable_and_cannot_be_rewritten():
+    statements = parse("init fock 0 0 nmax 3\nbs1 pi/2\nreport\nbs1 pi/2\n").statements
+    assert len(set(statements)) == 3
+    with pytest.raises(TypeError):
+        statements[0].args[-1] = 1
+    assert statements[0].args[-1] == 3
 
 
 def test_direct_estimate_keeps_its_key_order():
@@ -275,7 +278,6 @@ def test_no_class_is_a_dataclass(name):
 NOT_RECORDS = {
     "seqlang.Angle", "seqlang.Statement", "detection.DirectEstimate",  # tuple semantics
     "seqlang.ParseError", "seqlang.ExecutionError",
-    "seqlang._LineReader",  # a cursor over one line's tokens
     "fockspace._Record",
 }
 

@@ -27,6 +27,7 @@ from phonon_optics.seqlang import (
     Angle,
     DirectRecord,
     ReportRecord,
+    Statement,
     TraceRecord,
     parse_angle,
 )
@@ -42,7 +43,17 @@ def test_parse_three_statement_program():
     p = parse("init fock 1 0 nmax 4\nbs1 pi/2\nreport")
     assert [s.verb for s in p.statements] == ["init", "bs1", "report"]
     assert p.nmax == 4
-    assert p.statements[1].args["theta"].value == pytest.approx(math.pi / 2)
+    assert p.statements[1].args[0].value == pytest.approx(math.pi / 2)
+
+
+def test_statement_args_hold_one_value_per_grammar_slot():
+    p = parse("INIT Fock 1 0 NMAX 4\njcm two 0.5 0 12 64\ncphase r pi/2\nreport")
+    assert p.statements == (
+        Statement("init", ("fock", 1, 0, "nmax", 4)),
+        Statement("jcm", ("two", 0.5, 0.0, 12.0, 64)),
+        Statement("cphase", ("r", Angle.from_pi(1, 2))),
+        Statement("report", ()),
+    )
 
 
 def test_parse_empty_program():
@@ -60,7 +71,7 @@ def test_parse_mz_demo():
 def test_parse_comments_and_blank_lines():
     p = parse("# header\ninit fock 0 0 nmax 2\n\nbs2 0.5 # trailing comment\n")
     assert len(p.statements) == 2
-    assert p.statements[1].args["theta"].value == 0.5
+    assert p.statements[1].args[0].value == 0.5
 
 
 def test_init_must_come_first():
@@ -296,7 +307,7 @@ def test_angle_literal_forms():
         "init fock 0 0 nmax 2\n"
         "bs1 pi\nbs1 pi/2\nbs1 3*pi/4\nbs1 -pi/3\nbs1 -2*pi\nbs1 0.125\nbs1 -1e-3"
     )
-    values = [s.args["theta"].value for s in p.statements[1:]]
+    values = [s.args[0].value for s in p.statements[1:]]
     assert values == pytest.approx(
         [math.pi, math.pi / 2, 3 * math.pi / 4, -math.pi / 3, -2 * math.pi, 0.125, -1e-3]
     )
@@ -335,7 +346,7 @@ def test_angle_text_round_trip():
     ):
         text = angle.text()
         p = parse(f"init fock 0 0 nmax 2\nbs1 {text}")
-        assert p.statements[1].args["theta"] == angle
+        assert p.statements[1].args[0] == angle
 
 
 # formatting ------------------------------------------------------------------
@@ -506,7 +517,7 @@ def test_parse_state_spec():
 def test_parse_state_spec_locates_an_integer_too_long_to_convert():
     with pytest.raises(ParseError, match="nmax has 5000 digits") as exc_info:
         parse_state_spec(f"fock 0 0 nmax {LONG_INT}")
-    assert exc_info.value.col == 20  # the spec is parsed as "init " + spec
+    assert exc_info.value.col == 15  # located in the spec as given
 
 
 def test_parse_state_spec_rejects_garbage():
