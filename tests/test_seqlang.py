@@ -520,6 +520,23 @@ def test_parse_state_spec_locates_an_integer_too_long_to_convert():
     assert exc_info.value.col == 15  # located in the spec as given
 
 
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("fock x 0 nmax 4", (1, 6, "expected an integer M, got 'x'")),
+        ("  fock 0 0 nmax", (1, 16, "'init' is missing nmax")),
+        ("", (1, 1, "'init' is missing one of fock/coherent/cat")),
+        ("fock 0 0 nmax 4\n report", (2, 2, "state spec must be a single init clause")),
+    ],
+    ids=["bad slot", "leading spaces", "empty", "second line"],
+)
+def test_state_spec_errors_are_located_in_the_spec_as_given(spec, expected):
+    with pytest.raises(ParseError) as exc_info:
+        parse_state_spec(spec)
+    err = exc_info.value
+    assert (err.line, err.col, err.message) == expected
+
+
 def test_parse_state_spec_rejects_garbage():
     with pytest.raises(ParseError):
         parse_state_spec("fock 1 nmax 4")
