@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--m-max", type=int, default=None,
                        help="largest phonon number fitted (default nmax)")
     p_det.add_argument("--k-max", type=int, default=None,
-                       help="largest product m*n fitted (default nmax)")
+                       help="largest product m*n fitted by --method two (default nmax)")
     p_det.add_argument("--chi-t", type=float, default=1e-3,
                        help="dispersive angle of the direct readout")
     p_det.add_argument("--mz", type=_angle, default=None,
@@ -167,11 +167,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    state = seqlang.parse_state_spec(args.state_spec)
     if args.method == "two" and args.mode is not None:
         raise ValueError("--mode is for --method single and direct: the two-mode probe "
                          "drives both modes")
+    if args.method != "two" and args.k_max is not None:
+        raise ValueError("--k-max is for --method two: only the two-mode probe fits "
+                         "products m*n")
     mode = args.mode or "c"
-    state = seqlang.parse_state_spec(args.state_spec)
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
     prefix = args.out

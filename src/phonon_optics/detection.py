@@ -39,6 +39,7 @@ from .fockspace import (
     MotionalState,
     Truncation,
     _Record,
+    _float,
     _require_memory,
     _require_mode,
     _require_same,
@@ -84,7 +85,7 @@ class SignalTrace(_Record):
         if kind not in ("single", "two"):
             raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
         _require_mode(mode)
-        if not (math.isfinite(coupling) and coupling > 0):
+        if not (math.isfinite(_float(coupling, "coupling")) and coupling > 0):
             raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
         super().__init__(times, values, coupling, kind, mode)
 
@@ -166,7 +167,7 @@ def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> Non
     """Refuse a probe whose largest phase 2 coupling sqrt(k_max) max|t| is not
     a finite float, before NumPy fills the cosine table with inf and NaN."""
     t_max = float(np.abs(times).max(initial=0.0))
-    if not math.isfinite(2.0 * float(coupling) * math.sqrt(k_max) * t_max):
+    if not math.isfinite(2.0 * float(_float(coupling, "coupling")) * math.sqrt(k_max) * t_max):
         raise ValueError(
             f"probe phase 2 * coupling * sqrt(k) * t is not finite for coupling "
             f"{coupling!r}, k up to {k_max} and |t| up to {t_max!r}"
@@ -175,7 +176,7 @@ def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> Non
 
 def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
     """Uniform samples with coupling * t covering [0, DEFAULT_ANGLE_SPAN]."""
-    if not (math.isfinite(coupling) and coupling > 0):
+    if not (math.isfinite(_float(coupling, "coupling")) and coupling > 0):
         raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -262,7 +263,7 @@ def jcm_unitary(
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
     _require_mode(mode)
     g_idx, e_idx, root = _jcm_tables(trunc, kind, mode)
-    return JcmUnitary(trunc, g_idx, e_idx, coupling * t * root)
+    return JcmUnitary(trunc, g_idx, e_idx, _float(coupling, "coupling") * _float(t, "t") * root)
 
 
 def jcm_propagate(
@@ -424,10 +425,9 @@ def reconstruct_two(trace: SignalTrace, k_max: int) -> LevelSetDistribution:
     return LevelSetDistribution(q, residual)
 
 
-def direct_mean_phonon(
-    out_state: MotionalState, chi: float, t: float, mode: str = "c"
-) -> DirectEstimate:
-    """Mean phonon number from a single sigma_x readout.
+def direct_mean_phonon(out_state: MotionalState, chi_t: float, mode: str = "c") -> DirectEstimate:
+    """Mean phonon number from a single sigma_x readout at dispersive angle
+    chi_t = chi * t.
 
     Returns the closed form -sum_k p_k sin(2 chi_t k) of the protocol's
     <sigma_x2> (carrier pi/2 pulse on ion 2, conditional phase on ``mode``)
@@ -435,8 +435,7 @@ def direct_mean_phonon(
     by ``carrier_half_pulse`` and ``conditional_phase`` on a joint state.
     """
     _require_mode(mode)
-    chi_t = chi * t
-    if not (math.isfinite(chi_t) and chi_t > 0.0):
+    if not (math.isfinite(_float(chi_t, "chi * t")) and chi_t > 0.0):
         raise ValueError(f"chi * t must be finite and positive, got {chi_t!r}")
     nmax = out_state.trunc.n_total_max
     if not math.isfinite(2.0 * float(chi_t) * nmax):
@@ -493,6 +492,6 @@ def jz_from_methods(
     fits = tuple(reconstruct_single(trace, m_max) for trace in traces)
     jz_rec = 0.5 * (fits[0].mean_n - fits[1].mean_n)
 
-    directs = tuple(direct_mean_phonon(out_state, chi_t, 1.0, mode) for mode in "cr")
+    directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in "cr")
     jz_dir = 0.5 * (directs[0].mean_n_linearized - directs[1].mean_n_linearized)
     return JzComparison(jz_exact, jz_rec, jz_dir, traces, fits, directs)

@@ -46,6 +46,9 @@ import numpy as np
 # States whose discarded probability exceeds this are flagged but usable.
 DEFAULT_TAIL_TOLERANCE = 1e-10
 
+# ``truncation_for_coherent`` keeps a product coherent state's tail at or below this.
+COHERENT_TAIL_TARGET = 1e-12
+
 _NORM_TOL = 1e-12
 
 _OBSERVABLES = ("jx", "jy", "jz", "jz2", "nc", "nr")
@@ -149,6 +152,15 @@ def _integer(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _float(value, what: str):
+    """``value`` itself, unless it is an integer beyond the float range, which
+    ``float()`` refuses with an OverflowError: a ValueError naming ``what``
+    instead.  NaN and inf pass, for the caller's own checks."""
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite, got an integer beyond the float range")
+    return value
 
 
 def _require_mode(mode: str) -> None:
@@ -326,7 +338,7 @@ def _coherent_mode_amps(alpha: complex, n_max: int) -> np.ndarray:
 def _abs2(alpha: complex) -> float:
     """|alpha|^2 of a coherent amplitude; ValueError unless it is finite."""
     try:
-        r2 = abs(alpha) ** 2
+        r2 = abs(_float(alpha, "coherent amplitude")) ** 2
     except OverflowError:
         r2 = math.inf
     if not math.isfinite(r2):
@@ -366,6 +378,7 @@ def coherent_superposition(
     """
     exact_norm2 = 0.0
     for wj, aj, bj in terms:
+        _float(wj, "superposition weight")
         for wk, ak, bk in terms:
             exact_norm2 += (
                 np.conj(complex(wj))
@@ -483,26 +496,25 @@ def _apply_jx(amps: np.ndarray, trunc: Truncation) -> np.ndarray:
 def expect(s: MotionalState, obs: str) -> float:
     """Expectation value of a Schwinger or number observable.
 
-    obs is one of ``jx``, ``jy``, ``jz``, ``jz2``, ``nc``, ``nr`` (case
-    insensitive).  All are Hermitian, so the result is real.
+    obs is one of ``jx``, ``jy``, ``jz``, ``jz2``, ``nc``, ``nr``, spelled
+    as listed.  All are Hermitian, so the result is real.
     """
-    key = obs.strip().lower()
-    if key not in _OBSERVABLES:
+    if obs not in _OBSERVABLES:
         raise ValueError(f"unknown observable {obs!r}; expected one of {_OBSERVABLES}")
     ms, ns = s.trunc.mode_numbers()
     p = np.abs(s.amps) ** 2
-    if key == "nc":
+    if obs == "nc":
         return float(ms @ p)
-    if key == "nr":
+    if obs == "nr":
         return float(ns @ p)
-    if key == "jz":
+    if obs == "jz":
         return float((0.5 * (ms - ns)) @ p)
-    if key == "jz2":
+    if obs == "jz2":
         return float((0.25 * (ms - ns) ** 2) @ p)
     # <Jx> and <Jy> are the real and imaginary parts of <a+ b>
     src, coef = _hop_tables(s.trunc)
     hop = np.vdot(s.amps[src + 1], coef * s.amps[src])
-    return float(hop.real if key == "jx" else hop.imag)
+    return float(hop.real if obs == "jx" else hop.imag)
 
 
 def reduced_purity(s: MotionalState) -> float:
@@ -639,10 +651,9 @@ def joint_state(
 # ---------------------------------------------------------------------------
 
 
-def truncation_for_coherent(
-    alpha: complex, beta: complex, tail_tol: float = 1e-12
-) -> Truncation:
-    """Smallest truncation keeping a product coherent state's tail below tol.
+def truncation_for_coherent(alpha: complex, beta: complex) -> Truncation:
+    """Smallest truncation keeping a product coherent state's tail at or
+    below ``COHERENT_TAIL_TARGET``.
 
     The total phonon number of |alpha>_c |beta>_r is Poisson with mean
     |alpha|^2 + |beta|^2, so the discarded mass is a single Poisson tail.
@@ -650,8 +661,6 @@ def truncation_for_coherent(
     lam = _abs2(alpha) + _abs2(beta)
     if not math.isfinite(lam):
         raise ValueError("coherent amplitudes must be finite")
-    if not tail_tol >= 0.0:
-        raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
     if lam == 0.0:
         return Truncation(0)
     # Log-space pmf up to far past the mean, where the remaining mass is
@@ -663,7 +672,7 @@ def truncation_for_coherent(
     pmf = np.exp(k * math.log(lam) - lam - _log_factorials(top))
     # tail[n] = P(total > n), summed from the small end of the tail up.
     tail = np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
-    return Truncation(int(np.argmax(tail <= tail_tol)))
+    return Truncation(int(np.argmax(tail <= COHERENT_TAIL_TARGET)))
 
 
 def state_to_json(s: MotionalState) -> str:

@@ -77,7 +77,10 @@ def phase_sweep(
     Five input moments, <Jx>, <Jz> and the (co)variances of Jx and Jz, are
     computed once; every grid point is then a rotation of them.
     """
-    grid = np.asarray(list(phis), dtype=np.float64)
+    try:
+        grid = np.asarray(list(phis), dtype=np.float64)
+    except OverflowError:
+        raise ValueError("phases must be finite, got an integer beyond the float range") from None
     if grid.size == 0:
         raise ValueError("phase grid must be nonempty")
     if not np.isfinite(grid).all():

@@ -39,13 +39,11 @@ takes about 0.03 s; a state spread over every block takes about 0.17 s.
 A caller applying many operators to one state pays that per call; folding
 them with ``@`` first pays it once.  ``UnitaryOperator`` is this passive
 operator and nothing else; the Jaynes-Cummings probe propagator lives in
-``detection``, and the dense matrix-exponential oracle returns a
-``DenseUnitary`` for tests only.
+``detection``.
 """
 
 import cmath
 import math
-import sys
 
 import numpy as np
 
@@ -54,6 +52,7 @@ from .fockspace import (
     MotionalState,
     Truncation,
     _Record,
+    _float,
     _require_memory,
     _require_mode,
     _require_same,
@@ -234,7 +233,8 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
 
 def _splitter(key: str, theta: float) -> np.ndarray:
     """One-phonon matrix of exp(-i theta Jx) (``b1``) or exp(-i theta Jy) (``b2``)."""
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)  # inf: NaN for apply to reject
+    half = 0.5 * float(_float(theta, "theta"))
+    c, s = np.cos(half), np.sin(half)  # inf: NaN for apply to reject
     m = [[c, -1j * s], [-1j * s, c]] if key == "b1" else [[c, -s], [s, c]]
     return np.array(m, dtype=np.complex128)
 
@@ -245,16 +245,15 @@ def beam_splitter(kind: str, theta: float, trunc: Truncation) -> UnitaryOperator
     Both conserve the total phonon number; theta = pi/2 is the 50/50
     splitter.  Building it forms only the 2x2 one-phonon matrix.
     """
-    key = kind.strip().lower()
-    if key not in ("b1", "b2"):
+    if kind not in ("b1", "b2"):
         raise ValueError(f"beam splitter kind must be 'b1' or 'b2', got {kind!r}")
-    return UnitaryOperator(trunc, _splitter(key, float(theta)))
+    return UnitaryOperator(trunc, _splitter(kind, theta))
 
 
 def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
     """exp(+i phi a+ a) on mode ``c`` or exp(+i phi b+ b) on mode ``r``."""
     _require_mode(mode)
-    e = cmath.exp(1j * phi)
+    e = cmath.exp(1j * _float(phi, "phi"))
     m = np.diag([e, 1.0] if mode == "c" else [1.0, e])
     return UnitaryOperator(trunc, m)
 
@@ -273,11 +272,10 @@ def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
     and the -1 component B(-theta), so sigma_x1 eigenstates stay factorized
     with their internal state untouched.
     """
-    key = kind.strip().lower()
-    if key not in ("u1", "u2"):
+    if kind not in ("u1", "u2"):
         raise ValueError(f"propagator kind must be 'u1' or 'u2', got {kind!r}")
     axis = js.axis_of(1)
-    bs = "b1" if key == "u1" else "b2"
+    bs = "b1" if kind == "u1" else "b2"
     a = np.moveaxis(js.amps, axis, 0)
     plus = _apply_passive((a[0] + a[1]) * _SQRT_HALF, _splitter(bs, theta), js.trunc)
     minus = _apply_passive((a[0] - a[1]) * _SQRT_HALF, _splitter(bs, -theta), js.trunc)
@@ -293,6 +291,7 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     With ion 2 prepared in |g> this realizes the plain phase shifter at
     phi = chi_t / 2.
     """
+    chi_t = _float(chi_t, "chi_t")
     k = js.trunc.phonons(mode)
     axis = js.axis_of(2)
     a = np.moveaxis(js.amps, axis, 0).copy()
@@ -381,38 +380,21 @@ def dense_jz(trunc: Truncation) -> np.ndarray:
     return out
 
 
-class DenseUnitary(_Record):
-    """A full unitary matrix, the output of the test oracle ``expm_oracle``."""
-
-    __slots__ = ("matrix",)
-
-    def unitarity_defect(self) -> float:
-        return _unitarity_defect([self.matrix])
-
-
-def expm_oracle(generator: np.ndarray, t: float) -> DenseUnitary:
-    """Dense exponential test oracle.
-
-    For a Hermitian generator H the result is exp(-i H t), for an
-    anti-Hermitian generator A it is exp(A t) = exp(-i (iA) t); both come
-    from the eigendecomposition of the Hermitian H or iA.  Rejects matrices
-    larger than ``DEFAULT_ORACLE_CAP`` on a side; this path is for
-    cross-checks only.
+def expm_oracle(generator: np.ndarray, t: float) -> np.ndarray:
+    """Dense test oracle: the matrix exp(-i H t) of a Hermitian generator H,
+    from its eigendecomposition.  Rejects matrices larger than
+    ``DEFAULT_ORACLE_CAP`` on a side; this path is for cross-checks only.
     """
-    g = np.ascontiguousarray(generator, dtype=np.complex128)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    h = np.ascontiguousarray(generator, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("generator must be a square matrix")
-    if g.shape[0] > DEFAULT_ORACLE_CAP:
-        raise ValueError(f"oracle dimension {g.shape[0]} exceeds cap {DEFAULT_ORACLE_CAP}")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if np.max(np.abs(g - g.conj().T)) <= 1e-12 * scale:
-        h = g
-    elif np.max(np.abs(g + g.conj().T)) <= 1e-12 * scale:
-        h = 1j * g  # exp(g t) = exp(-i (i g) t)
-    else:
-        raise ValueError("generator is neither Hermitian nor anti-Hermitian")
+    if h.shape[0] > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"oracle dimension {h.shape[0]} exceeds cap {DEFAULT_ORACLE_CAP}")
+    scale = max(1.0, float(np.max(np.abs(h))))
+    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
+        raise ValueError("generator is not Hermitian")
     w, v = np.linalg.eigh(h)
-    return DenseUnitary((v * np.exp(-1j * t * w)) @ v.conj().T)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +458,9 @@ def lab_to_angles(p: LabParams) -> EffectiveAngles:
     overflows a float is a ValueError naming it.
     """
     for name in LabParams.__slots__:
-        value = getattr(p, name)
-        # NaN fails the comparison; an integer beyond the float range compares exactly
-        if not abs(value) <= sys.float_info.max:
-            shown = "an integer beyond the float range" if isinstance(value, int) else repr(value)
-            raise ValueError(f"{name} must be finite, got {shown}")
+        value = _float(getattr(p, name), name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if p.Delta == 0.0 or p.Delta_r == 0.0:
         raise ValueError("detunings must be nonzero for the dispersive phases")
     chi = _dispersive_rate(p.eta, p.Omega, p.Delta)

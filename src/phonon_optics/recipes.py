@@ -13,6 +13,7 @@ from .fockspace import (
     QubitState,
     Truncation,
     _cat_weight,
+    _float,
     coherent_superposition,
     joint_state,
     make_cat,
@@ -72,8 +73,9 @@ def entangled_cat_target(
     """Direct expansion of the entangled-cat output, bypassing all operators."""
     sign = _parity_sign(parity)
     w = _cat_weight(alpha, sign)
-    at = alpha * math.cos(theta / 2.0)
-    bt = alpha * math.sin(theta / 2.0)
+    half = _float(theta, "theta") / 2.0
+    at = alpha * math.cos(half)
+    bt = alpha * math.sin(half)
     return coherent_superposition([(w, at, bt), (sign * w, -at, -bt)], trunc)
 
 
@@ -119,6 +121,7 @@ def entangled_cat_u2u3_target(
     """Normalized |e_minus, e_plus> +- |e_plus, e_minus| with
     e_pm = (beta +- alpha)/sqrt(2), built by direct expansion."""
     sign = _parity_sign(parity)
+    alpha, beta = _float(alpha, "coherent amplitude"), _float(beta, "coherent amplitude")
     e_minus = (beta - alpha) / math.sqrt(2.0)
     e_plus = (beta + alpha) / math.sqrt(2.0)
     return coherent_superposition([(1.0, e_minus, e_plus), (sign, e_plus, e_minus)], trunc)

@@ -414,7 +414,7 @@ def execute(program: PulseProgram) -> ExecutionResult:
                     records.append(TraceRecord(idx, trace))
                 elif stmt.verb == "direct":
                     mode, chi_t = stmt.args
-                    est = direct_mean_phonon(state, chi_t, 1.0, mode)
+                    est = direct_mean_phonon(state, chi_t, mode)
                     records.append(DirectRecord(idx, est))
                 else:  # report, the one verb left that the parser accepts
                     moments = (expect(state, k) for k in ("jx", "jy", "jz"))

@@ -361,6 +361,18 @@ def test_detect_two_refuses_a_mode(tmp_path, capsys, monkeypatch, mode):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("method", ["single", "direct"])
+def test_detect_refuses_k_max_outside_two(tmp_path, capsys, monkeypatch, method):
+    # only the two-mode fit reads --k-max; the other methods used to ignore it
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "detect", "fock 1 1 nmax 6", "--method", method,
+                             "--k-max", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --k-max is for --method two")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_detect_direct(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(

@@ -145,7 +145,7 @@ def test_jcm_matches_dense_hamiltonian(kind, mode):
     else:
         ab = dense_annihilation(t, "c") @ dense_annihilation(t, "r")
         h = lam * (np.kron(SIGMA_PLUS, ab) + np.kron(SIGMA_MINUS, ab.conj().T))
-    dense = expm_oracle(h, tau).matrix
+    dense = expm_oracle(h, tau)
     rng = np.random.default_rng(11)
     psi = random_state(rng, t)
     js = joint_state(psi, ion2=QubitState.of(0.6, 0.8j))
@@ -214,7 +214,7 @@ def _ion2_ground(t):
     lambda t: jcm_unitary(1.0, 0.5, t, "single", "x"),
     lambda t: SignalTrace(np.linspace(0.0, 1.0, 8), np.ones(8), 1.0, "single", "x"),
     lambda t: signal(make_fock(1, 0, t), 1.0, np.linspace(0.0, 1.0, 8), "single", "x"),
-    lambda t: direct_mean_phonon(make_fock(1, 0, t), 1e-3, 1.0, "x"),
+    lambda t: direct_mean_phonon(make_fock(1, 0, t), 1e-3, "x"),
 ], ids=["make_cat", "phase_shifter", "conditional_phase", "dense_annihilation",
         "dense_number", "jcm_unitary", "SignalTrace", "signal", "direct_mean_phonon"])
 def test_every_function_taking_a_mode_rejects_an_unknown_one(call, monkeypatch):
@@ -294,6 +294,13 @@ def test_trace_csv():
 
 
 # reconstruction --------------------------------------------------------------
+
+
+def test_reconstruct_refuses_a_trace_that_fits_to_zero():
+    # P_g = 0 at every sample: the nonnegative fit is all zeros, with no distribution to normalize
+    trace = SignalTrace(default_times(1.0, 16), np.zeros(16), 1.0, "single")
+    with pytest.raises(ValueError, match="reconstruction collapsed to the zero distribution"):
+        reconstruct_single(trace, 3)
 
 
 def test_reconstruct_single_flat_signal():
@@ -391,13 +398,13 @@ def test_level_sets_sum_to_one():
 
 
 def test_direct_vacuum():
-    est = direct_mean_phonon(make_fock(0, 0, Truncation(3)), 1e-3, 1.0, "c")
+    est = direct_mean_phonon(make_fock(0, 0, Truncation(3)), 1e-3, "c")
     assert est.sigma_x_exact == 0.0
     assert est.mean_n_linearized == 0.0
 
 
 def test_direct_fock_three():
-    est = direct_mean_phonon(make_fock(3, 0, Truncation(5)), 1e-3, 1.0, "c")
+    est = direct_mean_phonon(make_fock(3, 0, Truncation(5)), 1e-3, "c")
     assert est.sigma_x_exact == pytest.approx(-math.sin(6e-3), abs=1e-15)
     assert est.mean_n_linearized == pytest.approx(math.sin(6e-3) / 2e-3, abs=1e-12)
     assert abs(est.mean_n_linearized - 3) / 3 < 6e-6
@@ -405,13 +412,13 @@ def test_direct_fock_three():
 
 def test_direct_coherent_accuracy():
     s = make_coherent(2.0, 0.0, Truncation(30))
-    est = direct_mean_phonon(s, 1e-3, 1.0, "c")
+    est = direct_mean_phonon(s, 1e-3, "c")
     assert abs(est.mean_n_linearized - 4.0) / 4.0 < 1e-4
 
 
 def test_direct_breathing_mode():
     s = make_coherent(0.0, 1.5, Truncation(25))
-    est = direct_mean_phonon(s, 1e-3, 1.0, "r")
+    est = direct_mean_phonon(s, 1e-3, "r")
     assert abs(est.mean_n_linearized - 2.25) / 2.25 < 1e-4
 
 
@@ -419,14 +426,14 @@ def test_direct_linearization_bias_bound():
     # |sin(x)/x - 1| <= x^2/6 with x = 2 chi t m
     chi_t = 1e-3
     for m in range(1, 11):
-        est = direct_mean_phonon(make_fock(m, 0, Truncation(12)), chi_t, 1.0, "c")
+        est = direct_mean_phonon(make_fock(m, 0, Truncation(12)), chi_t, "c")
         bound = (2 * chi_t) ** 2 * m**3 / 6
         assert abs(est.mean_n_linearized - m) <= bound + 1e-15
 
 
 def test_direct_rejects_zero_angle():
     with pytest.raises(ValueError, match="positive"):
-        direct_mean_phonon(make_fock(1, 0, Truncation(2)), 0.0, 1.0, "c")
+        direct_mean_phonon(make_fock(1, 0, Truncation(2)), 0.0, "c")
 
 
 # three-way comparison --------------------------------------------------------
@@ -447,7 +454,7 @@ def test_jz_methods_single_phonon():
 
 
 def test_jz_methods_on_interferometer_output():
-    trunc = truncation_for_coherent(0, 2, 1e-12)
+    trunc = truncation_for_coherent(0, 2)
     out = mz_output(make_coherent(0, 2, trunc), math.pi / 3)
     cmp_ = jz_from_methods(out)
     want = 2 * math.cos(math.pi / 3)

@@ -48,7 +48,7 @@ def protocol_sigma_x(state, chi_t, mode):
 @settings(max_examples=300)
 @given(dense_states(), st.floats(-4.0, 6.0).map(lambda x: 10.0**x), st.sampled_from("cr"))
 def test_direct_readout_matches_the_protocol(state, chi_t, mode):
-    est = direct_mean_phonon(state, chi_t, 1.0, mode)
+    est = direct_mean_phonon(state, chi_t, mode)
     tol = 1e-12 + 4 * EPS * 2 * chi_t * state.trunc.n_total_max
     assert abs(est.sigma_x_exact - protocol_sigma_x(state, chi_t, mode)) <= tol
     assert est.mean_n_linearized == -est.sigma_x_exact / (2 * chi_t)

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+import phonon_optics as po
 from phonon_optics import fockspace
 from phonon_optics import (
     JointState,
@@ -120,6 +122,8 @@ def test_flat_index_block_and_mode_numbers_share_one_layout():
         for total in range(nmax + 1):
             block = [pairs[i] for i in range(t.dim)[t.block(total)]]
             assert block == [(m, total - m) for m in range(total + 1)]
+    with pytest.raises(ValueError, match="no block for total = 11"):
+        Truncation(10).block(11)
 
 
 def test_make_fock_basic():
@@ -397,8 +401,9 @@ def test_distribution_reads_its_layout_from_the_state_truncation(monkeypatch):
 
 
 def test_truncation_for_coherent_tail():
+    assert truncation_for_coherent(0, 0) == Truncation(0)
     for alpha, beta in ((0, 1), (0, 2), (0, 3), (1, 2)):
-        t = truncation_for_coherent(alpha, beta, 1e-12)
+        t = truncation_for_coherent(alpha, beta)
         s = make_coherent(alpha, beta, t)
         assert s.tail_mass < 1e-12
         assert not s.flagged
@@ -422,7 +427,7 @@ def test_coherent_beyond_exp_underflow():
 
 def test_truncation_for_coherent_beyond_exp_underflow():
     # exp(-lambda) underflows for lambda above ~745; here lambda = 1521
-    t = truncation_for_coherent(39, 0, 1e-12)
+    t = truncation_for_coherent(39, 0)
     lam = 39.0**2
 
     def tail_above(n):
@@ -478,8 +483,76 @@ def test_overflowing_coherent_amplitude_is_refused(build):
 def test_truncation_for_coherent_rejects_bad_input():
     with pytest.raises(ValueError, match="finite"):
         truncation_for_coherent(float("nan"), 0)
-    with pytest.raises(ValueError, match="tail_tol"):
-        truncation_for_coherent(1, 0, -1e-12)
+    # each |alpha|^2 is finite, their sum is not
+    with pytest.raises(ValueError, match="coherent amplitudes must be finite"):
+        truncation_for_coherent(1e154, 1e154)
+    with pytest.raises(ValueError, match="mean phonon number 250000 is too large to truncate"):
+        truncation_for_coherent(500, 0)
+
+
+BEYOND_FLOAT = 10**400  # float() of it raises OverflowError
+
+# (entry point, a call passing BEYOND_FLOAT as one value, the name its refusal gives)
+BEYOND_FLOAT_CALLS = [
+    ("beam_splitter", lambda t, s, js: po.beam_splitter("b1", BEYOND_FLOAT, t), "theta"),
+    ("phase_shifter", lambda t, s, js: po.phase_shifter("c", BEYOND_FLOAT, t), "phi"),
+    ("joint_bs_propagator",
+     lambda t, s, js: po.joint_bs_propagator("u2", BEYOND_FLOAT, js), "theta"),
+    ("conditional_phase", lambda t, s, js: po.conditional_phase("c", BEYOND_FLOAT, js), "chi_t"),
+    ("mz_output", lambda t, s, js: po.mz_output(s, BEYOND_FLOAT), "phi"),
+    ("mz_report", lambda t, s, js: po.mz_report(s, BEYOND_FLOAT), "phases"),
+    ("phase_sweep", lambda t, s, js: po.phase_sweep(s, [0.5, BEYOND_FLOAT]), "phases"),
+    ("make_coherent", lambda t, s, js: make_coherent(0.5, BEYOND_FLOAT, t), "coherent amplitude"),
+    ("make_cat", lambda t, s, js: make_cat(BEYOND_FLOAT, "even", "r", t), "coherent amplitude"),
+    ("coherent_superposition-amplitude",
+     lambda t, s, js: coherent_superposition([(1.0, BEYOND_FLOAT, 0.0)], t),
+     "coherent amplitude"),
+    ("coherent_superposition-weight",
+     lambda t, s, js: coherent_superposition([(BEYOND_FLOAT, 0.5, 0.0)], t),
+     "superposition weight"),
+    ("truncation_for_coherent",
+     lambda t, s, js: truncation_for_coherent(BEYOND_FLOAT, 0), "coherent amplitude"),
+    ("entangled_cat",
+     lambda t, s, js: po.entangled_cat(BEYOND_FLOAT, "+", 0.5, t), "coherent amplitude"),
+    ("entangled_cat_target-amplitude",
+     lambda t, s, js: po.entangled_cat_target(BEYOND_FLOAT, "+", 0.5, t), "coherent amplitude"),
+    ("entangled_cat_target-theta",
+     lambda t, s, js: po.entangled_cat_target(0.5, "+", BEYOND_FLOAT, t), "theta"),
+    ("entangled_cat_u2u3_target",
+     lambda t, s, js: po.entangled_cat_u2u3_target(0.5, BEYOND_FLOAT, "+", t),
+     "coherent amplitude"),
+    ("direct_mean_phonon", lambda t, s, js: po.direct_mean_phonon(s, BEYOND_FLOAT), "chi * t"),
+    ("jz_from_methods-coupling",
+     lambda t, s, js: po.jz_from_methods(s, coupling=BEYOND_FLOAT, m_max=3), "coupling"),
+    ("jz_from_methods-chi_t",
+     lambda t, s, js: po.jz_from_methods(s, m_max=3, chi_t=BEYOND_FLOAT), "chi * t"),
+    ("default_times", lambda t, s, js: po.default_times(BEYOND_FLOAT), "coupling"),
+    ("signal",
+     lambda t, s, js: po.signal(s, BEYOND_FLOAT, np.linspace(0, 1, 8), "single"), "coupling"),
+    ("SignalTrace",
+     lambda t, s, js: po.SignalTrace(np.linspace(0, 1, 8), np.full(8, 0.5), BEYOND_FLOAT,
+                                     "single"),
+     "coupling"),
+    ("jcm_unitary-coupling",
+     lambda t, s, js: po.jcm_unitary(BEYOND_FLOAT, 1.0, t, "single"), "coupling"),
+    ("jcm_unitary-t", lambda t, s, js: po.jcm_unitary(1.0, BEYOND_FLOAT, t, "single"), "t"),
+    ("lab_to_angles",
+     lambda t, s, js: po.lab_to_angles(po.LabParams(1.0, 0.1, 0.076, 1e6, 1e6, 1.0,
+                                                    BEYOND_FLOAT)),
+     "t"),
+]
+
+
+@pytest.mark.parametrize("call, what", [c[1:] for c in BEYOND_FLOAT_CALLS],
+                         ids=[c[0] for c in BEYOND_FLOAT_CALLS])
+def test_an_integer_beyond_the_float_range_is_refused_by_name(call, what):
+    # float() of the integer raises OverflowError, which used to leak
+    t = Truncation(10)
+    s = make_fock(1, 0, t)
+    js = joint_state(s, ion1=QubitState.plus(), ion2=QubitState.ground())
+    message = f"{what} must be finite, got an integer beyond the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(t, s, js)
 
 
 # qubit and joint states ----------------------------------------------------
@@ -511,6 +584,8 @@ def test_joint_state_shapes_and_norm():
     assert js2.ground_probability(2) == pytest.approx(0.0)
     with pytest.raises(ValueError, match="no qubit register"):
         js2.axis_of(1)
+    with pytest.raises(ValueError, match=r"ions must be a sorted subset of \(1, 2\), got \(2, 1\)"):
+        JointState(s.trunc, (2, 1), js.amps)
 
 
 def test_joint_state_rejects_non_finite_amplitudes():

@@ -22,7 +22,7 @@ from phonon_optics.operators import dense_jx, dense_number
 
 
 def coherent_input(n):
-    trunc = truncation_for_coherent(0, math.sqrt(n), 1e-12)
+    trunc = truncation_for_coherent(0, math.sqrt(n))
     state = make_coherent(0, math.sqrt(n), trunc)
     assert state.tail_mass < 1e-12
     return state
@@ -30,8 +30,8 @@ def coherent_input(n):
 
 def dense_pipeline(trunc, phi):
     """Independent dense composition of the three interferometer factors."""
-    half = expm_oracle(dense_jx(trunc), -math.pi / 2).matrix  # exp(+i pi/2 Jx)
-    phase = expm_oracle(dense_number(trunc, "c"), -phi).matrix  # exp(+i phi n_c)
+    half = expm_oracle(dense_jx(trunc), -math.pi / 2)  # exp(+i pi/2 Jx)
+    phase = expm_oracle(dense_number(trunc, "c"), -phi)  # exp(+i phi n_c)
     return half @ phase @ half
 
 

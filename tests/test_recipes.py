@@ -124,6 +124,11 @@ def test_entangled_cat_rejects_overflowing_truncation():
         entangled_cat(2.5, "even", 1.0, Truncation(4))
 
 
+def test_u2u3_rejects_overflowing_truncation():
+    with pytest.raises(ValueError, match="input discards probability 0.97"):
+        entangled_cat_u2u3(3.0, 3.0, "+", Truncation(10))
+
+
 def test_u2u3_vacuum_case():
     t = Truncation(10)
     js = entangled_cat_u2u3(0.0, 0.0, "+", t)

@@ -51,7 +51,6 @@ from phonon_optics import (
 )
 from phonon_optics.detection import jcm_unitary
 from phonon_optics.fockspace import _Record
-from phonon_optics.operators import expm_oracle
 from phonon_optics.seqlang import Angle, Statement, _tokenize, parse_angle
 
 TRUNC = Truncation(3)
@@ -75,12 +74,11 @@ READ_ONLY = [
      lambda: reconstruct_single(signal(STATE, 1.0, TIMES, "single"), 3), "p"),
     ("LevelSetDistribution",
      lambda: reconstruct_two(signal(STATE, 1.0, TIMES, "two"), 3), "q"),
-    ("DirectEstimate", lambda: direct_mean_phonon(STATE, 1e-3, 1.0), "mode"),
+    ("DirectEstimate", lambda: direct_mean_phonon(STATE, 1e-3), "mode"),
     ("Statement", lambda: parse("init fock 1 0 nmax 3").statements[0], "args"),
     ("PulseProgram", lambda: parse("init fock 1 0 nmax 3"), "statements"),
     ("EffectiveAngles", lambda: lab_to_angles(LabParams(*LAB)), "theta"),
     ("LabParams", lambda: LabParams(*LAB), "eta"),
-    ("DenseUnitary", lambda: expm_oracle(np.diag([0.0, 1.0]), 0.5), "matrix"),
     ("JzComparison", lambda: jz_from_methods(STATE, n_samples=16), "jz_direct"),
     ("TraceRecord", lambda: execute(parse(PROGRAM)).records[0], "trace"),
     ("DirectRecord", lambda: execute(parse(PROGRAM)).records[1], "estimate"),

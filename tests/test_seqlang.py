@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phonon_optics
 from phonon_optics import (
     ExecutionError,
     ParseError,
@@ -150,6 +153,8 @@ def test_fock_index_beyond_nmax():
 def test_init_value_checks():
     with pytest.raises(ParseError, match="nmax must be >= 0"):
         parse("init fock 0 0 nmax -1")
+    with pytest.raises(ParseError, match="^1:11: fock indices must be >= 0$"):
+        parse("init fock -1 0 nmax 3")
     with pytest.raises(ParseError, match="nsamples must be >= 2"):
         parse("init fock 0 0 nmax 2\njcm single 1.0 0 1 1")
     with pytest.raises(ParseError, match="t1 must exceed t0"):
@@ -334,6 +339,12 @@ def test_angle_rejections(text, message):
     assert (exc_info.value.line, exc_info.value.col) == (2, 5)
 
 
+@pytest.mark.parametrize("den", [0, -2])
+def test_angle_from_pi_refuses_a_denominator_below_one(den):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        Angle.from_pi(1, den)
+
+
 def test_angle_text_round_trip():
     for angle in (
         Angle.from_pi(1, 1),
@@ -465,7 +476,7 @@ def test_folded_runs_match_statement_by_statement():
         assert abs(getattr(report, name) - expect(s, name)) <= 1e-13
     s = apply(beam_splitter("b2", 1.1, trunc), s)
     s = mz_output(s, math.pi / 3)
-    want = direct_mean_phonon(s, 0.001, 1.0, "c")
+    want = direct_mean_phonon(s, 0.001, "c")
     assert abs(direct.estimate.sigma_x_exact - want.sigma_x_exact) <= 1e-13
     assert abs(direct.estimate.mean_n_linearized - want.mean_n_linearized) <= 1e-13
     s = apply(beam_splitter("b1", -0.4, trunc), s)
@@ -542,3 +553,19 @@ def test_parse_state_spec_rejects_garbage():
         parse_state_spec("fock 1 nmax 4")
     with pytest.raises(ParseError):
         parse_state_spec("coherent 0 0 2 0 nmax 40\nreport")
+
+
+def test_only_the_text_readers_fold_case_or_strip():
+    # the library reads a label as given; only the two readers of text, the
+    # parser and the command line, fold its case or strip its spaces
+    paths = sorted(Path(phonon_optics.__file__).parent.glob("*.py"))
+    assert len(paths) >= 8
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        if path.stem not in ("seqlang", "cli")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("lower", "strip")
+    ]
+    assert found == []
