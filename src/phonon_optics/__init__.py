@@ -36,12 +36,6 @@ from .operators import (
     beam_splitter,
     carrier_half_pulse,
     conditional_phase,
-    dense_annihilation,
-    dense_jx,
-    dense_jy,
-    dense_jz,
-    dense_number,
-    expm_oracle,
     joint_bs_propagator,
     lab_to_angles,
     phase_shifter,

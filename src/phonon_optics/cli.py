@@ -152,7 +152,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"empty phase range [{args.phi_min!r}, {args.phi_max!r}): "
                          "--phi-max must differ from --phi-min")
     need = _SWEEP_BYTES_PER_POINT * args.points
-    fockspace._require_memory(need, f"--points {args.points} needs about {need:.3g} bytes")
+    fockspace._require_memory(need, f"--points {args.points} needs")
     state = seqlang.parse_state_spec(args.state_spec)
     step = (args.phi_max - args.phi_min) / args.points
     grid = [args.phi_min + k * step for k in range(args.points)]

@@ -39,6 +39,7 @@ from .fockspace import (
     MotionalState,
     Truncation,
     _Record,
+    _finite,
     _float,
     _require_memory,
     _require_mode,
@@ -46,7 +47,7 @@ from .fockspace import (
     expect,
     number_distributions,
 )
-from .operators import WEIGHT_FLOOR, _dense_zeros, _unitarity_defect
+from .operators import WEIGHT_FLOOR, _unitarity_defect
 
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
@@ -160,7 +161,7 @@ def _require_samples(n_samples: int, n_weights: int = 0) -> None:
             f"need at least {2 * n_weights}"
         )
     need = n_samples * (_TRACE_BYTES_PER_SAMPLE + _FIT_BYTES_PER_SAMPLE_WEIGHT * n_weights)
-    _require_memory(need, f"{n_samples} samples need about {need:.3g} bytes")
+    _require_memory(need, f"{n_samples} samples need")
 
 
 def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> None:
@@ -180,6 +181,7 @@ def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.
         raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    _require_samples(n_samples)
     t_end = DEFAULT_ANGLE_SPAN / coupling
     if not math.isfinite(t_end):
         raise ValueError(f"coupling {coupling!r} is too small: the sample times overflow")
@@ -233,17 +235,6 @@ class JcmUnitary(_Record):
         """max |U+ U - 1| over the 2x2 rotations."""
         return _unitarity_defect(map(_rabi_rotation, self.angle))
 
-    def as_matrix(self) -> np.ndarray:
-        """The (2 dim) joint matrix, ion-2 qubit axis first, motional axis last;
-        refused before it is allocated when it exceeds the memory limit."""
-        dim = self.trunc.dim
-        out = _dense_zeros(2 * dim)
-        np.fill_diagonal(out, 1.0)
-        for gi, ei, theta in zip(self.g_index, self.e_index, self.angle):
-            rows = np.array([gi, dim + ei])
-            out[np.ix_(rows, rows)] = _rabi_rotation(theta)
-        return out
-
 
 def _rabi_rotation(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
@@ -257,13 +248,18 @@ def jcm_unitary(
 
     Basis states without a partner inside the truncation (m = 0 for the
     single kind, m n = 0 for the two-mode kind, and |e> states at the
-    cutoff boundary) are stationary.
+    cutoff boundary) are stationary.  A coupling, t or largest angle that
+    is not finite is a ValueError naming it.
     """
     if kind not in ("single", "two"):
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
     _require_mode(mode)
+    scale = _finite(coupling, "coupling") * _finite(t, "t")
     g_idx, e_idx, root = _jcm_tables(trunc, kind, mode)
-    return JcmUnitary(trunc, g_idx, e_idx, _float(coupling, "coupling") * _float(t, "t") * root)
+    if not math.isfinite(scale * float(root.max(initial=0.0))):
+        raise ValueError(f"probe angle coupling * t * sqrt(k) overflows for coupling "
+                         f"{coupling!r} and t {t!r}")
+    return JcmUnitary(trunc, g_idx, e_idx, scale * root)
 
 
 def jcm_propagate(
@@ -481,8 +477,12 @@ def jz_from_methods(
     chi_t: float = 1e-3,
 ) -> JzComparison:
     """<Jz> by (a) exact expectation, (b) single-mode reconstruction of both
-    marginals, (c) the direct readout on both modes."""
+    marginals, (c) the direct readout on both modes.  The direct readouts
+    come first: they cost O(nmax^2), and they refuse a bad ``chi_t`` before
+    the traces and fits are paid for."""
     jz_exact = expect(out_state, "jz")
+    directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in "cr")
+    jz_dir = 0.5 * (directs[0].mean_n_linearized - directs[1].mean_n_linearized)
 
     if m_max is None:
         m_max = out_state.trunc.n_total_max
@@ -491,7 +491,4 @@ def jz_from_methods(
     traces = tuple(signal(out_state, coupling, times, "single", mode) for mode in "cr")
     fits = tuple(reconstruct_single(trace, m_max) for trace in traces)
     jz_rec = 0.5 * (fits[0].mean_n - fits[1].mean_n)
-
-    directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in "cr")
-    jz_dir = 0.5 * (directs[0].mean_n_linearized - directs[1].mean_n_linearized)
     return JzComparison(jz_exact, jz_rec, jz_dir, traces, fits, directs)

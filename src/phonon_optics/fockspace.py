@@ -80,15 +80,30 @@ def _memory_limit_bytes() -> int | None:
     return min(limits, default=None)
 
 
-def _require_memory(need: int, request: str) -> None:
+def _require_memory(need: int, what: str) -> None:
     """Refuse, before anything is allocated, a request that needs ``need``
     bytes, more than ``_memory_limit_bytes()``.
 
-    ``request`` opens the error message and says what needs how much.
+    ``what`` opens the error message: the request and its verb, such as
+    "1000 samples need".  The byte counts are written only on refusal.
     """
     limit = _memory_limit_bytes()
     if limit is not None and need > limit:
-        raise ValueError(f"{request}, more than the memory limit of {limit:.3g} bytes")
+        raise ValueError(f"{what} about {_approx(need)} bytes, "
+                         f"more than the memory limit of {_approx(limit)} bytes")
+
+
+def _approx(count: int) -> str:
+    """A nonnegative integer to 3 significant digits, as ``f"{count:.3g}"``
+    writes it, also where ``count`` lies beyond the float range or has more
+    digits than ``str()`` converts."""
+    if count <= sys.float_info.max:
+        return f"{count:.3g}"
+    exponent = math.floor(math.log10(count))  # log10 takes an int of any size
+    mantissa = round(10.0 ** (math.log10(count) - exponent), 2)
+    if mantissa >= 10.0:
+        mantissa, exponent = 1.0, exponent + 1
+    return f"{mantissa:.3g}e+{exponent}"
 
 
 def _read_only(self, name, *value):
@@ -163,6 +178,15 @@ def _float(value, what: str):
     return value
 
 
+def _finite(value, what: str) -> float:
+    """``float(value)``, refused with a ValueError naming ``what`` and the
+    value unless it is finite."""
+    value = float(_float(value, what))
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _require_mode(mode: str) -> None:
     if mode not in ("c", "r"):
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
@@ -216,7 +240,7 @@ class Truncation(_Record):
         # mode_numbers and a state its complex128 amplitudes; number_distributions
         # fills a float64 (nmax + 1)^2 table: 32 dim + 8 (nmax + 1)^2 bytes.
         need = 32 * self.flat(0, n + 1) + 8 * (n + 1) ** 2
-        _require_memory(need, f"n_total_max = {n} needs {need:.3g} bytes of state arrays")
+        _require_memory(need, f"the state arrays of n_total_max = {_approx(n)} need")
         totals = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
         ms = np.arange(totals.size) - self.flat(0, totals)
         super().__init__(n, ms, totals - ms)
@@ -347,8 +371,17 @@ def _abs2(alpha: complex) -> float:
 
 
 def _coherent_overlap(a: complex, b: complex) -> complex:
-    """Exact <a|b> for coherent states."""
-    return np.exp(-0.5 * (_abs2(a) + _abs2(b)) + np.conj(a) * b)
+    """Exact <a|b> for coherent states.  conj(a) b is formed on Python
+    complex values: NumPy would cast an integer like 2**63 to uint64."""
+    return np.exp(-0.5 * (_abs2(a) + _abs2(b)) + complex(a).conjugate() * complex(b))
+
+
+def _cat_sign(parity: str) -> float:
+    """The sign s of the cat |alpha> + s |-alpha>: +1 for parity ``"even"``,
+    -1 for ``"odd"``; any other parity is a ValueError."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return 1.0 if parity == "even" else -1.0
 
 
 def _cat_weight(alpha: complex, sign: float) -> float:
@@ -415,10 +448,8 @@ def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> Motio
     and s = -1 for ``"odd"``; N = [2 (1 + s exp(-2|alpha|^2))]^(-1/2).  Even
     cats have support only on even phonon numbers, odd cats only on odd ones.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    sign = _cat_sign(parity)
     _require_mode(mode)
-    sign = 1.0 if parity == "even" else -1.0
     weight = _cat_weight(alpha, sign)
     if mode == "c":
         terms = [(weight, alpha, 0.0), (sign * weight, -alpha, 0.0)]

@@ -52,19 +52,11 @@ from .fockspace import (
     MotionalState,
     Truncation,
     _Record,
-    _float,
+    _finite,
     _require_memory,
     _require_mode,
     _require_same,
 )
-
-# Qubit basis order (g, e) with sigma_z |g> = -|g>.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)  # |e><g|
-SIGMA_MINUS = SIGMA_PLUS.T.copy()
-
-DEFAULT_ORACLE_CAP = 512
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -80,9 +72,8 @@ class UnitaryOperator(_Record):
 
     ``matrix`` is its 2x2 one-phonon unitary M on (|1, 0>, |0, 1>), so column
     0 is the image of a+ in the (a+, b+) basis.  ``u2 @ u1`` composes two
-    operators by the 2x2 product; ``apply`` and ``as_matrix`` go through the
-    Euler form of ``_apply_passive``, so the Fock matrix is built only on
-    demand.
+    operators by the 2x2 product; ``apply`` goes through the Euler form of
+    ``_apply_passive``, so no Fock matrix is ever built.
     """
 
     __slots__ = ("trunc", "matrix")
@@ -99,23 +90,6 @@ class UnitaryOperator(_Record):
             raise TypeError("a passive unitary acts on a MotionalState")
         _require_same(self, state)
         return state.with_amps(_apply_passive(state.amps, self.matrix, self.trunc))
-
-    def unitarity_defect(self) -> float:
-        """max |U+ U - 1| over the fixed-total blocks."""
-        m = self.as_matrix()
-        return _unitarity_defect(
-            m[sl, sl] for sl in map(self.trunc.block, range(self.trunc.n_total_max + 1))
-        )
-
-    def as_matrix(self) -> np.ndarray:
-        """The dense Fock matrix; refused before the identity is allocated
-        when it and the rotation's peak on it exceed the memory limit."""
-        eye_bytes = 16 * self.trunc.dim**2
-        need = eye_bytes + _passive_need(eye_bytes, self.trunc.n_total_max, self.trunc)
-        _require_memory(need, f"the dense matrix of a passive unitary needs about {need:.3g} bytes")
-        # row i of the transformed identity is U e_i, i.e. column i of U
-        eye = np.eye(self.trunc.dim, dtype=np.complex128)
-        return _apply_passive(eye, self.matrix, self.trunc).T
 
 
 def _unitarity_defect(blocks) -> float:
@@ -198,11 +172,10 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
     diagonal phases.  The map applied is therefore exactly unitary, and it
     differs from the full rotation only on blocks of norm at most
     WEIGHT_FLOOR, so the output moves by at most 2 WEIGHT_FLOOR in 2-norm.
-    ``as_matrix`` passes the identity, which weights every block, so it
-    builds them all.  The peak that top implies, ``_passive_need``, is
-    checked against the memory limit before the rotated copy is built.
+    The peak that top implies, ``_passive_need``, is checked against the
+    memory limit before the rotated copy is built.
     """
-    if not np.isfinite(m).all():  # a non-finite angle, refused before any block is built
+    if not np.isfinite(m).all():  # a matrix given directly, refused before any block is built
         raise ValueError("one-phonon matrix has non-finite amplitudes")
     delta = 0.5 * cmath.phase(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     a, b = m[0] * cmath.exp(-1j * delta)  # the first row of w
@@ -219,7 +192,7 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
     tail = np.cumsum(weight[::-1])[::-1]  # tail[N]: squared norm of blocks N..nmax
     top = max(int(np.count_nonzero(tail > WEIGHT_FLOOR**2)) - 1, 0)
     need = _passive_need(arr.nbytes, top, trunc)
-    _require_memory(need, f"a passive rotation up to N = {top} needs about {need:.3g} bytes")
+    _require_memory(need, f"a passive rotation up to N = {top} needs")
     # (dim, batch) with contiguous rows, so each block is one contiguous slab.
     x = np.ascontiguousarray((arr * np.exp(1j * (s - d) * jz)).reshape(-1, trunc.dim).T)
     flat = x.view(np.float64)
@@ -233,8 +206,8 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
 
 def _splitter(key: str, theta: float) -> np.ndarray:
     """One-phonon matrix of exp(-i theta Jx) (``b1``) or exp(-i theta Jy) (``b2``)."""
-    half = 0.5 * float(_float(theta, "theta"))
-    c, s = np.cos(half), np.sin(half)  # inf: NaN for apply to reject
+    half = 0.5 * _finite(theta, "theta")
+    c, s = np.cos(half), np.sin(half)
     m = [[c, -1j * s], [-1j * s, c]] if key == "b1" else [[c, -s], [s, c]]
     return np.array(m, dtype=np.complex128)
 
@@ -253,7 +226,7 @@ def beam_splitter(kind: str, theta: float, trunc: Truncation) -> UnitaryOperator
 def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
     """exp(+i phi a+ a) on mode ``c`` or exp(+i phi b+ b) on mode ``r``."""
     _require_mode(mode)
-    e = cmath.exp(1j * _float(phi, "phi"))
+    e = cmath.exp(1j * _finite(phi, "phi"))
     m = np.diag([e, 1.0] if mode == "c" else [1.0, e])
     return UnitaryOperator(trunc, m)
 
@@ -291,7 +264,7 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     With ion 2 prepared in |g> this realizes the plain phase shifter at
     phi = chi_t / 2.
     """
-    chi_t = _float(chi_t, "chi_t")
+    chi_t = _finite(chi_t, "chi_t")
     k = js.trunc.phonons(mode)
     axis = js.axis_of(2)
     a = np.moveaxis(js.amps, axis, 0).copy()
@@ -312,89 +285,6 @@ def carrier_half_pulse(js: JointState) -> JointState:
     g = (a[0] - 1j * a[1]) * _SQRT_HALF
     e = (a[1] - 1j * a[0]) * _SQRT_HALF
     return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
-
-
-# ---------------------------------------------------------------------------
-# dense helpers and the matrix-exponential oracle
-# ---------------------------------------------------------------------------
-
-
-def dense_annihilation(trunc: Truncation, mode: str) -> np.ndarray:
-    """Dense annihilation matrix of one mode on the triangular basis."""
-    k = trunc.phonons(mode)
-    ms, ns = trunc.mode_numbers()
-    cols = np.flatnonzero(k)
-    # |m, n> lowers to |m - 1, n> (mode c) or |m, n - 1> (mode r)
-    rows = trunc.flat(ms[cols] - (mode == "c"), ns[cols] - (mode == "r"))
-    out = _dense_zeros(trunc.dim)
-    out[rows, cols] = np.sqrt(k[cols])
-    return out
-
-
-def dense_number(trunc: Truncation, mode: str) -> np.ndarray:
-    k = trunc.phonons(mode)
-    out = _dense_zeros(trunc.dim)
-    np.fill_diagonal(out, k)
-    return out
-
-
-def _dense_zeros(side: int) -> np.ndarray:
-    """A complex side x side zero matrix, refused before it is allocated
-    when its 16 side^2 bytes exceed the memory limit."""
-    need = 16 * side**2
-    _require_memory(need, f"a dense {side} x {side} matrix needs {need:.3g} bytes")
-    return np.zeros((side, side), dtype=np.complex128)
-
-
-def _dense_jxy(trunc: Truncation, weight: complex) -> np.ndarray:
-    """weight a+ b + conj(weight) a b+ as one dense matrix.
-
-    a+ b |m, n> = sqrt(m + 1) sqrt(n) |m + 1, n - 1>, placed by
-    ``Truncation.flat``, and a b+ is its transpose.  These matrices are the
-    oracle for ``fockspace.expect`` and ``_apply_jx``, so they do not read
-    the hop table those use.
-    """
-    out = _dense_zeros(trunc.dim)
-    ms, ns = trunc.mode_numbers()
-    cols = np.flatnonzero(ns)
-    m, n = ms[cols], ns[cols]
-    rows = trunc.flat(m + 1, n - 1)
-    coef = np.sqrt(m + 1) * np.sqrt(n)
-    out[rows, cols] = weight * coef
-    out[cols, rows] = np.conj(weight) * coef
-    return out
-
-
-def dense_jx(trunc: Truncation) -> np.ndarray:
-    return _dense_jxy(trunc, 0.5)
-
-
-def dense_jy(trunc: Truncation) -> np.ndarray:
-    return _dense_jxy(trunc, -0.5j)
-
-
-def dense_jz(trunc: Truncation) -> np.ndarray:
-    out = _dense_zeros(trunc.dim)
-    ms, ns = trunc.mode_numbers()
-    np.fill_diagonal(out, 0.5 * (ms - ns))
-    return out
-
-
-def expm_oracle(generator: np.ndarray, t: float) -> np.ndarray:
-    """Dense test oracle: the matrix exp(-i H t) of a Hermitian generator H,
-    from its eigendecomposition.  Rejects matrices larger than
-    ``DEFAULT_ORACLE_CAP`` on a side; this path is for cross-checks only.
-    """
-    h = np.ascontiguousarray(generator, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("generator must be a square matrix")
-    if h.shape[0] > DEFAULT_ORACLE_CAP:
-        raise ValueError(f"oracle dimension {h.shape[0]} exceeds cap {DEFAULT_ORACLE_CAP}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
-        raise ValueError("generator is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +348,7 @@ def lab_to_angles(p: LabParams) -> EffectiveAngles:
     overflows a float is a ValueError naming it.
     """
     for name in LabParams.__slots__:
-        value = _float(getattr(p, name), name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        _finite(getattr(p, name), name)
     if p.Delta == 0.0 or p.Delta_r == 0.0:
         raise ValueError("detunings must be nonzero for the dispersive phases")
     chi = _dispersive_rate(p.eta, p.Omega, p.Delta)

@@ -12,6 +12,7 @@ from .fockspace import (
     MotionalState,
     QubitState,
     Truncation,
+    _cat_sign,
     _cat_weight,
     _float,
     coherent_superposition,
@@ -20,8 +21,6 @@ from .fockspace import (
     make_fock,
 )
 from .operators import apply, beam_splitter, conditional_phase, joint_bs_propagator
-
-_PARITY_SIGN = {"even": 1.0, "odd": -1.0, "+": 1.0, "-": -1.0}
 
 
 def entangled_number(
@@ -44,13 +43,6 @@ def entangled_number(
     return apply(beam_splitter(kind, theta, trunc), start)
 
 
-def _parity_sign(parity: str) -> float:
-    try:
-        return _PARITY_SIGN[parity]
-    except KeyError:
-        raise ValueError(f"parity must be one of 'even', 'odd', '+', '-', got {parity!r}")
-
-
 def entangled_cat(alpha: complex, parity: str, theta: float, trunc: Truncation) -> MotionalState:
     """Beam-split a single-mode cat into a two-mode entangled cat.
 
@@ -58,7 +50,7 @@ def entangled_cat(alpha: complex, parity: str, theta: float, trunc: Truncation) 
     in the breathing mode; the Jy beam splitter at angle theta produces the
     entangled pair with amplitudes alpha cos(theta/2) and alpha sin(theta/2).
     """
-    cat = make_cat(alpha, "even" if _parity_sign(parity) > 0 else "odd", "c", trunc)
+    cat = make_cat(alpha, parity, "c", trunc)
     if cat.flagged:
         raise ValueError(
             f"input cat discards probability {cat.tail_mass:.3g} at this truncation; "
@@ -71,7 +63,7 @@ def entangled_cat_target(
     alpha: complex, parity: str, theta: float, trunc: Truncation
 ) -> MotionalState:
     """Direct expansion of the entangled-cat output, bypassing all operators."""
-    sign = _parity_sign(parity)
+    sign = _cat_sign(parity)
     w = _cat_weight(alpha, sign)
     half = _float(theta, "theta") / 2.0
     at = alpha * math.cos(half)
@@ -88,7 +80,7 @@ def entangled_cat_u2u3(
 ) -> JointState:
     """Two-pulse recipe: Jy splitter at pi/2, then a 2 pi conditional phase.
 
-    The input motional state is the cat (parity '+' or '-') in the
+    The input motional state is the cat (parity 'even' or 'odd') in the
     center-of-mass mode times the coherent state |beta> in the breathing
     mode, with ion 2 in |g> and ion 1 in a sigma_x eigenstate (default +1).
     Both internal states come out unchanged; with the +1 eigenstate the
@@ -102,7 +94,7 @@ def entangled_cat_u2u3(
             "ion 1 must be prepared in a sigma_x eigenstate; other internal "
             "states entangle with the motion under this propagator"
         )
-    sign = _parity_sign(parity)
+    sign = _cat_sign(parity)
     w = _cat_weight(alpha, sign)
     motional = coherent_superposition([(w, alpha, beta), (sign * w, -alpha, beta)], trunc)
     if motional.flagged:
@@ -118,9 +110,10 @@ def entangled_cat_u2u3(
 def entangled_cat_u2u3_target(
     alpha: complex, beta: complex, parity: str, trunc: Truncation
 ) -> MotionalState:
-    """Normalized |e_minus, e_plus> +- |e_plus, e_minus| with
-    e_pm = (beta +- alpha)/sqrt(2), built by direct expansion."""
-    sign = _parity_sign(parity)
+    """Normalized |e_minus, e_plus> + s |e_plus, e_minus>, s = +1 for parity
+    'even' and -1 for 'odd', with e_pm = (beta +- alpha)/sqrt(2), built by
+    direct expansion."""
+    sign = _cat_sign(parity)
     alpha, beta = _float(alpha, "coherent amplitude"), _float(beta, "coherent amplitude")
     e_minus = (beta - alpha) / math.sqrt(2.0)
     e_plus = (beta + alpha) / math.sqrt(2.0)

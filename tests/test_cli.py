@@ -722,3 +722,29 @@ def test_run_and_detect_write_the_same_direct_json(tmp_path, capsys, monkeypatch
     assert run_cli(capsys, "detect", "coherent 0.5 0 1 0.25 nmax 12", "--method", "direct",
                    "--mode", mode, "--chi-t", "0.002")[0] == 0
     assert Path("d_direct1.json").read_text() == Path("detect_direct.json").read_text()
+
+
+NINES_400 = "9" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "fock 0 0 nmax 3", "--points", NINES_400),
+    ("sweep", f"fock 0 0 nmax {'9' * 160}"),
+    ("detect", "fock 1 0 nmax 3", "--method", "single", "--samples", NINES_400),
+    ("run", f"init fock 1 0 nmax 3\njcm single 1 0 1 {NINES_400}\n"),
+], ids=["sweep-points", "sweep-nmax", "detect-samples", "run-jcm-samples"])
+def test_byte_counts_beyond_the_float_range_are_refused(tmp_path, capsys, monkeypatch, argv):
+    # each count used to be formatted as a float before the check, which
+    # leaked "OverflowError: int too large to convert to float"
+    from phonon_optics import fockspace
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
+    if argv[0] == "run":
+        Path("big.seq").write_text(argv[1])
+        argv = ("run", "big.seq", "--out", "out")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "bytes, more than the memory limit of 1.1e+12 bytes" in err
+    assert "Traceback" not in err

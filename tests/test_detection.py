@@ -29,10 +29,11 @@ from phonon_optics import (
     truncation_for_coherent,
 )
 from phonon_optics.detection import _SIGNAL_CHUNK, _jcm_tables
-from phonon_optics.operators import (
+from phonon_optics.operators import WEIGHT_FLOOR
+from oracles import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    WEIGHT_FLOOR,
+    as_matrix,
     dense_annihilation,
     dense_number,
     expm_oracle,
@@ -103,7 +104,7 @@ def test_jcm_unitary_properties():
     t = Truncation(6)
     u = jcm_unitary(1.3, 0.7, t, "single", "c")
     assert u.unitarity_defect() < 1e-12
-    m = u.as_matrix()
+    m = as_matrix(u)
     assert np.max(np.abs(m.conj().T @ m - np.eye(2 * t.dim))) < 1e-12
 
 
@@ -444,6 +445,16 @@ def test_jz_methods_vacuum():
     assert cmp_.jz_exact == 0.0
     assert abs(cmp_.jz_reconstructed) < 1e-9
     assert cmp_.jz_direct == 0.0
+
+
+@pytest.mark.parametrize("chi_t", [0.0, -1e-3, math.nan, math.inf])
+def test_jz_methods_refuse_chi_t_before_any_trace(monkeypatch, chi_t):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trace was taken before chi * t was checked")
+
+    monkeypatch.setattr("phonon_optics.detection.signal", unreachable)
+    with pytest.raises(ValueError, match="chi \\* t must be finite and positive"):
+        jz_from_methods(make_fock(1, 0, Truncation(6)), chi_t=chi_t)
 
 
 def test_jz_methods_single_phonon():

@@ -513,13 +513,13 @@ BEYOND_FLOAT_CALLS = [
     ("truncation_for_coherent",
      lambda t, s, js: truncation_for_coherent(BEYOND_FLOAT, 0), "coherent amplitude"),
     ("entangled_cat",
-     lambda t, s, js: po.entangled_cat(BEYOND_FLOAT, "+", 0.5, t), "coherent amplitude"),
+     lambda t, s, js: po.entangled_cat(BEYOND_FLOAT, "even", 0.5, t), "coherent amplitude"),
     ("entangled_cat_target-amplitude",
-     lambda t, s, js: po.entangled_cat_target(BEYOND_FLOAT, "+", 0.5, t), "coherent amplitude"),
+     lambda t, s, js: po.entangled_cat_target(BEYOND_FLOAT, "even", 0.5, t), "coherent amplitude"),
     ("entangled_cat_target-theta",
-     lambda t, s, js: po.entangled_cat_target(0.5, "+", BEYOND_FLOAT, t), "theta"),
+     lambda t, s, js: po.entangled_cat_target(0.5, "even", BEYOND_FLOAT, t), "theta"),
     ("entangled_cat_u2u3_target",
-     lambda t, s, js: po.entangled_cat_u2u3_target(0.5, BEYOND_FLOAT, "+", t),
+     lambda t, s, js: po.entangled_cat_u2u3_target(0.5, BEYOND_FLOAT, "even", t),
      "coherent amplitude"),
     ("direct_mean_phonon", lambda t, s, js: po.direct_mean_phonon(s, BEYOND_FLOAT), "chi * t"),
     ("jz_from_methods-coupling",
@@ -553,6 +553,26 @@ def test_an_integer_beyond_the_float_range_is_refused_by_name(call, what):
     message = f"{what} must be finite, got an integer beyond the float range"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(t, s, js)
+
+
+def test_integers_beyond_int64_are_refused_by_name(monkeypatch):
+    # NumPy used to meet each of these as an int64 or uint64 and leak its own
+    # IndexError or OverflowError
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
+    with pytest.raises(ValueError, match="^9223372036854775808 samples need about 4.43e\\+20 bytes"):
+        po.default_times(0.7, 2**63)
+    with pytest.raises(ValueError, match="all amplitude mass lies outside the truncation"):
+        po.entangled_cat(2**63, "even", 0.7, Truncation(4))
+
+
+def test_a_cutoff_beyond_str_conversion_is_refused_by_the_memory_check(monkeypatch):
+    # 10**5000 has more digits than str() converts, and its byte count lies
+    # beyond the float range; neither may leak from the message
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
+    with pytest.raises(ValueError, match=r"^the state arrays of n_total_max = 1e\+5000 need "
+                                         r"about 2.4e\+10001 bytes, more than the memory limit "
+                                         r"of 1.1e\+12 bytes$"):
+        Truncation(10**5000)
 
 
 # qubit and joint states ----------------------------------------------------

@@ -3,8 +3,8 @@
 ``expect`` reads <Jx> and <Jy> as the real and imaginary parts of
 <a+ b> from one hop table, and the diagonal observables from the mode
 numbers.  The oracle is <psi|O|psi> with the dense matrices of
-``operators`` on random complex states, so a sign or conjugation slip in
-either hop direction shows up as a nonzero <Jy> of the wrong sign.
+``tests/oracles.py`` on random complex states, so a sign or conjugation
+slip in either hop direction shows up as a nonzero <Jy> of the wrong sign.
 """
 
 import numpy as np
@@ -16,12 +16,9 @@ from hypothesis import given, strategies as st  # noqa: E402
 from phonon_optics import (  # noqa: E402
     MotionalState,
     Truncation,
-    dense_jx,
-    dense_jy,
-    dense_jz,
-    dense_number,
     expect,
 )
+from oracles import dense_jx, dense_jy, dense_jz, dense_number  # noqa: E402
 
 
 @given(st.integers(0, 8), st.integers(0, 2**32 - 1))

@@ -8,7 +8,6 @@ from phonon_optics import (
     apply,
     beam_splitter,
     expect,
-    expm_oracle,
     fidelity,
     make_coherent,
     make_fock,
@@ -18,7 +17,7 @@ from phonon_optics import (
     sweep_to_csv,
     truncation_for_coherent,
 )
-from phonon_optics.operators import dense_jx, dense_number
+from oracles import dense_jx, dense_number, expm_oracle
 
 
 def coherent_input(n):

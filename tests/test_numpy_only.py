@@ -1,6 +1,10 @@
-"""The package needs NumPy only: no module imports SciPy, and the test
-oracle ``expm_oracle`` runs with SciPy unavailable.  SciPy stays a test
-dependency, as the oracle of the nonnegative least squares."""
+"""The package needs NumPy only and ships only what a program runs.
+
+No module imports SciPy, and the dense test oracles of ``tests/oracles.py``
+(the Fock matrices, the qubit operators, ``expm_oracle`` and ``as_matrix``)
+live there alone: no package module defines them and the package exports
+none of them.  ``expm_oracle`` runs with SciPy unavailable.  SciPy stays a
+test dependency, as the oracle of the nonnegative least squares."""
 
 import ast
 import sys
@@ -9,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 import phonon_optics
-from phonon_optics import Truncation, beam_splitter, dense_jy, expm_oracle
+from phonon_optics import Truncation, beam_splitter
+from oracles import as_matrix, dense_jy, expm_oracle
 
 PACKAGE = Path(phonon_optics.__file__).parent
 
@@ -22,16 +27,49 @@ def imported_modules(tree):
             yield node.lineno, [node.module]
 
 
-def test_no_package_module_imports_scipy():
+def defined_names(tree):
+    """Every function, class, method and assigned name a module defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.lineno, node.id
+
+
+def is_oracle(name):
+    bare = name.lstrip("_")
+    return (bare.startswith(("dense_", "SIGMA_"))
+            or bare in ("expm_oracle", "as_matrix", "DEFAULT_ORACLE_CAP"))
+
+
+def package_trees():
     paths = sorted(PACKAGE.glob("*.py"))
     assert len(paths) >= 8
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+def test_no_package_module_imports_scipy():
     found = [
         f"{path.name}:{lineno}"
-        for path in paths
-        for lineno, names in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        for path, tree in package_trees()
+        for lineno, names in imported_modules(tree)
         if any(name.split(".")[0] == "scipy" for name in names)
     ]
     assert found == []
+
+
+def test_the_dense_oracles_live_in_the_tests_alone():
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path, tree in package_trees()
+        for lineno, name in defined_names(tree)
+        if is_oracle(name)
+    ]
+    assert found == []
+    assert [name for name in dir(phonon_optics) if is_oracle(name)] == []
+    # the walk does see what it looks for
+    oracles = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    assert sum(is_oracle(name) for _, name in defined_names(oracles)) == 13
 
 
 def test_expm_oracle_without_scipy(monkeypatch):
@@ -40,4 +78,4 @@ def test_expm_oracle_without_scipy(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)
     t = Truncation(4)
     u = expm_oracle(dense_jy(t), -0.62)  # exp(+0.62 i Jy) = B2(-0.62)
-    assert np.max(np.abs(u - beam_splitter("b2", -0.62, t).as_matrix())) < 1e-13
+    assert np.max(np.abs(u - as_matrix(beam_splitter("b2", -0.62, t)))) < 1e-13

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,13 +127,13 @@ def test_entangled_cat_rejects_overflowing_truncation():
 
 def test_u2u3_rejects_overflowing_truncation():
     with pytest.raises(ValueError, match="input discards probability 0.97"):
-        entangled_cat_u2u3(3.0, 3.0, "+", Truncation(10))
+        entangled_cat_u2u3(3.0, 3.0, "even", Truncation(10))
 
 
 def test_u2u3_vacuum_case():
     t = Truncation(10)
-    js = entangled_cat_u2u3(0.0, 0.0, "+", t)
-    target = entangled_cat_u2u3_target(0.0, 0.0, "+", t)
+    js = entangled_cat_u2u3(0.0, 0.0, "even", t)
+    target = entangled_cat_u2u3_target(0.0, 0.0, "even", t)
     assert js.motional_fidelity(target) == pytest.approx(1.0, abs=1e-12)
     assert target.amplitude(0, 0) == pytest.approx(1.0, abs=1e-12)
 
@@ -140,13 +141,14 @@ def test_u2u3_vacuum_case():
 def test_u2u3_equal_amplitudes():
     # alpha = beta = 1: components (0, sqrt(2)) and (sqrt(2), 0)
     t = Truncation(30)
-    js = entangled_cat_u2u3(1.0, 1.0, "+", t)
+    js = entangled_cat_u2u3(1.0, 1.0, "even", t)
     root2 = math.sqrt(2)
     raw = coherent_superposition([(1.0, 0.0, root2), (1.0, root2, 0.0)], t)
     assert js.motional_fidelity(raw) >= 1 - 1e-10
 
 
-@pytest.mark.parametrize("parity", ["+", "-"])
+# the ids name the sign between the two cat terms
+@pytest.mark.parametrize("parity", ["even", "odd"], ids=["+", "-"])
 def test_u2u3_general_case_and_internal_immunity(parity):
     t = Truncation(40)
     js = entangled_cat_u2u3(1.0, 2.0, parity, t)
@@ -162,7 +164,7 @@ def test_u2u3_minus_eigenstate_reverses_rotation():
     # parity flip then negates the first amplitude.
     alpha, beta = 1.0, 2.0
     t = Truncation(40)
-    js = entangled_cat_u2u3(alpha, beta, "+", t, ion1=QubitState.minus())
+    js = entangled_cat_u2u3(alpha, beta, "even", t, ion1=QubitState.minus())
     e_minus = (beta - alpha) / math.sqrt(2)
     e_plus = (beta + alpha) / math.sqrt(2)
     target = coherent_superposition([(1.0, -e_plus, e_minus), (1.0, -e_minus, e_plus)], t)
@@ -172,7 +174,7 @@ def test_u2u3_minus_eigenstate_reverses_rotation():
 
 def test_u2u3_rejects_non_eigenstate_preparation():
     with pytest.raises(ValueError, match="sigma_x eigenstate"):
-        entangled_cat_u2u3(1.0, 1.0, "+", Truncation(20), ion1=QubitState.ground())
+        entangled_cat_u2u3(1.0, 1.0, "even", Truncation(20), ion1=QubitState.ground())
 
 
 @pytest.mark.parametrize(
@@ -180,9 +182,9 @@ def test_u2u3_rejects_non_eigenstate_preparation():
     [
         lambda t: entangled_cat(1e200, "even", 0.3, t),
         lambda t: entangled_cat_target(2e154j, "odd", 0.3, t),
-        lambda t: entangled_cat_u2u3(-1e200, 1.0, "+", t),
-        lambda t: entangled_cat_u2u3(1.0, 1e200, "-", t),
-        lambda t: entangled_cat_u2u3_target(1.0, 1e300, "+", t),
+        lambda t: entangled_cat_u2u3(-1e200, 1.0, "even", t),
+        lambda t: entangled_cat_u2u3(1.0, 1e200, "odd", t),
+        lambda t: entangled_cat_u2u3_target(1.0, 1e300, "even", t),
     ],
     ids=["cat", "cat-target", "u2u3-alpha", "u2u3-beta", "u2u3-target"],
 )
@@ -193,4 +195,17 @@ def test_overflowing_cat_amplitude_is_refused(build):
 
 def test_u2u3_rejects_zero_odd_input():
     with pytest.raises(ValueError, match="zero vector"):
-        entangled_cat_u2u3(0.0, 1.0, "-", Truncation(20))
+        entangled_cat_u2u3(0.0, 1.0, "odd", Truncation(20))
+
+
+@pytest.mark.parametrize("parity", ["+", "-", "Even"])
+def test_cat_parity_is_spelled_even_or_odd_everywhere(parity):
+    t = Truncation(10)
+    for build in (lambda: make_cat(1.0, parity, "c", t),
+                  lambda: entangled_cat(1.0, parity, 0.3, t),
+                  lambda: entangled_cat_target(1.0, parity, 0.3, t),
+                  lambda: entangled_cat_u2u3(1.0, 1.0, parity, t),
+                  lambda: entangled_cat_u2u3_target(1.0, 1.0, parity, t)):
+        message = f"parity must be 'even' or 'odd', got '{parity}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
