@@ -126,7 +126,7 @@ def cmd_run(args) -> int:
     for record in result.records:
         if isinstance(record, seqlang.ReportRecord):
             kind, item = "report", record
-            note = f"jz={item.jz:.17g} jx={item.jx:.17g} jy={item.jy:.17g}"
+            note = f"jz={item.distribution.mean_jz:.17g} jx={item.jx:.17g} jy={item.jy:.17g}"
         elif isinstance(record, seqlang.TraceRecord):
             kind, item = "trace", record.trace
             note = f"kind={item.kind} samples={item.times.size}"

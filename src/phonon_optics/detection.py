@@ -41,6 +41,7 @@ from .fockspace import (
     _Record,
     _finite,
     _float,
+    _integer,
     _require_memory,
     _require_mode,
     _require_same,
@@ -400,6 +401,7 @@ def reconstruct_single(trace: SignalTrace, m_max: int) -> ReconstructedNumberDis
     """
     if trace.kind != "single":
         raise ValueError("reconstruct_single needs a single-mode trace")
+    m_max = _integer(m_max, "m_max")
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     p, residual = _nnls_on_dictionary(trace, m_max + 1)
@@ -415,6 +417,7 @@ def reconstruct_two(trace: SignalTrace, k_max: int) -> LevelSetDistribution:
     """
     if trace.kind != "two":
         raise ValueError("reconstruct_two needs a two-mode trace")
+    k_max = _integer(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     q, residual = _nnls_on_dictionary(trace, k_max + 1)
@@ -484,8 +487,7 @@ def jz_from_methods(
     directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in "cr")
     jz_dir = 0.5 * (directs[0].mean_n_linearized - directs[1].mean_n_linearized)
 
-    if m_max is None:
-        m_max = out_state.trunc.n_total_max
+    m_max = out_state.trunc.n_total_max if m_max is None else _integer(m_max, "m_max")
     _require_samples(n_samples, m_max + 1)
     times = default_times(coupling, n_samples)
     traces = tuple(signal(out_state, coupling, times, "single", mode) for mode in "cr")

@@ -236,9 +236,9 @@ class Truncation(_Record):
         n = _integer(n_total_max, "n_total_max")
         if n < 0:
             raise ValueError(f"n_total_max must be >= 0, got {n}")
-        # Per basis state, the truncation holds the two int64 arrays of
-        # mode_numbers and a state its complex128 amplitudes; number_distributions
-        # fills a float64 (nmax + 1)^2 table: 32 dim + 8 (nmax + 1)^2 bytes.
+        # The two int64 arrays of mode_numbers and a state's complex128 amplitudes
+        # take 32 dim bytes; number_distributions peaks at a float64 p and one
+        # temporary, 16 dim = 8 (nmax + 1)^2 + 8 (nmax + 1) bytes.
         need = 32 * self.flat(0, n + 1) + 8 * (n + 1) ** 2
         _require_memory(need, f"the state arrays of n_total_max = {_approx(n)} need")
         totals = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
@@ -406,12 +406,17 @@ def coherent_superposition(
     The discarded probability is computed against the exact norm of the
     untruncated superposition (closed-form coherent overlaps), so tail_mass
     is meaningful for non-orthogonal superpositions such as cat states.  The
-    norm comes first, so an amplitude whose |alpha|^2 is not finite is
-    refused before any array is built.
+    weights and the norm come first, so a non-finite weight, or an amplitude
+    whose |alpha|^2 is not finite, is refused before any array is built.  A
+    state whose every kept amplitude underflows is refused with the largest
+    mean phonon number |alpha|^2 + |beta|^2 of a term.
     """
+    for wj, _, _ in terms:
+        w = complex(_float(wj, "superposition weight"))
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            raise ValueError(f"superposition weight must be finite, got {wj!r}")
     exact_norm2 = 0.0
     for wj, aj, bj in terms:
-        _float(wj, "superposition weight")
         for wk, ak, bk in terms:
             exact_norm2 += (
                 np.conj(complex(wj))
@@ -431,7 +436,11 @@ def coherent_superposition(
 
     retained = float(np.vdot(vec, vec).real)
     if retained <= 0.0:
-        raise ValueError("all amplitude mass lies outside the truncation")
+        mean = max(_abs2(alpha) + _abs2(beta) for _, alpha, beta in terms)
+        raise ValueError(
+            f"all amplitude mass lies outside the truncation: mean phonon number "
+            f"|alpha|^2 + |beta|^2 = {mean:.6g}, n_total_max = {trunc.n_total_max}"
+        )
     tail = min(1.0, max(0.0, 1.0 - retained / exact_norm2))
     return MotionalState(trunc, vec / math.sqrt(retained), tail)
 
@@ -472,21 +481,18 @@ def fidelity(a: MotionalState, b: MotionalState) -> float:
 class JointDistribution(_Record):
     """Joint and marginal phonon-number distributions of a motional state.
 
-    ``trunc`` is the state's truncation; ``p_mn`` is the square
-    (n_total_max + 1)^2 array, zero outside the triangle; ``p_m`` and
-    ``p_n`` are its marginals.
+    ``p`` holds p_mn = |c_mn|^2 in the state's own (total, m) order, the
+    order of its amplitudes and of ``trunc.mode_numbers()``; ``p_m`` and
+    ``p_n`` are the marginals over 0..n_total_max, and ``mean_jz`` is the
+    mean of (Nc - Nr)/2 read from them.
     """
 
-    __slots__ = ("trunc", "p_mn", "p_m", "p_n", "mean_jz")
-
-    def triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays m, n and p_mn over every basis pair, in (total, m) order."""
-        ms, ns = self.trunc.mode_numbers()
-        return ms, ns, self.p_mn[ms, ns]
+    __slots__ = ("trunc", "p", "p_m", "p_n", "mean_jz")
 
     def to_csv(self) -> str:
         """Rows "m,n,p" for every basis pair, in (total, m) order."""
-        rows = zip(*(a.tolist() for a in self.triangle()))
+        ms, ns = self.trunc.mode_numbers()
+        rows = zip(ms.tolist(), ns.tolist(), self.p.tolist())
         return "m,n,p\n" + "".join(f"{m},{n},{p:.17g}\n" for m, n, p in rows)
 
 
@@ -494,13 +500,12 @@ def number_distributions(s: MotionalState) -> JointDistribution:
     """Joint p_mn = |c_mn|^2 with marginals and the mean of (Nc - Nr)/2."""
     ms, ns = s.trunc.mode_numbers()
     size = s.trunc.n_total_max + 1
-    p_mn = np.zeros((size, size), dtype=np.float64)
-    p_mn[ms, ns] = np.abs(s.amps) ** 2
-    p_m = p_mn.sum(axis=1)
-    p_n = p_mn.sum(axis=0)
+    p = np.abs(s.amps) ** 2
+    p_m = np.bincount(ms, weights=p, minlength=size)
+    p_n = np.bincount(ns, weights=p, minlength=size)
     k = np.arange(size)
     mean_jz = 0.5 * (float(k @ p_m) - float(k @ p_n))
-    return JointDistribution(s.trunc, p_mn, p_m, p_n, mean_jz)
+    return JointDistribution(s.trunc, p, p_m, p_n, mean_jz)
 
 
 def _hop_tables(trunc: Truncation):
@@ -552,6 +557,8 @@ def reduced_purity(s: MotionalState) -> float:
     """Purity of either single-mode reduced density matrix (they coincide)."""
     ms, ns = s.trunc.mode_numbers()
     size = s.trunc.n_total_max + 1
+    # the complex square, its conjugate copy and the Gram matrix: 48 bytes an entry
+    _require_memory(48 * size**2, f"the reduced density matrix of n_total_max = {size - 1} needs")
     coeff = np.zeros((size, size), dtype=np.complex128)
     coeff[ms, ns] = s.amps
     gram = coeff.conj().T @ coeff

@@ -35,7 +35,9 @@ block weights of a state are fixed, so blocks are built only up to the
 highest one, top, whose tail norm exceeds ``WEIGHT_FLOOR``: O(top^3) time
 and O(top^2) memory per application, with nothing kept between calls.  At
 nmax 300 a coherent state of 25 mean phonons stops near top = 140 and
-takes about 0.03 s; a state spread over every block takes about 0.17 s.
+takes about 16 ms; a state spread over every block takes about 0.12 s
+(one ``b2`` splitter at beta = 1.1, median of 7 calls, one core, BLAS on
+one thread).
 A caller applying many operators to one state pays that per call; folding
 them with ``@`` first pays it once.  ``UnitaryOperator`` is this passive
 operator and nothing else; the Jaynes-Cummings probe propagator lives in

@@ -330,26 +330,27 @@ def _build_initial_state(args: tuple, line: int) -> MotionalState:
 
 
 class ReportRecord(_Record):
-    __slots__ = ("index", "distribution", "jx", "jy", "jz")
+    __slots__ = ("index", "distribution", "jx", "jy")
 
     def to_json(self) -> str:
         """Moments, dense marginals and the joint rows [m, n, p] with
         p > WEIGHT_FLOOR**2, in (total, m) order.  The rows left out are
-        rounding noise: each weighs at most 1e-60, all at most dim * 1e-60."""
+        rounding noise: each weighs at most 1e-60, all at most dim * 1e-60.
+        ``jz`` and ``mean_jz`` are both the distribution's ``mean_jz``."""
         d = self.distribution
-        ms, ns, p = d.triangle()
-        keep = p > WEIGHT_FLOOR**2
+        ms, ns = d.trunc.mode_numbers()
+        keep = d.p > WEIGHT_FLOOR**2
         return json.dumps(
             {
                 "kind": "report",
                 "index": self.index,
                 "jx": self.jx,
                 "jy": self.jy,
-                "jz": self.jz,
+                "jz": d.mean_jz,
                 "mean_jz": d.mean_jz,
                 "p_m": d.p_m.tolist(),
                 "p_n": d.p_n.tolist(),
-                "p": list(zip(ms[keep].tolist(), ns[keep].tolist(), p[keep].tolist())),
+                "p": list(zip(ms[keep].tolist(), ns[keep].tolist(), d.p[keep].tolist())),
             }
         )
 
@@ -417,8 +418,8 @@ def execute(program: PulseProgram) -> ExecutionResult:
                     est = direct_mean_phonon(state, chi_t, mode)
                     records.append(DirectRecord(idx, est))
                 else:  # report, the one verb left that the parser accepts
-                    moments = (expect(state, k) for k in ("jx", "jy", "jz"))
-                    records.append(ReportRecord(idx, number_distributions(state), *moments))
+                    jx, jy = (expect(state, k) for k in ("jx", "jy"))
+                    records.append(ReportRecord(idx, number_distributions(state), jx, jy))
         except ValueError as exc:
             raise ExecutionError(line, str(exc)) from exc
     return ExecutionResult(_apply_run(run, state, run_line), tuple(records))

@@ -357,6 +357,25 @@ def test_overflowing_fit_phase_is_refused_by_name(kind, reconstruct):
         reconstruct(trace, 3)
 
 
+FIT_SIZES = [
+    ("single-2.5", lambda s, tr: reconstruct_single(tr["single"], 2.5), "m_max", "2.5"),
+    ("single-True", lambda s, tr: reconstruct_single(tr["single"], True), "m_max", "True"),
+    ("two-3.5", lambda s, tr: reconstruct_two(tr["two"], 3.5), "k_max", "3.5"),
+    ("jz_from_methods-2.5", lambda s, tr: jz_from_methods(s, m_max=2.5), "m_max", "2.5"),
+]
+
+
+@pytest.mark.parametrize("call, what, value", [c[1:] for c in FIT_SIZES],
+                         ids=[c[0] for c in FIT_SIZES])
+def test_fit_sizes_are_integers(call, what, value):
+    # each used to fit int(m_max) + 1 or int(k_max) + 1 weights without a word
+    s = make_coherent(1.0, 0.5, Truncation(10))
+    traces = {kind: signal(s, 1.0, default_times(1.0), kind) for kind in ("single", "two")}
+    with pytest.raises(ValueError, match=f"^{what} must be an integer, got {value}$"):
+        call(s, traces)
+    assert reconstruct_single(traces["single"], np.int64(3)).p.size == 4
+
+
 def test_reconstruct_two_level_sets():
     t = Truncation(4)
     trace = signal(make_fock(0, 0, t), 1.0, default_times(1.0, 64), "two")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,8 +246,9 @@ def test_inner_coherent_overlap():
 
 
 def test_number_distributions_fock():
-    d = number_distributions(make_fock(1, 0, Truncation(4)))
-    assert d.p_mn[1, 0] == 1.0
+    t = Truncation(4)
+    d = number_distributions(make_fock(1, 0, t))
+    assert d.p[t.index(1, 0)] == 1.0 and d.p.sum() == 1.0
     assert d.mean_jz == pytest.approx(0.5)
 
 
@@ -388,16 +390,29 @@ def test_distribution_reads_its_layout_from_the_state_truncation(monkeypatch):
     t = Truncation(5)
     d = number_distributions(make_coherent(0.6, 0.4j, t))
     assert d.trunc is t
-    ms, ns, p = d.triangle()
     csv = d.to_csv()
 
     def refuse(self, n_total_max):
         raise RuntimeError("a distribution built a second truncation")
 
     monkeypatch.setattr(fockspace.Truncation, "__init__", refuse)
-    again = d.triangle()
-    assert all(np.array_equal(a, b) for a, b in zip(again, (ms, ns, p)))
     assert d.to_csv() == csv
+
+
+@pytest.mark.parametrize("nmax", [300, 1000])
+def test_number_distributions_peaks_at_two_flat_arrays(nmax):
+    # p = |c_mn|^2 and one temporary of its size; the marginals are O(nmax)
+    t = Truncation(nmax)
+    rng = np.random.default_rng(nmax)
+    amps = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
+    s = MotionalState(t, amps / np.linalg.norm(amps))
+    tracemalloc.start()
+    try:
+        number_distributions(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * t.dim + 2**16
 
 
 def test_truncation_for_coherent_tail():
@@ -553,6 +568,49 @@ def test_an_integer_beyond_the_float_range_is_refused_by_name(call, what):
     message = f"{what} must be finite, got an integer beyond the float range"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(t, s, js)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+                                    complex(math.inf, 0.0), complex(0.0, -math.inf)])
+def test_a_non_finite_superposition_weight_is_refused_by_name(weight):
+    # the weight used to reach NumPy, which warned before the state was refused
+    message = f"superposition weight must be finite, got {weight!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coherent_superposition([(weight, 0.1, 0.1)], Truncation(4))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coherent_superposition([(1.0, 0.1, 0.1), (weight, -0.1, 0.0)], Truncation(4))
+
+
+@pytest.mark.parametrize("build, mean", [
+    (lambda t: make_coherent(2**63, 0, t), "8.50706e+37"),
+    (lambda t: make_cat(1e10, "even", "c", t), "1e+20"),
+    (lambda t: make_coherent(20, 20j, t), "800"),
+], ids=["coherent-2**63", "cat-1e10", "coherent-20-20j"])
+def test_an_underflowed_state_names_its_mean_phonon_number(build, mean):
+    # every kept Poisson weight underflows to 0 at these amplitudes
+    message = (f"all amplitude mass lies outside the truncation: mean phonon number "
+               f"|alpha|^2 + |beta|^2 = {mean}, n_total_max = 4")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(Truncation(4))
+
+
+def test_reduced_purity_is_refused_before_its_square(monkeypatch):
+    # the complex square, its conjugate and the Gram matrix: 48 (nmax + 1)^2 bytes
+    t = Truncation(300)
+    s = make_coherent(2.0, -1.0, t)
+    square = 16 * 301**2
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 3 * square - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^the reduced density matrix of n_total_max = 300 "
+                                             r"needs about 4.35e\+06 bytes, more than"):
+            reduced_purity(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < square
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 3 * square)
+    assert reduced_purity(s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integers_beyond_int64_are_refused_by_name(monkeypatch):

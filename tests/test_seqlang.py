@@ -25,7 +25,7 @@ from phonon_optics import (
     parse_state_spec,
     phase_shifter,
 )
-from phonon_optics import operators
+from phonon_optics import operators, seqlang
 from phonon_optics.seqlang import (
     Angle,
     DirectRecord,
@@ -393,20 +393,34 @@ def test_execute_beam_split_fock():
     result = execute(parse("init fock 1 0 nmax 4\nbs1 pi/2\nreport"))
     record = result.records[0]
     assert isinstance(record, ReportRecord)
-    assert record.jz == pytest.approx(0.0, abs=1e-14)
+    assert record.distribution.mean_jz == pytest.approx(0.0, abs=1e-14)
     assert record.distribution.p_m[0] == pytest.approx(0.5, abs=1e-12)
     assert record.distribution.p_m[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_execute_mz_at_zero_phase():
     result = execute(parse("init coherent 0 0 2 0 nmax 40\nmz 0\nreport"))
-    assert result.records[0].jz == pytest.approx(2.0, abs=1e-9)
+    assert result.records[0].distribution.mean_jz == pytest.approx(2.0, abs=1e-9)
 
 
 def test_execute_init_only_report():
     result = execute(parse("init fock 2 1 nmax 5\nreport"))
-    assert result.records[0].distribution.p_mn[2, 1] == pytest.approx(1.0)
-    assert result.records[0].jz == pytest.approx(0.5)
+    d = result.records[0].distribution
+    assert d.p[d.trunc.index(2, 1)] == pytest.approx(1.0)
+    assert d.mean_jz == pytest.approx(0.5)
+
+
+def test_a_report_reads_jz_from_its_distribution(monkeypatch):
+    # Jz is the distribution's mean_jz; expect runs for jx and jy alone
+    calls = []
+
+    def counted(state, obs):
+        calls.append(obs)
+        return expect(state, obs)
+
+    monkeypatch.setattr(seqlang, "expect", counted)
+    execute(parse("init coherent 0.3 0.1 0.7 0 nmax 15\nreport\nbs2 pi/3\nreport"))
+    assert calls == ["jx", "jy", "jx", "jy"]
 
 
 def test_execute_cphase_is_half_angle_phase_shift():
@@ -442,8 +456,8 @@ def test_execute_is_deterministic():
     program = parse("init coherent 0.3 0.1 0.7 0 nmax 15\nbs2 pi/3\nmz 0.4\nreport")
     a = execute(program).records[0]
     b = execute(program).records[0]
-    assert a.jx == b.jx and a.jy == b.jy and a.jz == b.jz
-    assert np.array_equal(a.distribution.p_mn, b.distribution.p_mn)
+    assert a.jx == b.jx and a.jy == b.jy and a.distribution.mean_jz == b.distribution.mean_jz
+    assert np.array_equal(a.distribution.p, b.distribution.p)
 
 
 def test_execute_matches_library_state():
@@ -471,9 +485,10 @@ def test_folded_runs_match_statement_by_statement():
     s = apply(phase_shifter("c", 0.3, trunc), s)
     s = apply(beam_splitter("b1", 0.7, trunc), s)
     report, direct = result.records
-    assert np.max(np.abs(report.distribution.p_mn - number_distributions(s).p_mn)) <= 1e-13
-    for name in ("jx", "jy", "jz"):
+    assert np.max(np.abs(report.distribution.p - number_distributions(s).p)) <= 1e-13
+    for name in ("jx", "jy"):
         assert abs(getattr(report, name) - expect(s, name)) <= 1e-13
+    assert abs(report.distribution.mean_jz - expect(s, "jz")) <= 1e-13
     s = apply(beam_splitter("b2", 1.1, trunc), s)
     s = mz_output(s, math.pi / 3)
     want = direct_mean_phonon(s, 0.001, "c")

@@ -1,12 +1,13 @@
-"""Property test of the report JSON's sparse ``p`` rows.
+"""Property tests of the report JSON.
 
-``ReportRecord.to_json`` lists only the pairs (m, n) with p_mn above
+``ReportRecord.to_json`` lists only the pairs (m, n) with p = |c_mn|^2 above
 ``WEIGHT_FLOOR**2`` (1e-60), in (total, m) order; the rest is rounding
-noise of unit-norm amplitudes.  A reader rebuilds the dense table by
-filling the missing pairs with 0.  Programs start from coherent, cat and
-Fock states at cutoffs up to nmax 300 and pass through a random chain of
-splitters and phase shifters, so most pairs hold weights far below the
-floor or exact zeros.
+noise of unit-norm amplitudes.  A reader rebuilds the joint distribution by
+filling the missing pairs with 0.  Its ``jz`` and ``mean_jz`` are one number,
+and its marginals are the sums of p over each mode's phonon number.
+Programs start from coherent, cat and Fock states at cutoffs up to nmax 300
+and pass through a random chain of splitters and phase shifters, so most
+pairs hold weights far below the floor or exact zeros.
 """
 
 import json
@@ -45,26 +46,46 @@ def init_clauses(draw):
     return f"init {kind} {body} nmax {nmax}"
 
 
-@settings(max_examples=20)
-@given(init_clauses(), st.lists(elements, min_size=1, max_size=3))
-def test_sparse_rows_rebuild_the_distribution(init, chain):
+def _report(init, chain):
+    """The final state of ``init`` and ``chain`` and its one report's JSON."""
     text = "\n".join([init, *(f"{verb} {angle!r}" for verb, angle in chain), "report"])
     result = seqlang.execute(seqlang.parse(text))
     (record,) = result.records
-    data = json.loads(record.to_json())
-    dist = number_distributions(result.final_state)
-    trunc = result.final_state.trunc
+    return result.final_state, json.loads(record.to_json())
 
-    rows = data["p"]
-    ms, ns = trunc.mode_numbers()
-    p_tri = dist.p_mn[ms, ns]
-    heavy = p_tri > FLOOR
-    assert rows == [list(row) for row in zip(*(a[heavy].tolist() for a in (ms, ns, p_tri)))]
 
-    rebuilt = np.zeros_like(dist.p_mn)
-    for m, n, p in rows:
-        rebuilt[m, n] = p
-    omitted = dist.p_mn - rebuilt
+programs = (init_clauses(), st.lists(elements, min_size=1, max_size=3))
+
+
+@settings(max_examples=20)
+@given(*programs)
+def test_sparse_rows_rebuild_the_distribution(init, chain):
+    state, data = _report(init, chain)
+    dist = number_distributions(state)
+    trunc = state.trunc
+
+    rebuilt = np.zeros(trunc.dim)
+    for m, n, p in data["p"]:
+        rebuilt[trunc.index(m, n)] = p
+    omitted = dist.p - rebuilt
     assert np.max(np.abs(omitted)) <= FLOOR
     assert float(omitted.sum()) <= trunc.dim * FLOOR
     assert data["p_m"] == dist.p_m.tolist() and data["p_n"] == dist.p_n.tolist()
+
+
+@settings(max_examples=20)
+@given(*programs)
+def test_a_report_reads_one_distribution(init, chain):
+    state, data = _report(init, chain)
+    assert data["jz"] == data["mean_jz"]  # bit for bit: one number, written twice
+
+    ms, ns = state.trunc.mode_numbers()
+    p = np.abs(state.amps) ** 2
+    heavy = p > FLOOR
+    assert data["p"] == [list(row) for row in zip(*(a[heavy].tolist() for a in (ms, ns, p)))]
+
+    size = state.trunc.n_total_max + 1
+    for key, numbers in (("p_m", ms), ("p_n", ns)):
+        want = np.zeros(size)
+        np.add.at(want, numbers, p)
+        np.testing.assert_allclose(data[key], want, rtol=1e-15, atol=0.0)
