@@ -418,8 +418,8 @@ def execute(program: PulseProgram) -> ExecutionResult:
                     est = direct_mean_phonon(state, chi_t, mode)
                     records.append(DirectRecord(idx, est))
                 else:  # report, the one verb left that the parser accepts
-                    jx, jy = (expect(state, k) for k in ("jx", "jy"))
-                    records.append(ReportRecord(idx, number_distributions(state), jx, jy))
+                    moments = (expect(state, k) for k in ("jx", "jy"))
+                    records.append(ReportRecord(idx, number_distributions(state), *moments))
         except ValueError as exc:
             raise ExecutionError(line, str(exc)) from exc
     return ExecutionResult(_apply_run(run, state, run_line), tuple(records))
