@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fockspace import (
+    WEIGHT_FLOOR,
     JointState,
     MotionalState,
     Truncation,
@@ -48,7 +49,6 @@ from .fockspace import (
     expect,
     number_distributions,
 )
-from .operators import WEIGHT_FLOOR, _unitarity_defect
 
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
@@ -87,8 +87,7 @@ class SignalTrace(_Record):
         if kind not in ("single", "two"):
             raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
         _require_mode(mode)
-        if not (math.isfinite(_float(coupling, "coupling")) and coupling > 0):
-            raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
+        _require_coupling(coupling)
         super().__init__(times, values, coupling, kind, mode)
 
     def to_csv(self) -> str:
@@ -152,10 +151,16 @@ class DirectEstimate(NamedTuple):
         return ",".join(row) + "\n" + ",".join(values) + "\n"
 
 
+def _require_coupling(coupling: float) -> None:
+    if not (math.isfinite(_float(coupling, "coupling")) and coupling > 0):
+        raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
+
+
 def _require_samples(n_samples: int, n_weights: int = 0) -> None:
-    """Refuse a sample count too small to determine ``n_weights`` weights, or
-    whose trace and fit design of ``n_weights`` columns would not fit in
-    memory, before the sample grid is built."""
+    """Refuse a sample count that is no integer, too small to determine
+    ``n_weights`` weights, or whose trace and fit design of ``n_weights``
+    columns would not fit in memory, before the sample grid is built."""
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2 * n_weights:
         raise ValueError(
             f"{n_samples} samples cannot determine {n_weights} weights; "
@@ -178,9 +183,8 @@ def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> Non
 
 def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
     """Uniform samples with coupling * t covering [0, DEFAULT_ANGLE_SPAN]."""
-    if not (math.isfinite(_float(coupling, "coupling")) and coupling > 0):
-        raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
-    if n_samples < 2:
+    _require_coupling(coupling)
+    if _integer(n_samples, "n_samples") < 2:
         raise ValueError("need at least two samples")
     _require_samples(n_samples)
     t_end = DEFAULT_ANGLE_SPAN / coupling
@@ -233,13 +237,11 @@ class JcmUnitary(_Record):
         return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
 
     def unitarity_defect(self) -> float:
-        """max |U+ U - 1| over the 2x2 rotations."""
-        return _unitarity_defect(map(_rabi_rotation, self.angle))
-
-
-def _rabi_rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+        """max |U+ U - 1| over the 2x2 rotations, in closed form: U+ U is
+        (cos^2 + sin^2) times the identity, so the defect is the largest
+        |cos^2 + sin^2 - 1| over ``angle``, and 0 for no angles."""
+        c, s = np.cos(self.angle), np.sin(self.angle)
+        return float(np.max(np.abs(c * c + s * s - 1.0), initial=0.0))
 
 
 def jcm_unitary(
@@ -289,11 +291,13 @@ def signal(
     Equals the ground-state probability from ``jcm_propagate`` at every
     sample; that equivalence is a standing property of the test suite.
     The weight p_k of line k is the marginal p_m (single kind) or the
-    level-set probability q_k (two-mode kind).  The lightest weights, whose
-    sum is at most WEIGHT_FLOOR**2, get no column in the cosine table, so
-    each sample moves by at most WEIGHT_FLOOR**2 / 2.
+    level-set probability q_k (two-mode kind).  A line whose weight is
+    rounding noise (the one floor rule, ``fockspace.WEIGHT_FLOOR``) gets no
+    column in the cosine table, so a sample moves by at most half the sum of
+    those weights.
     """
     _require_mode(mode)
+    _require_coupling(coupling)
     times = np.ascontiguousarray(times, dtype=np.float64)
     if kind == "single":
         dist = number_distributions(out_state)
@@ -302,8 +306,7 @@ def signal(
         p = level_sets(out_state)
     else:
         raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
-    order = np.argsort(p)
-    ks = np.sort(order[np.cumsum(p[order]) > WEIGHT_FLOOR**2])
+    ks = np.flatnonzero(p > WEIGHT_FLOOR**2)
     _require_finite_phase(coupling, int(ks[-1]), times)
     p = p[ks]
     freqs = 2.0 * coupling * np.sqrt(ks)
@@ -393,6 +396,14 @@ def _nnls_on_dictionary(trace: SignalTrace, n_weights: int) -> tuple[np.ndarray,
     return coeffs / total, residual
 
 
+def _nonnegative(value: int, what: str) -> int:
+    """``value`` as a nonnegative integer, else a ValueError naming ``what``."""
+    value = _integer(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def reconstruct_single(trace: SignalTrace, m_max: int) -> ReconstructedNumberDistribution:
     """Fit the marginal p_m, m = 0..m_max, to a single-mode trace.
 
@@ -401,10 +412,7 @@ def reconstruct_single(trace: SignalTrace, m_max: int) -> ReconstructedNumberDis
     """
     if trace.kind != "single":
         raise ValueError("reconstruct_single needs a single-mode trace")
-    m_max = _integer(m_max, "m_max")
-    if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    p, residual = _nnls_on_dictionary(trace, m_max + 1)
+    p, residual = _nnls_on_dictionary(trace, _nonnegative(m_max, "m_max") + 1)
     return ReconstructedNumberDistribution(p, residual)
 
 
@@ -417,10 +425,7 @@ def reconstruct_two(trace: SignalTrace, k_max: int) -> LevelSetDistribution:
     """
     if trace.kind != "two":
         raise ValueError("reconstruct_two needs a two-mode trace")
-    k_max = _integer(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    q, residual = _nnls_on_dictionary(trace, k_max + 1)
+    q, residual = _nnls_on_dictionary(trace, _nonnegative(k_max, "k_max") + 1)
     return LevelSetDistribution(q, residual)
 
 
@@ -480,16 +485,17 @@ def jz_from_methods(
     chi_t: float = 1e-3,
 ) -> JzComparison:
     """<Jz> by (a) exact expectation, (b) single-mode reconstruction of both
-    marginals, (c) the direct readout on both modes.  The direct readouts
-    come first: they cost O(nmax^2), and they refuse a bad ``chi_t`` before
-    the traces and fits are paid for."""
+    marginals, (c) the direct readout on both modes.  ``m_max``, the sample
+    count and the coupling are checked, and the sample grid built, before
+    any readout.  The direct readouts come next: they cost O(nmax^2), and
+    they refuse a bad ``chi_t`` before the traces and fits are paid for."""
+    m_max = out_state.trunc.n_total_max if m_max is None else _nonnegative(m_max, "m_max")
+    _require_samples(n_samples, m_max + 1)
+    times = default_times(coupling, n_samples)
+
     jz_exact = expect(out_state, "jz")
     directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in "cr")
     jz_dir = 0.5 * (directs[0].mean_n_linearized - directs[1].mean_n_linearized)
-
-    m_max = out_state.trunc.n_total_max if m_max is None else _integer(m_max, "m_max")
-    _require_samples(n_samples, m_max + 1)
-    times = default_times(coupling, n_samples)
     traces = tuple(signal(out_state, coupling, times, "single", mode) for mode in "cr")
     fits = tuple(reconstruct_single(trace, m_max) for trace in traces)
     jz_rec = 0.5 * (fits[0].mean_n - fits[1].mean_n)

@@ -19,7 +19,11 @@ and ``detection`` call it instead of restating them:
   and ``_require_mode`` refuses any other label;
 * ``_require_same`` refuses two objects on different truncations;
 * ``_unit_amps`` casts and checks the amplitudes of every state class,
-  and ``_require_tail`` checks a discarded probability.
+  and ``_require_tail`` checks a discarded probability;
+* the one floor rule: a weight (a probability or a squared norm) at or
+  below ``WEIGHT_FLOOR**2`` = 1e-60 is rounding noise, since amplitudes of
+  a unit state carry rounding errors near 1e-16.  A rotation skips such
+  tail blocks, ``signal`` such probe lines and a report's JSON such rows.
 
 Qubit registers use the convention sigma_z |g> = -|g>, sigma_z |e> = +|e>,
 with basis index 0 = |g> and 1 = |e>.
@@ -48,6 +52,8 @@ DEFAULT_TAIL_TOLERANCE = 1e-10
 
 # ``truncation_for_coherent`` keeps a product coherent state's tail at or below this.
 COHERENT_TAIL_TARGET = 1e-12
+
+WEIGHT_FLOOR = 1e-30  # a weight at or below WEIGHT_FLOOR**2 is rounding noise
 
 _NORM_TOL = 1e-12
 
@@ -411,10 +417,15 @@ def coherent_superposition(
     state whose every kept amplitude underflows is refused with the largest
     mean phonon number |alpha|^2 + |beta|^2 of a term.
     """
+    scale = 0.0
     for wj, _, _ in terms:
         w = complex(_float(wj, "superposition weight"))
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise ValueError(f"superposition weight must be finite, got {wj!r}")
+        scale = max(scale, abs(w.real), abs(w.imag))
+    # neither the state nor tail_mass depends on a common factor of the weights,
+    # so dividing by their largest part keeps every product of two finite
+    terms = [(complex(w) / (scale or 1.0), alpha, beta) for w, alpha, beta in terms]
     exact_norm2 = 0.0
     for wj, aj, bj in terms:
         for wk, ak, bk in terms:

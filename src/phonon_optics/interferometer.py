@@ -31,22 +31,11 @@ class InterferometerReport(_Record):
     """Output statistics at one phase setting.
 
     delta_phi is sqrt(var_jz) / |d<Jz>/dphi|, or +inf where the signal slope
-    vanishes (|slope| below 1e-14).
+    vanishes (|slope| below 1e-14).  var_jz is nonnegative up to rounding, as
+    the property ``test_sweep_variance_is_nonnegative`` holds to -1e-12.
     """
 
     __slots__ = ("phi", "mean_jz", "mean_jz2", "var_jz", "dmeanjz_dphi", "delta_phi")
-
-    def __init__(self, phi: float, mean_jz: float, mean_jz2: float, var_jz: float,
-                 dmeanjz_dphi: float, delta_phi: float) -> None:
-        if var_jz < -1e-12:
-            raise ValueError(f"variance {var_jz} below roundoff floor")
-        super().__init__(phi, mean_jz, mean_jz2, var_jz, dmeanjz_dphi, delta_phi)
-
-    def __eq__(self, other):
-        if not isinstance(other, InterferometerReport):
-            return NotImplemented
-        fields = InterferometerReport.__slots__
-        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 
 def mz_unitary(phi: float, trunc: Truncation) -> UnitaryOperator:

@@ -32,12 +32,12 @@ matrix d^{N/2}(beta).  Every application builds these blocks for its own
 beta by a two-term recursion in the boson creation operators, with no
 eigensolver, and multiplies each into the amplitudes as it is built.  The
 block weights of a state are fixed, so blocks are built only up to the
-highest one, top, whose tail norm exceeds ``WEIGHT_FLOOR``: O(top^3) time
-and O(top^2) memory per application, with nothing kept between calls.  At
-nmax 300 a coherent state of 25 mean phonons stops near top = 140 and
-takes about 16 ms; a state spread over every block takes about 0.12 s
-(one ``b2`` splitter at beta = 1.1, median of 7 calls, one core, BLAS on
-one thread).
+highest one, top, whose tail is not rounding noise (the one floor rule,
+``fockspace.WEIGHT_FLOOR``): O(top^3) time and O(top^2) memory per
+application, with nothing kept between calls.  At nmax 300 a coherent state of 25 mean
+phonons stops near top = 140 and takes about 16 ms; a state spread over
+every block takes about 0.12 s (one ``b2`` splitter at beta = 1.1, median
+of 7 calls, one core, BLAS on one thread).
 A caller applying many operators to one state pays that per call; folding
 them with ``@`` first pays it once.  ``UnitaryOperator`` is this passive
 operator and nothing else; the Jaynes-Cummings probe propagator lives in
@@ -50,6 +50,7 @@ import math
 import numpy as np
 
 from .fockspace import (
+    WEIGHT_FLOOR,
     JointState,
     MotionalState,
     Truncation,
@@ -61,12 +62,6 @@ from .fockspace import (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-# Norm below which the highest blocks of a state skip the rotation, and the
-# lightest weights of a probe signal skip its cosine table.  Amplitudes of a
-# unit state carry rounding errors near 1e-16, so this floor lies 14 orders
-# below them.  It bounds a loop only: nothing is cached or switched by it.
-WEIGHT_FLOOR = 1e-30
 
 
 class UnitaryOperator(_Record):
@@ -92,12 +87,6 @@ class UnitaryOperator(_Record):
             raise TypeError("a passive unitary acts on a MotionalState")
         _require_same(self, state)
         return state.with_amps(_apply_passive(state.amps, self.matrix, self.trunc))
-
-
-def _unitarity_defect(blocks) -> float:
-    """max |B+ B - 1| over square blocks; 0 for none."""
-    return max((float(np.max(np.abs(b.conj().T @ b - np.eye(len(b))))) for b in blocks),
-               default=0.0)
 
 
 def _passive_need(nbytes: int, top: int, trunc: Truncation) -> int:
@@ -128,7 +117,7 @@ def _small_d(beta: float, n_total_max: int):
     it: the property ``test_small_d_blocks_rotate_jz_and_keep_unit_columns``
     in ``tests/test_operators_properties.py`` holds every block to the
     rotated Jz, Jz d = d (cos beta Jz - sin beta Jx), and to unit column
-    norms, both within 1e-9 N.
+    norms, both within 1e-14 N.
     """
     c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
     root = np.sqrt(np.arange(n_total_max + 1, dtype=np.float64))
@@ -184,13 +173,10 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
     beta = 2.0 * math.atan2(abs(b), abs(a))
     s, d = cmath.phase(a), cmath.phase(-b)  # alpha = -s - d, gamma = d - s
     ms, ns = trunc.mode_numbers()
-    jz = 0.5 * (ms - ns)
+    jz, totals = 0.5 * (ms - ns), ms + ns
     if beta == 0.0:
-        return arr * np.exp(1j * (delta * (ms + ns) + 2.0 * s * jz))
-    rows = arr.reshape(-1, trunc.dim)
-    weight = np.einsum("ij,ij->j", rows.real, rows.real)
-    weight += np.einsum("ij,ij->j", rows.imag, rows.imag)
-    weight = np.add.reduceat(weight, trunc.flat(0, np.arange(trunc.n_total_max + 1)))
+        return arr * np.exp(1j * (delta * totals + 2.0 * s * jz))
+    weight = np.bincount(totals, weights=(np.abs(arr.reshape(-1, trunc.dim)) ** 2).sum(axis=0))
     tail = np.cumsum(weight[::-1])[::-1]  # tail[N]: squared norm of blocks N..nmax
     top = max(int(np.count_nonzero(tail > WEIGHT_FLOOR**2)) - 1, 0)
     need = _passive_need(arr.nbytes, top, trunc)
@@ -202,7 +188,7 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
         sl = trunc.block(total)
         x[sl] = (block @ flat[sl]).view(np.complex128)
     out = x.T.reshape(arr.shape)
-    out *= np.exp(1j * (delta * (ms + ns) + (s + d) * jz))
+    out *= np.exp(1j * (delta * totals + (s + d) * jz))
     return out
 
 

@@ -43,6 +43,7 @@ import numpy as np
 from . import interferometer
 from .detection import _require_samples, direct_mean_phonon, signal
 from .fockspace import (
+    WEIGHT_FLOOR,
     MotionalState,
     Truncation,
     _read_int,
@@ -53,7 +54,7 @@ from .fockspace import (
     make_fock,
     number_distributions,
 )
-from .operators import WEIGHT_FLOOR, UnitaryOperator, apply, beam_splitter, phase_shifter
+from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
 
 
 class ParseError(Exception):
@@ -333,10 +334,10 @@ class ReportRecord(_Record):
     __slots__ = ("index", "distribution", "jx", "jy")
 
     def to_json(self) -> str:
-        """Moments, dense marginals and the joint rows [m, n, p] with
-        p > WEIGHT_FLOOR**2, in (total, m) order.  The rows left out are
-        rounding noise: each weighs at most 1e-60, all at most dim * 1e-60.
-        ``jz`` and ``mean_jz`` are both the distribution's ``mean_jz``."""
+        """Moments, dense marginals and the joint rows [m, n, p], in
+        (total, m) order, of every p that is not rounding noise (the one
+        floor rule, ``fockspace.WEIGHT_FLOOR``).  ``jz`` and ``mean_jz`` are
+        both the distribution's ``mean_jz``."""
         d = self.distribution
         ms, ns = d.trunc.mode_numbers()
         keep = d.p > WEIGHT_FLOOR**2

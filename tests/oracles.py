@@ -4,14 +4,17 @@ The package builds its operators block by block and never forms a matrix
 on the whole truncated space.  These dense forms exist only so that the
 tests can check it: the generators are placed entry by entry by
 ``Truncation.flat`` and exponentiated by an eigendecomposition, so they
-share no code with the operators under test.  Each matrix takes 16 dim^2
-bytes (33 GB at nmax 300), so the tests keep them to small cutoffs.
+share no code with the operators under test, and a unitarity defect is
+read from the dense blocks, not from a closed form.  Each matrix takes
+16 dim^2 bytes (33 GB at nmax 300), so the tests keep them to small cutoffs.
 """
+
+import math
 
 import numpy as np
 
-from phonon_optics.detection import JcmUnitary, _rabi_rotation
-from phonon_optics.operators import _apply_passive, _unitarity_defect
+from phonon_optics.detection import JcmUnitary
+from phonon_optics.operators import _apply_passive
 
 # Qubit basis order (g, e) with sigma_z |g> = -|g>.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -87,6 +90,18 @@ def expm_oracle(generator: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
+def _rabi_rotation(theta: float) -> np.ndarray:
+    """The 2x2 probe rotation [[c, -i s], [-i s, c]] of one coupled pair."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+
+
+def _unitarity_defect(blocks) -> float:
+    """max |B+ B - 1| over square blocks; 0 for none."""
+    return max((float(np.max(np.abs(b.conj().T @ b - np.eye(len(b))))) for b in blocks),
+               default=0.0)
+
+
 def as_matrix(op) -> np.ndarray:
     """The dense matrix of a passive ``UnitaryOperator`` on the Fock basis,
     or of a ``JcmUnitary`` on the joint basis, ion-2 qubit axis first."""
@@ -103,7 +118,10 @@ def as_matrix(op) -> np.ndarray:
 
 
 def unitarity_defect(u) -> float:
-    """max |U+ U - 1| over the fixed-total blocks of a passive operator."""
+    """max |U+ U - 1| over the fixed-total blocks of a passive operator, or
+    over the 2x2 rotations of a ``JcmUnitary``."""
+    if isinstance(u, JcmUnitary):
+        return _unitarity_defect(map(_rabi_rotation, u.angle))
     m = as_matrix(u)
     blocks = map(u.trunc.block, range(u.trunc.n_total_max + 1))
     return _unitarity_defect(m[sl, sl] for sl in blocks)

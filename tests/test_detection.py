@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from phonon_optics import (
     truncation_for_coherent,
 )
 from phonon_optics.detection import _SIGNAL_CHUNK, _jcm_tables
-from phonon_optics.operators import WEIGHT_FLOOR
+from phonon_optics.fockspace import WEIGHT_FLOOR
 from oracles import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -37,6 +38,7 @@ from oracles import (
     dense_annihilation,
     dense_number,
     expm_oracle,
+    unitarity_defect,
 )
 
 
@@ -106,6 +108,18 @@ def test_jcm_unitary_properties():
     assert u.unitarity_defect() < 1e-12
     m = as_matrix(u)
     assert np.max(np.abs(m.conj().T @ m - np.eye(2 * t.dim))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["single", "two"])
+@pytest.mark.parametrize("nmax, coupling, t", [(0, 1.0, 1.0), (1, 1.0, 1.0), (6, 1.3, 0.7),
+                                               (40, 3.0, 1e5), (40, 1.0, 1e-300)])
+def test_jcm_unitarity_defect_is_the_dense_defect(kind, nmax, coupling, t):
+    # the closed form max |cos^2 + sin^2 - 1| against each dense 2x2 rotation;
+    # a truncation with no coupled pair has no rotation and a defect of 0
+    u = jcm_unitary(coupling, t, Truncation(nmax), kind)
+    assert u.unitarity_defect() == pytest.approx(unitarity_defect(u), abs=2**-52)
+    if u.angle.size == 0:
+        assert u.unitarity_defect() == 0.0
 
 
 @pytest.mark.parametrize("kind, mode, dm, dn", [
@@ -226,6 +240,19 @@ def test_every_function_taking_a_mode_rejects_an_unknown_one(call, monkeypatch):
     monkeypatch.setattr("phonon_optics.detection.number_distributions", unreachable)
     with pytest.raises(ValueError, match="mode must be 'c' or 'r', got 'x'"):
         call(Truncation(3))
+
+
+@pytest.mark.parametrize("coupling", [-1.0, 0.0])
+@pytest.mark.parametrize("kind", ["single", "two"])
+def test_signal_refuses_its_coupling_before_any_table(monkeypatch, kind, coupling):
+    def unreachable(state):
+        raise AssertionError("a line weight was summed before the coupling was checked")
+
+    monkeypatch.setattr("phonon_optics.detection.number_distributions", unreachable)
+    monkeypatch.setattr("phonon_optics.detection.level_sets", unreachable)
+    message = f"coupling must be finite and positive, got {coupling!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        signal(make_fock(1, 1, Truncation(3)), coupling, np.linspace(0.0, 1.0, 8), kind)
 
 
 def test_signal_trace_rejects_bad_coupling():
@@ -362,13 +389,18 @@ FIT_SIZES = [
     ("single-True", lambda s, tr: reconstruct_single(tr["single"], True), "m_max", "True"),
     ("two-3.5", lambda s, tr: reconstruct_two(tr["two"], 3.5), "k_max", "3.5"),
     ("jz_from_methods-2.5", lambda s, tr: jz_from_methods(s, m_max=2.5), "m_max", "2.5"),
+    ("default_times-2.5", lambda s, tr: default_times(1.0, 2.5), "n_samples", "2.5"),
+    ("default_times-True", lambda s, tr: default_times(1.0, True), "n_samples", "True"),
+    ("jz_from_methods-samples-300.5",
+     lambda s, tr: jz_from_methods(s, n_samples=300.5), "n_samples", "300.5"),
 ]
 
 
 @pytest.mark.parametrize("call, what, value", [c[1:] for c in FIT_SIZES],
                          ids=[c[0] for c in FIT_SIZES])
 def test_fit_sizes_are_integers(call, what, value):
-    # each used to fit int(m_max) + 1 or int(k_max) + 1 weights without a word
+    # each used to fit int(m_max) + 1 or int(k_max) + 1 weights without a word,
+    # and a float sample count escaped as a TypeError that named no argument
     s = make_coherent(1.0, 0.5, Truncation(10))
     traces = {kind: signal(s, 1.0, default_times(1.0), kind) for kind in ("single", "two")}
     with pytest.raises(ValueError, match=f"^{what} must be an integer, got {value}$"):
@@ -474,6 +506,21 @@ def test_jz_methods_refuse_chi_t_before_any_trace(monkeypatch, chi_t):
     monkeypatch.setattr("phonon_optics.detection.signal", unreachable)
     with pytest.raises(ValueError, match="chi \\* t must be finite and positive"):
         jz_from_methods(make_fock(1, 0, Truncation(6)), chi_t=chi_t)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"m_max": -5}, "m_max must be nonnegative, got -5"),
+    ({"coupling": -1.0}, "coupling must be finite and positive, got -1.0"),
+    ({"n_samples": 300.5}, "n_samples must be an integer, got 300.5"),
+], ids=["m_max", "coupling", "n_samples"])
+def test_jz_methods_refuse_their_fit_arguments_before_any_readout(monkeypatch, kwargs, message):
+    def unreachable(*args, **kw):
+        raise AssertionError("a readout ran before the fit arguments were checked")
+
+    monkeypatch.setattr("phonon_optics.detection.signal", unreachable)
+    monkeypatch.setattr("phonon_optics.detection.direct_mean_phonon", unreachable)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        jz_from_methods(make_fock(1, 0, Truncation(6)), **kwargs)
 
 
 def test_jz_methods_single_phonon():

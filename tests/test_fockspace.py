@@ -581,6 +581,26 @@ def test_a_non_finite_superposition_weight_is_refused_by_name(weight):
         coherent_superposition([(1.0, 0.1, 0.1), (weight, -0.1, 0.0)], Truncation(4))
 
 
+@pytest.mark.parametrize("weights, unit", [
+    ((1e200,), (1.0,)),
+    ((1e154, 1e154), (1.0, 1.0)),
+    ((-1e300j, 5e299), (-1j, 0.5)),
+    ((1e308, 1e308), (1.0, 1.0)),
+    ((1e-200, 5e-324), (1.0, 5e-124)),
+], ids=["1e200", "1e154-pair", "complex-1e300", "1e308-pair", "1e-200"])
+def test_a_common_factor_of_the_weights_is_divided_out(weights, unit):
+    # neither the state nor tail_mass depends on it; a product of two large
+    # weights used to overflow, warn and leave a state of norm^2 = 0.0, and
+    # one of two small weights to underflow to a "zero norm"
+    t = Truncation(4)
+    places = [(0.1, 0.1), (-0.2, 0.3)]
+    got = coherent_superposition([(w, *ab) for w, ab in zip(weights, places)], t)
+    want = coherent_superposition([(w, *ab) for w, ab in zip(unit, places)], t)
+    assert np.array_equal(got.amps, want.amps) and got.tail_mass == want.tail_mass
+    if len(weights) == 1:
+        assert np.array_equal(got.amps, make_coherent(0.1, 0.1, t).amps)
+
+
 @pytest.mark.parametrize("build, mean", [
     (lambda t: make_coherent(2**63, 0, t), "8.50706e+37"),
     (lambda t: make_cat(1e10, "even", "c", t), "1e+20"),

@@ -109,7 +109,8 @@ def test_phase_sweep_single_point_matches_report():
     state = coherent_input(1)
     single = phase_sweep(state, [0.7])[0]
     direct = mz_report(state, 0.7)
-    assert single == direct
+    slots = type(single).__slots__
+    assert [getattr(single, f) for f in slots] == [getattr(direct, f) for f in slots]
 
 
 def test_phase_sweep_rejects_empty_grid():

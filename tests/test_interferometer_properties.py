@@ -2,7 +2,8 @@
 
 The oracle propagates the state through the three interferometer factors
 (``mz_output``), takes expectation values of the output, and estimates the
-slope by a central difference.
+slope by a central difference.  A report does not check itself: the bound
+on a rounded-negative variance is a property here.
 """
 
 import math
@@ -11,12 +12,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 from phonon_optics import (  # noqa: E402
+    InterferometerReport,
     MotionalState,
     Truncation,
     expect,
+    make_fock,
     mz_output,
     mz_report,
     phase_sweep,
@@ -73,5 +76,15 @@ def test_two_pi_periodicity(state, phi):
 def test_sweep_point_equals_single_report(state, grid):
     reports = phase_sweep(state, grid)
     assert len(reports) == len(grid)
+    slots = InterferometerReport.__slots__
     for phi, report in zip(grid, reports):
-        assert report == mz_report(state, phi)
+        single = mz_report(state, phi)
+        assert [getattr(report, f) for f in slots] == [getattr(single, f) for f in slots]
+
+
+@example(make_fock(3, 0, Truncation(3)), [0.0, math.pi / 2, math.pi])
+@given(states(), st.lists(phases, min_size=1, max_size=32))
+def test_sweep_variance_is_nonnegative(state, grid):
+    # var_jz is a quadratic form in the input's central (co)variances: only
+    # rounding takes it below zero, and never below -1e-12
+    assert min(r.var_jz for r in phase_sweep(state, grid)) >= -1e-12

@@ -1,10 +1,13 @@
 """The package needs NumPy only and ships only what a program runs.
 
 No module imports SciPy, and the dense test oracles of ``tests/oracles.py``
-(the Fock matrices, the qubit operators, ``expm_oracle`` and ``as_matrix``)
-live there alone: no package module defines them and the package exports
-none of them.  ``expm_oracle`` runs with SciPy unavailable.  SciPy stays a
-test dependency, as the oracle of the nonnegative least squares."""
+(the Fock matrices, the qubit operators, ``expm_oracle``, ``as_matrix``,
+the 2x2 probe rotation and the dense unitarity defect) live there alone:
+no package module defines them and the package exports none of them.
+``expm_oracle`` runs with SciPy unavailable.  SciPy stays a test
+dependency, as the oracle of the nonnegative least squares.  The weight
+floor has one home, ``fockspace``, and ``detection`` reads nothing from
+``operators``."""
 
 import ast
 import sys
@@ -38,8 +41,11 @@ def defined_names(tree):
 
 def is_oracle(name):
     bare = name.lstrip("_")
+    # the dense defect goes by its private name: JcmUnitary.unitarity_defect
+    # is the package's closed form
     return (bare.startswith(("dense_", "SIGMA_"))
-            or bare in ("expm_oracle", "as_matrix", "DEFAULT_ORACLE_CAP"))
+            or bare in ("expm_oracle", "as_matrix", "DEFAULT_ORACLE_CAP", "rabi_rotation")
+            or name == "_unitarity_defect")
 
 
 def package_trees():
@@ -69,7 +75,19 @@ def test_the_dense_oracles_live_in_the_tests_alone():
     assert [name for name in dir(phonon_optics) if is_oracle(name)] == []
     # the walk does see what it looks for
     oracles = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
-    assert sum(is_oracle(name) for _, name in defined_names(oracles)) == 13
+    assert sum(is_oracle(name) for _, name in defined_names(oracles)) == 15
+
+
+def test_the_weight_floor_is_assigned_once_in_fockspace():
+    found = [path.stem for path, tree in package_trees()
+             for _, name in defined_names(tree) if name == "WEIGHT_FLOOR"]
+    assert found == ["fockspace"]
+
+
+def test_detection_imports_nothing_from_operators():
+    (tree,) = [tree for path, tree in package_trees() if path.stem == "detection"]
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "fockspace" in modules and "operators" not in modules
 
 
 def test_expm_oracle_without_scipy(monkeypatch):

@@ -1,7 +1,8 @@
 """The record contract of the package's classes.
 
 States, operators and results are read-only after construction, and
-``Truncation``, ``Angle`` and ``Statement`` compare by value.  Every class
+``Truncation``, ``Angle`` and ``Statement`` compare by value; no other
+record defines ``__eq__``.  Every class
 subclasses ``fockspace._Record``, which stores one value per slot and
 refuses any later assignment, except three ``typing.NamedTuple`` records
 and two exceptions; none may be a dataclass, whose methods are generated
@@ -285,6 +286,13 @@ def test_every_other_class_is_a_record(name):
     cls = _package_class(name)
     assert issubclass(cls, _Record)
     assert "__setattr__" not in vars(cls) and "__delattr__" not in vars(cls)
+
+
+@pytest.mark.parametrize("name", sorted(set(_package_classes()) - NOT_RECORDS))
+def test_only_truncation_compares_by_value(name):
+    # every other record compares by identity, as ``object`` does
+    cls = _package_class(name)
+    assert (cls.__eq__ is object.__eq__) == (name != "fockspace.Truncation")
 
 
 @pytest.mark.parametrize("values", [(), (1,), (1, 2, 3)])

@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from phonon_optics import number_distributions, seqlang  # noqa: E402
-from phonon_optics.operators import WEIGHT_FLOOR  # noqa: E402
+from phonon_optics.fockspace import WEIGHT_FLOOR  # noqa: E402
 
 FLOOR = WEIGHT_FLOOR**2  # 1e-60
 
