@@ -39,12 +39,12 @@ from .fockspace import (
     JointState,
     MotionalState,
     Truncation,
+    _MODES,
     _Record,
+    _choice,
     _finite,
-    _float,
     _integer,
     _require_memory,
-    _require_mode,
     _require_same,
     expect,
     number_distributions,
@@ -53,6 +53,7 @@ from .fockspace import (
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
 
+_KINDS = ("single", "two")  # the probe kinds
 _PROB_TOL = 1e-12
 _SIGNAL_CHUNK = 32  # samples per slice of the cosine table in ``signal``
 _NNLS_ITERATIONS_PER_COLUMN = 3  # SciPy's NNLS stops at 3 n iterations too
@@ -84,11 +85,8 @@ class SignalTrace(_Record):
         # NaN fails both comparisons, so it is rejected with the out-of-range values
         if not np.all((values >= -_PROB_TOL) & (values <= 1.0 + _PROB_TOL)):
             raise ValueError("probabilities must be finite and lie in [0, 1]")
-        if kind not in ("single", "two"):
-            raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
-        _require_mode(mode)
-        _require_coupling(coupling)
-        super().__init__(times, values, coupling, kind, mode)
+        kind, mode = _choice(kind, "kind", _KINDS), _choice(mode, "mode", _MODES)
+        super().__init__(times, values, _finite(coupling, "coupling", positive=True), kind, mode)
 
     def to_csv(self) -> str:
         rows = (f"{t:.17g},{v:.17g}" for t, v in zip(self.times, self.values))
@@ -151,11 +149,6 @@ class DirectEstimate(NamedTuple):
         return ",".join(row) + "\n" + ",".join(values) + "\n"
 
 
-def _require_coupling(coupling: float) -> None:
-    if not (math.isfinite(_float(coupling, "coupling")) and coupling > 0):
-        raise ValueError(f"coupling must be finite and positive, got {coupling!r}")
-
-
 def _require_samples(n_samples: int, n_weights: int = 0) -> None:
     """Refuse a sample count that is no integer, too small to determine
     ``n_weights`` weights, or whose trace and fit design of ``n_weights``
@@ -174,7 +167,7 @@ def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> Non
     """Refuse a probe whose largest phase 2 coupling sqrt(k_max) max|t| is not
     a finite float, before NumPy fills the cosine table with inf and NaN."""
     t_max = float(np.abs(times).max(initial=0.0))
-    if not math.isfinite(2.0 * float(_float(coupling, "coupling")) * math.sqrt(k_max) * t_max):
+    if not math.isfinite(2.0 * coupling * math.sqrt(k_max) * t_max):
         raise ValueError(
             f"probe phase 2 * coupling * sqrt(k) * t is not finite for coupling "
             f"{coupling!r}, k up to {k_max} and |t| up to {t_max!r}"
@@ -183,7 +176,7 @@ def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> Non
 
 def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
     """Uniform samples with coupling * t covering [0, DEFAULT_ANGLE_SPAN]."""
-    _require_coupling(coupling)
+    coupling = _finite(coupling, "coupling", positive=True)
     if _integer(n_samples, "n_samples") < 2:
         raise ValueError("need at least two samples")
     _require_samples(n_samples)
@@ -254,9 +247,7 @@ def jcm_unitary(
     cutoff boundary) are stationary.  A coupling, t or largest angle that
     is not finite is a ValueError naming it.
     """
-    if kind not in ("single", "two"):
-        raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
-    _require_mode(mode)
+    kind, mode = _choice(kind, "kind", _KINDS), _choice(mode, "mode", _MODES)
     scale = _finite(coupling, "coupling") * _finite(t, "t")
     g_idx, e_idx, root = _jcm_tables(trunc, kind, mode)
     if not math.isfinite(scale * float(root.max(initial=0.0))):
@@ -296,16 +287,14 @@ def signal(
     column in the cosine table, so a sample moves by at most half the sum of
     those weights.
     """
-    _require_mode(mode)
-    _require_coupling(coupling)
+    kind, mode = _choice(kind, "kind", _KINDS), _choice(mode, "mode", _MODES)
+    coupling = _finite(coupling, "coupling", positive=True)
     times = np.ascontiguousarray(times, dtype=np.float64)
     if kind == "single":
         dist = number_distributions(out_state)
         p = dist.p_m if mode == "c" else dist.p_n
-    elif kind == "two":
-        p = level_sets(out_state)
     else:
-        raise ValueError(f"kind must be 'single' or 'two', got {kind!r}")
+        p = level_sets(out_state)
     ks = np.flatnonzero(p > WEIGHT_FLOOR**2)
     _require_finite_phase(coupling, int(ks[-1]), times)
     p = p[ks]
@@ -438,11 +427,10 @@ def direct_mean_phonon(out_state: MotionalState, chi_t: float, mode: str = "c") 
     and its linearization <n>; the tests check it against the protocol run
     by ``carrier_half_pulse`` and ``conditional_phase`` on a joint state.
     """
-    _require_mode(mode)
-    if not (math.isfinite(_float(chi_t, "chi * t")) and chi_t > 0.0):
-        raise ValueError(f"chi * t must be finite and positive, got {chi_t!r}")
+    mode = _choice(mode, "mode", _MODES)
+    chi_t = _finite(chi_t, "chi * t", positive=True)
     nmax = out_state.trunc.n_total_max
-    if not math.isfinite(2.0 * float(chi_t) * nmax):
+    if not math.isfinite(2.0 * chi_t * nmax):
         raise ValueError(
             f"readout phase 2 * chi_t * nmax is not finite for chi_t {chi_t!r} and nmax {nmax}"
         )

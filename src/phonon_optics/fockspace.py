@@ -15,11 +15,14 @@ and ``detection`` call it instead of restating them:
   |m, n> (t = m + n), and ``index``, ``block``, ``dim`` and
   ``mode_numbers`` all derive from it.  Each ``Truncation`` holds its own
   layout arrays, and nothing is cached at module level;
-* the mode labels: ``Truncation.phonons`` maps ``c`` to m and ``r`` to n,
-  and ``_require_mode`` refuses any other label;
+* the mode labels: ``Truncation.phonons`` maps ``c`` to m and ``r`` to n;
+* how an argument is read: an entry point reads each number and label
+  once, where it enters, and keeps what ``_integer`` (an int), ``_number``
+  (a float or complex), ``_finite`` (a finite float) or ``_choice`` (one of
+  a few labels) returns; each refuses a bool and names the argument;
 * ``_require_same`` refuses two objects on different truncations;
 * ``_unit_amps`` casts and checks the amplitudes of every state class,
-  and ``_require_tail`` checks a discarded probability;
+  and ``_tail`` reads a discarded probability;
 * the one floor rule: a weight (a probability or a squared norm) at or
   below ``WEIGHT_FLOOR**2`` = 1e-60 is rounding noise, since amplitudes of
   a unit state carry rounding errors near 1e-16.  A rotation skips such
@@ -40,6 +43,7 @@ array, never a list or dict.  Only ``Truncation`` compares by value.
 
 import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -58,6 +62,8 @@ WEIGHT_FLOOR = 1e-30  # a weight at or below WEIGHT_FLOOR**2 is rounding noise
 _NORM_TOL = 1e-12
 
 _OBSERVABLES = ("jx", "jy", "jz", "jz2", "nc", "nr")
+
+_MODES = ("c", "r")  # center-of-mass and breathing
 
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 _CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
@@ -175,27 +181,37 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _float(value, what: str):
-    """``value`` itself, unless it is an integer beyond the float range, which
-    ``float()`` refuses with an OverflowError: a ValueError naming ``what``
-    instead.  NaN and inf pass, for the caller's own checks."""
-    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} must be finite, got an integer beyond the float range")
+def _number(value, what: str) -> float | complex:
+    """``value`` as a Python float, or a complex where it is not real; a
+    ValueError naming ``what`` for a bool, a non-number and an integer beyond
+    the float range.  NaN and inf pass, for the caller's own checks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):  # np.bool_ is no number
+        raise ValueError(f"{what} must be a number, got {value!r:.40}")
+    try:
+        return float(value) if isinstance(value, numbers.Real) else complex(value)
+    except OverflowError:  # float() of an int, or a Fraction, too large for it
+        number = "an integer" if isinstance(value, int) else "a number"
+        raise ValueError(f"{what} must be finite, got {number} beyond the float range") from None
+
+
+def _finite(value, what: str, positive: bool = False) -> float:
+    """``value`` read by ``_number``, refused with a ValueError naming
+    ``what`` unless it is real and finite and, where ``positive``, above 0."""
+    value = _number(value, what)
+    if isinstance(value, complex):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        rule = "finite and positive" if positive else "finite"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
     return value
 
 
-def _finite(value, what: str) -> float:
-    """``float(value)``, refused with a ValueError naming ``what`` and the
-    value unless it is finite."""
-    value = float(_float(value, what))
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return value
-
-
-def _require_mode(mode: str) -> None:
-    if mode not in ("c", "r"):
-        raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
+def _choice(value, what: str, options: tuple[str, ...]) -> str:
+    """``value`` as the plain string of one of ``options``; a ValueError
+    naming ``what`` and the options for anything else."""
+    if isinstance(value, str) and value in options:
+        return str(value)
+    raise ValueError(f"{what} must be {' or '.join(map(repr, options))}, got {value!r:.40}")
 
 
 def _require_same(a, b) -> None:
@@ -207,9 +223,12 @@ def _require_same(a, b) -> None:
         )
 
 
-def _require_tail(tail_mass: float) -> None:
-    if not 0.0 <= tail_mass <= 1.0:
-        raise ValueError(f"tail_mass must lie in [0, 1], got {tail_mass}")
+def _tail(tail_mass) -> float:
+    """``tail_mass`` read by ``_number``, refused unless it is a float in [0, 1]."""
+    value = _number(tail_mass, "tail_mass")
+    if not (isinstance(value, float) and 0.0 <= value <= 1.0):
+        raise ValueError(f"tail_mass must lie in [0, 1], got {value}")
+    return value
 
 
 def _unit_amps(amps, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -295,9 +314,8 @@ class Truncation(_Record):
 
     def phonons(self, mode: str) -> np.ndarray:
         """Phonon numbers of mode ``c`` (m) or ``r`` (n) over the basis."""
-        _require_mode(mode)
         ms, ns = self.mode_numbers()
-        return ms if mode == "c" else ns
+        return ms if _choice(mode, "mode", _MODES) == "c" else ns
 
 
 class MotionalState(_Record):
@@ -317,8 +335,7 @@ class MotionalState(_Record):
 
     def __init__(self, trunc: Truncation, amps: np.ndarray, tail_mass: float = 0.0) -> None:
         amps = _unit_amps(amps, (trunc.dim,), "state")
-        _require_tail(tail_mass)
-        super().__init__(trunc, amps, tail_mass)
+        super().__init__(trunc, amps, _tail(tail_mass))
 
     @property
     def flagged(self) -> bool:
@@ -368,7 +385,7 @@ def _coherent_mode_amps(alpha: complex, n_max: int) -> np.ndarray:
 def _abs2(alpha: complex) -> float:
     """|alpha|^2 of a coherent amplitude; ValueError unless it is finite."""
     try:
-        r2 = abs(_float(alpha, "coherent amplitude")) ** 2
+        r2 = abs(_number(alpha, "coherent amplitude")) ** 2
     except OverflowError:
         r2 = math.inf
     if not math.isfinite(r2):
@@ -385,9 +402,7 @@ def _coherent_overlap(a: complex, b: complex) -> complex:
 def _cat_sign(parity: str) -> float:
     """The sign s of the cat |alpha> + s |-alpha>: +1 for parity ``"even"``,
     -1 for ``"odd"``; any other parity is a ValueError."""
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return 1.0 if parity == "even" else -1.0
+    return 1.0 if _choice(parity, "parity", ("even", "odd")) == "even" else -1.0
 
 
 def _cat_weight(alpha: complex, sign: float) -> float:
@@ -417,23 +432,21 @@ def coherent_superposition(
     state whose every kept amplitude underflows is refused with the largest
     mean phonon number |alpha|^2 + |beta|^2 of a term.
     """
-    scale = 0.0
+    scale, weights = 0.0, []
     for wj, _, _ in terms:
-        w = complex(_float(wj, "superposition weight"))
+        w = complex(_number(wj, "superposition weight"))
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise ValueError(f"superposition weight must be finite, got {wj!r}")
         scale = max(scale, abs(w.real), abs(w.imag))
+        weights.append(w)
     # neither the state nor tail_mass depends on a common factor of the weights,
     # so dividing by their largest part keeps every product of two finite
-    terms = [(complex(w) / (scale or 1.0), alpha, beta) for w, alpha, beta in terms]
+    terms = [(w / (scale or 1.0), alpha, beta) for w, (_, alpha, beta) in zip(weights, terms)]
     exact_norm2 = 0.0
     for wj, aj, bj in terms:
         for wk, ak, bk in terms:
             exact_norm2 += (
-                np.conj(complex(wj))
-                * complex(wk)
-                * _coherent_overlap(aj, ak)
-                * _coherent_overlap(bj, bk)
+                np.conj(wj) * wk * _coherent_overlap(aj, ak) * _coherent_overlap(bj, bk)
             ).real
     if exact_norm2 <= 1e-300:
         raise ValueError("superposition has zero norm")
@@ -443,7 +456,7 @@ def coherent_superposition(
     for w, alpha, beta in terms:
         ca = _coherent_mode_amps(complex(alpha), trunc.n_total_max)
         cb = _coherent_mode_amps(complex(beta), trunc.n_total_max)
-        vec += complex(w) * ca[ms] * cb[ns]
+        vec += w * ca[ms] * cb[ns]
 
     retained = float(np.vdot(vec, vec).real)
     if retained <= 0.0:
@@ -469,7 +482,7 @@ def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> Motio
     cats have support only on even phonon numbers, odd cats only on odd ones.
     """
     sign = _cat_sign(parity)
-    _require_mode(mode)
+    mode = _choice(mode, "mode", _MODES)
     weight = _cat_weight(alpha, sign)
     if mode == "c":
         terms = [(weight, alpha, 0.0), (sign * weight, -alpha, 0.0)]
@@ -640,8 +653,7 @@ class JointState(_Record):
         if tuple(sorted(set(ions))) != ions or not set(ions) <= {1, 2}:
             raise ValueError(f"ions must be a sorted subset of (1, 2), got {ions}")
         amps = _unit_amps(amps, (2,) * len(ions) + (trunc.dim,), "joint state")
-        _require_tail(tail_mass)
-        super().__init__(trunc, ions, amps, tail_mass)
+        super().__init__(trunc, ions, amps, _tail(tail_mass))
 
     @property
     def qubit_count(self) -> int:
@@ -763,4 +775,4 @@ def state_from_json(text: str) -> MotionalState:
             raise ValueError(f"amps[{i}] lists (m, n) = ({m}, {n}) a second time")
         seen.add((m, n))
         amps[trunc.index(m, n)] = complex(re, im)
-    return MotionalState(trunc, amps, float(_json_number(data.get("tail_mass", 0.0), "tail_mass")))
+    return MotionalState(trunc, amps, _json_number(data.get("tail_mass", 0.0), "tail_mass"))

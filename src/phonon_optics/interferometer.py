@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fockspace import MotionalState, Truncation, _apply_jx, _Record
+from .fockspace import MotionalState, Truncation, _apply_jx, _finite, _Record
 from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
 
 SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
@@ -66,14 +66,9 @@ def phase_sweep(
     Five input moments, <Jx>, <Jz> and the (co)variances of Jx and Jz, are
     computed once; every grid point is then a rotation of them.
     """
-    try:
-        grid = np.asarray(list(phis), dtype=np.float64)
-    except OverflowError:
-        raise ValueError("phases must be finite, got an integer beyond the float range") from None
+    grid = np.array([_finite(phi, "phases") for phi in phis], dtype=np.float64)
     if grid.size == 0:
         raise ValueError("phase grid must be nonempty")
-    if not np.isfinite(grid).all():
-        raise ValueError("phases must be finite")
 
     amps = in_state.amps
     ms, ns = in_state.trunc.mode_numbers()
@@ -93,7 +88,7 @@ def phase_sweep(
     var = s * s * vxx + c * c * vzz - 2.0 * s * c * vxz
     mean2 = var + mean * mean
     slope = c * jx + s * jz
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # set to inf below
         delta = np.sqrt(np.maximum(var, 0.0)) / np.abs(slope)
     delta[np.abs(slope) < 1e-14] = math.inf
     return [

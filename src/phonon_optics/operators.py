@@ -54,10 +54,11 @@ from .fockspace import (
     JointState,
     MotionalState,
     Truncation,
+    _MODES,
     _Record,
+    _choice,
     _finite,
     _require_memory,
-    _require_mode,
     _require_same,
 )
 
@@ -194,7 +195,7 @@ def _apply_passive(arr: np.ndarray, m: np.ndarray, trunc: Truncation) -> np.ndar
 
 def _splitter(key: str, theta: float) -> np.ndarray:
     """One-phonon matrix of exp(-i theta Jx) (``b1``) or exp(-i theta Jy) (``b2``)."""
-    half = 0.5 * _finite(theta, "theta")
+    half = 0.5 * theta
     c, s = np.cos(half), np.sin(half)
     m = [[c, -1j * s], [-1j * s, c]] if key == "b1" else [[c, -s], [s, c]]
     return np.array(m, dtype=np.complex128)
@@ -206,14 +207,13 @@ def beam_splitter(kind: str, theta: float, trunc: Truncation) -> UnitaryOperator
     Both conserve the total phonon number; theta = pi/2 is the 50/50
     splitter.  Building it forms only the 2x2 one-phonon matrix.
     """
-    if kind not in ("b1", "b2"):
-        raise ValueError(f"beam splitter kind must be 'b1' or 'b2', got {kind!r}")
-    return UnitaryOperator(trunc, _splitter(kind, theta))
+    kind = _choice(kind, "beam splitter kind", ("b1", "b2"))
+    return UnitaryOperator(trunc, _splitter(kind, _finite(theta, "theta")))
 
 
 def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
     """exp(+i phi a+ a) on mode ``c`` or exp(+i phi b+ b) on mode ``r``."""
-    _require_mode(mode)
+    mode = _choice(mode, "mode", _MODES)
     e = cmath.exp(1j * _finite(phi, "phi"))
     m = np.diag([e, 1.0] if mode == "c" else [1.0, e])
     return UnitaryOperator(trunc, m)
@@ -233,8 +233,8 @@ def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
     and the -1 component B(-theta), so sigma_x1 eigenstates stay factorized
     with their internal state untouched.
     """
-    if kind not in ("u1", "u2"):
-        raise ValueError(f"propagator kind must be 'u1' or 'u2', got {kind!r}")
+    kind = _choice(kind, "propagator kind", ("u1", "u2"))
+    theta = _finite(theta, "theta")
     axis = js.axis_of(1)
     bs = "b1" if kind == "u1" else "b2"
     a = np.moveaxis(js.amps, axis, 0)
@@ -250,9 +250,11 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     |g>_2 (x) |m, n> gains exp(+i chi_t k / 2) and |e>_2 (x) |m, n> gains
     exp(-3 i chi_t k / 2), with k the phonon number of the chosen mode.
     With ion 2 prepared in |g> this realizes the plain phase shifter at
-    phi = chi_t / 2.
+    phi = chi_t / 2.  A chi_t whose largest phase overflows is a ValueError.
     """
-    chi_t = _finite(chi_t, "chi_t")
+    chi_t, nmax = _finite(chi_t, "chi_t"), js.trunc.n_total_max
+    if not math.isfinite(1.5 * chi_t * nmax):
+        raise ValueError(f"phase 1.5 chi_t nmax overflows for chi_t {chi_t!r} and nmax {nmax}")
     k = js.trunc.phonons(mode)
     axis = js.axis_of(2)
     a = np.moveaxis(js.amps, axis, 0).copy()
@@ -287,14 +289,17 @@ class LabParams(_Record):
 
     Omega, Omega_r are Rabi frequencies (rad/s); eta, eta_r the Lamb-Dicke
     parameters of the center-of-mass and breathing modes; Delta, Delta_r the
-    dispersive detunings (rad/s); t the interaction time (s).
+    dispersive detunings (rad/s); t the interaction time (s).  Each field is
+    stored as a finite float; anything else, an integer beyond the float
+    range included, is a ValueError naming the field.
     """
 
     __slots__ = ("Omega", "eta", "eta_r", "Delta", "Delta_r", "Omega_r", "t")
 
     def __init__(self, Omega: float, eta: float, eta_r: float, Delta: float, Delta_r: float,
                  Omega_r: float, t: float) -> None:  # callers name the parameters
-        super().__init__(Omega, eta, eta_r, Delta, Delta_r, Omega_r, t)
+        fields = (Omega, eta, eta_r, Delta, Delta_r, Omega_r, t)
+        super().__init__(*map(_finite, fields, self.__slots__))
 
     @classmethod
     def linked(
@@ -307,6 +312,7 @@ class LabParams(_Record):
         t: float,
     ) -> "LabParams":
         """Constructor enforcing eta_r = 3^(-1/4) eta of the shared trap."""
+        eta = _finite(eta, "eta")
         return cls(Omega, eta, _BREATHING_RATIO * eta, Delta, Delta_r, Omega_r, t)
 
     def has_linked_modes(self) -> bool:
@@ -331,12 +337,10 @@ def lab_to_angles(p: LabParams) -> EffectiveAngles:
 
     theta = 2 Omega eta eta_r t, chi = eta^2 Omega^2 / (2 Delta),
     phi = chi t / 2, and likewise for the breathing mode;
-    lam = eta Omega / 2 and g = Omega eta eta_r.  A non-finite field, an
-    integer field beyond the float range, a zero detuning or an angle that
-    overflows a float is a ValueError naming it.
+    lam = eta Omega / 2 and g = Omega eta eta_r.  ``LabParams`` holds finite
+    floats; a zero detuning or an angle that overflows a float is a
+    ValueError naming it.
     """
-    for name in LabParams.__slots__:
-        _finite(getattr(p, name), name)
     if p.Delta == 0.0 or p.Delta_r == 0.0:
         raise ValueError("detunings must be nonzero for the dispersive phases")
     chi = _dispersive_rate(p.eta, p.Omega, p.Delta)

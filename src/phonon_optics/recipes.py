@@ -14,7 +14,9 @@ from .fockspace import (
     Truncation,
     _cat_sign,
     _cat_weight,
-    _float,
+    _choice,
+    _finite,
+    _number,
     coherent_superposition,
     joint_state,
     make_cat,
@@ -34,12 +36,8 @@ def entangled_number(
     """
     if trunc.n_total_max < 2:
         raise ValueError("entangled_number needs n_total_max >= 2")
-    if input_state == "one_zero":
-        start = make_fock(1, 0, trunc)
-    elif input_state == "one_one":
-        start = make_fock(1, 1, trunc)
-    else:
-        raise ValueError(f"input_state must be 'one_zero' or 'one_one', got {input_state!r}")
+    input_state = _choice(input_state, "input_state", ("one_zero", "one_one"))
+    start = make_fock(1, 0 if input_state == "one_zero" else 1, trunc)
     return apply(beam_splitter(kind, theta, trunc), start)
 
 
@@ -63,9 +61,9 @@ def entangled_cat_target(
     alpha: complex, parity: str, theta: float, trunc: Truncation
 ) -> MotionalState:
     """Direct expansion of the entangled-cat output, bypassing all operators."""
-    sign = _cat_sign(parity)
+    sign, alpha = _cat_sign(parity), _number(alpha, "coherent amplitude")
     w = _cat_weight(alpha, sign)
-    half = _float(theta, "theta") / 2.0
+    half = _finite(theta, "theta") / 2.0
     at = alpha * math.cos(half)
     bt = alpha * math.sin(half)
     return coherent_superposition([(w, at, bt), (sign * w, -at, -bt)], trunc)
@@ -114,7 +112,7 @@ def entangled_cat_u2u3_target(
     'even' and -1 for 'odd', with e_pm = (beta +- alpha)/sqrt(2), built by
     direct expansion."""
     sign = _cat_sign(parity)
-    alpha, beta = _float(alpha, "coherent amplitude"), _float(beta, "coherent amplitude")
+    alpha, beta = _number(alpha, "coherent amplitude"), _number(beta, "coherent amplitude")
     e_minus = (beta - alpha) / math.sqrt(2.0)
     e_plus = (beta + alpha) / math.sqrt(2.0)
     return coherent_superposition([(1.0, e_minus, e_plus), (sign, e_plus, e_minus)], trunc)

@@ -1,3 +1,4 @@
+import fractions
 import json
 import math
 import re
@@ -507,53 +508,51 @@ def test_truncation_for_coherent_rejects_bad_input():
 
 BEYOND_FLOAT = 10**400  # float() of it raises OverflowError
 
-# (entry point, a call passing BEYOND_FLOAT as one value, the name its refusal gives)
+# (entry point, a call passing x as one value, the name its refusal gives)
 BEYOND_FLOAT_CALLS = [
-    ("beam_splitter", lambda t, s, js: po.beam_splitter("b1", BEYOND_FLOAT, t), "theta"),
-    ("phase_shifter", lambda t, s, js: po.phase_shifter("c", BEYOND_FLOAT, t), "phi"),
+    ("beam_splitter", lambda t, s, js, x: po.beam_splitter("b1", x, t), "theta"),
+    ("phase_shifter", lambda t, s, js, x: po.phase_shifter("c", x, t), "phi"),
     ("joint_bs_propagator",
-     lambda t, s, js: po.joint_bs_propagator("u2", BEYOND_FLOAT, js), "theta"),
-    ("conditional_phase", lambda t, s, js: po.conditional_phase("c", BEYOND_FLOAT, js), "chi_t"),
-    ("mz_output", lambda t, s, js: po.mz_output(s, BEYOND_FLOAT), "phi"),
-    ("mz_report", lambda t, s, js: po.mz_report(s, BEYOND_FLOAT), "phases"),
-    ("phase_sweep", lambda t, s, js: po.phase_sweep(s, [0.5, BEYOND_FLOAT]), "phases"),
-    ("make_coherent", lambda t, s, js: make_coherent(0.5, BEYOND_FLOAT, t), "coherent amplitude"),
-    ("make_cat", lambda t, s, js: make_cat(BEYOND_FLOAT, "even", "r", t), "coherent amplitude"),
+     lambda t, s, js, x: po.joint_bs_propagator("u2", x, js), "theta"),
+    ("conditional_phase", lambda t, s, js, x: po.conditional_phase("c", x, js), "chi_t"),
+    ("mz_output", lambda t, s, js, x: po.mz_output(s, x), "phi"),
+    ("mz_report", lambda t, s, js, x: po.mz_report(s, x), "phases"),
+    ("phase_sweep", lambda t, s, js, x: po.phase_sweep(s, [0.5, x]), "phases"),
+    ("make_coherent", lambda t, s, js, x: make_coherent(0.5, x, t), "coherent amplitude"),
+    ("make_cat", lambda t, s, js, x: make_cat(x, "even", "r", t), "coherent amplitude"),
     ("coherent_superposition-amplitude",
-     lambda t, s, js: coherent_superposition([(1.0, BEYOND_FLOAT, 0.0)], t),
+     lambda t, s, js, x: coherent_superposition([(1.0, x, 0.0)], t),
      "coherent amplitude"),
     ("coherent_superposition-weight",
-     lambda t, s, js: coherent_superposition([(BEYOND_FLOAT, 0.5, 0.0)], t),
+     lambda t, s, js, x: coherent_superposition([(x, 0.5, 0.0)], t),
      "superposition weight"),
     ("truncation_for_coherent",
-     lambda t, s, js: truncation_for_coherent(BEYOND_FLOAT, 0), "coherent amplitude"),
+     lambda t, s, js, x: truncation_for_coherent(x, 0), "coherent amplitude"),
     ("entangled_cat",
-     lambda t, s, js: po.entangled_cat(BEYOND_FLOAT, "even", 0.5, t), "coherent amplitude"),
+     lambda t, s, js, x: po.entangled_cat(x, "even", 0.5, t), "coherent amplitude"),
     ("entangled_cat_target-amplitude",
-     lambda t, s, js: po.entangled_cat_target(BEYOND_FLOAT, "even", 0.5, t), "coherent amplitude"),
+     lambda t, s, js, x: po.entangled_cat_target(x, "even", 0.5, t), "coherent amplitude"),
     ("entangled_cat_target-theta",
-     lambda t, s, js: po.entangled_cat_target(0.5, "even", BEYOND_FLOAT, t), "theta"),
+     lambda t, s, js, x: po.entangled_cat_target(0.5, "even", x, t), "theta"),
     ("entangled_cat_u2u3_target",
-     lambda t, s, js: po.entangled_cat_u2u3_target(0.5, BEYOND_FLOAT, "even", t),
+     lambda t, s, js, x: po.entangled_cat_u2u3_target(0.5, x, "even", t),
      "coherent amplitude"),
-    ("direct_mean_phonon", lambda t, s, js: po.direct_mean_phonon(s, BEYOND_FLOAT), "chi * t"),
+    ("direct_mean_phonon", lambda t, s, js, x: po.direct_mean_phonon(s, x), "chi * t"),
     ("jz_from_methods-coupling",
-     lambda t, s, js: po.jz_from_methods(s, coupling=BEYOND_FLOAT, m_max=3), "coupling"),
+     lambda t, s, js, x: po.jz_from_methods(s, coupling=x, m_max=3), "coupling"),
     ("jz_from_methods-chi_t",
-     lambda t, s, js: po.jz_from_methods(s, m_max=3, chi_t=BEYOND_FLOAT), "chi * t"),
-    ("default_times", lambda t, s, js: po.default_times(BEYOND_FLOAT), "coupling"),
+     lambda t, s, js, x: po.jz_from_methods(s, m_max=3, chi_t=x), "chi * t"),
+    ("default_times", lambda t, s, js, x: po.default_times(x), "coupling"),
     ("signal",
-     lambda t, s, js: po.signal(s, BEYOND_FLOAT, np.linspace(0, 1, 8), "single"), "coupling"),
+     lambda t, s, js, x: po.signal(s, x, np.linspace(0, 1, 8), "single"), "coupling"),
     ("SignalTrace",
-     lambda t, s, js: po.SignalTrace(np.linspace(0, 1, 8), np.full(8, 0.5), BEYOND_FLOAT,
-                                     "single"),
+     lambda t, s, js, x: po.SignalTrace(np.linspace(0, 1, 8), np.full(8, 0.5), x, "single"),
      "coupling"),
     ("jcm_unitary-coupling",
-     lambda t, s, js: po.jcm_unitary(BEYOND_FLOAT, 1.0, t, "single"), "coupling"),
-    ("jcm_unitary-t", lambda t, s, js: po.jcm_unitary(1.0, BEYOND_FLOAT, t, "single"), "t"),
+     lambda t, s, js, x: po.jcm_unitary(x, 1.0, t, "single"), "coupling"),
+    ("jcm_unitary-t", lambda t, s, js, x: po.jcm_unitary(1.0, x, t, "single"), "t"),
     ("lab_to_angles",
-     lambda t, s, js: po.lab_to_angles(po.LabParams(1.0, 0.1, 0.076, 1e6, 1e6, 1.0,
-                                                    BEYOND_FLOAT)),
+     lambda t, s, js, x: po.lab_to_angles(po.LabParams(1.0, 0.1, 0.076, 1e6, 1e6, 1.0, x)),
      "t"),
 ]
 
@@ -561,13 +560,58 @@ BEYOND_FLOAT_CALLS = [
 @pytest.mark.parametrize("call, what", [c[1:] for c in BEYOND_FLOAT_CALLS],
                          ids=[c[0] for c in BEYOND_FLOAT_CALLS])
 def test_an_integer_beyond_the_float_range_is_refused_by_name(call, what):
-    # float() of the integer raises OverflowError, which used to leak
+    # float() of the integer raises OverflowError, which used to leak; a bool
+    # used to be read as 1.0 and a string as float(text) or a TypeError, and a
+    # complex value leaked a TypeError where the slot is real
     t = Truncation(10)
     s = make_fock(1, 0, t)
     js = joint_state(s, ion1=QubitState.plus(), ion2=QubitState.ground())
-    message = f"{what} must be finite, got an integer beyond the float range"
+    refusals = [(BEYOND_FLOAT, f"{what} must be finite, got an integer beyond the float range"),
+                *((x, f"{what} must be a number, got {x!r}") for x in (True, np.True_, "0.5"))]
+    if what not in ("coherent amplitude", "superposition weight"):
+        refusals.append((1j, f"{what} must be a real number, got 1j"))
+    for x, message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(t, s, js, x)
+
+
+def test_records_hold_the_floats_their_readers_return():
+    # a bool coupling or chi_t used to be stored, and written as JSON true
+    s = make_fock(1, 0, Truncation(4))
+    trace = po.signal(s, 1, np.linspace(0.0, 1.0, 8), "single")
+    assert type(trace.coupling) is float and json.loads(trace.to_json())["coupling"] == 1.0
+    assert '"coupling": 1.0,' in trace.to_json()
+    estimate = po.direct_mean_phonon(s, np.float64(0.25), np.str_("r"))
+    assert type(estimate.chi_t) is float and type(estimate.mode) is str
+    assert po.LabParams(1, 0.1, 0.076, 10**6, 10**6, 1, 1).Delta.hex() == (1e6).hex()
+
+
+@pytest.mark.parametrize("tail_mass", [1, np.float64(0.5), fractions.Fraction(1, 4)])
+def test_a_tail_mass_survives_its_own_round_trip(tail_mass):
+    # True used to be stored and dumped as "tail_mass": true, which
+    # state_from_json then refused
+    t = Truncation(2)
+    s = MotionalState(t, make_fock(1, 0, t).amps, tail_mass)
+    assert type(s.tail_mass) is float and s.tail_mass == tail_mass
+    back = state_from_json(state_to_json(s))
+    assert back.tail_mass == s.tail_mass and back.flagged
+    js = joint_state(s, ion2=QubitState.ground())
+    assert JointState(t, (2,), js.amps, tail_mass).tail_mass == s.tail_mass
+
+
+@pytest.mark.parametrize("tail_mass, message", [
+    (True, "tail_mass must be a number, got True"),
+    ("0.1", "tail_mass must be a number, got '0.1'"),
+    (1j, "tail_mass must lie in [0, 1], got 1j"),
+    (10**400, "tail_mass must be finite, got an integer beyond the float range"),
+], ids=["True", "text", "complex", "10**400"])
+def test_a_tail_mass_that_is_no_probability_is_refused_by_name(tail_mass, message):
+    t = Truncation(2)
+    s = make_fock(1, 0, t)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call(t, s, js)
+        MotionalState(t, s.amps, tail_mass)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        JointState(t, (), s.amps, tail_mass)
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),

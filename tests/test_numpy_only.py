@@ -6,10 +6,11 @@ the 2x2 probe rotation and the dense unitarity defect) live there alone:
 no package module defines them and the package exports none of them.
 ``expm_oracle`` runs with SciPy unavailable.  SciPy stays a test
 dependency, as the oracle of the nonnegative least squares.  The weight
-floor has one home, ``fockspace``, and ``detection`` reads nothing from
-``operators``."""
+floor has one home, ``fockspace``, and so do the readers of a number or
+label argument; ``detection`` reads nothing from ``operators``."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -82,6 +83,34 @@ def test_the_weight_floor_is_assigned_once_in_fockspace():
     found = [path.stem for path, tree in package_trees()
              for _, name in defined_names(tree) if name == "WEIGHT_FLOOR"]
     assert found == ["fockspace"]
+
+
+READERS = ("_integer", "_number", "_finite", "_choice")
+GONE = ("_float", "_require_coupling", "_require_mode")
+CHOICE_MESSAGE = re.compile(r"must be '[^']*' or '")
+
+
+def raised_texts(tree):
+    """The string parts of every ``raise`` statement, with the line it is on."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            for part in ast.walk(node):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield part.lineno, part.value
+
+
+def test_every_argument_reader_lives_in_fockspace():
+    defined = [(path.stem, name) for path, tree in package_trees()
+               for _, name in defined_names(tree) if name in READERS + GONE]
+    assert sorted(defined) == sorted(("fockspace", name) for name in READERS)
+    # a label check is _choice's message, raised nowhere else
+    found = [f"{path.name}:{lineno}" for path, tree in package_trees()
+             for lineno, text in raised_texts(tree)
+             if path.stem != "fockspace" and CHOICE_MESSAGE.search(text)]
+    assert found == []
+    # the walk does see what it looks for
+    own = ast.parse("""raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")""")
+    assert [bool(CHOICE_MESSAGE.search(text)) for _, text in raised_texts(own)] == [True]
 
 
 def test_detection_imports_nothing_from_operators():
