@@ -43,6 +43,7 @@ from .fockspace import (
     _Record,
     _choice,
     _finite,
+    _int_text,
     _integer,
     _require_memory,
     _require_same,
@@ -155,12 +156,10 @@ def _require_samples(n_samples: int, n_weights: int = 0) -> None:
     columns would not fit in memory, before the sample grid is built."""
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2 * n_weights:
-        raise ValueError(
-            f"{n_samples} samples cannot determine {n_weights} weights; "
-            f"need at least {2 * n_weights}"
-        )
+        raise ValueError(f"{_int_text(n_samples)} samples cannot determine {_int_text(n_weights)} "
+                         f"weights; need at least {_int_text(2 * n_weights)}")
     need = n_samples * (_TRACE_BYTES_PER_SAMPLE + _FIT_BYTES_PER_SAMPLE_WEIGHT * n_weights)
-    _require_memory(need, f"{n_samples} samples need")
+    _require_memory(need, f"{_int_text(n_samples)} samples need")
 
 
 def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> None:
@@ -219,15 +218,12 @@ class JcmUnitary(_Record):
         if not isinstance(js, JointState):
             raise TypeError("a Jaynes-Cummings unitary acts on a JointState")
         _require_same(self, js)
-        axis = js.axis_of(2)
-        a = np.moveaxis(js.amps, axis, 0)
-        g, e = a[0].copy(), a[1].copy()
+        g, e = np.array(js.register(2))  # a writable copy of both components
         c, s = np.cos(self.angle), np.sin(self.angle)
-        g_act = a[0][..., self.g_index]
-        e_act = a[1][..., self.e_index]
+        g_act, e_act = g[..., self.g_index], e[..., self.e_index]
         g[..., self.g_index] = c * g_act - 1j * s * e_act
         e[..., self.e_index] = -1j * s * g_act + c * e_act
-        return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
+        return js.with_register(2, g, e)
 
     def unitarity_defect(self) -> float:
         """max |U+ U - 1| over the 2x2 rotations, in closed form: U+ U is
@@ -319,10 +315,8 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     zero is fixed again.  In exact arithmetic every outer iteration lowers
     the residual, so the loop ends when no gradient entry is positive or,
     at the rounding level, when an iteration fails to lower it.  Raises
-    ValueError on non-finite input and after 3 n iterations, as SciPy does.
+    ValueError after 3 n iterations, as SciPy does.
     """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("nonnegative least squares needs finite input")
     n = a.shape[1]
     max_iterations = _NNLS_ITERATIONS_PER_COLUMN * n
     x = np.zeros(n)
@@ -389,7 +383,7 @@ def _nonnegative(value: int, what: str) -> int:
     """``value`` as a nonnegative integer, else a ValueError naming ``what``."""
     value = _integer(value, what)
     if value < 0:
-        raise ValueError(f"{what} must be nonnegative, got {value}")
+        raise ValueError(f"{what} must be nonnegative, got {_int_text(value)}")
     return value
 
 

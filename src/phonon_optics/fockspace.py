@@ -16,6 +16,8 @@ and ``detection`` call it instead of restating them:
   ``mode_numbers`` all derive from it.  Each ``Truncation`` holds its own
   layout arrays, and nothing is cached at module level;
 * the mode labels: ``Truncation.phonons`` maps ``c`` to m and ``r`` to n;
+* the register layout (qubit axes first, motional axis last): only
+  ``JointState.register`` and ``with_register`` reach one ion's (g, e) pair;
 * how an argument is read: an entry point reads each number and label
   once, where it enters, and keeps what ``_integer`` (an int), ``_number``
   (a float or complex), ``_finite`` (a finite float) or ``_choice`` (one of
@@ -118,6 +120,14 @@ def _approx(count: int) -> str:
     return f"{mantissa:.3g}e+{exponent}"
 
 
+def _int_text(value: int) -> str:
+    """``str(value)``, or its sign and ``_approx`` beyond the digits ``str()`` converts."""
+    try:
+        return str(value)
+    except ValueError:
+        return "-" * (value < 0) + _approx(abs(value))
+
+
 def _read_only(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of ``_Record``."""
     raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
@@ -211,7 +221,8 @@ def _choice(value, what: str, options: tuple[str, ...]) -> str:
     naming ``what`` and the options for anything else."""
     if isinstance(value, str) and value in options:
         return str(value)
-    raise ValueError(f"{what} must be {' or '.join(map(repr, options))}, got {value!r:.40}")
+    shown = _int_text(value) if isinstance(value, int) else repr(value)
+    raise ValueError(f"{what} must be {' or '.join(map(repr, options))}, got {shown:.40}")
 
 
 def _require_same(a, b) -> None:
@@ -260,7 +271,7 @@ class Truncation(_Record):
     def __init__(self, n_total_max: int) -> None:
         n = _integer(n_total_max, "n_total_max")
         if n < 0:
-            raise ValueError(f"n_total_max must be >= 0, got {n}")
+            raise ValueError(f"n_total_max must be >= 0, got {_int_text(n)}")
         # The two int64 arrays of mode_numbers and a state's complex128 amplitudes
         # take 32 dim bytes; number_distributions peaks at a float64 p and one
         # temporary, 16 dim = 8 (nmax + 1)^2 + 8 (nmax + 1) bytes.
@@ -296,16 +307,14 @@ class Truncation(_Record):
         """Flat index of |m, n>; refuses a bool or non-integer m or n, and (m, n) outside."""
         m, n = _integer(m, "m"), _integer(n, "n")
         if not self.contains(m, n):
-            raise ValueError(
-                f"(m, n) = ({m}, {n}) outside truncation: need m, n >= 0 and "
-                f"m + n <= {self.n_total_max}"
-            )
+            raise ValueError(f"(m, n) = ({_int_text(m)}, {_int_text(n)}) outside truncation: "
+                             f"need m, n >= 0 and m + n <= {self.n_total_max}")
         return self.flat(m, n)
 
     def block(self, total: int) -> slice:
         """Slice of the flat array holding the m + n = total subspace."""
         if not 0 <= total <= self.n_total_max:
-            raise ValueError(f"no block for total = {total}")
+            raise ValueError(f"no block for total = {_int_text(total)}")
         return slice(self.flat(0, total), self.flat(0, total + 1))
 
     def mode_numbers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -650,10 +659,11 @@ class JointState(_Record):
 
     def __init__(self, trunc: Truncation, ions: tuple[int, ...], amps: np.ndarray,
                  tail_mass: float = 0.0) -> None:
-        if tuple(sorted(set(ions))) != ions or not set(ions) <= {1, 2}:
+        labels = tuple(_integer(ion, "ion label") for ion in ions)
+        if tuple(sorted(set(labels))) != ions or not set(labels) <= {1, 2}:
             raise ValueError(f"ions must be a sorted subset of (1, 2), got {ions}")
-        amps = _unit_amps(amps, (2,) * len(ions) + (trunc.dim,), "joint state")
-        super().__init__(trunc, ions, amps, _tail(tail_mass))
+        amps = _unit_amps(amps, (2,) * len(labels) + (trunc.dim,), "joint state")
+        super().__init__(trunc, labels, amps, _tail(tail_mass))
 
     @property
     def qubit_count(self) -> int:
@@ -667,14 +677,22 @@ class JointState(_Record):
     def with_amps(self, amps: np.ndarray) -> "JointState":
         return JointState(self.trunc, self.ions, amps, self.tail_mass)
 
+    def register(self, ion: int) -> tuple[np.ndarray, np.ndarray]:
+        """One ion's |g> and |e> parts, read-only views: other register first, motion last."""
+        return tuple(np.moveaxis(self.amps, self.axis_of(ion), 0))
+
+    def with_register(self, ion: int, g: np.ndarray, e: np.ndarray) -> "JointState":
+        """This state with one ion's |g> and |e> components replaced."""
+        return self.with_amps(np.moveaxis(np.stack([g, e]), 0, self.axis_of(ion)))
+
     def ground_probability(self, ion: int) -> float:
         """Probability of finding the given ion in |g>."""
-        a = np.moveaxis(self.amps, self.axis_of(ion), 0)
-        return float(np.vdot(a[0], a[0]).real)
+        g, _ = self.register(ion)
+        return float(np.vdot(g, g).real)
 
     def reduced_qubit(self, ion: int) -> np.ndarray:
         """2x2 reduced density matrix of one ion's register."""
-        a = np.moveaxis(self.amps, self.axis_of(ion), 0).reshape(2, -1)
+        a = np.reshape(self.register(ion), (2, -1))
         return a @ a.conj().T
 
     def qubit_fidelity(self, ion: int, target: QubitState) -> float:

@@ -233,15 +233,12 @@ def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
     and the -1 component B(-theta), so sigma_x1 eigenstates stay factorized
     with their internal state untouched.
     """
-    kind = _choice(kind, "propagator kind", ("u1", "u2"))
+    bs = "b1" if _choice(kind, "propagator kind", ("u1", "u2")) == "u1" else "b2"
     theta = _finite(theta, "theta")
-    axis = js.axis_of(1)
-    bs = "b1" if kind == "u1" else "b2"
-    a = np.moveaxis(js.amps, axis, 0)
-    plus = _apply_passive((a[0] + a[1]) * _SQRT_HALF, _splitter(bs, theta), js.trunc)
-    minus = _apply_passive((a[0] - a[1]) * _SQRT_HALF, _splitter(bs, -theta), js.trunc)
-    out = np.stack([(plus + minus) * _SQRT_HALF, (plus - minus) * _SQRT_HALF])
-    return js.with_amps(np.moveaxis(out, 0, axis))
+    g, e = js.register(1)
+    plus = _apply_passive((g + e) * _SQRT_HALF, _splitter(bs, theta), js.trunc)
+    minus = _apply_passive((g - e) * _SQRT_HALF, _splitter(bs, -theta), js.trunc)
+    return js.with_register(1, (plus + minus) * _SQRT_HALF, (plus - minus) * _SQRT_HALF)
 
 
 def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
@@ -256,11 +253,8 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     if not math.isfinite(1.5 * chi_t * nmax):
         raise ValueError(f"phase 1.5 chi_t nmax overflows for chi_t {chi_t!r} and nmax {nmax}")
     k = js.trunc.phonons(mode)
-    axis = js.axis_of(2)
-    a = np.moveaxis(js.amps, axis, 0).copy()
-    a[0] = a[0] * np.exp(0.5j * chi_t * k)
-    a[1] = a[1] * np.exp(-1.5j * chi_t * k)
-    return js.with_amps(np.moveaxis(a, 0, axis))
+    g, e = js.register(2)
+    return js.with_register(2, g * np.exp(0.5j * chi_t * k), e * np.exp(-1.5j * chi_t * k))
 
 
 def carrier_half_pulse(js: JointState) -> JointState:
@@ -270,11 +264,8 @@ def carrier_half_pulse(js: JointState) -> JointState:
     This phase fixes the sign of the sigma_x readout in the direct
     phonon-number measurement; the opposite phase would flip it.
     """
-    axis = js.axis_of(2)
-    a = np.moveaxis(js.amps, axis, 0)
-    g = (a[0] - 1j * a[1]) * _SQRT_HALF
-    e = (a[1] - 1j * a[0]) * _SQRT_HALF
-    return js.with_amps(np.moveaxis(np.stack([g, e]), 0, axis))
+    g, e = js.register(2)
+    return js.with_register(2, (g - 1j * e) * _SQRT_HALF, (e - 1j * g) * _SQRT_HALF)
 
 
 # ---------------------------------------------------------------------------

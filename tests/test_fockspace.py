@@ -697,6 +697,71 @@ def test_a_cutoff_beyond_str_conversion_is_refused_by_the_memory_check(monkeypat
         Truncation(10**5000)
 
 
+HUGE = 10**5000  # more digits than str() converts
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t, s, trace: Truncation(-HUGE), "n_total_max must be >= 0, got -1e+5000"),
+    (lambda t, s, trace: make_fock(HUGE, 0, t),
+     "(m, n) = (1e+5000, 0) outside truncation: need m, n >= 0 and m + n <= 4"),
+    (lambda t, s, trace: make_fock(0, -HUGE, t),
+     "(m, n) = (0, -1e+5000) outside truncation: need m, n >= 0 and m + n <= 4"),
+    (lambda t, s, trace: t.block(HUGE), "no block for total = 1e+5000"),
+    (lambda t, s, trace: po.reconstruct_single(trace, HUGE),
+     "64 samples cannot determine 1e+5000 weights; need at least 2e+5000"),
+    (lambda t, s, trace: po.reconstruct_single(trace, -HUGE),
+     "m_max must be nonnegative, got -1e+5000"),
+    (lambda t, s, trace: po.default_times(1.0, HUGE),
+     "1e+5000 samples need about 4.8e+5001 bytes, more than the memory limit of 1.1e+12 bytes"),
+    (lambda t, s, trace: po.signal(s, 1.0, trace.times, HUGE),
+     "kind must be 'single' or 'two', got 1e+5000"),
+], ids=["Truncation", "make_fock-m", "make_fock-n", "block", "reconstruct_single",
+        "reconstruct_single-negative", "default_times", "signal-kind"])
+def test_an_integer_beyond_str_conversion_is_written_by_its_size(monkeypatch, call, message):
+    # each call used to end in Python's own "Exceeds the limit (4300 digits)
+    # for integer string conversion", which names no argument; the hostile
+    # sweep checks only that a message names its slot, and "m" or "n" is in
+    # that one too
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
+    t = Truncation(4)
+    s = make_fock(1, 0, t)
+    trace = po.signal(s, 1.0, po.default_times(1.0, 64), "single")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(t, s, trace)
+
+
+def test_an_integer_that_str_converts_is_written_in_full():
+    assert fockspace._int_text(-(10**4299)) == "-1" + "0" * 4299
+    assert fockspace._int_text(10**4300) == "1e+4300"
+    assert fockspace._int_text(-(10**4300)) == "-1e+4300"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: po.SignalTrace(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, "single"),
+     "times and values must be 1-d arrays of equal length"),
+    (lambda: po.SignalTrace(np.arange(3.0), np.zeros(2), 1.0, "single"),
+     "times and values must be 1-d arrays of equal length"),
+    (lambda: po.reconstruct_two(
+        po.signal(make_fock(1, 0, Truncation(2)), 1.0, po.default_times(1.0, 8), "single"), 2),
+     "reconstruct_two needs a two-mode trace"),
+    (lambda: MotionalState(Truncation(4), np.ones(3) / 3**0.5),
+     "state amplitudes have shape (3,), expected (15,)"),
+], ids=["trace-2d", "trace-unequal-lengths", "reconstruct_two-single-trace", "state-shape"])
+def test_refusals_that_no_other_test_reaches(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Truncation(4).__eq__(4), NotImplemented),
+    (lambda: Truncation(4) == 4, False),
+    (lambda: fockspace._approx(10**400 - 1), "1e+400"),  # the mantissa rounds up to 10
+], ids=["truncation-eq-other", "truncation-equals-int", "approx-carry"])
+def test_results_that_no_other_test_reaches(call, expected):
+    result = call()
+    assert type(result) is type(expected) and result == expected
+
+
 # qubit and joint states ----------------------------------------------------
 
 
@@ -728,6 +793,41 @@ def test_joint_state_shapes_and_norm():
         js2.axis_of(1)
     with pytest.raises(ValueError, match=r"ions must be a sorted subset of \(1, 2\), got \(2, 1\)"):
         JointState(s.trunc, (2, 1), js.amps)
+
+
+@pytest.mark.parametrize("label", [True, 1.0, np.True_], ids=["True", "1.0", "np.True_"])
+def test_an_ion_label_is_read_as_an_integer(label):
+    # a bool label used to be accepted and stored, since True == 1
+    t = Truncation(1)
+    amps = np.full((2, t.dim), 1 / math.sqrt(2 * t.dim))
+    message = f"ion label must be an integer, got {label!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        JointState(t, (label,), amps)
+    js = JointState(t, (np.int64(2),), amps)
+    assert js.ions == (2,) and type(js.ions[0]) is int
+
+
+def test_a_register_is_read_and_written_where_the_layout_puts_it():
+    t = Truncation(3)
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=(2, 2, t.dim)) + 1j * rng.normal(size=(2, 2, t.dim))
+    js = JointState(t, (1, 2), amps / np.linalg.norm(amps))
+    # the other register's axis first, the motional axis last
+    for ion, parts in ((1, (js.amps[0], js.amps[1])), (2, (js.amps[:, 0], js.amps[:, 1]))):
+        g, e = js.register(ion)
+        assert np.array_equal(g, parts[0]) and np.array_equal(e, parts[1])
+        assert g.shape == e.shape == (2, t.dim)
+        assert not (g.flags.writeable or e.flags.writeable)
+        assert np.array_equal(js.with_register(ion, g, e).amps, js.amps)
+    flipped = js.with_register(2, *js.register(2)[::-1])
+    assert np.array_equal(flipped.amps, js.amps[:, ::-1])
+    single = joint_state(make_fock(1, 0, t), ion2=QubitState.excited())
+    g, e = single.register(2)
+    assert g.shape == (t.dim,) and np.array_equal(e, make_fock(1, 0, t).amps)
+    with pytest.raises(ValueError, match="^ion 1 carries no qubit register in this state$"):
+        single.register(1)
+    with pytest.raises(ValueError, match="^ion 1 carries no qubit register in this state$"):
+        single.with_register(1, g, e)
 
 
 def test_joint_state_rejects_non_finite_amplitudes():

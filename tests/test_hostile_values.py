@@ -3,10 +3,11 @@
 Valid arguments come from a table keyed by annotation, and labels and
 programs from a table keyed by parameter name.  Then one ``float``, ``int``
 or ``complex`` slot at a time (an element of a phase grid or of a
-superposition term counts as one) takes each of nan, +-inf, 10**400, 2**63,
-+-1e308, 1e-320, True, -1, 0 and complex(inf, 0).  The call must either
-return records that hold only finite numbers or raise a ValueError or
-TypeError whose message names the slot, and it must raise no warning.
+superposition term counts as one) takes each of nan, +-inf, 10**400,
++-10**5000 (more digits than str() converts), 2**63, +-1e308, 1e-320, True,
+-1, 0 and complex(inf, 0).  The call must either return records that hold
+only finite numbers or raise a ValueError or TypeError whose message names
+the slot, and it must raise no warning.
 """
 
 import functools
@@ -23,7 +24,8 @@ import phonon_optics as po
 from phonon_optics.fockspace import _Record
 
 HOSTILE = {
-    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400, "2**63": 2**63,
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
+    "10**5000": 10**5000, "-10**5000": -(10**5000), "2**63": 2**63,
     "1e308": 1e308, "-1e308": -1e308, "1e-320": 1e-320, "True": True, "-1": -1, "0": 0,
     "complex-inf": complex(math.inf, 0.0),
 }

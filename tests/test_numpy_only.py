@@ -7,7 +7,9 @@ no package module defines them and the package exports none of them.
 ``expm_oracle`` runs with SciPy unavailable.  SciPy stays a test
 dependency, as the oracle of the nonnegative least squares.  The weight
 floor has one home, ``fockspace``, and so do the readers of a number or
-label argument; ``detection`` reads nothing from ``operators``."""
+label argument; ``detection`` reads nothing from ``operators``.  Only
+``JointState`` knows where an ion's register lives: no code outside that
+class calls ``moveaxis`` or ``axis_of``."""
 
 import ast
 import re
@@ -111,6 +113,32 @@ def test_every_argument_reader_lives_in_fockspace():
     # the walk does see what it looks for
     own = ast.parse("""raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")""")
     assert [bool(CHOICE_MESSAGE.search(text)) for _, text in raised_texts(own)] == [True]
+
+
+REGISTER_MOVES = ("moveaxis", "axis_of")
+
+
+def register_moves(tree):
+    """(line, name) of every ``moveaxis`` or ``axis_of`` call outside the
+    ``JointState`` class, called as an attribute or as a bare name."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "JointState"
+              for node in ast.walk(cls)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in REGISTER_MOVES:
+                yield node.lineno, name
+
+
+def test_only_joint_state_moves_a_register_axis():
+    found = [f"{path.name}:{lineno} {name}" for path, tree in package_trees()
+             for lineno, name in register_moves(tree)]
+    assert found == []
+    # the walk does see what it looks for, and skips the class that owns the layout
+    own = ast.parse("a = np.moveaxis(js.amps, js.axis_of(2), 0)\nb = moveaxis(a, 1, 0)\n"
+                    "class JointState:\n    def f(self):\n        return np.moveaxis(self.amps, 0, 1)")
+    assert sorted(name for _, name in register_moves(own)) == ["axis_of", "moveaxis", "moveaxis"]
 
 
 def test_detection_imports_nothing_from_operators():
