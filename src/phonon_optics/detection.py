@@ -166,11 +166,7 @@ def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> Non
     """Refuse a probe whose largest phase 2 coupling sqrt(k_max) max|t| is not
     a finite float, before NumPy fills the cosine table with inf and NaN."""
     t_max = float(np.abs(times).max(initial=0.0))
-    if not math.isfinite(2.0 * coupling * math.sqrt(k_max) * t_max):
-        raise ValueError(
-            f"probe phase 2 * coupling * sqrt(k) * t is not finite for coupling "
-            f"{coupling!r}, k up to {k_max} and |t| up to {t_max!r}"
-        )
+    _finite(2.0 * coupling * math.sqrt(k_max) * t_max, "probe phase 2 * coupling * sqrt(k) * t")
 
 
 def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
@@ -246,9 +242,8 @@ def jcm_unitary(
     kind, mode = _choice(kind, "kind", _KINDS), _choice(mode, "mode", _MODES)
     scale = _finite(coupling, "coupling") * _finite(t, "t")
     g_idx, e_idx, root = _jcm_tables(trunc, kind, mode)
-    if not math.isfinite(scale * float(root.max(initial=0.0))):
-        raise ValueError(f"probe angle coupling * t * sqrt(k) overflows for coupling "
-                         f"{coupling!r} and t {t!r}")
+    if root.size:  # with no coupled pair there is no angle to overflow
+        _finite(scale * float(root.max()), "probe angle coupling * t * sqrt(k)")
     return JcmUnitary(trunc, g_idx, e_idx, scale * root)
 
 
@@ -423,11 +418,7 @@ def direct_mean_phonon(out_state: MotionalState, chi_t: float, mode: str = "c") 
     """
     mode = _choice(mode, "mode", _MODES)
     chi_t = _finite(chi_t, "chi * t", positive=True)
-    nmax = out_state.trunc.n_total_max
-    if not math.isfinite(2.0 * chi_t * nmax):
-        raise ValueError(
-            f"readout phase 2 * chi_t * nmax is not finite for chi_t {chi_t!r} and nmax {nmax}"
-        )
+    _finite(2.0 * chi_t * out_state.trunc.n_total_max, "readout phase 2 * chi_t * nmax")
     dist = number_distributions(out_state)
     p = dist.p_m if mode == "c" else dist.p_n
     k = np.arange(p.size, dtype=np.float64)

@@ -301,6 +301,8 @@ class Truncation(_Record):
         return self.flat(0, self.n_total_max + 1)
 
     def contains(self, m: int, n: int) -> bool:
+        """Whether |m, n> lies inside; refuses a bool or non-integer m or n."""
+        m, n = _integer(m, "m"), _integer(n, "n")
         return m >= 0 and n >= 0 and m + n <= self.n_total_max
 
     def index(self, m: int, n: int) -> int:
@@ -313,6 +315,7 @@ class Truncation(_Record):
 
     def block(self, total: int) -> slice:
         """Slice of the flat array holding the m + n = total subspace."""
+        total = _integer(total, "total")
         if not 0 <= total <= self.n_total_max:
             raise ValueError(f"no block for total = {_int_text(total)}")
         return slice(self.flat(0, total), self.flat(0, total + 1))
@@ -670,6 +673,7 @@ class JointState(_Record):
         return len(self.ions)
 
     def axis_of(self, ion: int) -> int:
+        ion = _integer(ion, "ion")
         if ion not in self.ions:
             raise ValueError(f"ion {ion} carries no qubit register in this state")
         return self.ions.index(ion)

@@ -231,13 +231,18 @@ def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
     the accumulated rotation angle (twice the coupling times the interaction
     time).  In the sigma_x1 eigenbasis the +1 component receives B(theta)
     and the -1 component B(-theta), so sigma_x1 eigenstates stay factorized
-    with their internal state untouched.
+    with their internal state untouched.  The parity P = (-1)^{a+ a} turns a
+    into -a and so flips Jx and Jy: B(-theta) = P B(theta) P exactly.  Both
+    arms therefore share one rotation, applied to the batch of the +1
+    component and P times the -1 component, with P applied again after.
     """
     bs = "b1" if _choice(kind, "propagator kind", ("u1", "u2")) == "u1" else "b2"
     theta = _finite(theta, "theta")
     g, e = js.register(1)
-    plus = _apply_passive((g + e) * _SQRT_HALF, _splitter(bs, theta), js.trunc)
-    minus = _apply_passive((g - e) * _SQRT_HALF, _splitter(bs, -theta), js.trunc)
+    parity = (-1.0) ** js.trunc.phonons("c")
+    arms = np.stack([g + e, parity * (g - e)]) * _SQRT_HALF
+    plus, minus = _apply_passive(arms, _splitter(bs, theta), js.trunc)
+    minus *= parity
     return js.with_register(1, (plus + minus) * _SQRT_HALF, (plus - minus) * _SQRT_HALF)
 
 
@@ -249,9 +254,8 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     With ion 2 prepared in |g> this realizes the plain phase shifter at
     phi = chi_t / 2.  A chi_t whose largest phase overflows is a ValueError.
     """
-    chi_t, nmax = _finite(chi_t, "chi_t"), js.trunc.n_total_max
-    if not math.isfinite(1.5 * chi_t * nmax):
-        raise ValueError(f"phase 1.5 chi_t nmax overflows for chi_t {chi_t!r} and nmax {nmax}")
+    chi_t = _finite(chi_t, "chi_t")
+    _finite(1.5 * chi_t * js.trunc.n_total_max, "phase 1.5 * chi_t * nmax")
     k = js.trunc.phonons(mode)
     g, e = js.register(2)
     return js.with_register(2, g * np.exp(0.5j * chi_t * k), e * np.exp(-1.5j * chi_t * k))

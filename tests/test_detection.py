@@ -380,7 +380,8 @@ def test_absurd_weight_count_is_refused_before_the_dictionary(kind, reconstruct)
 def test_overflowing_fit_phase_is_refused_by_name(kind, reconstruct):
     # a trace built directly: signal itself refuses this coupling first
     trace = SignalTrace(np.linspace(0.0, 1e-300, 8), np.ones(8), 1e308, kind)
-    with pytest.raises(ValueError, match="probe phase .* is not finite"):
+    with pytest.raises(ValueError, match="^probe phase 2 \\* coupling \\* sqrt\\(k\\) \\* t "
+                                         "must be finite, got inf$"):
         reconstruct(trace, 3)
 
 

@@ -736,6 +736,11 @@ def test_an_integer_that_str_converts_is_written_in_full():
     assert fockspace._int_text(-(10**4300)) == "-1e+4300"
 
 
+def _two_registers():
+    return joint_state(make_fock(1, 0, Truncation(2)), ion1=QubitState.plus(),
+                       ion2=QubitState.ground())
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: po.SignalTrace(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, "single"),
      "times and values must be 1-d arrays of equal length"),
@@ -746,7 +751,18 @@ def test_an_integer_that_str_converts_is_written_in_full():
      "reconstruct_two needs a two-mode trace"),
     (lambda: MotionalState(Truncation(4), np.ones(3) / 3**0.5),
      "state amplitudes have shape (3,), expected (15,)"),
-], ids=["trace-2d", "trace-unequal-lengths", "reconstruct_two-single-trace", "state-shape"])
+    # each of these used to pass a bool or float through: block(2.5) was
+    # slice(4.0, 7.0), contains(True, False) was True and ion True was ion 1
+    (lambda: Truncation(4).block(2.5), "total must be an integer, got 2.5"),
+    (lambda: Truncation(4).block(True), "total must be an integer, got True"),
+    (lambda: Truncation(4).contains(2.5, 0), "m must be an integer, got 2.5"),
+    (lambda: Truncation(4).contains(True, False), "m must be an integer, got True"),
+    (lambda: _two_registers().axis_of(True), "ion must be an integer, got True"),
+    (lambda: _two_registers().ground_probability(True), "ion must be an integer, got True"),
+    (lambda: _two_registers().register(True), "ion must be an integer, got True"),
+], ids=["trace-2d", "trace-unequal-lengths", "reconstruct_two-single-trace", "state-shape",
+        "block-2.5", "block-True", "contains-2.5", "contains-True", "axis_of-True",
+        "ground_probability-True", "register-True"])
 def test_refusals_that_no_other_test_reaches(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -756,7 +772,8 @@ def test_refusals_that_no_other_test_reaches(call, message):
     (lambda: Truncation(4).__eq__(4), NotImplemented),
     (lambda: Truncation(4) == 4, False),
     (lambda: fockspace._approx(10**400 - 1), "1e+400"),  # the mantissa rounds up to 10
-], ids=["truncation-eq-other", "truncation-equals-int", "approx-carry"])
+    (lambda: fockspace._approx(9996 * 10**397), "1e+401"),  # 9.996 rounds to 10.0
+], ids=["truncation-eq-other", "truncation-equals-int", "approx-carry", "approx-carry-rounded"])
 def test_results_that_no_other_test_reaches(call, expected):
     result = call()
     assert type(result) is type(expected) and result == expected

@@ -14,6 +14,7 @@ import functools
 import inspect
 import math
 import numbers
+import re
 import typing
 import warnings
 
@@ -70,7 +71,7 @@ NAMES = {
     "chi_t": ("chi * t", "chi_t"),
     "m_max": ("m_max", "weights"),
     "k_max": ("k_max", "weights"),
-    "n_samples": ("samples",),
+    "n_samples": ("n_samples", "samples"),
 }
 NAMES_IN = {("mz_report", "phi"): ("phases",)}
 LAB_NAMES = ("the laboratory parameters overflow", "detunings must be nonzero")
@@ -218,7 +219,7 @@ def test_a_hostile_number_is_refused_by_name_or_kept_finite(name, slot):
             try:
                 result = ENTRY_POINTS[name](**replace(base, x))
             except (ValueError, TypeError) as exc:
-                if not any(n in str(exc) for n in names):
+                if not any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", str(exc)) for n in names):
                     failures.append(f"{label}: {type(exc).__name__}: {exc}")
                 continue
             except Exception as exc:  # a leak, or a warning turned into an error

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from phonon_optics import (
     beam_splitter,
     carrier_half_pulse,
     conditional_phase,
+    direct_mean_phonon,
     expect,
     fidelity,
     jcm_unitary,
@@ -349,12 +351,29 @@ def test_non_finite_angle_is_refused_on_apply(angle):
                         (lambda: jcm_unitary(1.0, angle, t, "single"), "t")):
         with pytest.raises(ValueError, match=f"^{what} must be finite, got {angle!r}$"):
             build()
-    with pytest.raises(ValueError, match="coupling \\* t \\* sqrt\\(k\\) overflows"):
+    with pytest.raises(ValueError, match="^probe angle coupling \\* t \\* sqrt\\(k\\) "
+                                         "must be finite, got inf$"):
         jcm_unitary(1e200, 1e200, t, "two")
     # a one-phonon matrix given directly is still refused on apply
     u = operators.UnitaryOperator(t, np.diag([complex(angle), 1.0]))
     with pytest.raises(ValueError, match="non-finite amplitudes"):
         apply(u, make_fock(1, 0, t))
+
+
+def test_a_probe_without_coupled_pairs_has_no_angle_to_overflow():
+    # at nmax 0 no pair couples, so the overflowing coupling * t scales nothing
+    assert jcm_unitary(1e200, 1e200, Truncation(0), "two").angle.size == 0
+
+
+@pytest.mark.parametrize("call, phase", [
+    (lambda js: conditional_phase("c", 1e308, js), "phase 1.5 * chi_t * nmax"),
+    (lambda js: direct_mean_phonon(make_fock(1, 0, js.trunc), 1e308),
+     "readout phase 2 * chi_t * nmax"),
+], ids=["conditional_phase", "direct_mean_phonon"])
+def test_an_overflowing_dispersive_phase_is_refused_by_its_formula(call, phase):
+    js = joint_state(make_fock(1, 0, Truncation(3)), ion2=QubitState.ground())
+    with pytest.raises(ValueError, match=f"^{re.escape(phase)} must be finite, got inf$"):
+        call(js)
 
 
 def test_apply_propagates_tail_bookkeeping():
@@ -427,6 +446,16 @@ def test_joint_propagator_entangles_ground_state():
     gen = kron_qubit_motional(SIGMA_X, dense_jx(t))
     dense = expm_oracle(gen, theta)
     assert np.max(np.abs(dense @ js.amps.ravel() - out.amps.ravel())) < 1e-10
+
+
+@pytest.mark.parametrize("ion2", [None, QubitState.ground()], ids=["ion1", "both-ions"])
+def test_joint_propagator_rotates_both_arms_in_one_pass(ion2, drawn_blocks):
+    # B(-theta) = P B(theta) P with P = (-1)^{a+ a}, so the -1 arm of sigma_x1
+    # rides through the +1 arm's rotation and no block is drawn twice
+    t = Truncation(6)
+    js = joint_state(make_coherent(0.8, 0.5j, t), ion1=QubitState.of(0.6, 0.8), ion2=ion2)
+    joint_bs_propagator("u2", 1.1, js)
+    assert len(drawn_blocks) == 1
 
 
 def test_joint_propagator_requires_ion1():

@@ -82,6 +82,20 @@ def test_splitter_angles_add(state, kind, a, b):
     assert np.max(np.abs(twice.amps - once.amps)) < 1e-12
 
 
+@given(st.integers(0, 20), st.integers(0, 2**32 - 1), kinds, angles)
+def test_reversed_splitter_is_the_parity_mirror(nmax, seed, kind, theta):
+    # P = (-1)^{a+ a} turns a into -a and flips Jx and Jy, so
+    # B(-theta) = P B(theta) P: the joint propagator rotates both sigma_x arms with it
+    trunc = Truncation(nmax)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
+    state = MotionalState(trunc, amps / np.linalg.norm(amps))
+    parity = (-1.0) ** trunc.phonons("c")
+    mirrored = apply(beam_splitter(kind, theta, trunc), state.with_amps(parity * state.amps))
+    want = apply(beam_splitter(kind, -theta, trunc), state)
+    assert np.max(np.abs(parity * mirrored.amps - want.amps)) < 1e-13
+
+
 @given(truncations, kinds, angles)
 def test_splitter_double_cover(trunc, kind, theta):
     # a 2 pi turn is (-1)^N on the N-phonon block

@@ -155,6 +155,8 @@ def test_init_value_checks():
         parse("init fock 0 0 nmax -1")
     with pytest.raises(ParseError, match="^1:11: fock indices must be >= 0$"):
         parse("init fock -1 0 nmax 3")
+    with pytest.raises(ParseError, match="^1:13: fock indices must be >= 0$"):
+        parse("init fock 0 -1 nmax 4")
     with pytest.raises(ParseError, match="nsamples must be >= 2"):
         parse("init fock 0 0 nmax 2\njcm single 1.0 0 1 1")
     with pytest.raises(ParseError, match="t1 must exceed t0"):
