@@ -4,14 +4,13 @@ Three measurement schemes for the interferometer output:
 
 1. Single-mode Jaynes-Cummings probe.  A red-sideband pulse of one mode
    makes the ground-state signal P_g(tau) = (1/2)[1 + sum_m p_m
-   cos(2 lambda tau sqrt(m))]; nonnegative least squares on the known
-   frequency dictionary {2 lambda sqrt(m)} recovers the marginal p_m.
-   The fit is the Lawson-Hanson active-set method, the population
-   extraction of Meekhof et al., PRL 76, 1796 (1996); it is solved in this
-   module (``_nnls``, NumPy only), so detection needs no SciPy.
-   A plain uniform-grid Fourier transform would smear these incommensurate
-   sqrt(m) lines, which is why the fit is a spectral estimate on the exact
-   dictionary.
+   cos(2 lambda tau sqrt(m))].  One table, ``_probe_table``, holds those
+   cosines for ``signal`` and for the fit that recovers the marginal p_m:
+   the Lawson-Hanson active-set method, the population extraction of
+   Meekhof et al., PRL 76, 1796 (1996), solved here in NumPy (``_nnls``),
+   so detection needs no SciPy.  A uniform-grid Fourier transform would
+   smear these incommensurate sqrt(m) lines, which is why the fit is a
+   spectral estimate on the exact dictionary.
 2. Two-mode probe.  Driving both lower sidebands couples |g, m, n> to
    |e, m-1, n-1> with Rabi angle g t sqrt(m n), so the signal only resolves
    the products k = m n.  The reconstruction therefore returns level-set
@@ -24,8 +23,9 @@ Three measurement schemes for the interferometer output:
    convention flips it.  ``direct_mean_phonon`` returns this closed form;
    the tests run the protocol on a ``JointState`` as its reference.
 
-The exact probe propagator ``JcmUnitary`` lives here as the reference for
-``signal``.  Traces are exact probabilities (no shot noise).
+The exact probe propagator ``JcmUnitary`` is the reference for ``signal``,
+whose traces are exact probabilities (no shot noise).  ``jz_exact`` is the
+one <Jz>: ``expect(s, "jz")``, bit for bit ``number_distributions(s).mean_jz``.
 """
 
 import json
@@ -60,7 +60,7 @@ _SIGNAL_CHUNK = 32  # samples per slice of the cosine table in ``signal``
 _NNLS_ITERATIONS_PER_COLUMN = 3  # SciPy's NNLS stops at 3 n iterations too
 # tracemalloc reads a peak heap of about 33 B per sample for a trace (its
 # times, values and their temporaries) and 24 B per sample and weight for a
-# fit (the cos^2 design, its temporaries and the free columns); the rest
+# fit (the design, its temporaries and the free columns); the rest
 # covers the allocator's overhead.
 _TRACE_BYTES_PER_SAMPLE = 48
 _FIT_BYTES_PER_SAMPLE_WEIGHT = 32
@@ -162,11 +162,14 @@ def _require_samples(n_samples: int, n_weights: int = 0) -> None:
     _require_memory(need, f"{_int_text(n_samples)} samples need")
 
 
-def _require_finite_phase(coupling: float, k_max: int, times: np.ndarray) -> None:
-    """Refuse a probe whose largest phase 2 coupling sqrt(k_max) max|t| is not
-    a finite float, before NumPy fills the cosine table with inf and NaN."""
+def _probe_table(coupling: float, roots: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The one probe table cos(2 coupling sqrt(k) t): a row per time, a column
+    per line sqrt(k) in ``roots``.  A largest phase that is not a finite float
+    is refused before NumPy fills the table with inf and NaN."""
     t_max = float(np.abs(times).max(initial=0.0))
-    _finite(2.0 * coupling * math.sqrt(k_max) * t_max, "probe phase 2 * coupling * sqrt(k) * t")
+    top = 2.0 * (coupling * float(roots.max(initial=0.0)))
+    _finite(t_max * top, "probe phase 2 * coupling * sqrt(k) * t")
+    return np.cos(np.outer(times, 2.0 * (coupling * roots)))
 
 
 def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
@@ -272,29 +275,23 @@ def signal(
 
     Equals the ground-state probability from ``jcm_propagate`` at every
     sample; that equivalence is a standing property of the test suite.
-    The weight p_k of line k is the marginal p_m (single kind) or the
-    level-set probability q_k (two-mode kind).  A line whose weight is
-    rounding noise (the one floor rule, ``fockspace.WEIGHT_FLOOR``) gets no
-    column in the cosine table, so a sample moves by at most half the sum of
-    those weights.
+    It is (1/2)(1 + table @ p), with ``_probe_table`` and the weight p_k of
+    line k the marginal p_m (single kind) or the level-set probability q_k
+    (two-mode kind).  A line whose weight is rounding noise (the one floor
+    rule, ``fockspace.WEIGHT_FLOOR``) gets no column in the table, so a
+    sample moves by at most half the sum of those weights.
     """
     kind, mode = _choice(kind, "kind", _KINDS), _choice(mode, "mode", _MODES)
     coupling = _finite(coupling, "coupling", positive=True)
     times = np.ascontiguousarray(times, dtype=np.float64)
-    if kind == "single":
-        dist = number_distributions(out_state)
-        p = dist.p_m if mode == "c" else dist.p_n
-    else:
-        p = level_sets(out_state)
+    p = number_distributions(out_state).marginal(mode) if kind == "single" else level_sets(out_state)
     ks = np.flatnonzero(p > WEIGHT_FLOOR**2)
-    _require_finite_phase(coupling, int(ks[-1]), times)
-    p = p[ks]
-    freqs = 2.0 * coupling * np.sqrt(ks)
-    # a slice of samples at a time keeps the cosine table at _SIGNAL_CHUNK rows
+    roots, p = np.sqrt(ks), p[ks]
+    # a slice of samples at a time keeps the table at _SIGNAL_CHUNK rows
     values = np.empty(times.size)
     for start in range(0, times.size, _SIGNAL_CHUNK):
         stop = start + _SIGNAL_CHUNK
-        values[start:stop] = np.cos(np.outer(times[start:stop], freqs)) @ p
+        values[start:stop] = _probe_table(coupling, roots, times[start:stop]) @ p
     values = 0.5 * (1.0 + values)
     return SignalTrace(times, np.clip(values, 0.0, 1.0), coupling, kind, mode)
 
@@ -355,18 +352,14 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _nnls_on_dictionary(trace: SignalTrace, n_weights: int) -> tuple[np.ndarray, float]:
-    """Normalized nonnegative weights p_k, k < n_weights, of the cos^2
-    dictionary, and the fit residual, from the Lawson-Hanson ``_nnls``.
-
-    P_g = sum_k p_k cos^2(coupling * t * sqrt(k)); the constant and the
-    oscillating parts enter through the same columns.  The fit needs at
+    """Normalized nonnegative weights p_k, k < n_weights, of the probe
+    dictionary (1/2)(1 + table), with the ``_probe_table`` of ``signal``, and
+    the fit residual, from the Lawson-Hanson ``_nnls``.  The fit needs at
     least two samples per weight and a design that fits in memory, both
     checked before the dictionary is built.
     """
     _require_samples(trace.times.size, n_weights)
-    _require_finite_phase(trace.coupling, n_weights - 1, trace.times)
-    roots = np.sqrt(np.arange(n_weights, dtype=np.float64))
-    design = np.cos(np.outer(trace.times, trace.coupling * roots)) ** 2
+    design = 0.5 * (1.0 + _probe_table(trace.coupling, np.sqrt(np.arange(n_weights)), trace.times))
     coeffs, residual = _nnls(design, trace.values)
     total = coeffs.sum()
     if total <= 0.0:
@@ -418,11 +411,9 @@ def direct_mean_phonon(out_state: MotionalState, chi_t: float, mode: str = "c") 
     """
     mode = _choice(mode, "mode", _MODES)
     chi_t = _finite(chi_t, "chi * t", positive=True)
-    _finite(2.0 * chi_t * out_state.trunc.n_total_max, "readout phase 2 * chi_t * nmax")
-    dist = number_distributions(out_state)
-    p = dist.p_m if mode == "c" else dist.p_n
-    k = np.arange(p.size, dtype=np.float64)
-    sigma_x = -float(np.sin(2.0 * chi_t * k) @ p)
+    _finite(2.0 * (chi_t * out_state.trunc.n_total_max), "readout phase 2 * chi_t * nmax")
+    p = number_distributions(out_state).marginal(mode)
+    sigma_x = -float(np.sin(2.0 * (chi_t * np.arange(p.size))) @ p)
     return DirectEstimate(sigma_x, -sigma_x / (2.0 * chi_t), chi_t, mode)
 
 

@@ -520,10 +520,14 @@ class JointDistribution(_Record):
     ``p`` holds p_mn = |c_mn|^2 in the state's own (total, m) order, the
     order of its amplitudes and of ``trunc.mode_numbers()``; ``p_m`` and
     ``p_n`` are the marginals over 0..n_total_max, and ``mean_jz`` is the
-    mean of (Nc - Nr)/2 read from them.
+    package's one <Jz> = 0.5 sum_d d P(m - n = d).
     """
 
     __slots__ = ("trunc", "p", "p_m", "p_n", "mean_jz")
+
+    def marginal(self, mode: str) -> np.ndarray:
+        """The marginal of mode ``c`` (``p_m``) or ``r`` (``p_n``)."""
+        return self.p_m if _choice(mode, "mode", _MODES) == "c" else self.p_n
 
     def to_csv(self) -> str:
         """Rows "m,n,p" for every basis pair, in (total, m) order."""
@@ -533,14 +537,16 @@ class JointDistribution(_Record):
 
 
 def number_distributions(s: MotionalState) -> JointDistribution:
-    """Joint p_mn = |c_mn|^2 with marginals and the mean of (Nc - Nr)/2."""
+    """Joint p_mn = |c_mn|^2, its marginals, and the mean of (Nc - Nr)/2 read
+    from the distribution of m - n, so no two totals of order <N> cancel."""
     ms, ns = s.trunc.mode_numbers()
     size = s.trunc.n_total_max + 1
     p = np.abs(s.amps) ** 2
     p_m = np.bincount(ms, weights=p, minlength=size)
     p_n = np.bincount(ns, weights=p, minlength=size)
-    k = np.arange(size)
-    mean_jz = 0.5 * (float(k @ p_m) - float(k @ p_n))
+    d = ms - ns  # m - n = 2 Jz, shifted in place to 0..2 nmax: no second temporary
+    d += size - 1
+    mean_jz = 0.5 * float(np.arange(1 - size, size) @ np.bincount(d, weights=p))
     return JointDistribution(s.trunc, p, p_m, p_n, mean_jz)
 
 
@@ -569,18 +575,19 @@ def expect(s: MotionalState, obs: str) -> float:
     """Expectation value of a Schwinger or number observable.
 
     obs is one of ``jx``, ``jy``, ``jz``, ``jz2``, ``nc``, ``nr``, spelled
-    as listed.  All are Hermitian, so the result is real.
+    as listed.  All are Hermitian, so the result is real.  ``jz`` is the
+    ``mean_jz`` of ``number_distributions``, bit for bit.
     """
     if obs not in _OBSERVABLES:
         raise ValueError(f"unknown observable {obs!r}; expected one of {_OBSERVABLES}")
+    if obs == "jz":
+        return number_distributions(s).mean_jz
     ms, ns = s.trunc.mode_numbers()
     p = np.abs(s.amps) ** 2
     if obs == "nc":
         return float(ms @ p)
     if obs == "nr":
         return float(ns @ p)
-    if obs == "jz":
-        return float((0.5 * (ms - ns)) @ p)
     if obs == "jz2":
         return float((0.25 * (ms - ns) ** 2) @ p)
     # <Jx> and <Jy> are the real and imaginary parts of <a+ b>
@@ -616,7 +623,7 @@ class QubitState(_Record):
 
     @classmethod
     def of(cls, g: complex, e: complex) -> "QubitState":
-        return cls(np.array([g, e], dtype=np.complex128))
+        return cls(np.array([_number(g, "g"), _number(e, "e")], dtype=np.complex128))
 
     @classmethod
     def ground(cls) -> "QubitState":
@@ -675,7 +682,7 @@ class JointState(_Record):
     def axis_of(self, ion: int) -> int:
         ion = _integer(ion, "ion")
         if ion not in self.ions:
-            raise ValueError(f"ion {ion} carries no qubit register in this state")
+            raise ValueError(f"ion {_int_text(ion)} carries no qubit register in this state")
         return self.ions.index(ion)
 
     def with_amps(self, amps: np.ndarray) -> "JointState":

@@ -255,10 +255,12 @@ def conditional_phase(mode: str, chi_t: float, js: JointState) -> JointState:
     phi = chi_t / 2.  A chi_t whose largest phase overflows is a ValueError.
     """
     chi_t = _finite(chi_t, "chi_t")
-    _finite(1.5 * chi_t * js.trunc.n_total_max, "phase 1.5 * chi_t * nmax")
-    k = js.trunc.phonons(mode)
+    # chi_t k comes first (here and in the direct readout): at nmax 0 it is 0,
+    # where 1.5 chi_t alone may overflow and 0 inf is NaN
+    _finite(1.5 * (chi_t * js.trunc.n_total_max), "phase 1.5 * chi_t * nmax")
+    phase = chi_t * js.trunc.phonons(mode)
     g, e = js.register(2)
-    return js.with_register(2, g * np.exp(0.5j * chi_t * k), e * np.exp(-1.5j * chi_t * k))
+    return js.with_register(2, g * np.exp(0.5j * phase), e * np.exp(-1.5j * phase))
 
 
 def carrier_half_pulse(js: JointState) -> JointState:

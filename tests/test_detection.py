@@ -29,6 +29,7 @@ from phonon_optics import (
     signal,
     truncation_for_coherent,
 )
+from phonon_optics import detection
 from phonon_optics.detection import _SIGNAL_CHUNK, _jcm_tables
 from phonon_optics.fockspace import WEIGHT_FLOOR
 from oracles import (
@@ -372,6 +373,32 @@ def test_absurd_weight_count_is_refused_before_the_dictionary(kind, reconstruct)
     trace = signal(make_fock(1, 1, Truncation(3)), 1.0, default_times(1.0), kind)
     with pytest.raises(ValueError, match="cannot determine"):
         reconstruct(trace, 2**62)
+
+
+@pytest.mark.parametrize("kind, mode", [("single", "c"), ("single", "r"), ("two", "c")])
+def test_signal_and_fit_read_one_probe_table(monkeypatch, kind, mode):
+    # signal is (1/2)(1 + table @ p) and the fit's design (1/2)(1 + table)
+    s = make_coherent(0.8, 0.5j, Truncation(6))
+    times = default_times(1.0, _SIGNAL_CHUNK + 8)
+    tables = []
+    build = detection._probe_table
+    monkeypatch.setattr(detection, "_probe_table", lambda *args: tables.append(args) or build(*args))
+    trace = signal(s, 1.0, times, kind, mode)
+    p = number_distributions(s).marginal(mode) if kind == "single" else level_sets(s)
+    ks = np.flatnonzero(p > WEIGHT_FLOOR**2)
+    assert len(tables) == 2  # one per slice of _SIGNAL_CHUNK samples
+    want = np.concatenate([build(1.0, np.sqrt(ks), times[:_SIGNAL_CHUNK]) @ p[ks],
+                           build(1.0, np.sqrt(ks), times[_SIGNAL_CHUNK:]) @ p[ks]])
+    assert np.array_equal(trace.values, np.clip(0.5 * (1.0 + want), 0.0, 1.0))
+    (reconstruct_single if kind == "single" else reconstruct_two)(trace, 6)
+    assert len(tables) == 3 and np.array_equal(tables[2][1], np.sqrt(np.arange(7)))
+
+
+def test_two_mode_fit_of_a_fock_pair_leaves_a_rounding_residual():
+    # the design (1/2)(1 + cos 2x) fits fock 1 1 to 1.5e-17; cos^2 x left 8.9e-16
+    trace = signal(make_fock(1, 1, Truncation(6)), 1.0, default_times(1.0), "two")
+    fit = reconstruct_two(trace, 6)
+    assert fit.residual < 1e-16 and fit.q[1] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from golden_outputs import MANIFEST, cases, run_case
+from golden_outputs import MANIFEST, cases, moves, run_case
 
 GOLDEN = json.loads(MANIFEST.read_text(encoding="utf-8"))
 CASES = cases()
@@ -33,3 +33,12 @@ def test_golden_output(name):
             if "text" in rec and "text" in new:  # a readable diff of a small output
                 assert new["text"] == rec["text"], f"{name}: {output} changed"
             pytest.fail(f"{name}: {output} changed ({rec['bytes']} -> {new['bytes']} bytes)")
+
+
+def test_moves_measures_each_numeric_token_in_ulp():
+    assert moves("jz=0.5 n=3\n", "jz=0.5 n=3\n") is None
+    got = moves("jz=1 a=2.5e-3,x\n", "jz=1.0000000000000002 a=0.0025,x\n")
+    assert got == {"moved": 1, "abs": 2.220446049250313e-16, "ulp": 1.0,
+                   "rel": 2.220446049250313e-16 / 1.0000000000000002, "text_changed": False}
+    assert moves("p=[0.25, 0.75]", "p=[0.25, 0.5, 0.25]")["text_changed"]
+    assert moves("dominant k=1", "dominant m=1")["text_changed"]

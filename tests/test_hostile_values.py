@@ -1,13 +1,16 @@
-"""Every public function and validating constructor, held to hostile values.
+"""Every public function, validating constructor and public method of an
+exported record, held to hostile values.
 
 Valid arguments come from a table keyed by annotation, and labels and
-programs from a table keyed by parameter name.  Then one ``float``, ``int``
+programs from a table keyed by parameter name; a method is called on the
+record of its class that the same table holds.  Then one ``float``, ``int``
 or ``complex`` slot at a time (an element of a phase grid or of a
-superposition term counts as one) takes each of nan, +-inf, 10**400,
-+-10**5000 (more digits than str() converts), 2**63, +-1e308, 1e-320, True,
--1, 0 and complex(inf, 0).  The call must either return records that hold
-only finite numbers or raise a ValueError or TypeError whose message names
-the slot, and it must raise no warning.
+superposition term counts as one), and each label (``str``) slot of a
+method, takes each of nan, +-inf, 10**400, +-10**5000 (more digits than
+str() converts), 2**63, +-1e308, 1e-320, True, -1, 0 and complex(inf, 0).
+The call must either return records that hold only finite numbers or raise
+a ValueError or TypeError whose message names the slot, and it must raise
+no warning.
 """
 
 import functools
@@ -15,6 +18,7 @@ import inspect
 import math
 import numbers
 import re
+import types
 import typing
 import warnings
 
@@ -47,6 +51,33 @@ ENTRY_POINTS = {
     **CONSTRUCTORS,
 }
 
+# the exported records' public methods that are not swept, each with its reason
+UNSWEPT_METHODS = {
+    # the flat-index formula for ints or integer arrays, unchecked by design:
+    # its callers pass pairs they have checked
+    "Truncation.flat",
+}
+
+# the public methods of the exported records: name to (class, attribute)
+METHODS = {
+    f"{cls.__name__}.{attr}": (cls, attr)
+    for cls in vars(po).values()
+    if inspect.isclass(cls) and issubclass(cls, (_Record, tuple))
+    for attr, member in vars(cls).items()
+    if not attr.startswith("_")
+    and isinstance(member, (types.FunctionType, classmethod, staticmethod))
+    and f"{cls.__name__}.{attr}" not in CONSTRUCTORS.keys() | UNSWEPT_METHODS
+}
+
+
+def entry(name):
+    """The callable of entry point or method ``name``; a method is bound to
+    the record of its class in ``context()``."""
+    if name in METHODS:
+        cls, attr = METHODS[name]
+        return getattr(context()[cls], attr)
+    return ENTRY_POINTS[name]
+
 # A slot's message may name it by the quantity it is read as.  Each
 # alternative below is deliberate:
 # - an amplitude whose Poisson weights all underflow, or whose |alpha|^2 is
@@ -73,7 +104,13 @@ NAMES = {
     "k_max": ("k_max", "weights"),
     "n_samples": ("n_samples", "samples"),
 }
-NAMES_IN = {("mz_report", "phi"): ("phases",)}
+NAMES_IN = {
+    ("mz_report", "phi"): ("phases",),
+    # a qubit amplitude that is not finite, or that breaks the unit norm, is
+    # refused as the qubit state it makes
+    ("QubitState.of", "g"): ("g", "qubit state"),
+    ("QubitState.of", "e"): ("e", "qubit state"),
+}
 LAB_NAMES = ("the laboratory parameters overflow", "detunings must be nonzero")
 
 # the one non-finite number a record may hold on purpose
@@ -90,14 +127,24 @@ def context():
     js = po.joint_state(s, ion1=po.QubitState.plus(), ion2=po.QubitState.ground())
     times = po.default_times(1.0, 64)
     program = po.parse("init coherent 0.3 0 0.2 0 nmax 8\nbs2 pi/2\nreport\njcm single 1 0 8 32")
+    trace = po.signal(s, 1.0, times, "single")
+    two = po.signal(s, 1.0, times, "two")
+    g, e = js.register(2)
     return {
         po.Truncation: t,
         po.MotionalState: s,
         po.JointState: js,
         po.UnitaryOperator: po.beam_splitter("b1", 0.7, t),
         po.QubitState | None: po.QubitState.plus(),
-        po.SignalTrace: po.signal(s, 1.0, times, "single"),
+        po.SignalTrace: trace,
         po.LabParams: po.LabParams(1e5, 0.1, 0.076, 1e6, 1e6, 1e5, 1e-3),
+        # the records whose methods are swept
+        po.QubitState: po.QubitState.plus(),
+        po.JointDistribution: po.number_distributions(s),
+        po.DirectEstimate: po.direct_mean_phonon(s, 1e-3),
+        po.ReconstructedNumberDistribution: po.reconstruct_single(trace, 8),
+        po.LevelSetDistribution: po.reconstruct_two(two, 8),
+        po.JzComparison: po.jz_from_methods(s, n_samples=64),
         po.PulseProgram: program,
         typing.Iterable[po.InterferometerReport]: po.phase_sweep(s, [0.1, 0.2]),
         np.ndarray: times,
@@ -121,17 +168,26 @@ def context():
         "text": "init fock 1 0 nmax 3\nbs1 pi/2\nreport",
         "state_from_json.text": po.state_to_json(s),
         "spec": "coherent 0.3 0 0.2 0 nmax 4",
-        "reconstruct_two.trace": po.signal(s, 1.0, times, "two"),
+        "reconstruct_two.trace": two,
         "JointState.amps": js.amps,
+        "JointState.with_amps.amps": js.amps,
+        "JointState.with_register.g": g,
+        "JointState.with_register.e": e,
+        "QubitState.of.g": 0.6,
+        "QubitState.of.e": 0.8j,
         "amps": s.amps,
         "values": np.full(times.size, 0.5),
     }
 
 
+def _hints(fn):
+    return typing.get_type_hints(fn.__init__ if inspect.isclass(fn) else fn)
+
+
 def valid_arguments(name):
-    """The keyword arguments of a valid call of entry point ``name``."""
-    fn = ENTRY_POINTS[name]
-    hints = typing.get_type_hints(fn.__init__ if inspect.isclass(fn) else fn)
+    """The keyword arguments of a valid call of entry point or method ``name``."""
+    fn = entry(name)
+    hints = _hints(fn)
     table = context()
     kwargs = {}
     for param in inspect.signature(fn).parameters.values():
@@ -145,13 +201,15 @@ def valid_arguments(name):
 
 
 def scalar_slots(name):
-    """(slot, replace) for every number slot of ``name``: ``replace(kwargs,
-    x)`` returns the keyword arguments with that one slot set to x."""
-    fn = ENTRY_POINTS[name]
-    hints = typing.get_type_hints(fn.__init__ if inspect.isclass(fn) else fn)
+    """(slot, replace) for every number slot of ``name``, and every label
+    slot of a method: ``replace(kwargs, x)`` returns the keyword arguments
+    with that one slot set to x."""
+    fn = entry(name)
+    hints = _hints(fn)
+    swept = (float, int, complex, int | None, *((str,) if name in METHODS else ()))
     for param in inspect.signature(fn).parameters:
         hint = hints[param]
-        if hint in (float, int, complex, int | None):
+        if hint in swept:
             yield param, lambda kw, x, p=param: {**kw, p: x}
         elif hint == typing.Iterable[float]:
             yield f"{param}[1]", lambda kw, x, p=param: {**kw, p: [kw[p][0], x]}
@@ -187,14 +245,15 @@ def allowed(path):
 
 
 CASES = [(name, slot) for name in sorted(ENTRY_POINTS) for slot, _ in scalar_slots(name)]
+METHOD_CASES = [(name, slot) for name in sorted(METHODS) for slot, _ in scalar_slots(name)]
 
 
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS) + sorted(METHODS))
 def test_every_entry_point_runs_on_its_valid_arguments(name):
     # a refusal below then comes from the hostile value alone
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = ENTRY_POINTS[name](**valid_arguments(name))
+        result = entry(name)(**valid_arguments(name))
     assert [p for p in non_finite(result) if not allowed(p)] == []
 
 
@@ -205,7 +264,16 @@ def test_the_sweep_reaches_every_number_slot():
     assert len(CASES) == 64 and len(swept) == 32
 
 
-@pytest.mark.parametrize("name, slot", CASES, ids=[f"{n}-{s}" for n, s in CASES])
+def test_the_sweep_reaches_every_method_slot():
+    # each public method of an exported record is listed, and those with a
+    # number or label slot are swept
+    assert len(METHODS) == 33
+    swept = {name for name, _ in METHOD_CASES}
+    assert len(METHOD_CASES) == 18 and len(swept) == 14
+
+
+@pytest.mark.parametrize("name, slot", CASES + METHOD_CASES,
+                         ids=[f"{n}-{s}" for n, s in CASES + METHOD_CASES])
 def test_a_hostile_number_is_refused_by_name_or_kept_finite(name, slot):
     replace = dict(scalar_slots(name))[slot]
     base = valid_arguments(name)
@@ -217,7 +285,7 @@ def test_a_hostile_number_is_refused_by_name_or_kept_finite(name, slot):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                result = ENTRY_POINTS[name](**replace(base, x))
+                result = entry(name)(**replace(base, x))
             except (ValueError, TypeError) as exc:
                 if not any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", str(exc)) for n in names):
                     failures.append(f"{label}: {type(exc).__name__}: {exc}")

@@ -376,6 +376,16 @@ def test_an_overflowing_dispersive_phase_is_refused_by_its_formula(call, phase):
         call(js)
 
 
+def test_a_dispersive_phase_at_nmax_0_takes_any_finite_chi_t():
+    # chi_t k is formed before the constant, so k = 0 never meets an
+    # overflowed 2 chi_t or 1.5 chi_t (inf times 0 would be NaN)
+    js = joint_state(make_fock(0, 0, Truncation(0)), ion2=QubitState.ground())
+    est = direct_mean_phonon(make_fock(0, 0, Truncation(0)), 1e308)
+    assert est.sigma_x_exact == 0.0 and est.mean_n_linearized == 0.0
+    for chi_t in (1.5e308, -1.5e308, 1.7976931348623157e308):
+        assert np.array_equal(conditional_phase("c", chi_t, js).amps, js.amps)
+
+
 def test_apply_propagates_tail_bookkeeping():
     t = Truncation(3)
     s = make_coherent(1.0, 0.8, t)  # heavily truncated on purpose

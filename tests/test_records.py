@@ -226,6 +226,37 @@ def test_only_the_record_base_freezes_arrays():
     assert frozen == [] and writeable == []
 
 
+def _marginal_picks(node, scope=()):
+    """The dotted enclosing class and function names of each conditional that
+    reads ``p_m`` on one branch and ``p_n`` on the other: a marginal picked
+    by mode label."""
+    def reads(parts):
+        return {n.attr for part in parts for n in ast.walk(part) if isinstance(n, ast.Attribute)}
+
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, (ast.If, ast.IfExp)):
+            body, orelse = (child.body, child.orelse) if isinstance(child, ast.If) else (
+                [child.body], [child.orelse])
+            if {frozenset(reads(body) & {"p_m", "p_n"}), frozenset(reads(orelse) & {"p_m", "p_n"})
+                    } == {frozenset({"p_m"}), frozenset({"p_n"})}:
+                yield ".".join(scope)
+        yield from _marginal_picks(child, inner)
+
+
+def test_only_fockspace_picks_a_marginal_by_mode():
+    # JointDistribution.marginal reads the label; every other module asks it
+    own = ast.parse("def f(d, mode):\n    return d.p_m if mode == 'c' else d.p_n\n"
+                    "if m:\n    q = d.p_n\nelse:\n    q = d.p_m\n"
+                    "both = d.p_m.tolist() if m else d.p_n.tolist() + d.p_m.tolist()\n")
+    assert list(_marginal_picks(own)) == ["f", ""]
+    picks = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _marginal_picks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert picks == ["fockspace.JointDistribution.marginal"]
+
+
 def test_value_classes_compare_by_value():
     assert Truncation(4) == Truncation(4)
     assert Truncation(4) != Truncation(5)
