@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "refused for two, which probes both modes")
     p_det.add_argument("--coupling", type=float, default=1.0,
                        help="probe coupling in rad/s (default 1.0)")
-    p_det.add_argument("--samples", type=int, default=detection.DEFAULT_SAMPLE_COUNT)
+    p_det.add_argument("--samples", type=int, help="samples per trace (default: sized to the fit)")
     p_det.add_argument("--m-max", type=int, default=None,
                        help="largest phonon number fitted (default nmax)")
     p_det.add_argument("--k-max", type=int, default=None,
@@ -178,10 +178,12 @@ def cmd_detect(args) -> int:
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
     prefix = args.out
-    k_max = state.trunc.n_total_max if args.k_max is None else args.k_max
-    if args.method == "two":  # refuse an oversized fit before the comparison's fits run
-        detection._require_samples(args.samples, k_max + 1)
-    # the comparison checks every detection parameter, so it runs before any output
+    if args.method == "two":  # its own grid and fit, before the comparison's fits run
+        k_max = state.trunc.n_total_max if args.k_max is None else args.k_max
+        times = detection.default_times(args.coupling, args.samples, k_max + 1)
+        trace = detection.signal(state, args.coupling, times, "two")
+        rec = detection.reconstruct_two(trace, k_max)
+    # the comparison checks every other detection parameter, so it runs before any output
     comparison = detection.jz_from_methods(
         state, coupling=args.coupling, n_samples=args.samples,
         m_max=args.m_max, chi_t=args.chi_t,
@@ -195,10 +197,7 @@ def cmd_detect(args) -> int:
         artifacts.append((f"{prefix}_p.json", rec.to_json()))
         print(f"single[{mode}]: mean_n={rec.mean_n:.17g} residual={rec.residual:.3g}")
     elif args.method == "two":
-        times = comparison.traces[0].times  # the probe samples the comparison's times
-        trace = detection.signal(state, args.coupling, times, "two")
         artifacts.append((f"{prefix}_trace.csv", trace.to_csv()))
-        rec = detection.reconstruct_two(trace, k_max)
         artifacts.append((f"{prefix}_q.json", rec.to_json()))
         top = int(rec.q.argmax())
         print(f"two: dominant product k={top} q_k={rec.q[top]:.17g} "

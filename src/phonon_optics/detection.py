@@ -52,7 +52,7 @@ from .fockspace import (
 )
 
 DEFAULT_SAMPLE_COUNT = 256
-DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves adjacent sqrt(m) lines to m ~ 60
+DEFAULT_ANGLE_SPAN = 8.0 * math.pi  # resolves sqrt(m) lines to m ~ 60; widened for more
 
 _KINDS = ("single", "two")  # the probe kinds
 _PROB_TOL = 1e-12
@@ -172,13 +172,22 @@ def _probe_table(coupling: float, roots: np.ndarray, times: np.ndarray) -> np.nd
     return np.cos(np.outer(times, 2.0 * (coupling * roots)))
 
 
-def default_times(coupling: float, n_samples: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
-    """Uniform samples with coupling * t covering [0, DEFAULT_ANGLE_SPAN]."""
+def default_times(coupling: float, n_samples: int | None = None, n_weights: int = 0) -> np.ndarray:
+    """Uniform samples of coupling * t over [0, span] for a fit of ``n_weights``
+    lines 2 sqrt(k), k < n_weights, checked by ``_require_samples``.  Adjacent
+    lines differ by about 1/sqrt(k), so the span is 8 pi max(1, sqrt((n_weights
+    - 1) / 60)) and the count, unless given, max(256, ceil(4 span sqrt(n_weights
+    - 1) / pi)): 4 a period of the top line, and the fixed grid to 61 weights."""
     coupling = _finite(coupling, "coupling", positive=True)
+    top = _finite(max(_integer(n_weights, "n_weights") - 1, 0), "the number of weights")
+    span = DEFAULT_ANGLE_SPAN * max(1.0, math.sqrt(top / 60.0))
+    if n_samples is None:
+        count = _finite(4.0 * span * math.sqrt(top) / math.pi, "the sample count of those weights")
+        n_samples = max(DEFAULT_SAMPLE_COUNT, math.ceil(count))
     if _integer(n_samples, "n_samples") < 2:
         raise ValueError("need at least two samples")
-    _require_samples(n_samples)
-    t_end = DEFAULT_ANGLE_SPAN / coupling
+    _require_samples(n_samples, n_weights)
+    t_end = span / coupling
     if not math.isfinite(t_end):
         raise ValueError(f"coupling {coupling!r} is too small: the sample times overflow")
     return np.linspace(0.0, t_end, n_samples)
@@ -444,18 +453,17 @@ class JzComparison(_Record):
 def jz_from_methods(
     out_state: MotionalState,
     coupling: float = 1.0,
-    n_samples: int = DEFAULT_SAMPLE_COUNT,
+    n_samples: int | None = None,
     m_max: int | None = None,
     chi_t: float = 1e-3,
 ) -> JzComparison:
     """<Jz> by (a) exact expectation, (b) single-mode reconstruction of both
-    marginals, (c) the direct readout on both modes.  ``m_max``, the sample
-    count and the coupling are checked, and the sample grid built, before
-    any readout.  The direct readouts come next: they cost O(nmax^2), and
-    they refuse a bad ``chi_t`` before the traces and fits are paid for."""
+    marginals, (c) the direct readout on both modes.  ``m_max`` is read and
+    its fit's grid built by ``default_times``, which checks the coupling and
+    sample count, before any readout.  The direct readouts come next: they
+    cost O(nmax^2), and refuse a bad ``chi_t`` before the fits are paid for."""
     m_max = out_state.trunc.n_total_max if m_max is None else _nonnegative(m_max, "m_max")
-    _require_samples(n_samples, m_max + 1)
-    times = default_times(coupling, n_samples)
+    times = default_times(coupling, n_samples, m_max + 1)
 
     jz_exact = expect(out_state, "jz")
     directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in "cr")

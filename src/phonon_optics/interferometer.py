@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fockspace import MotionalState, Truncation, _apply_jx, _finite, _Record
+from .fockspace import MotionalState, Truncation, _apply_jx, _finite, _Record, expect
 from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
 
 SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
@@ -63,8 +63,9 @@ def phase_sweep(
 ) -> list[InterferometerReport]:
     """One report per grid point, ordered like the grid.
 
-    Five input moments, <Jx>, <Jz> and the (co)variances of Jx and Jz, are
-    computed once; every grid point is then a rotation of them.
+    Five input moments, <Jx> and <Jz> from ``expect`` and the (co)variances
+    of Jx and Jz, are computed once; every grid point is then a rotation of
+    them, so at phi = 0 mean_jz is -<Jz> and dmeanjz_dphi <Jx>, bit for bit.
     """
     grid = np.array([_finite(phi, "phases") for phi in phis], dtype=np.float64)
     if grid.size == 0:
@@ -74,8 +75,7 @@ def phase_sweep(
     ms, ns = in_state.trunc.mode_numbers()
     jz_diag = 0.5 * (ms - ns)
     jx_amps = _apply_jx(amps, in_state.trunc)
-    jx = np.vdot(amps, jx_amps).real
-    jz = jz_diag @ (np.abs(amps) ** 2)
+    jx, jz = expect(in_state, "jx"), expect(in_state, "jz")
     # Central second moments, so no grid point subtracts <Jz>^2 from <Jz^2>.
     dx = jx_amps - jx * amps
     dz = (jz_diag - jz) * amps

@@ -7,12 +7,14 @@ tests can check it: the generators are placed entry by entry by
 share no code with the operators under test, and a unitarity defect is
 read from the dense blocks, not from a closed form.  Each matrix takes
 16 dim^2 bytes (33 GB at nmax 300), so the tests keep them to small cutoffs.
+``seeded_state`` builds the seeded random states that several properties share.
 """
 
 import math
 
 import numpy as np
 
+from phonon_optics import MotionalState, Truncation
 from phonon_optics.detection import JcmUnitary
 from phonon_optics.operators import _apply_passive
 
@@ -125,3 +127,16 @@ def unitarity_defect(u) -> float:
     m = as_matrix(u)
     blocks = map(u.trunc.block, range(u.trunc.n_total_max + 1))
     return _unitarity_defect(m[sl, sl] for sl in blocks)
+
+
+def seeded_state(seed: int) -> MotionalState:
+    """A random unit state at nmax 10-300, a third of them even and the rest
+    tilted toward one mode, as the seed draws it."""
+    rng = np.random.default_rng(seed)
+    t = Truncation(int(rng.integers(10, 301)))
+    ms, ns = t.mode_numbers()
+    amps = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
+    tilt = (None, ns, ms)[seed % 3]
+    if tilt is not None:
+        amps *= np.exp(-rng.uniform(0.0, 3.0) * tilt / t.n_total_max)
+    return MotionalState(t, amps / np.linalg.norm(amps))

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_optics import detection, number_distributions, parse, parse_state_spec
+from phonon_optics import cli, detection, number_distributions, parse, parse_state_spec
 from phonon_optics.cli import main
 from phonon_optics.seqlang import ParseError
 
@@ -429,11 +430,26 @@ def test_detect_bad_params_exit_code(tmp_path, capsys, monkeypatch):
     "flags", [("--method", "single", "--m-max"), ("--method", "two", "--k-max")]
 )
 def test_detect_absurd_weight_count_exit_code(tmp_path, capsys, monkeypatch, flags):
-    # refused on the sample count, before a dictionary of 2**62 + 1 roots is built
+    # the default grid sized for 2**62 + 1 weights carries twice as many
+    # samples, so its memory is refused before the grid or a dictionary of
+    # 2**62 + 1 roots is built
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "detect", "fock 1 1 nmax 3", *flags, str(2**62))
     assert code == 2
-    assert "cannot determine" in err
+    assert "samples need about" in err and "more than the memory limit" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags", [("--method", "single", "--m-max"), ("--method", "two", "--k-max")]
+)
+def test_detect_absurd_weight_count_on_explicit_samples(tmp_path, capsys, monkeypatch, flags):
+    # an explicit --samples is taken as given, and refused on its count
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "detect", "fock 1 1 nmax 3", "--samples", "256", *flags,
+                           str(2**62))
+    assert code == 2
+    assert "256 samples cannot determine 4611686018427387905 weights" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -479,6 +495,59 @@ def test_detect_two_refuses_its_fit_before_the_comparison(tmp_path, capsys, monk
     assert out == ""
     assert "20000 samples cannot determine 100001 weights; need at least 200002" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k_max", ["-1", "-5"])
+def test_detect_two_reads_k_max_before_the_comparison(tmp_path, capsys, monkeypatch, k_max):
+    monkeypatch.chdir(tmp_path)
+
+    def comparison(*args, **kwargs):
+        pytest.fail("the comparison ran before k_max was read")
+
+    monkeypatch.setattr(detection, "jz_from_methods", comparison)
+    code, out, err = run_cli(capsys, "detect", "coherent 7 0.5 0 0 nmax 100", "--method", "two",
+                             "--k-max", k_max)
+    assert code == 2
+    assert out == ""
+    assert f"k_max must be nonnegative, got {k_max}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _borrowed(source):
+    """Each private ``detection`` name that ``source`` reads, and each
+    ``times`` it reads off a comparison's ``traces``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("detection"):
+            found += [f"detection.{alias.name}" for alias in node.names if alias.name[0] == "_"]
+        elif not isinstance(node, ast.Attribute):
+            continue
+        elif isinstance(node.value, ast.Name) and node.value.id == "detection":
+            found += [f"detection.{node.attr}"] if node.attr[0] == "_" else []
+        elif node.attr == "times" and any(
+                isinstance(n, ast.Attribute) and n.attr == "traces" for n in ast.walk(node.value)):
+            found.append("traces.times")
+    return sorted(found)
+
+
+def test_cli_reads_no_private_detection_name_and_no_comparison_times():
+    # the probe grid and its checks belong to detection.default_times
+    own = ("from .detection import _nnls, signal\ndetection._require_samples(8, 2)\n"
+           "t = comparison.traces[0].times\nn = trace.times.size\ndetection.signal\n")
+    assert _borrowed(own) == ["detection._nnls", "detection._require_samples", "traces.times"]
+    assert _borrowed(Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("method", ["single", "direct"])
+def test_detect_at_nmax_200_fits_on_the_sized_grid(tmp_path, capsys, monkeypatch, method):
+    # a fixed grid of 256 samples refused this: "256 samples cannot determine 201 weights"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "detect", "coherent 7 0.5 0 0 nmax 200", "--method", method)
+    assert code == 0 and err == ""
+    fields = dict(f.split("=") for f in out.splitlines()[1].split())
+    assert abs(float(fields["jz_reconstructed"]) - float(fields["jz_exact"])) <= 1e-9
+    if method == "single":
+        assert len((tmp_path / "detect_trace.csv").read_text().splitlines()) == 1 + 827
 
 
 @pytest.mark.parametrize(

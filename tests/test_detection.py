@@ -401,6 +401,43 @@ def test_two_mode_fit_of_a_fock_pair_leaves_a_rounding_residual():
     assert fit.residual < 1e-16 and fit.q[1] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("coupling", [1.0, 0.37, 2.5])
+def test_default_grid_up_to_61_weights_is_the_fixed_grid(coupling):
+    # 256 samples over coupling * t in [0, 8 pi]: the grid before it was sized
+    fixed = np.linspace(0.0, 8.0 * math.pi / coupling, 256)
+    for n_weights in range(62):
+        assert np.array_equal(default_times(coupling, None, n_weights), fixed)
+        assert np.array_equal(default_times(coupling, 300, n_weights),
+                              np.linspace(0.0, 8.0 * math.pi / coupling, 300))
+    assert np.array_equal(default_times(coupling), fixed)
+
+
+@pytest.mark.parametrize("n_weights, count", [(62, 256), (101, 414), (128, 525), (201, 827)])
+def test_default_grid_grows_with_the_top_line(n_weights, count):
+    # span 8 pi sqrt((n - 1) / 60) and 4 samples a period of the top line 2 sqrt(n - 1)
+    span = 8.0 * math.pi * math.sqrt((n_weights - 1) / 60)
+    times = default_times(1.0, None, n_weights)
+    sized = math.ceil(4.0 * span * math.sqrt(n_weights - 1) / math.pi)
+    assert times.size == count == max(256, sized)
+    assert times[-1] == pytest.approx(span, rel=1e-15)
+    assert np.array_equal(default_times(1.0, 2 * n_weights, n_weights),
+                          np.linspace(0.0, times[-1], 2 * n_weights))
+
+
+def test_default_grid_refuses_what_its_fit_cannot_take():
+    with pytest.raises(ValueError, match="^256 samples cannot determine 129 weights; "
+                                         "need at least 258$"):
+        default_times(1.0, 256, 129)
+    with pytest.raises(ValueError, match="^the number of weights must be finite, got an integer "
+                                         "beyond the float range$"):
+        default_times(1.0, None, 10**400)
+    with pytest.raises(ValueError, match="^the sample count of those weights must be "
+                                         "finite, got inf$"):
+        default_times(1.0, None, 10**308)
+    with pytest.raises(ValueError, match="^n_weights must be an integer, got 2.5$"):
+        default_times(1.0, None, 2.5)
+
+
 @pytest.mark.parametrize(
     "kind, reconstruct", [("single", reconstruct_single), ("two", reconstruct_two)]
 )

@@ -28,6 +28,7 @@ from phonon_optics import (
     state_to_json,
     truncation_for_coherent,
 )
+from oracles import seeded_state
 
 
 def poisson_pmf(lam, k):
@@ -889,14 +890,7 @@ def test_expect_jz_is_mean_jz_within_8_ulp_of_the_exact_sum(seed):
     # random states at nmax 10-300, a third even and the rest tilted toward
     # one mode; summing k p_m[k] and k p_n[k] apart, two totals of order <N>
     # cancel, and that form was off by up to about 90 ulp on these states
-    rng = np.random.default_rng(seed)
-    t = Truncation(int(rng.integers(10, 301)))
-    ms, ns = t.mode_numbers()
-    amps = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
-    tilt = (None, ns, ms)[seed % 3]
-    if tilt is not None:
-        amps *= np.exp(-rng.uniform(0.0, 3.0) * tilt / t.n_total_max)
-    s = MotionalState(t, amps / np.linalg.norm(amps))
+    s = seeded_state(seed)
     mean_jz = number_distributions(s).mean_jz
     assert expect(s, "jz") == mean_jz  # bit for bit: one formula
     exact = _exact_mean_jz(s)

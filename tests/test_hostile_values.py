@@ -88,6 +88,7 @@ def entry(name):
 # - a fit size m_max or k_max beyond the samples is refused by the number of
 #   weights it asks for, m_max + 1 or k_max + 1;
 # - a sample count is refused as "N samples";
+# - a grid's fit width n_weights is refused by the number of weights;
 # - a laboratory field that makes an effective angle overflow is refused by
 #   the angles it overflows, and a zero detuning as such.
 AMPLITUDE = ("coherent amplitude", "|alpha|^2 + |beta|^2", "mean phonon number",
@@ -103,6 +104,7 @@ NAMES = {
     "m_max": ("m_max", "weights"),
     "k_max": ("k_max", "weights"),
     "n_samples": ("n_samples", "samples"),
+    "n_weights": ("n_weights", "weights"),
 }
 NAMES_IN = {
     ("mz_report", "phi"): ("phases",),
@@ -261,7 +263,7 @@ def test_the_sweep_reaches_every_number_slot():
     # each entry point is listed, and those with a number slot are swept
     assert len(ENTRY_POINTS) == 48
     swept = {name for name, _ in CASES}
-    assert len(CASES) == 64 and len(swept) == 32
+    assert len(CASES) == 65 and len(swept) == 32
 
 
 def test_the_sweep_reaches_every_method_slot():

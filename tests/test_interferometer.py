@@ -17,7 +17,7 @@ from phonon_optics import (
     sweep_to_csv,
     truncation_for_coherent,
 )
-from oracles import dense_jx, dense_number, expm_oracle
+from oracles import dense_jx, dense_number, expm_oracle, seeded_state
 
 
 def coherent_input(n):
@@ -165,3 +165,15 @@ def test_sweep_csv_format():
     assert float(first[1]) == pytest.approx(0.5, abs=1e-9)
     # infinities must survive the round trip through text
     assert math.isinf(float(first[5]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sweep_at_phi_zero_reads_the_package_jz_and_jx(seed):
+    # at phi = 0 the output <Jz> is -<Jz> of the input and its slope <Jx>;
+    # the sweep takes both from expect, so the row holds them bit for bit
+    # (its own jz_diag @ |amps|^2 and vdot(amps, Jx amps) differed in the
+    # last bits on most of these states)
+    s = seeded_state(seed)
+    (row,) = phase_sweep(s, [0.0])
+    assert row.mean_jz == -expect(s, "jz")
+    assert row.dmeanjz_dphi == expect(s, "jx")

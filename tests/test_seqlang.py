@@ -60,10 +60,12 @@ def test_statement_args_hold_one_value_per_grammar_slot():
 
 
 def test_parse_empty_program():
-    with pytest.raises(ParseError, match="missing 'init'"):
+    # refused at 1:1, where the missing 'init' belongs
+    with pytest.raises(ParseError, match="^1:1: empty program: missing 'init'$"):
         parse("")
-    with pytest.raises(ParseError, match="missing 'init'"):
+    with pytest.raises(ParseError, match="^1:1: empty program: missing 'init'$") as exc_info:
         parse("# only a comment\n\n")
+    assert (exc_info.value.line, exc_info.value.col) == (1, 1)
 
 
 def test_parse_mz_demo():
