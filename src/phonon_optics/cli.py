@@ -177,9 +177,8 @@ def cmd_detect(args) -> int:
     mode = args.mode or "c"
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
-    prefix = args.out
     if args.method == "two":  # its own grid and fit, before the comparison's fits run
-        k_max = state.trunc.n_total_max if args.k_max is None else args.k_max
+        k_max = state.trunc.n_total_max if args.k_max is None else fockspace._nonnegative(args.k_max, "k_max")
         times = detection.default_times(args.coupling, args.samples, k_max + 1)
         trace = detection.signal(state, args.coupling, times, "two")
         rec = detection.reconstruct_two(trace, k_max)
@@ -193,18 +192,18 @@ def cmd_detect(args) -> int:
     artifacts: list[tuple[str, str]] = []
     if args.method == "single":
         rec = comparison.fits[side]
-        artifacts.append((f"{prefix}_trace.csv", comparison.traces[side].to_csv()))
-        artifacts.append((f"{prefix}_p.json", rec.to_json()))
+        artifacts.append((f"{args.out}_trace.csv", comparison.traces[side].to_csv()))
+        artifacts.append((f"{args.out}_p.json", rec.to_json()))
         print(f"single[{mode}]: mean_n={rec.mean_n:.17g} residual={rec.residual:.3g}")
     elif args.method == "two":
-        artifacts.append((f"{prefix}_trace.csv", trace.to_csv()))
-        artifacts.append((f"{prefix}_q.json", rec.to_json()))
+        artifacts.append((f"{args.out}_trace.csv", trace.to_csv()))
+        artifacts.append((f"{args.out}_q.json", rec.to_json()))
         top = int(rec.q.argmax())
         print(f"two: dominant product k={top} q_k={rec.q[top]:.17g} "
               f"residual={rec.residual:.3g}")
     else:
         est = comparison.directs[side]
-        artifacts.append((f"{prefix}_direct.json", est.to_json()))
+        artifacts.append((f"{args.out}_direct.json", est.to_json()))
         print(f"direct[{est.mode}]: sigma_x={est.sigma_x_exact:.17g} "
               f"mean_n={est.mean_n_linearized:.17g}")
 

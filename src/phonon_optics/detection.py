@@ -45,6 +45,7 @@ from .fockspace import (
     _finite,
     _int_text,
     _integer,
+    _nonnegative,
     _require_memory,
     _require_same,
     expect,
@@ -179,7 +180,7 @@ def default_times(coupling: float, n_samples: int | None = None, n_weights: int 
     - 1) / 60)) and the count, unless given, max(256, ceil(4 span sqrt(n_weights
     - 1) / pi)): 4 a period of the top line, and the fixed grid to 61 weights."""
     coupling = _finite(coupling, "coupling", positive=True)
-    top = _finite(max(_integer(n_weights, "n_weights") - 1, 0), "the number of weights")
+    top = _finite(max(_nonnegative(n_weights, "n_weights") - 1, 0), "the number of weights")
     span = DEFAULT_ANGLE_SPAN * max(1.0, math.sqrt(top / 60.0))
     if n_samples is None:
         count = _finite(4.0 * span * math.sqrt(top) / math.pi, "the sample count of those weights")
@@ -374,14 +375,6 @@ def _nnls_on_dictionary(trace: SignalTrace, n_weights: int) -> tuple[np.ndarray,
     if total <= 0.0:
         raise ValueError("reconstruction collapsed to the zero distribution")
     return coeffs / total, residual
-
-
-def _nonnegative(value: int, what: str) -> int:
-    """``value`` as a nonnegative integer, else a ValueError naming ``what``."""
-    value = _integer(value, what)
-    if value < 0:
-        raise ValueError(f"{what} must be nonnegative, got {_int_text(value)}")
-    return value
 
 
 def reconstruct_single(trace: SignalTrace, m_max: int) -> ReconstructedNumberDistribution:

@@ -191,6 +191,14 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _nonnegative(value: int, what: str) -> int:
+    """``value`` as a nonnegative integer, else a ValueError naming ``what``."""
+    value = _integer(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {_int_text(value)}")
+    return value
+
+
 def _number(value, what: str) -> float | complex:
     """``value`` as a Python float, or a complex where it is not real; a
     ValueError naming ``what`` for a bool, a non-number and an integer beyond

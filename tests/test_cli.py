@@ -498,13 +498,14 @@ def test_detect_two_refuses_its_fit_before_the_comparison(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("k_max", ["-1", "-5"])
-def test_detect_two_reads_k_max_before_the_comparison(tmp_path, capsys, monkeypatch, k_max):
+def test_detect_two_reads_k_max_before_any_trace(tmp_path, capsys, monkeypatch, k_max):
     monkeypatch.chdir(tmp_path)
 
-    def comparison(*args, **kwargs):
-        pytest.fail("the comparison ran before k_max was read")
+    def early(*args, **kwargs):
+        pytest.fail("a trace or the comparison ran before k_max was read")
 
-    monkeypatch.setattr(detection, "jz_from_methods", comparison)
+    monkeypatch.setattr(detection, "signal", early)
+    monkeypatch.setattr(detection, "jz_from_methods", early)
     code, out, err = run_cli(capsys, "detect", "coherent 7 0.5 0 0 nmax 100", "--method", "two",
                              "--k-max", k_max)
     assert code == 2

@@ -436,6 +436,8 @@ def test_default_grid_refuses_what_its_fit_cannot_take():
         default_times(1.0, None, 10**308)
     with pytest.raises(ValueError, match="^n_weights must be an integer, got 2.5$"):
         default_times(1.0, None, 2.5)
+    with pytest.raises(ValueError, match="^n_weights must be nonnegative, got -4$"):
+        default_times(1.0, None, -4)
 
 
 @pytest.mark.parametrize(

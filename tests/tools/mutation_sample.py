@@ -9,15 +9,16 @@ Each mutant makes one edit to one module of ``src/phonon_optics``:
   move, such as 1e308, is no site);
 * ``raise-if``: make the test of an ``if`` whose body raises ``False``.
 
-The sites are listed in a fixed order, and ``--seed`` draws ``--count`` of
-them.  Each mutant runs in a temporary copy of the repository, first on the
-test files that ``TESTS`` maps its module to, with ``-x``; a mutant that
+The sites are listed in a fixed order, and seed ``SEED`` draws ``COUNT``
+of them.  Each mutant runs in a temporary copy of the repository, first on
+the test files that ``TESTS`` maps its module to, with ``-x``; a mutant that
 survives them runs again on all of ``tests/``.  A mutant is killed when a
-test fails or the run passes ``--timeout`` seconds.  A survivor listed in
-``EQUIVALENT`` changes no behaviour and is counted apart; every other
-survivor is a missing test or code that pays for nothing.  Run it with
+test fails or a run passes ``TIMEOUT_S`` seconds.  As many mutants run at
+once as the process has cores.  A survivor listed in ``EQUIVALENT`` changes
+no behaviour and is counted apart; every other survivor is a missing test or
+code that pays for nothing.  Run it with
 
-    python tests/tools/mutation_sample.py --seed 1 --count 60 --jobs 2
+    python tests/tools/mutation_sample.py
 
 and add ``--module detection`` to draw from one module only.  The file is
 not named ``test_*.py``, so the test suite does not collect it.
@@ -38,6 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "phonon_optics"
 COPIED = ("src", "tests", "perfbench", "demos", "README.md", "pyproject.toml")
+SEED = 1
+COUNT = 60
+TIMEOUT_S = 300.0  # per test run
 
 # the test files that exercise each module first
 TESTS = {
@@ -118,20 +122,20 @@ def all_sites(modules):
     return out
 
 
-def _pytest(root: Path, files, timeout: float) -> bool:
+def _pytest(root: Path, files) -> bool:
     """True when the tests pass in ``root``; a timeout counts as a failure."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
     try:
-        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
 
 
-def run_mutant(module, number, timeout) -> str:
+def run_mutant(module, number) -> str:
     """'killed' or 'survived', for site ``number`` of ``module``."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp)
@@ -146,25 +150,21 @@ def run_mutant(module, number, timeout) -> str:
         _mutate(*_sites(tree)[number][1:])
         path.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
         files = [f"tests/{name}" for name in TESTS[module]]
-        if not _pytest(root, files, timeout) or not _pytest(root, ["tests"], timeout):
+        if not _pytest(root, files) or not _pytest(root, ["tests"]):
             return "killed"
         return "survived"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--count", type=int, default=60)
     parser.add_argument("--module", action="append", choices=sorted(TESTS),
                         help="draw from this module only (repeatable; default all)")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
     args = parser.parse_args(argv)
 
     sites = all_sites(args.module or sorted(TESTS))
-    drawn = sorted(random.Random(args.seed).sample(sites, min(args.count, len(sites))))
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        outcomes = list(pool.map(lambda s: run_mutant(s[0], s[1], args.timeout), drawn))
+    drawn = sorted(random.Random(SEED).sample(sites, min(COUNT, len(sites))))
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        outcomes = list(pool.map(lambda s: run_mutant(s[0], s[1]), drawn))
     killed = equivalent = 0
     for (_, _, key), outcome in zip(drawn, outcomes):
         if outcome == "killed":
