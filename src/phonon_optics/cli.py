@@ -177,12 +177,10 @@ def cmd_detect(args) -> int:
     mode = args.mode or "c"
     if args.mz is not None:
         state = interferometer.mz_output(state, args.mz)
-    if args.method == "two":  # its own grid and fit, before the comparison's fits run
+    if args.method == "two":  # its grid first; its trace and fit run after the comparison
         k_max = state.trunc.n_total_max if args.k_max is None else fockspace._nonnegative(args.k_max, "k_max")
         times = detection.default_times(args.coupling, args.samples, k_max + 1)
-        trace = detection.signal(state, args.coupling, times, "two")
-        rec = detection.reconstruct_two(trace, k_max)
-    # the comparison checks every other detection parameter, so it runs before any output
+    # the comparison reads every other detection parameter before its first trace
     comparison = detection.jz_from_methods(
         state, coupling=args.coupling, n_samples=args.samples,
         m_max=args.m_max, chi_t=args.chi_t,
@@ -196,6 +194,8 @@ def cmd_detect(args) -> int:
         artifacts.append((f"{args.out}_p.json", rec.to_json()))
         print(f"single[{mode}]: mean_n={rec.mean_n:.17g} residual={rec.residual:.3g}")
     elif args.method == "two":
+        trace = detection.signal(state, args.coupling, times, "two")
+        rec = detection.reconstruct_two(trace, k_max)
         artifacts.append((f"{args.out}_trace.csv", trace.to_csv()))
         artifacts.append((f"{args.out}_q.json", rec.to_json()))
         top = int(rec.q.argmax())

@@ -188,7 +188,7 @@ def _integer(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {value!r:.40}")
 
 
 def _nonnegative(value: int, what: str) -> int:
@@ -485,7 +485,7 @@ def coherent_superposition(
             f"all amplitude mass lies outside the truncation: mean phonon number "
             f"|alpha|^2 + |beta|^2 = {mean:.6g}, n_total_max = {trunc.n_total_max}"
         )
-    tail = min(1.0, max(0.0, 1.0 - retained / exact_norm2))
+    tail = max(0.0, 1.0 - retained / exact_norm2)
     return MotionalState(trunc, vec / math.sqrt(retained), tail)
 
 
@@ -683,10 +683,6 @@ class JointState(_Record):
         amps = _unit_amps(amps, (2,) * len(labels) + (trunc.dim,), "joint state")
         super().__init__(trunc, labels, amps, _tail(tail_mass))
 
-    @property
-    def qubit_count(self) -> int:
-        return len(self.ions)
-
     def axis_of(self, ion: int) -> int:
         ion = _integer(ion, "ion")
         if ion not in self.ions:
@@ -782,16 +778,6 @@ def state_to_json(s: MotionalState) -> str:
     )
 
 
-def _json_number(value, what: str, kind: str = "number"):
-    """``value`` if it is a finite JSON number, or for ``kind`` "integer" a
-    JSON integer; a bool is neither.  Else a ValueError naming ``what``."""
-    types = (int,) if kind == "integer" else (int, float)
-    # NaN fails the comparison; an integer beyond the float range compares exactly
-    if type(value) not in types or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} must be a finite JSON {kind}, got {value!r:.40}")
-    return value
-
-
 def state_from_json(text: str) -> MotionalState:
     """Read the format of ``state_to_json`` and nothing else: a malformed
     document, such as one listing a pair twice, is a ValueError naming the field."""
@@ -801,15 +787,16 @@ def state_from_json(text: str) -> MotionalState:
         raise ValueError("state JSON is nested too deeply") from None
     if not (isinstance(data, dict) and isinstance(data.get("amps"), list)):
         raise ValueError(f"state JSON must be an object with an 'amps' list, got {data!r:.40}")
-    trunc = Truncation(_json_number(data.get("n_total_max"), "n_total_max", "integer"))
+    trunc = Truncation(data.get("n_total_max"))
     amps, seen = np.zeros(trunc.dim, dtype=np.complex128), set()
     for i, row in enumerate(data["amps"]):
         if not (isinstance(row, list) and len(row) == 4):
             raise ValueError(f"amps[{i}] must be a row [m, n, re, im], got {row!r:.40}")
-        m, n = (_json_number(v, f"amps[{i}] {k}", "integer") for k, v in zip("mn", row))
-        re, im = (_json_number(v, f"amps[{i}] {k}") for k, v in zip(("re", "im"), row[2:]))
-        if (m, n) in seen:
+        m, n = (_integer(v, f"amps[{i}] {k}") for k, v in zip("mn", row))
+        re, im = (_finite(v, f"amps[{i}] {k}") for k, v in zip(("re", "im"), row[2:]))
+        index = trunc.index(m, n)
+        if index in seen:
             raise ValueError(f"amps[{i}] lists (m, n) = ({m}, {n}) a second time")
-        seen.add((m, n))
-        amps[trunc.index(m, n)] = complex(re, im)
-    return MotionalState(trunc, amps, _json_number(data.get("tail_mass", 0.0), "tail_mass"))
+        seen.add(index)
+        amps[index] = complex(re, im)
+    return MotionalState(trunc, amps, data.get("tail_mass", 0.0))

@@ -34,10 +34,7 @@ eigensolver, and multiplies each into the amplitudes as it is built.  The
 block weights of a state are fixed, so blocks are built only up to the
 highest one, top, whose tail is not rounding noise (the one floor rule,
 ``fockspace.WEIGHT_FLOOR``): O(top^3) time and O(top^2) memory per
-application, with nothing kept between calls.  At nmax 300 a coherent state of 25 mean
-phonons stops near top = 140 and takes about 16 ms; a state spread over
-every block takes about 0.12 s (one ``b2`` splitter at beta = 1.1, median
-of 7 calls, one core, BLAS on one thread).
+application, with nothing kept between calls (README gives measured times).
 A caller applying many operators to one state pays that per call; folding
 them with ``@`` first pays it once.  ``UnitaryOperator`` is this passive
 operator and nothing else; the Jaynes-Cummings probe propagator lives in
@@ -70,8 +67,8 @@ class UnitaryOperator(_Record):
 
     ``matrix`` is its 2x2 one-phonon unitary M on (|1, 0>, |0, 1>), so column
     0 is the image of a+ in the (a+, b+) basis.  ``u2 @ u1`` composes two
-    operators by the 2x2 product; ``apply`` goes through the Euler form of
-    ``_apply_passive``, so no Fock matrix is ever built.
+    operators by the 2x2 product; ``apply(u, s)`` goes through the Euler form
+    of ``_apply_passive``, so no Fock matrix is ever built.
     """
 
     __slots__ = ("trunc", "matrix")
@@ -82,12 +79,6 @@ class UnitaryOperator(_Record):
             return NotImplemented
         _require_same(self, other)
         return UnitaryOperator(self.trunc, self.matrix @ other.matrix)
-
-    def apply(self, state: MotionalState) -> MotionalState:
-        if not isinstance(state, MotionalState):
-            raise TypeError("a passive unitary acts on a MotionalState")
-        _require_same(self, state)
-        return state.with_amps(_apply_passive(state.amps, self.matrix, self.trunc))
 
 
 def _passive_need(nbytes: int, top: int, trunc: Truncation) -> int:
@@ -221,7 +212,10 @@ def phase_shifter(mode: str, phi: float, trunc: Truncation) -> UnitaryOperator:
 
 def apply(u: UnitaryOperator, s: MotionalState) -> MotionalState:
     """U |s>; norm is preserved and tail bookkeeping is carried through."""
-    return u.apply(s)
+    if not isinstance(s, MotionalState):
+        raise TypeError("a passive unitary acts on a MotionalState")
+    _require_same(u, s)
+    return s.with_amps(_apply_passive(s.amps, u.matrix, u.trunc))
 
 
 def joint_bs_propagator(kind: str, theta: float, js: JointState) -> JointState:
@@ -311,10 +305,6 @@ class LabParams(_Record):
         """Constructor enforcing eta_r = 3^(-1/4) eta of the shared trap."""
         eta = _finite(eta, "eta")
         return cls(Omega, eta, _BREATHING_RATIO * eta, Delta, Delta_r, Omega_r, t)
-
-    def has_linked_modes(self) -> bool:
-        """True when eta_r = 3^(-1/4) eta to 1e-12."""
-        return abs(self.eta_r - _BREATHING_RATIO * self.eta) <= 1e-12
 
 
 class EffectiveAngles(_Record):

@@ -88,14 +88,10 @@ class Angle(NamedTuple):
     pi_den: int = 1
 
     @classmethod
-    def from_pi(cls, num: int, den: int = 1) -> "Angle":
+    def from_pi(cls, num: int, den: int) -> "Angle":
         if den <= 0:
             raise ValueError("denominator must be positive")
         return cls(num * math.pi / den, num, den)
-
-    @classmethod
-    def from_value(cls, value: float) -> "Angle":
-        return cls(float(value))
 
     def text(self) -> str:
         if self.pi_num is None:
@@ -131,7 +127,7 @@ def parse_angle(text: str) -> Angle:
         ) from None
     if not math.isfinite(value):
         raise ValueError("angles must be finite")
-    return Angle.from_value(value)
+    return Angle(value)
 
 
 class Statement(NamedTuple):
@@ -141,10 +137,6 @@ class Statement(NamedTuple):
 
 class PulseProgram(_Record):
     __slots__ = ("statements", "lines")  # lines: the source line of each statement
-
-    @property
-    def nmax(self) -> int:
-        return self.statements[0].args[-1]
 
 
 class _Token(_Record):

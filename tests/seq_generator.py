@@ -10,7 +10,7 @@ def random_angle(rng):
         num = int(rng.integers(-8, 9))
         den = int(rng.integers(1, 9))
         return Angle.from_pi(num, den)
-    return Angle.from_value(float(np.round(rng.normal(), 6)))
+    return Angle(float(np.round(rng.normal(), 6)))
 
 
 def random_program(rng) -> PulseProgram:

@@ -142,6 +142,12 @@ def test_sweep_n9_minimum(capsys):
     assert min(row[5] for row in rows) == pytest.approx(1 / 3, abs=1e-6)
 
 
+def test_sweep_takes_64_points_by_default(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "fock 0 0 nmax 3")
+    assert code == 0
+    assert len(parse_sweep_csv(out)) == 64
+
+
 def test_sweep_vacuum_flat(capsys):
     code, out, _ = run_cli(capsys, "sweep", "fock 0 0 nmax 3", "--points", "8")
     assert code == 0
@@ -306,6 +312,12 @@ def test_sweep_bad_state_spec(capsys):
     code, _, err = run_cli(capsys, "sweep", "squeezed 1 0 nmax 4")
     assert code == 1
     assert "parse error" in err
+
+
+def test_a_one_word_state_spec_is_a_parse_error_at_its_end(capsys):
+    # the error is located by the spec's first word, the only one it has
+    assert run_cli(capsys, "detect", "fock", "--method", "single") == (
+        1, "", "parse error: 1:5: 'init' is missing M\n")
 
 
 def test_sweep_rejects_single_point(capsys):
@@ -514,6 +526,26 @@ def test_detect_two_reads_k_max_before_any_trace(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--chi-t", "-1", "chi * t must be finite and positive, got -1.0"),
+    ("--m-max", "-1", "m_max must be nonnegative, got -1"),
+])
+def test_detect_two_reads_the_comparison_before_its_trace(tmp_path, capsys, monkeypatch,
+                                                          flag, value, message):
+    monkeypatch.chdir(tmp_path)
+
+    def early(*args, **kwargs):
+        pytest.fail("the two-mode trace or fit ran before the comparison read its arguments")
+
+    monkeypatch.setattr(detection, "signal", early)
+    monkeypatch.setattr(detection, "reconstruct_two", early)
+    code, out, err = run_cli(capsys, "detect", "coherent 3 1 4 0 nmax 200", "--method", "two",
+                             flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _borrowed(source):
     """Each private ``detection`` name that ``source`` reads, and each
     ``times`` it reads off a comparison's ``traces``."""
@@ -595,6 +627,9 @@ def test_sweep_refuses_points_beyond_memory(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sweep", "fock 1 0 nmax 4", "--points", "500")
     assert code == 0
     assert len(out.splitlines()) == 501
+    # 1 KiB a point: 976 points fit in 10**6 bytes, and 977 do not
+    assert run_cli(capsys, "sweep", "fock 1 0 nmax 4", "--points", "976")[0] == 0
+    assert run_cli(capsys, "sweep", "fock 1 0 nmax 4", "--points", "977")[0] == 2
 
 
 DETECT_SINGLE = ("detect", "fock 1 0 nmax 4", "--method", "single")

@@ -336,6 +336,8 @@ def test_state_json_round_trip():
     # a flag set at construction used to come back recomputed from the tail
     cut = make_coherent(2.0, 0, Truncation(14))  # tail 2.0e-5
     assert cut.flagged and state_from_json(state_to_json(cut)).flagged
+    # a document without a tail is a state that discarded nothing
+    assert state_from_json('{"n_total_max": 2, "amps": [[0, 0, 1, 0]]}').tail_mass == 0.0
 
 
 STATE = '"n_total_max": 2, "amps": [[0, 0, 1, 0]]'
@@ -344,18 +346,20 @@ STATE = '"n_total_max": 2, "amps": [[0, 0, 1, 0]]'
 @pytest.mark.parametrize("text, message", [
     # a non-integer cutoff and pair used to be truncated in silence
     ('{"n_total_max": 2.7, "amps": [[0.9, 0, 1, 0]]}',
-     "n_total_max must be a finite JSON integer, got 2.7"),
+     "n_total_max must be an integer, got 2.7"),
     ('{"n_total_max": "3", "amps": [[0, 0, 1, 0]]}',
-     "n_total_max must be a finite JSON integer, got '3'"),
+     "n_total_max must be an integer, got '3'"),
     ('{"n_total_max": true, "amps": [[0, 0, 1, 0]]}',
-     "n_total_max must be a finite JSON integer, got True"),
+     "n_total_max must be an integer, got True"),
+    ('{"n_total_max": "%s", "amps": []}' % ("3" * 5000),
+     "n_total_max must be an integer, got '333"),
     ('{"n_total_max": 2, "amps": [[false, true, 1, 0]]}',
-     "amps[0] m must be a finite JSON integer, got False"),
-    ('{%s, "tail_mass": "0.5"}' % STATE, "tail_mass must be a finite JSON number, got '0.5'"),
-    ('{%s, "tail_mass": NaN}' % STATE, "tail_mass must be a finite JSON number, got nan"),
+     "amps[0] m must be an integer, got False"),
+    ('{%s, "tail_mass": "0.5"}' % STATE, "tail_mass must be a number, got '0.5'"),
+    ('{%s, "tail_mass": NaN}' % STATE, "tail_mass must lie in [0, 1], got nan"),
     # these used to escape as TypeError, KeyError and Python's own integer limit
     ('{"n_total_max": 2, "amps": [[0, 0, "1", 0]]}',
-     "amps[0] re must be a finite JSON number, got '1'"),
+     "amps[0] re must be a number, got '1'"),
     ('{"n_total_max": 2}', "state JSON must be an object with an 'amps' list"),
     ('[[0, 0, 1, 0]]', "state JSON must be an object with an 'amps' list"),
     ('{"n_total_max": %s, "amps": []}' % ("9" * 5000),
@@ -363,21 +367,22 @@ STATE = '"n_total_max": 2, "amps": [[0, 0, 1, 0]]'
     ('{"n_total_max": 2, "amps": [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]}',
      "amps[2] lists (m, n) = (0, 0) a second time"),
     ('{"n_total_max": 2, "amps": [[0, 0, 1, %s]]}' % ("9" * 400),
-     "amps[0] im must be a finite JSON number"),
+     "amps[0] im must be finite, got an integer beyond the float range"),
     ('{"n_total_max": 2, "amps": [[0, 0, 1e999, 0]]}',
-     "amps[0] re must be a finite JSON number, got inf"),
+     "amps[0] re must be finite, got inf"),
     ('{"n_total_max": 2, "amps": [[0, 0, 1]]}', "amps[0] must be a row [m, n, re, im]"),
     ('{"n_total_max": 2, "amps": [[0, 3, 1, 0]]}', "(m, n) = (0, 3) outside truncation"),
     ("[" * 100000 + "]" * 100000, "state JSON is nested too deeply"),
-], ids=["float-cutoff", "string-cutoff", "bool-cutoff", "bool-pair", "string-tail", "nan-tail",
-        "string-amplitude", "no-amps", "top-level-list", "long-integer", "pair-twice",
-        "huge-integer-amplitude", "infinite-amplitude", "short-row", "pair-outside",
-        "deep-nesting"])
+], ids=["float-cutoff", "string-cutoff", "bool-cutoff", "long-string-cutoff", "bool-pair",
+        "string-tail", "nan-tail", "string-amplitude", "no-amps", "top-level-list",
+        "long-integer", "pair-twice", "huge-integer-amplitude", "infinite-amplitude",
+        "short-row", "pair-outside", "deep-nesting"])
 def test_state_from_json_refuses_what_state_to_json_never_writes(text, message):
     with pytest.raises(ValueError) as info:
         state_from_json(text)
     assert type(info.value) is ValueError
     assert message in str(info.value)
+    assert len(str(info.value)) < 120  # what it read is echoed in at most 40 characters
 
 
 def test_distribution_csv_format():
@@ -505,6 +510,14 @@ def test_truncation_for_coherent_rejects_bad_input():
         truncation_for_coherent(1e154, 1e154)
     with pytest.raises(ValueError, match="mean phonon number 250000 is too large to truncate"):
         truncation_for_coherent(500, 0)
+
+
+def test_truncation_for_coherent_sizes_a_mean_just_inside_its_limit(monkeypatch):
+    # its Poisson pmf runs to lam + 40 sqrt(lam) + 100 = 199,688 <= 200,000 terms
+    # at lam = 182,500, so only the truncation's own memory check refuses it
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 10**9)
+    with pytest.raises(ValueError, match=r"^the state arrays of n_total_max = 1\.86e\+05 need"):
+        truncation_for_coherent(math.sqrt(182500), 0)
 
 
 BEYOND_FLOAT = 10**400  # float() of it raises OverflowError
@@ -803,7 +816,6 @@ def test_joint_state_shapes_and_norm():
     js = joint_state(s, ion1=QubitState.plus(), ion2=QubitState.ground())
     assert js.ions == (1, 2)
     assert js.amps.shape == (2, 2, s.trunc.dim)
-    assert js.qubit_count == 2
     js2 = joint_state(s, ion2=QubitState.excited())
     assert js2.ions == (2,)
     assert js2.ground_probability(2) == pytest.approx(0.0)
@@ -811,6 +823,7 @@ def test_joint_state_shapes_and_norm():
         js2.axis_of(1)
     with pytest.raises(ValueError, match=r"ions must be a sorted subset of \(1, 2\), got \(2, 1\)"):
         JointState(s.trunc, (2, 1), js.amps)
+    assert JointState(s.trunc, (1, 2), js.amps).tail_mass == 0.0  # by default nothing was discarded
 
 
 @pytest.mark.parametrize("label", [True, 1.0, np.True_], ids=["True", "1.0", "np.True_"])

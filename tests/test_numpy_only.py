@@ -88,7 +88,7 @@ def test_the_weight_floor_is_assigned_once_in_fockspace():
 
 
 READERS = ("_integer", "_number", "_finite", "_choice")
-GONE = ("_float", "_require_coupling", "_require_mode")
+GONE = ("_float", "_require_coupling", "_require_mode", "_json_number")
 CHOICE_MESSAGE = re.compile(r"must be '[^']*' or '")
 
 

@@ -376,6 +376,12 @@ def test_an_overflowing_dispersive_phase_is_refused_by_its_formula(call, phase):
         call(js)
 
 
+def test_a_dispersive_phase_inside_its_bound_is_taken():
+    # the largest phase 1.5 chi_t nmax = 1.35e308 is finite, so the call is valid
+    js = joint_state(make_fock(1, 0, Truncation(3)), ion2=QubitState.ground())
+    assert np.isfinite(conditional_phase("c", 3e307, js).amps).all()
+
+
 def test_a_dispersive_phase_at_nmax_0_takes_any_finite_chi_t():
     # chi_t k is formed before the constant, so k = 0 never meets an
     # overflowed 2 chi_t or 1.5 chi_t (inf times 0 would be NaN)
@@ -400,7 +406,7 @@ def test_apply_rejects_wrong_state_type():
     t = Truncation(3)
     js = joint_state(make_fock(0, 0, t), ion2=QubitState.ground())
     with pytest.raises(TypeError, match="MotionalState"):
-        beam_splitter("b1", 0.2, t).apply(js)
+        apply(beam_splitter("b1", 0.2, t), js)
 
 
 def test_coherent_beam_splitter_product_rule():
@@ -518,6 +524,10 @@ def test_carrier_half_pulse_default_phase():
     idx = t.index(0, 0)
     assert js.amps[0, idx] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert js.amps[1, idx] == pytest.approx(-1j / math.sqrt(2), abs=1e-15)
+    # a second half pulse completes the pi pulse |g> -> -i |e>; it acts on |e> as well
+    twice = carrier_half_pulse(js)
+    assert twice.amps[0, idx] == pytest.approx(0.0, abs=1e-15)
+    assert twice.amps[1, idx] == pytest.approx(-1j, abs=1e-15)
 
 
 def test_expm_oracle_zero_generator():
@@ -616,7 +626,6 @@ def test_lab_to_angles_refuses_non_finite_fields_and_angles(field, value, messag
 
 def test_linked_trap_relation():
     p = LabParams.linked(1.0, 0.2, 1.0, 1.0, 1.0, 1.0)
-    assert p.has_linked_modes()
     assert p.eta_r == pytest.approx(3 ** (-0.25) * 0.2, abs=1e-15)
 
 

@@ -77,6 +77,12 @@ def test_entangled_number_validates_arguments():
         entangled_number("b1", "two_two", 0.1, Truncation(4))
 
 
+def test_entangled_number_at_its_smallest_truncation():
+    # |1, 1> needs n_total_max = 2 and no more: a 50/50 b2 sends half of it to |2, 0>
+    out = entangled_number("b2", "one_one", math.pi / 2, Truncation(2))
+    assert abs(out.amplitude(2, 0)) ** 2 == pytest.approx(0.5, abs=1e-12)
+
+
 def test_maximal_entanglement_at_half_turn():
     t = Truncation(4)
     for kind, inp in (("b1", "one_zero"), ("b2", "one_zero"), ("b1", "one_one"), ("b2", "one_one")):

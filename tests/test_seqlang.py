@@ -45,7 +45,7 @@ MZ_DEMO = "init coherent 0 0 2 0 nmax 40\nmz pi/3\nreport\n"
 def test_parse_three_statement_program():
     p = parse("init fock 1 0 nmax 4\nbs1 pi/2\nreport")
     assert [s.verb for s in p.statements] == ["init", "bs1", "report"]
-    assert p.nmax == 4
+    assert p.statements[0].args[-1] == 4
     assert p.statements[1].args[0].value == pytest.approx(math.pi / 2)
 
 
@@ -153,7 +153,8 @@ def test_fock_index_beyond_nmax():
 
 
 def test_init_value_checks():
-    with pytest.raises(ParseError, match="nmax must be >= 0"):
+    assert parse("init fock 0 0 nmax 0").statements[0].args[-1] == 0  # the smallest cutoff
+    with pytest.raises(ParseError, match="^1:20: nmax must be >= 0, got -1$"):
         parse("init fock 0 0 nmax -1")
     with pytest.raises(ParseError, match="^1:11: fock indices must be >= 0$"):
         parse("init fock -1 0 nmax 3")
@@ -163,6 +164,8 @@ def test_init_value_checks():
         parse("init fock 0 0 nmax 2\njcm single 1.0 0 1 1")
     with pytest.raises(ParseError, match="t1 must exceed t0"):
         parse("init fock 0 0 nmax 2\njcm single 1.0 2 1 8")
+    with pytest.raises(ParseError, match="^2:16: time range t1 - t0 must be finite"):
+        parse("init fock 0 0 nmax 2\njcm single 1.0 -1e308 1e308 8")
 
 
 @pytest.mark.parametrize("coupling", ["0", "-1.5", "-0.0"])
@@ -356,8 +359,8 @@ def test_angle_text_round_trip():
         Angle.from_pi(-1, 3),
         Angle.from_pi(3, 4),
         Angle.from_pi(-5, 2),
-        Angle.from_value(0.7),
-        Angle.from_value(-2.5e-4),
+        Angle(0.7),
+        Angle(-2.5e-4),
     ):
         text = angle.text()
         p = parse(f"init fock 0 0 nmax 2\nbs1 {text}")

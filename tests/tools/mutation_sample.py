@@ -60,6 +60,17 @@ TESTS = {
 EQUIVALENT = {
     "fockspace._int_text: constant `0` -> `1`":
         "the sign test runs only for integers beyond str()'s 4300 digits, never on 0",
+    "fockspace.coherent_superposition: constant `1.0` -> `2.0`":
+        "`scale or 1.0` divides by it only when every weight is 0, and 0 / 2 is 0",
+    "fockspace.truncation_for_coherent: constant `0.0` -> `1.0` #2":
+        "the appended tail entry is never reached: the Poisson tail 40 standard "
+        "deviations past the mean lies far below COHERENT_TAIL_TARGET",
+    "fockspace.JointState.reduced_qubit: constant `1` -> `2`":
+        "NumPy reads any negative reshape length, -2 as well as -1, as the one inferred length",
+    "seqlang.Angle: constant `1` -> `2`":
+        "a decimal angle's pi_den is never read: text() reads it only beside a pi_num",
+    "seqlang.execute: constant `0` -> `1`":
+        "run_line is read only while a run is pending, and the run's first statement sets it",
 }
 
 _FLIPS = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
