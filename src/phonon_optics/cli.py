@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="run one detection scheme")
     p_det.add_argument("state_spec", help="init clause, e.g. 'fock 1 1 nmax 4'")
     p_det.add_argument("--method", choices=("single", "two", "direct"), required=True)
-    p_det.add_argument("--mode", choices=("c", "r"), default=None,
+    p_det.add_argument("--mode", choices=fockspace._MODES, default=None,
                        help="probed mode for single/direct (default c); "
                             "refused for two, which probes both modes")
     p_det.add_argument("--coupling", type=float, default=1.0,
@@ -186,7 +186,7 @@ def cmd_detect(args) -> int:
         m_max=args.m_max, chi_t=args.chi_t,
     )
 
-    side = "cr".index(mode)  # the comparison's pairs are in (c, r) order
+    side = fockspace._MODES.index(mode)  # the comparison's pairs are in this order
     artifacts: list[tuple[str, str]] = []
     if args.method == "single":
         rec = comparison.fits[side]

@@ -30,7 +30,6 @@ one <Jz>: ``expect(s, "jz")``, bit for bit ``number_distributions(s).mean_jz``.
 
 import json
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,22 +132,19 @@ class LevelSetDistribution(_Record):
         )
 
 
-class DirectEstimate(NamedTuple):
+class DirectEstimate(_Record):
     """Result of the carrier-pulse + conditional-phase readout."""
 
-    sigma_x_exact: float
-    mean_n_linearized: float
-    chi_t: float
-    mode: str
+    __slots__ = ("sigma_x_exact", "mean_n_linearized", "chi_t", "mode")
 
     def to_json(self) -> str:
-        return json.dumps({"kind": "direct", **self._asdict()})
+        return json.dumps({"kind": "direct", **{k: getattr(self, k) for k in self.__slots__}})
 
     def to_csv(self) -> str:
         """A header of the field names and one row of their values."""
-        row = self._asdict()
-        values = (v if isinstance(v, str) else f"{v:.17g}" for v in row.values())
-        return ",".join(row) + "\n" + ",".join(values) + "\n"
+        values = (getattr(self, k) for k in self.__slots__)
+        cells = (v if isinstance(v, str) else f"{v:.17g}" for v in values)
+        return ",".join(self.__slots__) + "\n" + ",".join(cells) + "\n"
 
 
 def _require_samples(n_samples: int, n_weights: int = 0) -> None:
@@ -165,10 +161,10 @@ def _require_samples(n_samples: int, n_weights: int = 0) -> None:
 
 def _probe_table(coupling: float, roots: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The one probe table cos(2 coupling sqrt(k) t): a row per time, a column
-    per line sqrt(k) in ``roots``.  A largest phase that is not a finite float
-    is refused before NumPy fills the table with inf and NaN."""
-    t_max = float(np.abs(times).max(initial=0.0))
-    top = 2.0 * (coupling * float(roots.max(initial=0.0)))
+    per line sqrt(k) in ``roots``, neither of them empty.  A largest phase that
+    is not a finite float is refused before NumPy fills the table with inf and NaN."""
+    t_max = float(np.abs(times).max())
+    top = 2.0 * (coupling * float(roots.max()))
     _finite(t_max * top, "probe phase 2 * coupling * sqrt(k) * t")
     return np.cos(np.outer(times, 2.0 * (coupling * roots)))
 
@@ -459,9 +455,9 @@ def jz_from_methods(
     times = default_times(coupling, n_samples, m_max + 1)
 
     jz_exact = expect(out_state, "jz")
-    directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in "cr")
+    directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in _MODES)
     jz_dir = 0.5 * (directs[0].mean_n_linearized - directs[1].mean_n_linearized)
-    traces = tuple(signal(out_state, coupling, times, "single", mode) for mode in "cr")
+    traces = tuple(signal(out_state, coupling, times, "single", mode) for mode in _MODES)
     fits = tuple(reconstruct_single(trace, m_max) for trace in traces)
     jz_rec = 0.5 * (fits[0].mean_n - fits[1].mean_n)
     return JzComparison(jz_exact, jz_rec, jz_dir, traces, fits, directs)

@@ -65,7 +65,8 @@ _NORM_TOL = 1e-12
 
 _OBSERVABLES = ("jx", "jy", "jz", "jz2", "nc", "nr")
 
-_MODES = ("c", "r")  # center-of-mass and breathing
+_MODES = ("c", "r")  # center-of-mass and breathing; also the order of every (c, r) pair
+_PARITIES = ("even", "odd")  # of a cat
 
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 _CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
@@ -419,10 +420,18 @@ def _coherent_overlap(a: complex, b: complex) -> complex:
     return np.exp(-0.5 * (_abs2(a) + _abs2(b)) + complex(a).conjugate() * complex(b))
 
 
+def _poisson_tails(lam: float, top: int) -> np.ndarray:
+    """P(N > n), n = 0..top, of a Poisson N of mean ``lam`` > 0: the pmf is formed in
+    log space, where exp(-lam) cannot underflow, and each tail is summed from its
+    small end up, so nothing cancels.  The mass beyond ``top`` is left out."""
+    pmf = np.exp(np.arange(top + 1) * math.log(lam) - lam - _log_factorials(top))
+    return np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
+
+
 def _cat_sign(parity: str) -> float:
     """The sign s of the cat |alpha> + s |-alpha>: +1 for parity ``"even"``,
     -1 for ``"odd"``; any other parity is a ValueError."""
-    return 1.0 if _choice(parity, "parity", ("even", "odd")) == "even" else -1.0
+    return 1.0 if _choice(parity, "parity", _PARITIES) == "even" else -1.0
 
 
 def _cat_weight(alpha: complex, sign: float) -> float:
@@ -444,9 +453,10 @@ def coherent_superposition(
         Weights are the exact (untruncated) expansion coefficients.
     trunc : Truncation
 
-    The discarded probability is computed against the exact norm of the
-    untruncated superposition (closed-form coherent overlaps), so tail_mass
-    is meaningful for non-orthogonal superpositions such as cat states.  The
+    tail_mass of a product (one term) is its Poisson tail P(N > n_total_max),
+    summed from the log-space pmf; with more terms it is 1 - retained / norm^2
+    against the exact untruncated norm (closed-form coherent overlaps), which
+    holds for non-orthogonal terms such as cats, above a floor near 1e-16.  The
     weights and the norm come first, so a non-finite weight, or an amplitude
     whose |alpha|^2 is not finite, is refused before any array is built.  A
     state whose every kept amplitude underflows is refused with the largest
@@ -478,14 +488,19 @@ def coherent_superposition(
         cb = _coherent_mode_amps(complex(beta), trunc.n_total_max)
         vec += w * ca[ms] * cb[ns]
 
-    retained = float(np.vdot(vec, vec).real)
+    retained, n = float(np.vdot(vec, vec).real), trunc.n_total_max
+    means = [_abs2(alpha) + _abs2(beta) for _, alpha, beta in terms]
     if retained <= 0.0:
-        mean = max(_abs2(alpha) + _abs2(beta) for _, alpha, beta in terms)
         raise ValueError(
             f"all amplitude mass lies outside the truncation: mean phonon number "
-            f"|alpha|^2 + |beta|^2 = {mean:.6g}, n_total_max = {trunc.n_total_max}"
+            f"|alpha|^2 + |beta|^2 = {max(means):.6g}, n_total_max = {n}"
         )
-    tail = max(0.0, 1.0 - retained / exact_norm2)
+    if len(terms) > 1:
+        tail = max(0.0, 1.0 - retained / exact_norm2)
+    else:  # a product: its pmf reaches 100 past n and 40 standard deviations past the mean
+        lam = means[0]
+        top = max(n, int(lam + 40.0 * math.sqrt(lam))) + 100
+        tail = _poisson_tails(lam, top)[n] if lam else 0.0
     return MotionalState(trunc, vec / math.sqrt(retained), tail)
 
 
@@ -757,16 +772,10 @@ def truncation_for_coherent(alpha: complex, beta: complex) -> Truncation:
         raise ValueError("coherent amplitudes must be finite")
     if lam == 0.0:
         return Truncation(0)
-    # Log-space pmf up to far past the mean, where the remaining mass is
-    # below 1e-300; exp(-lam) alone underflows for lam above ~745.
-    top = int(lam + 40.0 * math.sqrt(lam) + 100.0)
+    top = int(lam + 40.0 * math.sqrt(lam) + 100.0)  # far past the mean
     if top > 200000:
         raise ValueError(f"mean phonon number {lam:.6g} is too large to truncate")
-    k = np.arange(top + 1)
-    pmf = np.exp(k * math.log(lam) - lam - _log_factorials(top))
-    # tail[n] = P(total > n), summed from the small end of the tail up.
-    tail = np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
-    return Truncation(int(np.argmax(tail <= COHERENT_TAIL_TARGET)))
+    return Truncation(int(np.argmax(_poisson_tails(lam, top) <= COHERENT_TAIL_TARGET)))
 
 
 def state_to_json(s: MotionalState) -> str:

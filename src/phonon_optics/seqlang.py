@@ -41,11 +41,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import interferometer
-from .detection import _require_samples, direct_mean_phonon, signal
+from .detection import _KINDS, _require_samples, direct_mean_phonon, signal
 from .fockspace import (
     WEIGHT_FLOOR,
     MotionalState,
     Truncation,
+    _MODES,
+    _PARITIES,
     _read_int,
     _Record,
     expect,
@@ -161,19 +163,16 @@ _GRAMMAR = {
         ),
         "cat": (
             ("alpha real part", float), ("alpha imaginary part", float),
-            ("parity", ("even", "odd")), ("mode", ("c", "r")), *_NMAX,
+            ("parity", _PARITIES), ("mode", _MODES), *_NMAX,
         ),
     },
     "bs1": (("theta", Angle),),
     "bs2": (("theta", Angle),),
-    "ps": (("mode", ("c", "r")), ("angle", Angle)),
-    "cphase": (("mode", ("c", "r")), ("angle", Angle)),
+    "ps": (("mode", _MODES), ("angle", Angle)),
+    "cphase": (("mode", _MODES), ("angle", Angle)),
     "mz": (("phi", Angle),),
-    "jcm": (
-        ("kind", ("single", "two")),
-        ("coupling", float), ("t0", float), ("t1", float), ("nsamples", int),
-    ),
-    "direct": (("mode", ("c", "r")), ("chi_t", float)),
+    "jcm": (("kind", _KINDS), ("coupling", float), ("t0", float), ("t1", float), ("nsamples", int)),
+    "direct": (("mode", _MODES), ("chi_t", float)),
     "report": (),
 }
 

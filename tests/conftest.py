@@ -8,14 +8,10 @@ builds.
 """
 
 import pytest
+from hypothesis import settings
 
-try:
-    from hypothesis import settings
-except ImportError:  # property tests skip themselves without hypothesis
-    pass
-else:
-    settings.register_profile("phonon-optics", derandomize=True, deadline=None)
-    settings.load_profile("phonon-optics")
+settings.register_profile("phonon-optics", derandomize=True, deadline=None)
+settings.load_profile("phonon-optics")
 
 
 @pytest.fixture

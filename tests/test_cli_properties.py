@@ -37,13 +37,10 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-import pytest
+from hypothesis import event, given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import event, given, settings, strategies as st  # noqa: E402
-
-from phonon_optics import cli, fockspace, seqlang  # noqa: E402
-from phonon_optics.interferometer import SWEEP_CSV_HEADER  # noqa: E402
+from phonon_optics import cli, fockspace, seqlang
+from phonon_optics.interferometer import SWEEP_CSV_HEADER
 
 HOSTILE = (
     "9" * 4301,  # one digit more than int() reads from text by default

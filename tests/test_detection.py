@@ -550,6 +550,47 @@ def test_direct_linearization_bias_bound():
         assert abs(est.mean_n_linearized - m) <= bound + 1e-15
 
 
+def test_nnls_stops_after_three_iterations_a_column(monkeypatch):
+    # SciPy's cap.  A least-squares step that is NaN on one free column and
+    # negative on two sends the active set round a cycle that never settles.
+    calls = []
+
+    def step(cols, b, rcond):
+        calls.append(cols.shape[1])
+        return (np.full(cols.shape[1], np.nan if cols.shape[1] == 1 else -1.0),)
+
+    monkeypatch.setattr(np.linalg, "lstsq", step)
+    with pytest.raises(ValueError, match="^nonnegative least squares did not converge in 6 "
+                                         "iterations$"):
+        detection._nnls(np.eye(2), np.ones(2))
+    assert len(calls) == 12  # six iterations of a solve and its refinement
+
+
+def test_nnls_fixes_every_weight_that_its_step_takes_to_zero(monkeypatch):
+    # Lawson and Hanson's step: every weight that reaches 0 goes back to the
+    # fixed set, not only the one that stopped the step.  Scripted solves on
+    # the identity make two weights reach 0 together.
+    solves = {1: [1.0], 2: [1.0, 1.0], 3: [-1.0, -1.0, 1.0]}
+    widths = []
+
+    def step(cols, b, rcond):
+        widths.append(cols.shape[1])
+        refinement = len(widths) % 2 == 0
+        return (np.zeros(cols.shape[1]) if refinement else np.array(solves[cols.shape[1]]),)
+
+    monkeypatch.setattr(np.linalg, "lstsq", step)
+    x, residual = detection._nnls(np.eye(3), np.ones(3))
+    assert widths[::2] == [1, 2, 3, 1]  # after the step only the third column is free
+    assert x.tolist() == [1.0, 1.0, 0.0] and residual == 1.0  # the last step raised it
+
+
+def test_default_times_takes_two_samples_and_no_fewer():
+    assert default_times(1.0, 2).tolist() == [0.0, detection.DEFAULT_ANGLE_SPAN]
+    for n_samples in (1, 0):
+        with pytest.raises(ValueError, match="^need at least two samples$"):
+            default_times(1.0, n_samples)
+
+
 def test_direct_rejects_zero_angle():
     with pytest.raises(ValueError, match="positive"):
         direct_mean_phonon(make_fock(1, 0, Truncation(2)), 0.0, "c")
@@ -563,6 +604,12 @@ def test_jz_methods_vacuum():
     assert cmp_.jz_exact == 0.0
     assert abs(cmp_.jz_reconstructed) < 1e-9
     assert cmp_.jz_direct == 0.0
+
+
+def test_jz_methods_probe_both_modes_in_order_at_unit_coupling():
+    cmp_ = jz_from_methods(make_fock(1, 0, Truncation(2)), n_samples=16)
+    assert [(t.mode, t.coupling) for t in cmp_.traces] == [("c", 1.0), ("r", 1.0)]
+    assert [est.mode for est in cmp_.directs] == ["c", "r"]
 
 
 @pytest.mark.parametrize("chi_t", [0.0, -1e-3, math.nan, math.inf])

@@ -10,16 +10,14 @@ conditioned and the fitted marginal exact up to nmax 200.
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-scipy_optimize = pytest.importorskip("scipy.optimize")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from phonon_optics import (  # noqa: E402
+from phonon_optics import (
     MotionalState, Truncation, default_times, make_cat, make_coherent, number_distributions,
     reconstruct_single, signal,
 )
-from phonon_optics.detection import _nnls, _nnls_on_dictionary  # noqa: E402
+from phonon_optics.detection import _nnls, _nnls_on_dictionary
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -36,10 +34,20 @@ def tall_problem(seed, n, extra_rows, nonnegative):
 @given(seeds, st.integers(1, 15), st.integers(0, 45), st.booleans())
 def test_nnls_matches_scipy_on_tall_problems(seed, n, extra_rows, nonnegative):
     a, b = tall_problem(seed, n, extra_rows, nonnegative)
-    want_x, want_residual = scipy_optimize.nnls(a, b)
+    want_x, want_residual = scipy.optimize.nnls(a, b)
     x, residual = _nnls(a, b)
     assert np.max(np.abs(x - want_x)) <= 1e-10 * max(1.0, np.max(np.abs(want_x)))
     assert abs(residual - want_residual) <= 1e-10 * max(1.0, np.linalg.norm(b))
+
+
+def test_nnls_matches_scipy_where_a_step_stops_at_the_boundary():
+    # the solve on all three columns has a negative weight, so the step toward it
+    # stops where the first weight reaches 0; a step past that point ends suboptimal
+    a = np.array([[2.0, 2.0, 3.0], [1.0, -2.0, 3.0], [2.0, 0.0, 3.0]])
+    b = np.array([2.0, -3.0, 3.0])
+    want_x, want_residual = scipy.optimize.nnls(a, b)
+    x, residual = _nnls(a, b)
+    assert np.max(np.abs(x - want_x)) <= 1e-10 and abs(residual - want_residual) <= 1e-10
 
 
 @given(
@@ -60,7 +68,7 @@ def test_nnls_matches_scipy_on_probe_dictionaries(seed, nmax, k_max, kind, decay
 
     p, residual = _nnls_on_dictionary(trace, k_max + 1)
     design = np.cos(np.outer(times, roots)) ** 2
-    want, want_residual = scipy_optimize.nnls(design, trace.values)
+    want, want_residual = scipy.optimize.nnls(design, trace.values)
     assert np.max(np.abs(p - want / want.sum())) <= 1e-10
     # a residual no larger than SciPy's, down to its rounding level (about
     # 1e-15) when the dictionary covers the trace; stopping early, or solving

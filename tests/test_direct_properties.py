@@ -9,12 +9,9 @@ two agree to 1e-12 plus a few ulps of the largest phase 2 chi_t nmax.
 """
 
 import numpy as np
-import pytest
+from hypothesis import example, given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
-from phonon_optics import (  # noqa: E402
+from phonon_optics import (
     MotionalState,
     QubitState,
     Truncation,

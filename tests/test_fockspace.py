@@ -196,6 +196,12 @@ def test_cat_odd_alpha_zero_rejected():
         make_cat(0, "odd", "c", Truncation(4))
 
 
+def test_an_odd_cat_whose_norm_rounds_to_zero_is_the_zero_vector():
+    # |alpha|^2 = 2.5e-17: exp(-2 |alpha|^2) rounds to 1, so the odd norm 1 - exp(...) is 0
+    with pytest.raises(ValueError, match="^odd cat with alpha = 0 is the zero vector$"):
+        make_cat(5e-9, "odd", "c", Truncation(4))
+
+
 def test_cat_odd_support():
     s = make_cat(1, "odd", "c", Truncation(20))
     ms, ns = s.trunc.mode_numbers()
@@ -429,6 +435,33 @@ def test_truncation_for_coherent_tail():
         s = make_coherent(alpha, beta, t)
         assert s.tail_mass < 1e-12
         assert not s.flagged
+
+
+def _exact_poisson_tail(lam: int, n: int) -> float:
+    """P(N > n) for an integer mean ``lam``: exp(-lam) times a rational sum to n + 400."""
+    terms = (fractions.Fraction(lam**k, math.factorial(k)) for k in range(n + 1, n + 401))
+    return math.exp(-lam) * float(sum(terms))
+
+
+def test_a_coherent_product_reports_its_poisson_tail():
+    # P(N > 40) at mean 4, far below the 1e-16 rounding floor of 1 - retained / norm^2
+    assert make_coherent(0, 2, Truncation(40)).tail_mass == pytest.approx(
+        2.9255511651946e-27, rel=1e-12, abs=0.0)
+    for alpha, beta, nmax in ((0, 1, 5), (5, 0, 60), (3, 4, 120), (4, 4, 300)):
+        want = _exact_poisson_tail(alpha**2 + beta**2, nmax)
+        assert make_coherent(alpha, beta, Truncation(nmax)).tail_mass == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+    for alpha, beta in ((0, 1), (0.3, 2j), (1, 2), (5, -3), (20, 3)):
+        t = truncation_for_coherent(alpha, beta)
+        assert make_coherent(alpha, beta, t).tail_mass <= fockspace.COHERENT_TAIL_TARGET
+
+
+def test_a_superposition_keeps_the_tail_against_its_exact_norm():
+    # an even cat at |alpha|^2 = 4: two terms, so 1 - retained / norm^2, not a Poisson tail
+    s = make_cat(2, "even", "c", Truncation(40))
+    assert 0.0 <= s.tail_mass < 1e-15
+    assert make_cat(2, "even", "c", Truncation(4)).tail_mass == pytest.approx(
+        1 - (1 + 4**2 / 2 + 4**4 / 24) / math.cosh(4), rel=1e-12)
 
 
 def test_coherent_beyond_exp_underflow():

@@ -9,16 +9,14 @@ slip in either hop direction shows up as a nonzero <Jy> of the wrong sign.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-from phonon_optics import (  # noqa: E402
+from phonon_optics import (
     MotionalState,
     Truncation,
     expect,
 )
-from oracles import dense_jx, dense_jy, dense_jz, dense_number  # noqa: E402
+from oracles import dense_jx, dense_jy, dense_jz, dense_number
 
 
 @given(st.integers(0, 8), st.integers(0, 2**32 - 1))

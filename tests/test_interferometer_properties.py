@@ -10,11 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, strategies as st  # noqa: E402
-
-from phonon_optics import (  # noqa: E402
+from phonon_optics import (
     InterferometerReport,
     MotionalState,
     Truncation,

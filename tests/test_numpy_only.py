@@ -7,9 +7,12 @@ no package module defines them and the package exports none of them.
 ``expm_oracle`` runs with SciPy unavailable.  SciPy stays a test
 dependency, as the oracle of the nonnegative least squares.  The weight
 floor has one home, ``fockspace``, and so do the readers of a number or
-label argument; ``detection`` reads nothing from ``operators``.  Only
-``JointState`` knows where an ion's register lives: no code outside that
-class calls ``moveaxis`` or ``axis_of``."""
+label argument; ``detection`` reads nothing from ``operators``.  Each
+label set is spelled once, by the module that owns it: the modes by
+``fockspace._MODES``, the cat parities by ``fockspace._PARITIES`` and the
+probe kinds by ``detection._KINDS``.  Only ``JointState`` knows where an
+ion's register lives: no code outside that class calls ``moveaxis`` or
+``axis_of``."""
 
 import ast
 import re
@@ -113,6 +116,36 @@ def test_every_argument_reader_lives_in_fockspace():
     # the walk does see what it looks for
     own = ast.parse("""raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")""")
     assert [bool(CHOICE_MESSAGE.search(text)) for _, text in raised_texts(own)] == [True]
+
+
+LABEL_SETS = {("c", "r"): "_MODES", ("even", "odd"): "_PARITIES", ("single", "two"): "_KINDS"}
+
+
+def label_spellings(tree, module):
+    """Where ``tree`` spells a label set of ``LABEL_SETS``, or the mode
+    string "cr": ``module.NAME`` for a tuple assigned to NAME alone, else
+    ``module:line`` and the spelling."""
+    named = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and all(isinstance(e, ast.Constant) for e in node.elts):
+            spelling = tuple(e.value for e in node.elts)
+            if spelling in LABEL_SETS:
+                where = named.get(id(node))
+                yield f"{module}.{where}" if where else f"{module}:{node.lineno} {spelling}"
+        elif isinstance(node, ast.Constant) and node.value == "cr":
+            yield f"{module}:{node.lineno} 'cr'"
+
+
+def test_each_label_set_is_spelled_by_its_owner_alone():
+    found = [where for path, tree in package_trees() for where in label_spellings(tree, path.stem)]
+    assert sorted(found) == ["detection._KINDS", "fockspace._MODES", "fockspace._PARITIES"]
+    # the walk does see what it looks for
+    own = ast.parse('_MODES = ("c", "r")\nx = {"kind": ("single", "two")}\n'
+                    'for mode in "cr":\n    f(mode, ("even", "odd"))\n')
+    assert sorted(label_spellings(own, "m")) == [
+        "m._MODES", "m:2 ('single', 'two')", "m:3 'cr'", "m:4 ('even', 'odd')"]
 
 
 REGISTER_MOVES = ("moveaxis", "axis_of")

@@ -382,6 +382,16 @@ def test_a_dispersive_phase_inside_its_bound_is_taken():
     assert np.isfinite(conditional_phase("c", 3e307, js).amps).all()
 
 
+def test_a_phase_bound_multiplies_by_the_largest_factor():
+    # coupling * t = 1e308 is finite, but the angle at sqrt(k) = 2 is not
+    with pytest.raises(ValueError, match="^probe angle coupling \\* t \\* sqrt\\(k\\) "
+                                         "must be finite, got inf$"):
+        jcm_unitary(1e308, 1.0, Truncation(4), "single")
+    # the readout phase 2 chi_t nmax = 1.5e308 is finite, so the readout is taken
+    est = direct_mean_phonon(make_fock(1, 0, Truncation(3)), 2.5e307)
+    assert math.isfinite(est.sigma_x_exact) and math.isfinite(est.mean_n_linearized)
+
+
 def test_a_dispersive_phase_at_nmax_0_takes_any_finite_chi_t():
     # chi_t k is formed before the constant, so k = 0 never meets an
     # overflowed 2 chi_t or 1.5 chi_t (inf times 0 would be NaN)

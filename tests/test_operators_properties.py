@@ -18,11 +18,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
-
-from phonon_optics import (  # noqa: E402
+from phonon_optics import (
     MotionalState,
     Truncation,
     apply,
@@ -30,9 +28,9 @@ from phonon_optics import (  # noqa: E402
     make_coherent,
     phase_shifter,
 )
-from phonon_optics import operators  # noqa: E402
-from phonon_optics.operators import WEIGHT_FLOOR, UnitaryOperator, _small_d  # noqa: E402
-from oracles import (  # noqa: E402
+from phonon_optics import operators
+from phonon_optics.operators import WEIGHT_FLOOR, UnitaryOperator, _small_d
+from oracles import (
     as_matrix,
     dense_jx,
     dense_jy,

@@ -2,11 +2,11 @@
 
 States, operators and results are read-only after construction, and
 ``Truncation``, ``Angle`` and ``Statement`` compare by value; no other
-record defines ``__eq__``.  Every class
-subclasses ``fockspace._Record``, which stores one value per slot and
-refuses any later assignment, except three ``typing.NamedTuple`` records
-and two exceptions; none may be a dataclass, whose methods are generated
-when the package is imported.
+record defines ``__eq__``.  Every class subclasses ``fockspace._Record``,
+which stores one value per slot and refuses any later assignment, except
+the two ``typing.NamedTuple`` records ``Angle`` and ``Statement`` and two
+exceptions; none may be a dataclass, whose methods are generated when the
+package is imported.
 Every array a record holds is read-only, frozen by the base alone, and
 every record survives ``copy.copy``, ``copy.deepcopy`` and ``pickle``.
 A record field holds a number, a string, a tuple, a record or a read-only
@@ -307,7 +307,7 @@ def test_no_class_is_a_dataclass(name):
 
 
 NOT_RECORDS = {
-    "seqlang.Angle", "seqlang.Statement", "detection.DirectEstimate",  # tuple semantics
+    "seqlang.Angle", "seqlang.Statement",  # tuple semantics
     "seqlang.ParseError", "seqlang.ExecutionError",
     "fockspace._Record",
 }

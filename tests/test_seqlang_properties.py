@@ -14,13 +14,10 @@ import json
 import math
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from phonon_optics import number_distributions, seqlang  # noqa: E402
-from phonon_optics.fockspace import WEIGHT_FLOOR  # noqa: E402
+from phonon_optics import number_distributions, seqlang
+from phonon_optics.fockspace import WEIGHT_FLOOR
 
 FLOOR = WEIGHT_FLOOR**2  # 1e-60
 

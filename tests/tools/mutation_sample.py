@@ -62,9 +62,10 @@ EQUIVALENT = {
         "the sign test runs only for integers beyond str()'s 4300 digits, never on 0",
     "fockspace.coherent_superposition: constant `1.0` -> `2.0`":
         "`scale or 1.0` divides by it only when every weight is 0, and 0 / 2 is 0",
-    "fockspace.truncation_for_coherent: constant `0.0` -> `1.0` #2":
-        "the appended tail entry is never reached: the Poisson tail 40 standard "
-        "deviations past the mean lies far below COHERENT_TAIL_TARGET",
+    "fockspace._poisson_tails: constant `0.0` -> `1.0`":
+        "the appended P(N > top) entry is never read: truncation_for_coherent stops at "
+        "a tail under COHERENT_TAIL_TARGET long before top, 40 standard deviations past "
+        "the mean, and coherent_superposition reads the entry at n_total_max, 100 below top",
     "fockspace.JointState.reduced_qubit: constant `1` -> `2`":
         "NumPy reads any negative reshape length, -2 as well as -1, as the one inferred length",
     "seqlang.Angle: constant `1` -> `2`":
