@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "refused for two, which probes both modes")
     p_det.add_argument("--coupling", type=float, default=1.0,
                        help="probe coupling in rad/s (default 1.0)")
-    p_det.add_argument("--samples", type=int, help="samples per trace (default: sized to the fit)")
     p_det.add_argument("--m-max", type=int, default=None,
                        help="largest phonon number fitted (default nmax)")
     p_det.add_argument("--k-max", type=int, default=None,
@@ -179,12 +178,9 @@ def cmd_detect(args) -> int:
         state = interferometer.mz_output(state, args.mz)
     if args.method == "two":  # its grid first; its trace and fit run after the comparison
         k_max = state.trunc.n_total_max if args.k_max is None else fockspace._nonnegative(args.k_max, "k_max")
-        times = detection.default_times(args.coupling, args.samples, k_max + 1)
+        times = detection.default_times(args.coupling, n_weights=k_max + 1)
     # the comparison reads every other detection parameter before its first trace
-    comparison = detection.jz_from_methods(
-        state, coupling=args.coupling, n_samples=args.samples,
-        m_max=args.m_max, chi_t=args.chi_t,
-    )
+    comparison = detection.jz_from_methods(state, args.coupling, m_max=args.m_max, chi_t=args.chi_t)
 
     side = fockspace._MODES.index(mode)  # the comparison's pairs are in this order
     artifacts: list[tuple[str, str]] = []

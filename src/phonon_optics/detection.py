@@ -150,13 +150,15 @@ class DirectEstimate(_Record):
 def _require_samples(n_samples: int, n_weights: int = 0) -> None:
     """Refuse a sample count that is no integer, too small to determine
     ``n_weights`` weights, or whose trace and fit design of ``n_weights``
-    columns would not fit in memory, before the sample grid is built."""
+    columns would not fit in memory, before the sample grid is built; a
+    fit's memory refusal names its weights, the count its caller sets."""
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2 * n_weights:
         raise ValueError(f"{_int_text(n_samples)} samples cannot determine {_int_text(n_weights)} "
                          f"weights; need at least {_int_text(2 * n_weights)}")
     need = n_samples * (_TRACE_BYTES_PER_SAMPLE + _FIT_BYTES_PER_SAMPLE_WEIGHT * n_weights)
-    _require_memory(need, f"{_int_text(n_samples)} samples need")
+    fit = f"for {_int_text(n_weights)} weights, " if n_weights else ""
+    _require_memory(need, f"{fit}{_int_text(n_samples)} samples need")
 
 
 def _probe_table(coupling: float, roots: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -169,20 +171,17 @@ def _probe_table(coupling: float, roots: np.ndarray, times: np.ndarray) -> np.nd
     return np.cos(np.outer(times, 2.0 * (coupling * roots)))
 
 
-def default_times(coupling: float, n_samples: int | None = None, n_weights: int = 0) -> np.ndarray:
+def default_times(coupling: float, *, n_weights: int = 0) -> np.ndarray:
     """Uniform samples of coupling * t over [0, span] for a fit of ``n_weights``
     lines 2 sqrt(k), k < n_weights, checked by ``_require_samples``.  Adjacent
     lines differ by about 1/sqrt(k), so the span is 8 pi max(1, sqrt((n_weights
-    - 1) / 60)) and the count, unless given, max(256, ceil(4 span sqrt(n_weights
-    - 1) / pi)): 4 a period of the top line, and the fixed grid to 61 weights."""
+    - 1) / 60)) and the count max(256, ceil(4 span sqrt(n_weights - 1) / pi)):
+    4 a period of the top line, 2 or more a weight, the fixed grid to 61 weights."""
     coupling = _finite(coupling, "coupling", positive=True)
     top = _finite(max(_nonnegative(n_weights, "n_weights") - 1, 0), "the number of weights")
     span = DEFAULT_ANGLE_SPAN * max(1.0, math.sqrt(top / 60.0))
-    if n_samples is None:
-        count = _finite(4.0 * span * math.sqrt(top) / math.pi, "the sample count of those weights")
-        n_samples = max(DEFAULT_SAMPLE_COUNT, math.ceil(count))
-    if _integer(n_samples, "n_samples") < 2:
-        raise ValueError("need at least two samples")
+    count = _finite(4.0 * span * math.sqrt(top) / math.pi, "the sample count of those weights")
+    n_samples = max(DEFAULT_SAMPLE_COUNT, math.ceil(count))
     _require_samples(n_samples, n_weights)
     t_end = span / coupling
     if not math.isfinite(t_end):
@@ -442,17 +441,17 @@ class JzComparison(_Record):
 def jz_from_methods(
     out_state: MotionalState,
     coupling: float = 1.0,
-    n_samples: int | None = None,
+    *,
     m_max: int | None = None,
     chi_t: float = 1e-3,
 ) -> JzComparison:
     """<Jz> by (a) exact expectation, (b) single-mode reconstruction of both
     marginals, (c) the direct readout on both modes.  ``m_max`` is read and
     its fit's grid built by ``default_times``, which checks the coupling and
-    sample count, before any readout.  The direct readouts come next: they
+    the grid's memory, before any readout.  The direct readouts come next: they
     cost O(nmax^2), and refuse a bad ``chi_t`` before the fits are paid for."""
     m_max = out_state.trunc.n_total_max if m_max is None else _nonnegative(m_max, "m_max")
-    times = default_times(coupling, n_samples, m_max + 1)
+    times = default_times(coupling, n_weights=m_max + 1)
 
     jz_exact = expect(out_state, "jz")
     directs = tuple(direct_mean_phonon(out_state, chi_t, mode) for mode in _MODES)

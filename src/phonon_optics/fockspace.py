@@ -434,12 +434,11 @@ def _cat_sign(parity: str) -> float:
     return 1.0 if _choice(parity, "parity", _PARITIES) == "even" else -1.0
 
 
-def _cat_weight(alpha: complex, sign: float) -> float:
-    """Weight w of both terms of the normalized cat w (|alpha> + sign |-alpha>)."""
-    norm2 = 2.0 * (1.0 + sign * math.exp(-2.0 * _abs2(alpha)))
-    if norm2 <= 1e-300:
+def _require_cat_norm(alpha: complex, sign: float) -> None:
+    """Refuse the cat |alpha> + sign |-alpha> whose norm^2, 2 (1 + sign
+    exp(-2|alpha|^2)), is zero: the odd cat at alpha = 0, to rounding."""
+    if 1.0 + sign * math.exp(-2.0 * _abs2(alpha)) <= 0.0:
         raise ValueError("odd cat with alpha = 0 is the zero vector")
-    return 1.0 / math.sqrt(norm2)
 
 
 def coherent_superposition(
@@ -518,11 +517,11 @@ def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> Motio
     """
     sign = _cat_sign(parity)
     mode = _choice(mode, "mode", _MODES)
-    weight = _cat_weight(alpha, sign)
+    _require_cat_norm(alpha, sign)
     if mode == "c":
-        terms = [(weight, alpha, 0.0), (sign * weight, -alpha, 0.0)]
+        terms = [(1.0, alpha, 0.0), (sign, -alpha, 0.0)]
     else:
-        terms = [(weight, 0.0, alpha), (sign * weight, 0.0, -alpha)]
+        terms = [(1.0, 0.0, alpha), (sign, 0.0, -alpha)]
     return coherent_superposition(terms, trunc)
 
 

@@ -13,10 +13,10 @@ from .fockspace import (
     QubitState,
     Truncation,
     _cat_sign,
-    _cat_weight,
     _choice,
     _finite,
     _number,
+    _require_cat_norm,
     coherent_superposition,
     joint_state,
     make_cat,
@@ -62,11 +62,11 @@ def entangled_cat_target(
 ) -> MotionalState:
     """Direct expansion of the entangled-cat output, bypassing all operators."""
     sign, alpha = _cat_sign(parity), _number(alpha, "coherent amplitude")
-    w = _cat_weight(alpha, sign)
+    _require_cat_norm(alpha, sign)
     half = _finite(theta, "theta") / 2.0
     at = alpha * math.cos(half)
     bt = alpha * math.sin(half)
-    return coherent_superposition([(w, at, bt), (sign * w, -at, -bt)], trunc)
+    return coherent_superposition([(1.0, at, bt), (sign, -at, -bt)], trunc)
 
 
 def entangled_cat_u2u3(
@@ -93,8 +93,8 @@ def entangled_cat_u2u3(
             "states entangle with the motion under this propagator"
         )
     sign = _cat_sign(parity)
-    w = _cat_weight(alpha, sign)
-    motional = coherent_superposition([(w, alpha, beta), (sign * w, -alpha, beta)], trunc)
+    _require_cat_norm(alpha, sign)
+    motional = coherent_superposition([(1.0, alpha, beta), (sign, -alpha, beta)], trunc)
     if motional.flagged:
         raise ValueError(
             f"input discards probability {motional.tail_mass:.3g} at this truncation; "

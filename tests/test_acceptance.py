@@ -175,7 +175,7 @@ def test_criterion_5_detection_equivalence():
 def test_criterion_6_reconstruction_round_trip():
     with criterion("6 reconstruction round trip"):
         rng = np.random.default_rng(77)
-        times = default_times(1.0, 256)
+        times = default_times(1.0, n_weights=10)
         # single-mode marginals for states with support up to m = 8
         for _ in range(5):
             s = random_motional(rng, Truncation(8))

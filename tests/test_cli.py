@@ -195,13 +195,16 @@ def test_bad_angle_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
         ("sweep", "fock 0 0 nmax 2", "--fd-step", "1e-4"),
         ("sweep", "fock 0 0 nmax 6", "--nmax", "2"),
         ("detect", "fock 3 3 nmax 6", "--method", "direct", "--nmax", "2"),
+        ("detect", "fock 1 0 nmax 3", "--method", "single", "--samples", "256"),
     ],
 )
-def test_removed_flags_are_rejected(capsys, argv):
+def test_removed_flags_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_non_finite_grid(capsys):
@@ -453,19 +456,6 @@ def test_detect_absurd_weight_count_exit_code(tmp_path, capsys, monkeypatch, fla
 
 
 @pytest.mark.parametrize(
-    "flags", [("--method", "single", "--m-max"), ("--method", "two", "--k-max")]
-)
-def test_detect_absurd_weight_count_on_explicit_samples(tmp_path, capsys, monkeypatch, flags):
-    # an explicit --samples is taken as given, and refused on its count
-    monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(capsys, "detect", "fock 1 1 nmax 3", "--samples", "256", *flags,
-                           str(2**62))
-    assert code == 2
-    assert "256 samples cannot determine 4611686018427387905 weights" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize(
     "flags, message",
     [
         (("--method", "single", "--m-max", "-3"), "m_max must be nonnegative, got -3"),
@@ -480,19 +470,11 @@ def test_detect_negative_cutoff_exit_code(tmp_path, capsys, monkeypatch, flags, 
     assert list(tmp_path.iterdir()) == []
 
 
-def test_detect_two_needs_two_samples_per_weight(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(
-        capsys, "detect", "fock 1 1 nmax 3", "--method", "two", "--samples", "8",
-        "--k-max", "20",
-    )
-    assert code == 2
-    assert "8 samples cannot determine 21 weights; need at least 42" in err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_detect_two_refuses_its_fit_before_the_comparison(tmp_path, capsys, monkeypatch):
+    from phonon_optics import fockspace
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
 
     def fit(*args, **kwargs):
         pytest.fail("an NNLS fit ran before the refusal")
@@ -500,12 +482,11 @@ def test_detect_two_refuses_its_fit_before_the_comparison(tmp_path, capsys, monk
     monkeypatch.setattr(detection, "jz_from_methods", fit)
     monkeypatch.setattr(detection, "_nnls", fit)
     code, out, err = run_cli(
-        capsys, "detect", "coherent 7 0.5 0 0 nmax 127", "--method", "two",
-        "--samples", "20000", "--k-max", "100000",
+        capsys, "detect", "coherent 7 0.5 0 0 nmax 127", "--method", "two", "--k-max", "100000",
     )
     assert code == 2
     assert out == ""
-    assert "20000 samples cannot determine 100001 weights; need at least 200002" in err
+    assert "for 100001 weights, 413119 samples need about 1.32e+12 bytes" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -633,18 +614,18 @@ def test_sweep_refuses_points_beyond_memory(capsys, monkeypatch):
 
 
 DETECT_SINGLE = ("detect", "fock 1 0 nmax 4", "--method", "single")
-DETECT_TWO = ("detect", "fock 1 1 nmax 4", "--method", "two", "--samples", "20000")
+DETECT_TWO = ("detect", "fock 1 1 nmax 4", "--method", "two")
 
 
 @pytest.mark.parametrize(
     "refused, runs, message",
     [
-        # 1e5 samples x (48 + 32 x 5 weights) B = 2.1e7 B against 1e7 B
-        (DETECT_SINGLE + ("--samples", "100000"), DETECT_SINGLE + ("--samples", "10000"),
-         "100000 samples need about 2.08e+07 bytes"),
-        # the comparison's fits pass; the two-mode fit of 101 weights does not
-        (DETECT_TWO + ("--k-max", "100"), DETECT_TWO + ("--k-max", "4"),
-         "20000 samples need about 6.56e+07 bytes"),
+        # 1240 samples x (48 + 32 x 301 weights) B = 1.2e7 B against 1e7 B
+        (DETECT_SINGLE + ("--m-max", "300"), DETECT_SINGLE + ("--m-max", "200"),
+         "for 301 weights, 1240 samples need about 1.2e+07 bytes"),
+        # the comparison's fits would pass; the two-mode fit of 281 weights does not
+        (DETECT_TWO + ("--k-max", "280"), DETECT_TWO + ("--k-max", "4"),
+         "for 281 weights, 1157 samples need about 1.05e+07 bytes"),
         (("run", "init fock 1 0 nmax 4\njcm single 1 0 10 1000000\n"),
          ("run", "init fock 1 0 nmax 4\njcm single 1 0 10 100000\n"),
          "line 2: 1000000 samples need about 4.8e+07 bytes"),
@@ -835,7 +816,7 @@ NINES_400 = "9" * 400
 @pytest.mark.parametrize("argv", [
     ("sweep", "fock 0 0 nmax 3", "--points", NINES_400),
     ("sweep", f"fock 0 0 nmax {'9' * 160}"),
-    ("detect", "fock 1 0 nmax 3", "--method", "single", "--samples", NINES_400),
+    ("detect", "fock 1 0 nmax 3", "--method", "single", "--m-max", str(10**300)),
     ("run", f"init fock 1 0 nmax 3\njcm single 1 0 1 {NINES_400}\n"),
 ], ids=["sweep-points", "sweep-nmax", "detect-samples", "run-jcm-samples"])
 def test_byte_counts_beyond_the_float_range_are_refused(tmp_path, capsys, monkeypatch, argv):

@@ -55,7 +55,6 @@ PLAUSIBLE = {
     int: ("0", "1", "2", "3", "6"),  # a cutoff, fock index or count: nmax stays <= 6
     float: ("0", "0.5", "1", "-1.25", "3"),
     seqlang.Angle: ("pi/3", "-pi/4", "0.7", "2*pi"),
-    "samples": ("16", "64", "256"),  # sample and grid counts of the flags
     "points": ("2", "8", "65"),
 }
 OUT_NAMES = ("out", "sub/dir", "")

@@ -30,7 +30,7 @@ from phonon_optics import (
     truncation_for_coherent,
 )
 from phonon_optics import detection
-from phonon_optics.detection import _SIGNAL_CHUNK, _jcm_tables
+from phonon_optics.detection import DEFAULT_ANGLE_SPAN, _SIGNAL_CHUNK, _jcm_tables
 from phonon_optics.fockspace import WEIGHT_FLOOR
 from oracles import (
     SIGMA_MINUS,
@@ -327,13 +327,13 @@ def test_trace_csv():
 
 def test_reconstruct_refuses_a_trace_that_fits_to_zero():
     # P_g = 0 at every sample: the nonnegative fit is all zeros, with no distribution to normalize
-    trace = SignalTrace(default_times(1.0, 16), np.zeros(16), 1.0, "single")
+    trace = SignalTrace(np.linspace(0.0, DEFAULT_ANGLE_SPAN, 16), np.zeros(16), 1.0, "single")
     with pytest.raises(ValueError, match="reconstruction collapsed to the zero distribution"):
         reconstruct_single(trace, 3)
 
 
 def test_reconstruct_single_flat_signal():
-    times = default_times(1.0, 64)
+    times = np.linspace(0.0, DEFAULT_ANGLE_SPAN, 64)
     trace = SignalTrace(times, np.ones_like(times), 1.0, "single")
     rec = reconstruct_single(trace, 8)
     assert rec.p[0] == pytest.approx(1.0, abs=1e-9)
@@ -379,7 +379,7 @@ def test_absurd_weight_count_is_refused_before_the_dictionary(kind, reconstruct)
 def test_signal_and_fit_read_one_probe_table(monkeypatch, kind, mode):
     # signal is (1/2)(1 + table @ p) and the fit's design (1/2)(1 + table)
     s = make_coherent(0.8, 0.5j, Truncation(6))
-    times = default_times(1.0, _SIGNAL_CHUNK + 8)
+    times = np.linspace(0.0, DEFAULT_ANGLE_SPAN, _SIGNAL_CHUNK + 8)
     tables = []
     build = detection._probe_table
     monkeypatch.setattr(detection, "_probe_table", lambda *args: tables.append(args) or build(*args))
@@ -406,9 +406,7 @@ def test_default_grid_up_to_61_weights_is_the_fixed_grid(coupling):
     # 256 samples over coupling * t in [0, 8 pi]: the grid before it was sized
     fixed = np.linspace(0.0, 8.0 * math.pi / coupling, 256)
     for n_weights in range(62):
-        assert np.array_equal(default_times(coupling, None, n_weights), fixed)
-        assert np.array_equal(default_times(coupling, 300, n_weights),
-                              np.linspace(0.0, 8.0 * math.pi / coupling, 300))
+        assert np.array_equal(default_times(coupling, n_weights=n_weights), fixed)
     assert np.array_equal(default_times(coupling), fixed)
 
 
@@ -416,28 +414,35 @@ def test_default_grid_up_to_61_weights_is_the_fixed_grid(coupling):
 def test_default_grid_grows_with_the_top_line(n_weights, count):
     # span 8 pi sqrt((n - 1) / 60) and 4 samples a period of the top line 2 sqrt(n - 1)
     span = 8.0 * math.pi * math.sqrt((n_weights - 1) / 60)
-    times = default_times(1.0, None, n_weights)
+    times = default_times(1.0, n_weights=n_weights)
     sized = math.ceil(4.0 * span * math.sqrt(n_weights - 1) / math.pi)
     assert times.size == count == max(256, sized)
     assert times[-1] == pytest.approx(span, rel=1e-15)
-    assert np.array_equal(default_times(1.0, 2 * n_weights, n_weights),
-                          np.linspace(0.0, times[-1], 2 * n_weights))
+
+
+def test_default_grid_has_two_samples_per_weight():
+    # the invariant that leaves a fit on the default grid no "cannot determine" refusal
+    for n_weights in range(2001):
+        assert default_times(1.0, n_weights=n_weights).size >= 2 * n_weights
+
+
+def test_no_argument_sets_the_sample_count_of_a_fit():
+    # a count left over as the second argument must not be read as n_weights
+    with pytest.raises(TypeError):
+        default_times(1.0, 64)
+    with pytest.raises(TypeError):
+        jz_from_methods(make_fock(1, 0, Truncation(2)), n_samples=16)
 
 
 def test_default_grid_refuses_what_its_fit_cannot_take():
-    with pytest.raises(ValueError, match="^256 samples cannot determine 129 weights; "
-                                         "need at least 258$"):
-        default_times(1.0, 256, 129)
     with pytest.raises(ValueError, match="^the number of weights must be finite, got an integer "
                                          "beyond the float range$"):
-        default_times(1.0, None, 10**400)
+        default_times(1.0, n_weights=10**400)
     with pytest.raises(ValueError, match="^the sample count of those weights must be "
                                          "finite, got inf$"):
-        default_times(1.0, None, 10**308)
-    with pytest.raises(ValueError, match="^n_weights must be an integer, got 2.5$"):
-        default_times(1.0, None, 2.5)
+        default_times(1.0, n_weights=10**308)
     with pytest.raises(ValueError, match="^n_weights must be nonnegative, got -4$"):
-        default_times(1.0, None, -4)
+        default_times(1.0, n_weights=-4)
 
 
 @pytest.mark.parametrize(
@@ -456,18 +461,16 @@ FIT_SIZES = [
     ("single-True", lambda s, tr: reconstruct_single(tr["single"], True), "m_max", "True"),
     ("two-3.5", lambda s, tr: reconstruct_two(tr["two"], 3.5), "k_max", "3.5"),
     ("jz_from_methods-2.5", lambda s, tr: jz_from_methods(s, m_max=2.5), "m_max", "2.5"),
-    ("default_times-2.5", lambda s, tr: default_times(1.0, 2.5), "n_samples", "2.5"),
-    ("default_times-True", lambda s, tr: default_times(1.0, True), "n_samples", "True"),
-    ("jz_from_methods-samples-300.5",
-     lambda s, tr: jz_from_methods(s, n_samples=300.5), "n_samples", "300.5"),
+    ("default_times-2.5", lambda s, tr: default_times(1.0, n_weights=2.5), "n_weights", "2.5"),
+    ("default_times-True",
+     lambda s, tr: default_times(1.0, n_weights=True), "n_weights", "True"),
 ]
 
 
 @pytest.mark.parametrize("call, what, value", [c[1:] for c in FIT_SIZES],
                          ids=[c[0] for c in FIT_SIZES])
 def test_fit_sizes_are_integers(call, what, value):
-    # each used to fit int(m_max) + 1 or int(k_max) + 1 weights without a word,
-    # and a float sample count escaped as a TypeError that named no argument
+    # each used to fit int(m_max) + 1 or int(k_max) + 1 weights without a word
     s = make_coherent(1.0, 0.5, Truncation(10))
     traces = {kind: signal(s, 1.0, default_times(1.0), kind) for kind in ("single", "two")}
     with pytest.raises(ValueError, match=f"^{what} must be an integer, got {value}$"):
@@ -477,7 +480,7 @@ def test_fit_sizes_are_integers(call, what, value):
 
 def test_reconstruct_two_level_sets():
     t = Truncation(4)
-    trace = signal(make_fock(0, 0, t), 1.0, default_times(1.0, 64), "two")
+    trace = signal(make_fock(0, 0, t), 1.0, np.linspace(0.0, DEFAULT_ANGLE_SPAN, 64), "two")
     rec = reconstruct_two(trace, 4)
     assert rec.q[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -489,7 +492,7 @@ def test_reconstruct_two_level_sets():
 def test_two_mode_product_degeneracy():
     # m n = 4 for both |2,2> and |1,4>: the signals coincide sample by sample
     t = Truncation(6)
-    times = default_times(1.0, 128)
+    times = np.linspace(0.0, DEFAULT_ANGLE_SPAN, 128)
     pure = signal(make_fock(2, 2, t), 1.0, times, "two")
     mixed = signal(superposition(t, {(2, 2): 1.0, (1, 4): 1.0}), 1.0, times, "two")
     other = signal(make_fock(1, 4, t), 1.0, times, "two")
@@ -584,13 +587,6 @@ def test_nnls_fixes_every_weight_that_its_step_takes_to_zero(monkeypatch):
     assert x.tolist() == [1.0, 1.0, 0.0] and residual == 1.0  # the last step raised it
 
 
-def test_default_times_takes_two_samples_and_no_fewer():
-    assert default_times(1.0, 2).tolist() == [0.0, detection.DEFAULT_ANGLE_SPAN]
-    for n_samples in (1, 0):
-        with pytest.raises(ValueError, match="^need at least two samples$"):
-            default_times(1.0, n_samples)
-
-
 def test_direct_rejects_zero_angle():
     with pytest.raises(ValueError, match="positive"):
         direct_mean_phonon(make_fock(1, 0, Truncation(2)), 0.0, "c")
@@ -607,7 +603,7 @@ def test_jz_methods_vacuum():
 
 
 def test_jz_methods_probe_both_modes_in_order_at_unit_coupling():
-    cmp_ = jz_from_methods(make_fock(1, 0, Truncation(2)), n_samples=16)
+    cmp_ = jz_from_methods(make_fock(1, 0, Truncation(2)))
     assert [(t.mode, t.coupling) for t in cmp_.traces] == [("c", 1.0), ("r", 1.0)]
     assert [est.mode for est in cmp_.directs] == ["c", "r"]
 
@@ -625,8 +621,7 @@ def test_jz_methods_refuse_chi_t_before_any_trace(monkeypatch, chi_t):
 @pytest.mark.parametrize("kwargs, message", [
     ({"m_max": -5}, "m_max must be nonnegative, got -5"),
     ({"coupling": -1.0}, "coupling must be finite and positive, got -1.0"),
-    ({"n_samples": 300.5}, "n_samples must be an integer, got 300.5"),
-], ids=["m_max", "coupling", "n_samples"])
+], ids=["m_max", "coupling"])
 def test_jz_methods_refuse_their_fit_arguments_before_any_readout(monkeypatch, kwargs, message):
     def unreachable(*args, **kw):
         raise AssertionError("a readout ran before the fit arguments were checked")
@@ -658,11 +653,12 @@ def test_jz_methods_on_interferometer_output():
 
 def test_reconstruction_json_shapes():
     t = Truncation(4)
-    trace = signal(make_fock(1, 0, t), 1.0, default_times(1.0, 64), "single")
+    trace = signal(make_fock(1, 0, t), 1.0, np.linspace(0.0, DEFAULT_ANGLE_SPAN, 64), "single")
     rec = reconstruct_single(trace, 4)
     data = json.loads(rec.to_json())
     assert len(data["p"]) == 5
     assert data["residual"] >= 0.0
-    two = reconstruct_two(signal(make_fock(1, 1, t), 1.0, default_times(1.0, 64), "two"), 4)
+    two = reconstruct_two(
+        signal(make_fock(1, 1, t), 1.0, np.linspace(0.0, DEFAULT_ANGLE_SPAN, 64), "two"), 4)
     qdata = json.loads(two.to_json())
     assert set(qdata) == {"q", "residual"}

@@ -11,7 +11,7 @@ conditioned and the fitted marginal exact up to nmax 200.
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phonon_optics import (
     MotionalState, Truncation, default_times, make_cat, make_coherent, number_distributions,
@@ -113,8 +113,9 @@ def probed_state(kind, nmax, seed):
        st.sampled_from("cr"))
 def test_default_grid_fits_every_line_up_to_nmax_200(seed, nmax, kind, mode):
     # the fixed 256-sample grid gave cond 5.8e3 at m_max 100 and 5.0e15 at 200
+    assume(nmax or kind != "cat" or seed % 2 == 0)  # an odd cat has no amplitude at nmax 0
     state = probed_state(kind, nmax, seed)
-    times = default_times(1.0, None, nmax + 1)
+    times = default_times(1.0, n_weights=nmax + 1)
     design = 0.5 * (1.0 + np.cos(np.outer(times, 2.0 * np.sqrt(np.arange(nmax + 1)))))
     assert np.linalg.cond(design) < DESIGN_COND_BOUND
     fit = reconstruct_single(signal(state, 1.0, times, "single", mode), nmax)

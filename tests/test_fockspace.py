@@ -728,8 +728,10 @@ def test_integers_beyond_int64_are_refused_by_name(monkeypatch):
     # NumPy used to meet each of these as an int64 or uint64 and leak its own
     # IndexError or OverflowError
     monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
-    with pytest.raises(ValueError, match="^9223372036854775808 samples need about 4.43e\\+20 bytes"):
-        po.default_times(0.7, 2**63)
+    with pytest.raises(ValueError,
+                       match="^for 9223372036854775808 weights, 38103430714254647296 samples need "
+                             "about 1.12e\\+40 bytes"):
+        po.default_times(0.7, n_weights=2**63)
     with pytest.raises(ValueError, match="all amplitude mass lies outside the truncation"):
         po.entangled_cat(2**63, "even", 0.7, Truncation(4))
 
@@ -758,8 +760,8 @@ HUGE = 10**5000  # more digits than str() converts
      "64 samples cannot determine 1e+5000 weights; need at least 2e+5000"),
     (lambda t, s, trace: po.reconstruct_single(trace, -HUGE),
      "m_max must be nonnegative, got -1e+5000"),
-    (lambda t, s, trace: po.default_times(1.0, HUGE),
-     "1e+5000 samples need about 4.8e+5001 bytes, more than the memory limit of 1.1e+12 bytes"),
+    (lambda t, s, trace: po.default_times(1.0, n_weights=HUGE),
+     "the number of weights must be finite, got an integer beyond the float range"),
     (lambda t, s, trace: po.signal(s, 1.0, trace.times, HUGE),
      "kind must be 'single' or 'two', got 1e+5000"),
 ], ids=["Truncation", "make_fock-m", "make_fock-n", "block", "reconstruct_single",
@@ -772,7 +774,7 @@ def test_an_integer_beyond_str_conversion_is_written_by_its_size(monkeypatch, ca
     monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 2**40)
     t = Truncation(4)
     s = make_fock(1, 0, t)
-    trace = po.signal(s, 1.0, po.default_times(1.0, 64), "single")
+    trace = po.signal(s, 1.0, np.linspace(0.0, po.detection.DEFAULT_ANGLE_SPAN, 64), "single")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(t, s, trace)
 
@@ -794,7 +796,8 @@ def _two_registers():
     (lambda: po.SignalTrace(np.arange(3.0), np.zeros(2), 1.0, "single"),
      "times and values must be 1-d arrays of equal length"),
     (lambda: po.reconstruct_two(
-        po.signal(make_fock(1, 0, Truncation(2)), 1.0, po.default_times(1.0, 8), "single"), 2),
+        po.signal(make_fock(1, 0, Truncation(2)), 1.0,
+                  np.linspace(0.0, po.detection.DEFAULT_ANGLE_SPAN, 8), "single"), 2),
      "reconstruct_two needs a two-mode trace"),
     (lambda: MotionalState(Truncation(4), np.ones(3) / 3**0.5),
      "state amplitudes have shape (3,), expected (15,)"),

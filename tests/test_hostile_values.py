@@ -85,9 +85,8 @@ def entry(name):
 #   and a cat too large for its truncation by the probability it discards;
 # - a coherent weight of 0 leaves a superposition of zero norm;
 # - mz_report reads its phase as the one point of a phase grid;
-# - a fit size m_max or k_max beyond the samples is refused by the number of
-#   weights it asks for, m_max + 1 or k_max + 1;
-# - a sample count is refused as "N samples";
+# - a fit size m_max or k_max beyond the samples or the memory is refused by
+#   the number of weights it asks for, m_max + 1 or k_max + 1;
 # - a grid's fit width n_weights is refused by the number of weights;
 # - a laboratory field that makes an effective angle overflow is refused by
 #   the angles it overflows, and a zero detuning as such.
@@ -103,7 +102,6 @@ NAMES = {
     "chi_t": ("chi * t", "chi_t"),
     "m_max": ("m_max", "weights"),
     "k_max": ("k_max", "weights"),
-    "n_samples": ("n_samples", "samples"),
     "n_weights": ("n_weights", "weights"),
 }
 NAMES_IN = {
@@ -127,7 +125,7 @@ def context():
     t = po.Truncation(8)
     s = po.make_coherent(0.3, 0.2j, t)
     js = po.joint_state(s, ion1=po.QubitState.plus(), ion2=po.QubitState.ground())
-    times = po.default_times(1.0, 64)
+    times = np.linspace(0.0, po.detection.DEFAULT_ANGLE_SPAN, 64)
     program = po.parse("init coherent 0.3 0 0.2 0 nmax 8\nbs2 pi/2\nreport\njcm single 1 0 8 32")
     trace = po.signal(s, 1.0, times, "single")
     two = po.signal(s, 1.0, times, "two")
@@ -146,7 +144,7 @@ def context():
         po.DirectEstimate: po.direct_mean_phonon(s, 1e-3),
         po.ReconstructedNumberDistribution: po.reconstruct_single(trace, 8),
         po.LevelSetDistribution: po.reconstruct_two(two, 8),
-        po.JzComparison: po.jz_from_methods(s, n_samples=64),
+        po.JzComparison: po.jz_from_methods(s),
         po.PulseProgram: program,
         typing.Iterable[po.InterferometerReport]: po.phase_sweep(s, [0.1, 0.2]),
         np.ndarray: times,
@@ -158,7 +156,6 @@ def context():
         typing.Iterable[float]: [0.1, 0.5],
         typing.Sequence[tuple[complex, complex, complex]]: [(1.0, 0.3, 0.2)],
         # by parameter name, for labels and texts
-        "n_samples": 64,
         "kind": "single",
         "beam_splitter.kind": "b1",
         "entangled_number.kind": "b2",
@@ -263,7 +260,7 @@ def test_the_sweep_reaches_every_number_slot():
     # each entry point is listed, and those with a number slot are swept
     assert len(ENTRY_POINTS) == 48
     swept = {name for name, _ in CASES}
-    assert len(CASES) == 65 and len(swept) == 32
+    assert len(CASES) == 63 and len(swept) == 32
 
 
 def test_the_sweep_reaches_every_method_slot():

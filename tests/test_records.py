@@ -37,7 +37,6 @@ from phonon_optics import (
     Truncation,
     apply,
     beam_splitter,
-    default_times,
     direct_mean_phonon,
     execute,
     jz_from_methods,
@@ -51,13 +50,13 @@ from phonon_optics import (
     reconstruct_two,
     signal,
 )
-from phonon_optics.detection import jcm_unitary
+from phonon_optics.detection import DEFAULT_ANGLE_SPAN, jcm_unitary
 from phonon_optics.fockspace import _Record
 from phonon_optics.seqlang import Angle, Statement, _tokenize, parse_angle
 
 TRUNC = Truncation(3)
 STATE = make_fock(1, 0, TRUNC)
-TIMES = default_times(1.0, 16)
+TIMES = np.linspace(0.0, DEFAULT_ANGLE_SPAN, 16)
 LAB = (1.0, 0.1, 0.076, 1e6, 1e6, 1.0, 1e-3)
 PROGRAM = "init fock 1 0 nmax 3\njcm single 1 0 1 16\ndirect c 0.001\nreport\n"
 
@@ -81,7 +80,7 @@ READ_ONLY = [
     ("PulseProgram", lambda: parse("init fock 1 0 nmax 3"), "statements"),
     ("EffectiveAngles", lambda: lab_to_angles(LabParams(*LAB)), "theta"),
     ("LabParams", lambda: LabParams(*LAB), "eta"),
-    ("JzComparison", lambda: jz_from_methods(STATE, n_samples=16), "jz_direct"),
+    ("JzComparison", lambda: jz_from_methods(STATE), "jz_direct"),
     ("TraceRecord", lambda: execute(parse(PROGRAM)).records[0], "trace"),
     ("DirectRecord", lambda: execute(parse(PROGRAM)).records[1], "estimate"),
     ("ReportRecord", lambda: execute(parse(PROGRAM)).records[2], "distribution"),
