@@ -63,6 +63,8 @@ WEIGHT_FLOOR = 1e-30  # a weight at or below WEIGHT_FLOOR**2 is rounding noise
 
 _NORM_TOL = 1e-12
 
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
 _OBSERVABLES = ("jx", "jy", "jz", "jz2", "nc", "nr")
 
 _MODES = ("c", "r")  # center-of-mass and breathing; also the order of every (c, r) pair
@@ -420,10 +422,15 @@ def _coherent_overlap(a: complex, b: complex) -> complex:
     return np.exp(-0.5 * (_abs2(a) + _abs2(b)) + complex(a).conjugate() * complex(b))
 
 
-def _poisson_tails(lam: float, top: int) -> np.ndarray:
-    """P(N > n), n = 0..top, of a Poisson N of mean ``lam`` > 0: the pmf is formed in
-    log space, where exp(-lam) cannot underflow, and each tail is summed from its
-    small end up, so nothing cancels.  The mass beyond ``top`` is left out."""
+def _poisson_tails(lam: float, n: int) -> np.ndarray:
+    """P(N > k), k = 0..top, of a Poisson N of mean ``lam`` > 0, where top reaches
+    100 past both ``n`` and 40 standard deviations past the mean; a top above
+    200,000 is a ValueError.  The pmf is formed in log space, where exp(-lam)
+    cannot underflow, and each tail is summed from its small end up, so nothing
+    cancels.  The mass beyond top is left out."""
+    top = max(n, int(lam + 40.0 * math.sqrt(lam))) + 100
+    if top > 200000:
+        raise ValueError(f"mean phonon number {lam:.6g} is too large to truncate")
     pmf = np.exp(np.arange(top + 1) * math.log(lam) - lam - _log_factorials(top))
     return np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
 
@@ -496,10 +503,8 @@ def coherent_superposition(
         )
     if len(terms) > 1:
         tail = max(0.0, 1.0 - retained / exact_norm2)
-    else:  # a product: its pmf reaches 100 past n and 40 standard deviations past the mean
-        lam = means[0]
-        top = max(n, int(lam + 40.0 * math.sqrt(lam))) + 100
-        tail = _poisson_tails(lam, top)[n] if lam else 0.0
+    else:  # a product
+        tail = _poisson_tails(means[0], n)[n] if means[0] else 0.0
     return MotionalState(trunc, vec / math.sqrt(retained), tail)
 
 
@@ -600,9 +605,7 @@ def expect(s: MotionalState, obs: str) -> float:
     as listed.  All are Hermitian, so the result is real.  ``jz`` is the
     ``mean_jz`` of ``number_distributions``, bit for bit.
     """
-    if obs not in _OBSERVABLES:
-        raise ValueError(f"unknown observable {obs!r}; expected one of {_OBSERVABLES}")
-    if obs == "jz":
+    if _choice(obs, "observable", _OBSERVABLES) == "jz":
         return number_distributions(s).mean_jz
     ms, ns = s.trunc.mode_numbers()
     p = np.abs(s.amps) ** 2
@@ -658,14 +661,12 @@ class QubitState(_Record):
     @classmethod
     def plus(cls) -> "QubitState":
         """sigma_x = +1 eigenstate (|g> + |e>)/sqrt(2)."""
-        inv = 1.0 / math.sqrt(2.0)
-        return cls.of(inv, inv)
+        return cls.of(_SQRT_HALF, _SQRT_HALF)
 
     @classmethod
     def minus(cls) -> "QubitState":
         """sigma_x = -1 eigenstate (|g> - |e>)/sqrt(2)."""
-        inv = 1.0 / math.sqrt(2.0)
-        return cls.of(inv, -inv)
+        return cls.of(_SQRT_HALF, -_SQRT_HALF)
 
     def sigma_x_eigenvalue(self) -> int | None:
         """+1 or -1 when the state is a sigma_x eigenstate to 1e-12, else None."""
@@ -771,10 +772,7 @@ def truncation_for_coherent(alpha: complex, beta: complex) -> Truncation:
         raise ValueError("coherent amplitudes must be finite")
     if lam == 0.0:
         return Truncation(0)
-    top = int(lam + 40.0 * math.sqrt(lam) + 100.0)  # far past the mean
-    if top > 200000:
-        raise ValueError(f"mean phonon number {lam:.6g} is too large to truncate")
-    return Truncation(int(np.argmax(_poisson_tails(lam, top) <= COHERENT_TAIL_TARGET)))
+    return Truncation(int(np.argmax(_poisson_tails(lam, 0) <= COHERENT_TAIL_TARGET)))
 
 
 def state_to_json(s: MotionalState) -> str:

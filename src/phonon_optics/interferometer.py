@@ -17,14 +17,13 @@ phase, for arbitrary input states.
 """
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
 
 from .fockspace import MotionalState, Truncation, _apply_jx, _finite, _Record, expect
 from .operators import UnitaryOperator, apply, beam_splitter, phase_shifter
-
-SWEEP_CSV_HEADER = "phi,mean_jz,mean_jz2,var_jz,dmeanjz_dphi,delta_phi"
 
 
 class InterferometerReport(_Record):
@@ -36,6 +35,9 @@ class InterferometerReport(_Record):
     """
 
     __slots__ = ("phi", "mean_jz", "mean_jz2", "var_jz", "dmeanjz_dphi", "delta_phi")
+
+
+SWEEP_CSV_HEADER = ",".join(InterferometerReport.__slots__)  # the sweep's CSV columns
 
 
 def mz_unitary(phi: float, trunc: Truncation) -> UnitaryOperator:
@@ -98,10 +100,7 @@ def phase_sweep(
 
 
 def sweep_to_csv(reports: Iterable[InterferometerReport]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.phi:.17g},{r.mean_jz:.17g},{r.mean_jz2:.17g},"
-            f"{r.var_jz:.17g},{r.dmeanjz_dphi:.17g},{r.delta_phi:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    """``SWEEP_CSV_HEADER``, then each report's slots in order, at 17 significant digits."""
+    row = ",".join(["{:.17g}"] * len(InterferometerReport.__slots__)).format
+    fields = operator.attrgetter(*InterferometerReport.__slots__)
+    return "\n".join([SWEEP_CSV_HEADER, *(row(*fields(r)) for r in reports)]) + "\n"

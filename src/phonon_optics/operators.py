@@ -52,14 +52,13 @@ from .fockspace import (
     MotionalState,
     Truncation,
     _MODES,
+    _SQRT_HALF,
     _Record,
     _choice,
     _finite,
     _require_memory,
     _require_same,
 )
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class UnitaryOperator(_Record):

@@ -34,8 +34,6 @@ def entangled_number(
     input_state ``one_zero`` starts from |1, 0>, ``one_one`` from |1, 1>.
     At theta = pi/2 the outputs are maximally entangled between the modes.
     """
-    if trunc.n_total_max < 2:
-        raise ValueError("entangled_number needs n_total_max >= 2")
     input_state = _choice(input_state, "input_state", ("one_zero", "one_one"))
     start = make_fock(1, 0 if input_state == "one_zero" else 1, trunc)
     return apply(beam_splitter(kind, theta, trunc), start)

@@ -95,7 +95,7 @@ class Angle(NamedTuple):
             raise ValueError("denominator must be positive")
         return cls(num * math.pi / den, num, den)
 
-    def text(self) -> str:
+    def __str__(self) -> str:
         if self.pi_num is None:
             return repr(self.value)
         sign = "-" if self.pi_num < 0 else ""
@@ -376,12 +376,14 @@ def _passive(stmt: Statement, trunc: Truncation) -> UnitaryOperator | None:
     return None
 
 
-def _apply_run(run: UnitaryOperator | None, state: MotionalState, line: int) -> MotionalState:
-    """Apply a folded run of passive statements; a failure names its first line."""
+def _apply_run(run: tuple[UnitaryOperator, int] | None, state: MotionalState) -> MotionalState:
+    """Apply a run, a folded operator and the line of its first statement; a
+    failure names that line."""
     if run is None:
         return state
+    u, line = run
     try:
-        return apply(run, state)
+        return apply(u, state)
     except ValueError as exc:
         raise ExecutionError(line, str(exc)) from exc
 
@@ -390,16 +392,15 @@ def execute(program: PulseProgram) -> ExecutionResult:
     """Run a parsed program; deterministic for identical programs."""
     records: list = []
     state: MotionalState | None = None
-    run: UnitaryOperator | None = None  # the pending passive statements, folded
-    run_line = 0
+    run: tuple[UnitaryOperator, int] | None = None  # the pending passive statements
     for idx, (stmt, line) in enumerate(zip(program.statements, program.lines)):
         try:
             if stmt.verb == "init":
                 state = _build_initial_state(stmt.args, line)
             elif (u := _passive(stmt, state.trunc)) is not None:
-                run, run_line = (u, line) if run is None else (u @ run, run_line)
+                run = (u, line) if run is None else (u @ run[0], run[1])
             else:
-                state, run = _apply_run(run, state, run_line), None
+                state, run = _apply_run(run, state), None
                 if stmt.verb == "jcm":
                     kind, coupling, t0, t1, nsamples = stmt.args
                     _require_samples(nsamples)
@@ -414,12 +415,7 @@ def execute(program: PulseProgram) -> ExecutionResult:
                     records.append(ReportRecord(idx, number_distributions(state), *moments))
         except ValueError as exc:
             raise ExecutionError(line, str(exc)) from exc
-    return ExecutionResult(_apply_run(run, state, run_line), tuple(records))
-
-
-def _text(value) -> str:
-    """An argument's canonical text."""
-    return value.text() if isinstance(value, Angle) else str(value)
+    return ExecutionResult(_apply_run(run, state), tuple(records))
 
 
 def format_program(program: PulseProgram) -> str:
@@ -428,4 +424,4 @@ def format_program(program: PulseProgram) -> str:
     Parsing the result reproduces the statement structure; comments and
     original spacing are not preserved.
     """
-    return "\n".join(" ".join([s.verb, *map(_text, s.args)]) for s in program.statements) + "\n"
+    return "\n".join(" ".join([s.verb, *map(str, s.args)]) for s in program.statements) + "\n"

@@ -630,6 +630,7 @@ DETECT_TWO = ("detect", "fock 1 1 nmax 4", "--method", "two")
          ("run", "init fock 1 0 nmax 4\njcm single 1 0 10 100000\n"),
          "line 2: 1000000 samples need about 4.8e+07 bytes"),
     ],
+    ids=["detect-single", "detect-two", "run-jcm"],
 )
 def test_sample_count_beyond_memory_is_refused(tmp_path, capsys, monkeypatch, refused, runs,
                                                message):

@@ -456,6 +456,16 @@ def test_overflowing_fit_phase_is_refused_by_name(kind, reconstruct):
         reconstruct(trace, 3)
 
 
+def test_signal_bounds_the_probe_phase_at_twice_coupling_root_k_t():
+    # the largest phase is 2 * 1 * sqrt(1) * t: finite at t = 7e307, inf at 1e308
+    s = make_fock(1, 0, Truncation(1))
+    values = signal(s, 1.0, np.array([0.0, 7e307]), "single").values
+    assert np.isfinite(values).all() and ((0.0 <= values) & (values <= 1.0)).all()
+    with pytest.raises(ValueError, match="^probe phase 2 \\* coupling \\* sqrt\\(k\\) \\* t "
+                                         "must be finite, got inf$"):
+        signal(s, 1.0, np.array([0.0, 1e308]), "single")
+
+
 FIT_SIZES = [
     ("single-2.5", lambda s, tr: reconstruct_single(tr["single"], 2.5), "m_max", "2.5"),
     ("single-True", lambda s, tr: reconstruct_single(tr["single"], True), "m_max", "True"),

@@ -306,7 +306,8 @@ def test_expect_jx_single_phonon():
 
 
 def test_expect_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown observable"):
+    message = "observable must be 'jx' or 'jy' or 'jz' or 'jz2' or 'nc' or 'nr', got 'jw'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         expect(make_fock(0, 0, Truncation(1)), "jw")
 
 
@@ -456,6 +457,12 @@ def test_a_coherent_product_reports_its_poisson_tail():
         assert make_coherent(alpha, beta, t).tail_mass <= fockspace.COHERENT_TAIL_TARGET
 
 
+def test_a_product_truncated_below_its_mean_reports_nearly_all_its_mass_as_tail():
+    # P(N > 300) at mean 400, from a 50-digit mpmath sum of the pmf over 0..300
+    assert make_coherent(20, 0, Truncation(300)).tail_mass == pytest.approx(
+        0.99999989896039848042, rel=1e-12, abs=0.0)
+
+
 def test_a_superposition_keeps_the_tail_against_its_exact_norm():
     # an even cat at |alpha|^2 = 4: two terms, so 1 - retained / norm^2, not a Poisson tail
     s = make_cat(2, "even", "c", Truncation(40))
@@ -515,6 +522,13 @@ def test_flagged_is_tail_mass_above_tolerance(tail_mass):
         JointState(t, (2,), js.amps, math.nan)
 
 
+def test_tail_mass_may_reach_one_and_no_further():
+    t = Truncation(1)
+    assert MotionalState(t, [1, 0, 0], 1.0).tail_mass == 1.0
+    with pytest.raises(ValueError, match=re.escape("tail_mass must lie in [0, 1], got 1.5")):
+        MotionalState(t, [1, 0, 0], 1.5)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -551,6 +565,15 @@ def test_truncation_for_coherent_sizes_a_mean_just_inside_its_limit(monkeypatch)
     monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 10**9)
     with pytest.raises(ValueError, match=r"^the state arrays of n_total_max = 1\.86e\+05 need"):
         truncation_for_coherent(math.sqrt(182500), 0)
+
+
+def test_truncation_for_coherent_sums_a_pmf_of_at_most_200000_terms(monkeypatch):
+    # int(lam + 40 sqrt(lam)) + 100 is 200,000 at lam = 182,799 and 200,001 just above
+    monkeypatch.setattr(fockspace, "_memory_limit_bytes", lambda: 10**9)
+    with pytest.raises(ValueError, match=r"^the state arrays of n_total_max = 1\.86e\+05 need"):
+        truncation_for_coherent(math.sqrt(182799.0), 0)
+    with pytest.raises(ValueError, match="^mean phonon number 182799 is too large to truncate$"):
+        truncation_for_coherent(math.sqrt(182799.00011171936), 0)
 
 
 BEYOND_FLOAT = 10**400  # float() of it raises OverflowError

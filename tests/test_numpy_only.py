@@ -7,7 +7,9 @@ no package module defines them and the package exports none of them.
 ``expm_oracle`` runs with SciPy unavailable.  SciPy stays a test
 dependency, as the oracle of the nonnegative least squares.  The weight
 floor has one home, ``fockspace``, and so do the readers of a number or
-label argument; ``detection`` reads nothing from ``operators``.  Each
+label argument; ``detection`` reads nothing from ``operators``.  Two
+constants are written once, in ``fockspace``: 1/sqrt(2) and the reach
+lam + 40 sqrt(lam) of a Poisson tail.  Each
 label set is spelled once, by the module that owns it: the modes by
 ``fockspace._MODES``, the cat parities by ``fockspace._PARITIES`` and the
 probe kinds by ``detection._KINDS``.  Only ``JointState`` knows where an
@@ -88,6 +90,32 @@ def test_the_weight_floor_is_assigned_once_in_fockspace():
     found = [path.stem for path, tree in package_trees()
              for _, name in defined_names(tree) if name == "WEIGHT_FLOOR"]
     assert found == ["fockspace"]
+
+
+RESTATED = ("1.0 / math.sqrt(2.0)", "40.0 * math.sqrt(")
+
+
+def spelled_products(tree, module):
+    """``module:line`` and the spelling of every product or quotient that
+    opens with a number literal and one of the ``RESTATED`` spellings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant):
+            text = ast.unparse(node)
+            for spelling in RESTATED:
+                if text.startswith(spelling):
+                    yield f"{module}:{node.lineno} {spelling}"
+
+
+def test_root_half_and_the_poisson_reach_are_each_written_once():
+    # fockspace._SQRT_HALF and the reach of fockspace._poisson_tails
+    found = [where for path, tree in package_trees() for where in spelled_products(tree, path.stem)]
+    assert [where.split(":")[0] for where in found] == ["fockspace", "fockspace"]
+    assert sorted(where.split(" ", 1)[1] for where in found) == sorted(RESTATED)
+    # the walk does see what it looks for
+    own = ast.parse("inv = 1.0 / math.sqrt(2.0)\ntop = int(lam + 40.0 * math.sqrt(lam)) + 100\n"
+                    "x = 2.0 * math.sqrt(lam)\n")
+    assert list(spelled_products(own, "m")) == [
+        "m:1 1.0 / math.sqrt(2.0)", "m:2 40.0 * math.sqrt("]
 
 
 READERS = ("_integer", "_number", "_finite", "_choice")

@@ -587,6 +587,15 @@ def test_lab_to_angles_zero_rabi():
     assert a.theta == a.phi == a.phi_r == a.chi == a.chi_r == a.lam == a.g == 0.0
 
 
+def test_lab_to_angles_breathing_phase_is_half_its_rate_times_t():
+    p = LabParams(Omega=2.0, eta=0.1, eta_r=0.07, Delta=5.0, Delta_r=3.0, Omega_r=4.0, t=1.5)
+    a = lab_to_angles(p)
+    assert a.chi_r != a.chi
+    assert a.chi_r == pytest.approx(0.07**2 * 4.0**2 / (2 * 3.0), rel=1e-15)
+    assert a.phi_r == pytest.approx(a.chi_r * 1.5 / 2, rel=1e-15)
+    assert a.phi_r == pytest.approx(0.0098, rel=1e-14)
+
+
 def test_lab_to_angles_quarter_turn():
     Omega, eta = 2 * math.pi * 50e3, 0.1
     eta_r = 3 ** (-0.25) * eta

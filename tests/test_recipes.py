@@ -71,10 +71,18 @@ def test_entangled_number_theta_zero_is_input():
 
 
 def test_entangled_number_validates_arguments():
-    with pytest.raises(ValueError, match="n_total_max >= 2"):
-        entangled_number("b1", "one_zero", 0.1, Truncation(1))
+    message = "(m, n) = (1, 1) outside truncation: need m, n >= 0 and m + n <= 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entangled_number("b1", "one_one", 0.1, Truncation(1))
     with pytest.raises(ValueError, match="input_state"):
         entangled_number("b1", "two_two", 0.1, Truncation(4))
+
+
+def test_entangled_number_splits_one_phonon_at_nmax_1():
+    # |1, 0> needs n_total_max = 1 and no more
+    out = entangled_number("b2", "one_zero", math.pi / 2, Truncation(1))
+    assert abs(out.amplitude(1, 0)) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert abs(out.amplitude(0, 1)) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_entangled_number_at_its_smallest_truncation():

@@ -168,6 +168,11 @@ def test_init_value_checks():
         parse("init fock 0 0 nmax 2\njcm single 1.0 -1e308 1e308 8")
 
 
+def test_t1_not_above_t0_is_refused_at_t1():
+    with pytest.raises(ParseError, match="^2:16: t1 must exceed t0, got 5.0 .. 5.0$"):
+        parse("init fock 0 0 nmax 2\njcm single 1 5 5 16")
+
+
 @pytest.mark.parametrize("coupling", ["0", "-1.5", "-0.0"])
 def test_jcm_coupling_must_be_positive(coupling):
     with pytest.raises(ParseError, match="coupling must be positive") as exc_info:
@@ -362,7 +367,7 @@ def test_angle_text_round_trip():
         Angle(0.7),
         Angle(-2.5e-4),
     ):
-        text = angle.text()
+        text = str(angle)
         p = parse(f"init fock 0 0 nmax 2\nbs1 {text}")
         assert p.statements[1].args[0] == angle
 
@@ -373,6 +378,11 @@ def test_angle_text_round_trip():
 def test_format_canonicalizes_case_and_spacing():
     p = parse("init fock 0 0 nmax 2\n  BS1   PI/2")
     assert format_program(p).splitlines()[1] == "bs1 pi/2"
+
+
+def test_format_writes_zero_pi_without_a_sign():
+    p = parse("init fock 0 0 nmax 2\nbs1 0*pi\nbs2 -0*pi")
+    assert format_program(p).splitlines()[1:] == ["bs1 0*pi", "bs2 0*pi"]
 
 
 def test_format_round_trip_examples():

@@ -12,11 +12,13 @@ Each mutant makes one edit to one module of ``src/phonon_optics``:
 The sites are listed in a fixed order, and seed ``SEED`` draws ``COUNT``
 of them.  Each mutant runs in a temporary copy of the repository, first on
 the test files that ``TESTS`` maps its module to, with ``-x``; a mutant that
-survives them runs again on all of ``tests/``.  A mutant is killed when a
-test fails or a run passes ``TIMEOUT_S`` seconds.  As many mutants run at
-once as the process has cores.  A survivor listed in ``EQUIVALENT`` changes
-no behaviour and is counted apart; every other survivor is a missing test or
-code that pays for nothing.  Run it with
+survives them runs again on all of ``tests/`` but ``KEYS_TEST``.  A mutant
+is killed when a test fails or a run passes ``TIMEOUT_S`` seconds.  As many
+mutants run at once as the process has cores.  A survivor listed in
+``EQUIVALENT`` changes no behaviour and is counted apart; every other
+survivor is a missing test or code that pays for nothing.  ``KEYS_TEST``
+holds every ``EQUIVALENT`` key to a live site; a mutant renames the site it
+edits, so that test would kill every listed mutant.  Run it with
 
     python tests/tools/mutation_sample.py
 
@@ -42,6 +44,7 @@ COPIED = ("src", "tests", "perfbench", "demos", "README.md", "pyproject.toml")
 SEED = 1
 COUNT = 60
 TIMEOUT_S = 300.0  # per test run
+KEYS_TEST = "tests/test_mutation_sample.py"  # left out of every mutant's full run
 
 # the test files that exercise each module first
 TESTS = {
@@ -58,20 +61,42 @@ TESTS = {
 
 # survivors that change no behaviour: site key to the reason
 EQUIVALENT = {
+    "detection.: constant `32` -> `33`":
+        "_SIGNAL_CHUNK only sets how many sample rows each slice of the probe table holds; "
+        "every row's product with p is the same",
+    "detection.default_times: constant `0` -> `1`":
+        "a default of 1 weight and of 0 weights both give top = 0: the same 256-sample grid",
+    "detection.default_times: constant `0` -> `1` #2":
+        "clamping top at 1 instead of 0 moves only 0 or 1 weights, and top 1 also gives "
+        "4 span / pi = 32 samples, below the 256 of the fixed grid, at the same span",
     "fockspace._int_text: constant `0` -> `1`":
         "the sign test runs only for integers beyond str()'s 4300 digits, never on 0",
-    "fockspace.coherent_superposition: constant `1.0` -> `2.0`":
-        "`scale or 1.0` divides by it only when every weight is 0, and 0 / 2 is 0",
+    "fockspace._coherent_mode_amps: constant `1` -> `2`":
+        "the vacuum's one extra zero entry, at k = n_max + 1, is never indexed: the caller "
+        "reads k <= n_total_max",
     "fockspace._poisson_tails: constant `0.0` -> `1.0`":
         "the appended P(N > top) entry is never read: truncation_for_coherent stops at "
         "a tail under COHERENT_TAIL_TARGET long before top, 40 standard deviations past "
         "the mean, and coherent_superposition reads the entry at n_total_max, 100 below top",
+    "fockspace.coherent_superposition: constant `1.0` -> `2.0`":
+        "`scale or 1.0` divides by it only when every weight is 0, and 0 / 2 is 0",
+    "fockspace.make_coherent: constant `1.0` -> `2.0`":
+        "coherent_superposition divides every weight by the largest, so one weight of 2 is 1",
+    "fockspace.truncation_for_coherent: constant `0` -> `1` #2":
+        "_poisson_tails(lam, 1) reaches one term further than (lam, 0) only where "
+        "lam + 40 sqrt(lam) < 1, and that pmf term, lam**101 / 101!, underflows to 0",
     "fockspace.JointState.reduced_qubit: constant `1` -> `2`":
         "NumPy reads any negative reshape length, -2 as well as -1, as the one inferred length",
+    "fockspace.JointState.motional_fidelity: constant `1` -> `2`":
+        "NumPy reads any negative reshape length, -2 as well as -1, as the one inferred length",
+    "operators._small_d: constant `1` -> `2`":
+        "the one extra root, sqrt(n_total_max + 1), is never read: block N reads roots 1..N",
+    "operators._apply_passive: constant `1` -> `2` #5":
+        "NumPy reads any negative reshape length, -2 as well as -1, as the one inferred length",
+    "operators._apply_passive: constant `1` -> `2` #9":
+        "NumPy reads any negative reshape length, -2 as well as -1, as the one inferred length",
     "seqlang.Angle: constant `1` -> `2`":
-        "a decimal angle's pi_den is never read: text() reads it only beside a pi_num",
-    "seqlang.execute: constant `0` -> `1`":
-        "run_line is read only while a run is pending, and the run's first statement sets it",
+        "a decimal angle's pi_den is never read: __str__ reads it only beside a pi_num",
 }
 
 _FLIPS = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
@@ -162,7 +187,7 @@ def run_mutant(module, number) -> str:
         _mutate(*_sites(tree)[number][1:])
         path.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
         files = [f"tests/{name}" for name in TESTS[module]]
-        if not _pytest(root, files) or not _pytest(root, ["tests"]):
+        if not _pytest(root, files) or not _pytest(root, ["tests", f"--ignore={KEYS_TEST}"]):
             return "killed"
         return "survived"
 
