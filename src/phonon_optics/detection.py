@@ -229,13 +229,6 @@ class JcmUnitary(_Record):
         e[..., self.e_index] = -1j * s * g_act + c * e_act
         return js.with_register(2, g, e)
 
-    def unitarity_defect(self) -> float:
-        """max |U+ U - 1| over the 2x2 rotations, in closed form: U+ U is
-        (cos^2 + sin^2) times the identity, so the defect is the largest
-        |cos^2 + sin^2 - 1| over ``angle``, and 0 for no angles."""
-        c, s = np.cos(self.angle), np.sin(self.angle)
-        return float(np.max(np.abs(c * c + s * s - 1.0), initial=0.0))
-
 
 def jcm_unitary(
     coupling: float, t: float, trunc: Truncation, kind: str, mode: str = "c"

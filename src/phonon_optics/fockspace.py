@@ -280,9 +280,7 @@ class Truncation(_Record):
     __slots__ = ("n_total_max", "_ms", "_ns")
 
     def __init__(self, n_total_max: int) -> None:
-        n = _integer(n_total_max, "n_total_max")
-        if n < 0:
-            raise ValueError(f"n_total_max must be >= 0, got {_int_text(n)}")
+        n = _nonnegative(n_total_max, "n_total_max")
         # The two int64 arrays of mode_numbers and a state's complex128 amplitudes
         # take 32 dim bytes; number_distributions peaks at a float64 p and one
         # temporary, 16 dim = 8 (nmax + 1)^2 + 8 (nmax + 1) bytes.
@@ -465,7 +463,7 @@ def coherent_superposition(
     holds for non-orthogonal terms such as cats, above a floor near 1e-16.  The
     weights and the norm come first, so a non-finite weight, or an amplitude
     whose |alpha|^2 is not finite, is refused before any array is built.  A
-    state whose every kept amplitude underflows is refused with the largest
+    state whose every kept probability underflows is refused with the largest
     mean phonon number |alpha|^2 + |beta|^2 of a term.
     """
     scale, weights = 0.0, []
@@ -504,7 +502,10 @@ def coherent_superposition(
     if len(terms) > 1:
         tail = max(0.0, 1.0 - retained / exact_norm2)
     else:  # a product
-        tail = _poisson_tails(means[0], n)[n] if means[0] else 0.0
+        tail = min(1.0, _poisson_tails(means[0], n)[n]) if means[0] else 0.0
+    if retained < sys.float_info.min:  # a subnormal sum: scale it near 1 by a power of 2
+        vec = vec * math.ldexp(1.0, -math.frexp(retained)[1] // 2)
+        retained = float(np.vdot(vec, vec).real)
     return MotionalState(trunc, vec / math.sqrt(retained), tail)
 
 

@@ -11,11 +11,11 @@ Angles are decimal radians or rational multiples of pi: ``pi``, ``pi/2``,
 ``3*pi/4``, ``-pi/3`` and so on (integer numerator and denominator).  All
 other numbers are plain decimal literals.  Exactly one ``init`` statement is
 required and it must come first; verbs and keywords are case insensitive.
-The argument slots of each verb and of each ``init`` state kind live in one
-table, ``_GRAMMAR``, the one home of the grammar above, keyword ``nmax``
-included.  A parsed ``Statement`` is its verb and ``args``, a tuple of one
-value per slot in grammar order: ``parse`` walks the table and
-``format_program`` writes the verb and each value back in that order.
+The argument slots of each verb and of each ``init`` state kind, and their
+bounds, live in one table, ``_GRAMMAR``, the one home of the grammar above,
+keyword ``nmax`` included.  A parsed ``Statement`` is its verb and ``args``,
+a tuple of one value per slot in grammar order: ``parse`` walks the table
+and ``format_program`` writes the verb and each value back in that order.
 
 ``execute`` threads a motional state through the statements.  ``cphase``
 acts with ion 2 implicitly prepared in |g>, which turns the conditional
@@ -115,8 +115,6 @@ def parse_angle(text: str) -> Angle:
         sign = -1 if m.group(1) == "-" else 1
         num = sign * (_read_int(m.group(2), "pi numerator") if m.group(2) else 1)
         den = _read_int(m.group(3), "pi denominator") if m.group(3) else 1
-        if den == 0:
-            raise ValueError("angle denominator must be nonzero")
         try:
             return Angle.from_pi(num, den)
         except OverflowError:
@@ -149,14 +147,14 @@ class _Token(_Record):
         return self.col + len(self.text)
 
 
-# The argument grammar, its one home: each verb, and each ``init`` state
-# kind, to its ordered slots (key, kind).  A statement's ``args`` holds one
-# value per slot, in order; an ``init`` reads its state kind first, then
-# that kind's slots.  The key names the slot in messages.
-_NMAX = (("nmax", ("nmax",)), ("nmax", int))
+# The argument grammar, its one home: each verb, and each ``init`` state kind,
+# to its ordered slots (key, kind[, bound]); an int must be at least its bound,
+# a float above it.  A statement's ``args`` holds one value per slot, in order;
+# an ``init`` reads its state kind first, then that kind's slots.
+_NMAX = (("nmax", ("nmax",)), ("nmax", int, 0))
 _GRAMMAR = {
     "init": {
-        "fock": (("M", int), ("N", int), *_NMAX),
+        "fock": (("M", int, 0), ("N", int, 0), *_NMAX),
         "coherent": (
             ("alpha real part", float), ("alpha imaginary part", float),
             ("beta real part", float), ("beta imaginary part", float), *_NMAX,
@@ -171,7 +169,8 @@ _GRAMMAR = {
     "ps": (("mode", _MODES), ("angle", Angle)),
     "cphase": (("mode", _MODES), ("angle", Angle)),
     "mz": (("phi", Angle),),
-    "jcm": (("kind", _KINDS), ("coupling", float), ("t0", float), ("t1", float), ("nsamples", int)),
+    "jcm": (("kind", _KINDS), ("coupling", float, 0.0), ("t0", float), ("t1", float),
+            ("nsamples", int, 2)),
     "direct": (("mode", _MODES), ("chi_t", float)),
     "report": (),
 }
@@ -219,41 +218,36 @@ def _read(tok: _Token, key: str, kind):
 
 def _parse_statement(verb: str, words: list[_Token], line: int, verb_end: int) -> Statement:
     """The statement of ``verb`` from its argument words; a missing first
-    word is reported at column ``verb_end``."""
+    word is reported at column ``verb_end``.  Each bound, and each rule
+    between slots, is reported at its slot's own word."""
     grammar = _GRAMMAR[verb]
     slots = [("state", tuple(grammar))] if verb == "init" else list(grammar)
     args = []
-    for i, (key, kind) in enumerate(slots):  # the loop also walks slots appended below
+    for i, (key, kind, *_) in enumerate(slots):  # the loop also walks slots appended below
         if i == len(words):
-            col = words[-1].end if words else verb_end
-            raise ParseError(line, col, f"'{verb}' is missing {_wanted(key, kind)}")
-        args.append(_read(words[i], key, kind))
+            at = words[i - 1].end if words else verb_end
+            raise ParseError(line, at, f"'{verb}' is missing {_wanted(key, kind)}")
+        args.append(value := _read(words[i], key, kind))
         if key == "state":
-            slots += grammar[args[0]]
-    col = [w.col for w in words]
-    if verb == "init":
-        nmax = args[-1]
-        if nmax < 0:
-            raise ParseError(line, col[len(args) - 1], f"nmax must be >= 0, got {nmax}")
-        if args[0] == "fock":
-            m, n = args[1:3]
-            if m < 0 or n < 0:
-                raise ParseError(line, col[1 if m < 0 else 2], "fock indices must be >= 0")
-            if m + n > nmax:
-                raise ParseError(
-                    line, col[1],
-                    f"fock state ({m}, {n}) exceeds the truncation: {m} + {n} > nmax = {nmax}",
-                )
-    elif verb == "jcm":
-        _, coupling, t0, t1, nsamples = args
-        if not coupling > 0:
-            raise ParseError(line, col[1], f"coupling must be positive, got {coupling}")
-        if nsamples < 2:
-            raise ParseError(line, col[4], f"nsamples must be >= 2, got {nsamples}")
+            slots += grammar[value]
+    val, col = {}, {}  # by slot key: the keyword ``nmax`` gives way to its value
+    for (key, kind, *bound), value, word in zip(slots, args, words):
+        val[key], col[key] = value, word.col
+        for low in bound:
+            if not (value >= low if kind is int else value > low):
+                rule = f">= {low}" if kind is int else "positive"
+                raise ParseError(line, word.col, f"{key} must be {rule}, got {value}")
+    if val.get("state") == "fock":
+        m, n, nmax = val["M"], val["N"], val["nmax"]
+        if m + n > nmax:
+            message = f"fock state ({m}, {n}) exceeds the truncation: {m} + {n} > nmax = {nmax}"
+            raise ParseError(line, col["M"], message)
+    if verb == "jcm":
+        t0, t1 = val["t0"], val["t1"]
         if not t1 > t0:
-            raise ParseError(line, col[3], f"t1 must exceed t0, got {t0} .. {t1}")
+            raise ParseError(line, col["t1"], f"t1 must exceed t0, got {t0} .. {t1}")
         if not math.isfinite(t1 - t0):
-            raise ParseError(line, col[2], f"time range t1 - t0 must be finite, got {t0} .. {t1}")
+            raise ParseError(line, col["t0"], f"time range t1 - t0 must be finite, got {t0} .. {t1}")
     if len(words) > len(args):
         tok = words[len(args)]
         raise ParseError(line, tok.col, f"unexpected trailing argument {tok.text!r} after '{verb}'")

@@ -242,7 +242,7 @@ def test_criterion_8_structural_properties():
             for mode in ("c", "r"):
                 assert unitarity_defect(phase_shifter(mode, 0.9, trunc)) < 1e-12
             for kind in ("single", "two"):
-                assert jcm_unitary(1.0, 0.7, trunc, kind).unitarity_defect() < 1e-12
+                assert unitarity_defect(jcm_unitary(1.0, 0.7, trunc, kind)) < 1e-12
 
         # exact number conservation: no support leaves a total-number block
         t6 = Truncation(6)

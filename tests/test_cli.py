@@ -39,6 +39,15 @@ def test_run_mz_demo(tmp_path, capsys):
     assert artifact.read_text().splitlines()[0] == "m,n,p"
 
 
+def test_run_reports_a_coherent_state_far_above_its_cutoff(tmp_path, capsys):
+    # its Poisson tail above nmax sums past 1 in rounding; the run used to exit 2
+    path = tmp_path / "far.seq"
+    path.write_text("init coherent 10 0 0 0 nmax 10\nreport\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "report[1]" in out
+
+
 def test_run_json_format(tmp_path, capsys):
     path = tmp_path / "probe.seq"
     path.write_text(

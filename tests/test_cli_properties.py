@@ -75,9 +75,9 @@ def tokens(draw, kind):
 def statements(draw, verb):
     if verb == "init":
         kind = draw(st.sampled_from(tuple(seqlang._GRAMMAR["init"])))
-        words = [kind] + [draw(tokens(k)) for _, k in seqlang._GRAMMAR["init"][kind]]
+        words = [kind] + [draw(tokens(k)) for _, k, *_ in seqlang._GRAMMAR["init"][kind]]
     else:
-        words = [verb] + [draw(tokens(k)) for _, k in seqlang._GRAMMAR[verb]]
+        words = [verb] + [draw(tokens(k)) for _, k, *_ in seqlang._GRAMMAR[verb]]
     if draw(st.integers(0, 19)) == 0:  # now and then a word too few
         del words[draw(st.integers(0, len(words) - 1))]
     return " ".join(words)

@@ -728,6 +728,25 @@ def test_an_underflowed_state_names_its_mean_phonon_number(build, mean):
         build(Truncation(4))
 
 
+def test_a_product_truncated_far_below_its_mean_reads_a_tail_of_one():
+    # P(N > 10) at mean 100 sums to 1.0000000000000386 in rounding, which
+    # MotionalState used to refuse as no probability
+    s = make_coherent(10, 0, Truncation(10))
+    assert s.tail_mass == 1.0 and s.flagged
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_coherent(28, 0, Truncation(8)),
+    lambda: make_cat(27, "even", "c", Truncation(0)),
+], ids=["coherent-28", "cat-27"])
+def test_kept_probabilities_below_the_normal_range_still_normalize(build):
+    # the kept probabilities sum to a subnormal float, so dividing by its root
+    # left norm^2 at 1.0258 and 0.99999998922, refused as not normalized
+    s = build()
+    assert abs(float(np.vdot(s.amps, s.amps).real) - 1.0) <= 1e-12
+    assert s.flagged and 0.0 <= s.tail_mass <= 1.0
+
+
 def test_reduced_purity_is_refused_before_its_square(monkeypatch):
     # the complex square, its conjugate and the Gram matrix: 48 (nmax + 1)^2 bytes
     t = Truncation(300)
@@ -773,7 +792,7 @@ HUGE = 10**5000  # more digits than str() converts
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda t, s, trace: Truncation(-HUGE), "n_total_max must be >= 0, got -1e+5000"),
+    (lambda t, s, trace: Truncation(-HUGE), "n_total_max must be nonnegative, got -1e+5000"),
     (lambda t, s, trace: make_fock(HUGE, 0, t),
      "(m, n) = (1e+5000, 0) outside truncation: need m, n >= 0 and m + n <= 4"),
     (lambda t, s, trace: make_fock(0, -HUGE, t),

@@ -156,9 +156,9 @@ def test_init_value_checks():
     assert parse("init fock 0 0 nmax 0").statements[0].args[-1] == 0  # the smallest cutoff
     with pytest.raises(ParseError, match="^1:20: nmax must be >= 0, got -1$"):
         parse("init fock 0 0 nmax -1")
-    with pytest.raises(ParseError, match="^1:11: fock indices must be >= 0$"):
+    with pytest.raises(ParseError, match="^1:11: M must be >= 0, got -1$"):
         parse("init fock -1 0 nmax 3")
-    with pytest.raises(ParseError, match="^1:13: fock indices must be >= 0$"):
+    with pytest.raises(ParseError, match="^1:13: N must be >= 0, got -1$"):
         parse("init fock 0 -1 nmax 4")
     with pytest.raises(ParseError, match="nsamples must be >= 2"):
         parse("init fock 0 0 nmax 2\njcm single 1.0 0 1 1")
@@ -333,7 +333,7 @@ def test_angle_literal_forms():
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("pi/0", "denominator must be nonzero"),
+        ("pi/0", "denominator must be positive"),
         ("inf", "must be finite"),
         ("-inf", "must be finite"),
         ("nan", "must be finite"),
@@ -601,3 +601,35 @@ def test_only_the_text_readers_fold_case_or_strip():
         and node.func.attr in ("lower", "strip")
     ]
     assert found == []
+
+
+def _positional_reads(func: ast.FunctionDef) -> list[str]:
+    """Every subscript of ``func`` by an integer literal or a slice with one,
+    and every tuple unpacking of ``args``."""
+    def literal(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Constant) and isinstance(node.value, int)
+
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript):
+            index = node.slice
+            bounds = (index.lower, index.upper, index.step) if isinstance(index, ast.Slice) else ()
+            if literal(index) or any(b is not None and literal(b) for b in bounds):
+                found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+              and isinstance(node.value, ast.Name) and node.value.id == "args"):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_parser_finds_each_slot_by_its_key():
+    # a slot's place is written once, by its order in _GRAMMAR: _parse_statement
+    # reads its words, arguments and columns by no literal position
+    tree = ast.parse(Path(seqlang.__file__).read_text(encoding="utf-8"))
+    (func,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_parse_statement"]
+    assert _positional_reads(func) == []
+    # the walk does see what it looks for
+    probe = ast.parse("def f(args, col):\n    _, a = args\n    return col[4], args[1:3], args[-1]")
+    assert _positional_reads(probe.body[0]) == ["_, a = args", "col[4]", "args[1:3]", "args[-1]"]

@@ -80,6 +80,12 @@ EQUIVALENT = {
         "the mean, and coherent_superposition reads the entry at n_total_max, 100 below top",
     "fockspace.coherent_superposition: constant `1.0` -> `2.0`":
         "`scale or 1.0` divides by it only when every weight is 0, and 0 / 2 is 0",
+    "fockspace.coherent_superposition: constant `1.0` -> `2.0` #4":
+        "ldexp(2.0, k) is 2**(k + 1), another power of two that keeps a subnormal sum of "
+        "kept probabilities normal, so vec / sqrt(retained) is the same state",
+    "fockspace.coherent_superposition: constant `2` -> `3`":
+        "a third of the exponent lifts a subnormal sum to about 2**-340 in place of 1, still "
+        "normal and far from overflow, so vec / sqrt(retained) is the same state",
     "fockspace.make_coherent: constant `1.0` -> `2.0`":
         "coherent_superposition divides every weight by the largest, so one weight of 2 is 1",
     "fockspace.truncation_for_coherent: constant `0` -> `1` #2":
