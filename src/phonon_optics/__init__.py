@@ -62,7 +62,6 @@ from .detection import (
     SignalTrace,
     default_times,
     direct_mean_phonon,
-    jcm_propagate,
     jcm_unitary,
     jz_from_methods,
     level_sets,

@@ -42,7 +42,7 @@ def _angle(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_ANGLE_FLAGS = ("--phi-min", "--phi-max", "--mz")
+_ANGLE_FLAGS = ("--phi-min", "--phi-max", "--mz", "--chi-t")  # chi * t is an angle too
 _NEGATIVE_ANGLE = re.compile(r"-(\d|\.\d|pi)", re.IGNORECASE)
 
 # tracemalloc reads about 0.72 KB of peak heap per sweep point (its grid

@@ -248,13 +248,6 @@ def jcm_unitary(
     return JcmUnitary(trunc, g_idx, e_idx, scale * root)
 
 
-def jcm_propagate(
-    js: JointState, coupling: float, t: float, kind: str, mode: str = "c"
-) -> JointState:
-    """Evolve a joint state under the probe Hamiltonian for time t."""
-    return jcm_unitary(coupling, t, js.trunc, kind, mode).apply(js)
-
-
 def level_sets(s: MotionalState) -> np.ndarray:
     """True q[k] = sum over pairs with m * n = k of |c_mn|^2, dense over
     k = 0..max m n; a product that no pair reaches reads 0."""
@@ -271,8 +264,8 @@ def signal(
 ) -> SignalTrace:
     """Closed-form ground-state signal of a probe on the given state.
 
-    Equals the ground-state probability from ``jcm_propagate`` at every
-    sample; that equivalence is a standing property of the test suite.
+    Equals the ground-state probability from ``jcm_unitary(...).apply`` at
+    every sample; that equivalence is a standing property of the test suite.
     It is (1/2)(1 + table @ p), with ``_probe_table`` and the weight p_k of
     line k the marginal p_m (single kind) or the level-set probability q_k
     (two-mode kind).  A line whose weight is rounding noise (the one floor
@@ -391,8 +384,8 @@ def reconstruct_two(trace: SignalTrace, k_max: int) -> LevelSetDistribution:
 
 
 def direct_mean_phonon(out_state: MotionalState, chi_t: float, mode: str = "c") -> DirectEstimate:
-    """Mean phonon number from a single sigma_x readout at dispersive angle
-    chi_t = chi * t.
+    """Mean phonon number from a single sigma_x readout at a dispersive
+    angle chi_t = chi * t of either sign (a red or a blue detuning).
 
     Returns the closed form -sum_k p_k sin(2 chi_t k) of the protocol's
     <sigma_x2> (carrier pi/2 pulse on ion 2, conditional phase on ``mode``)
@@ -400,7 +393,9 @@ def direct_mean_phonon(out_state: MotionalState, chi_t: float, mode: str = "c") 
     by ``carrier_half_pulse`` and ``conditional_phase`` on a joint state.
     """
     mode = _choice(mode, "mode", _MODES)
-    chi_t = _finite(chi_t, "chi * t", positive=True)
+    chi_t = _finite(chi_t, "chi * t")
+    if chi_t == 0.0:  # the linearization divides by chi_t
+        raise ValueError("chi * t must be nonzero")
     _finite(2.0 * (chi_t * out_state.trunc.n_total_max), "readout phase 2 * chi_t * nmax")
     p = number_distributions(out_state).marginal(mode)
     sigma_x = -float(np.sin(2.0 * (chi_t * np.arange(p.size))) @ p)

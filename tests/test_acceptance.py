@@ -29,7 +29,6 @@ from phonon_optics import (
     entangled_number,
     expect,
     fidelity,
-    jcm_propagate,
     jcm_unitary,
     joint_bs_propagator,
     joint_state,
@@ -168,7 +167,7 @@ def test_criterion_5_detection_equivalence():
                 trace = signal(s, 1.0, times, kind)
                 for ti, want in zip(times, trace.values):
                     js = joint_state(s, ion2=QubitState.ground())
-                    out = jcm_propagate(js, 1.0, float(ti), kind)
+                    out = jcm_unitary(1.0, float(ti), trunc, kind).apply(js)
                     assert abs(out.ground_probability(2) - want) < 1e-12
 
 
@@ -281,7 +280,7 @@ def test_criterion_8_structural_properties():
         a = dense_annihilation(t6, "c")
         h = 1.3 * (np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, a.conj().T))
         want = expm_oracle(h, 0.9) @ js2.amps.ravel()
-        got = jcm_propagate(js2, 1.3, 0.9, "single").amps.ravel()
+        got = jcm_unitary(1.3, 0.9, t6, "single").apply(js2).amps.ravel()
         assert np.max(np.abs(want - got)) < 1e-10
 
         # sigma_x eigenstates stay factorized under the joint propagators
