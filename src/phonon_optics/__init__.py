@@ -40,13 +40,7 @@ from .operators import (
     lab_to_angles,
     phase_shifter,
 )
-from .recipes import (
-    entangled_cat,
-    entangled_cat_target,
-    entangled_cat_u2u3,
-    entangled_cat_u2u3_target,
-    entangled_number,
-)
+from .recipes import entangled_cat, entangled_cat_u2u3, entangled_number
 from .interferometer import (
     InterferometerReport,
     mz_output,

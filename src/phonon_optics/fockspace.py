@@ -433,17 +433,15 @@ def _poisson_tails(lam: float, n: int) -> np.ndarray:
     return np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
 
 
-def _cat_sign(parity: str) -> float:
+def _cat_sign(parity: str, alpha: complex) -> float:
     """The sign s of the cat |alpha> + s |-alpha>: +1 for parity ``"even"``,
-    -1 for ``"odd"``; any other parity is a ValueError."""
-    return 1.0 if _choice(parity, "parity", _PARITIES) == "even" else -1.0
-
-
-def _require_cat_norm(alpha: complex, sign: float) -> None:
-    """Refuse the cat |alpha> + sign |-alpha> whose norm^2, 2 (1 + sign
-    exp(-2|alpha|^2)), is zero: the odd cat at alpha = 0, to rounding."""
+    -1 for ``"odd"``.  Any other parity is a ValueError, and so is the cat
+    whose norm^2, 2 (1 + s exp(-2|alpha|^2)), is zero: the odd cat at
+    alpha = 0, to rounding."""
+    sign = 1.0 if _choice(parity, "parity", _PARITIES) == "even" else -1.0
     if 1.0 + sign * math.exp(-2.0 * _abs2(alpha)) <= 0.0:
         raise ValueError("odd cat with alpha = 0 is the zero vector")
+    return sign
 
 
 def coherent_superposition(
@@ -521,9 +519,8 @@ def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> Motio
     and s = -1 for ``"odd"``; N = [2 (1 + s exp(-2|alpha|^2))]^(-1/2).  Even
     cats have support only on even phonon numbers, odd cats only on odd ones.
     """
-    sign = _cat_sign(parity)
+    sign = _cat_sign(parity, alpha)
     mode = _choice(mode, "mode", _MODES)
-    _require_cat_norm(alpha, sign)
     if mode == "c":
         terms = [(1.0, alpha, 0.0), (sign, -alpha, 0.0)]
     else:

@@ -7,6 +7,13 @@ tests can check it: the generators are placed entry by entry by
 share no code with the operators under test, and a unitarity defect is
 read from the dense blocks, not from a closed form.  Each matrix takes
 16 dim^2 bytes (33 GB at nmax 300), so the tests keep them to small cutoffs.
+
+The recipes' closed-form targets, ``entangled_cat_target`` and
+``entangled_cat_u2u3_target``, are built directly from coherent-state
+amplitudes by ``coherent_superposition``, with no operator applied, so the
+round-trip tests of ``recipes`` never compare an implementation against
+itself.  Like the matrices, they read no input: a test passes them the
+values it means.
 ``seeded_state`` builds the seeded random states that several properties share.
 """
 
@@ -14,7 +21,7 @@ import math
 
 import numpy as np
 
-from phonon_optics import MotionalState, Truncation
+from phonon_optics import MotionalState, Truncation, coherent_superposition
 from phonon_optics.detection import JcmUnitary
 from phonon_optics.operators import _apply_passive
 
@@ -127,6 +134,23 @@ def unitarity_defect(u) -> float:
     m = as_matrix(u)
     blocks = map(u.trunc.block, range(u.trunc.n_total_max + 1))
     return _unitarity_defect(m[sl, sl] for sl in blocks)
+
+
+def entangled_cat_target(alpha, parity, theta, trunc) -> MotionalState:
+    """The entangled cat |a, b> + s |-a, -b>, normalized, with a = alpha
+    cos(theta/2), b = alpha sin(theta/2) and s = +1 for parity "even", -1
+    for "odd"."""
+    a, b = alpha * math.cos(theta / 2.0), alpha * math.sin(theta / 2.0)
+    sign = 1.0 if parity == "even" else -1.0
+    return coherent_superposition([(1.0, a, b), (sign, -a, -b)], trunc)
+
+
+def entangled_cat_u2u3_target(alpha, beta, parity, trunc) -> MotionalState:
+    """|e_minus, e_plus> + s |e_plus, e_minus>, normalized, with e_pm =
+    (beta +- alpha)/sqrt(2) and s = +1 for parity "even", -1 for "odd"."""
+    e_minus, e_plus = (beta - alpha) / math.sqrt(2.0), (beta + alpha) / math.sqrt(2.0)
+    sign = 1.0 if parity == "even" else -1.0
+    return coherent_superposition([(1.0, e_minus, e_plus), (sign, e_plus, e_minus)], trunc)
 
 
 def seeded_state(seed: int) -> MotionalState:

@@ -23,9 +23,7 @@ from phonon_optics import (
     default_times,
     direct_mean_phonon,
     entangled_cat,
-    entangled_cat_target,
     entangled_cat_u2u3,
-    entangled_cat_u2u3_target,
     entangled_number,
     expect,
     fidelity,
@@ -58,6 +56,8 @@ from oracles import (
     dense_jx,
     dense_jy,
     dense_number,
+    entangled_cat_target,
+    entangled_cat_u2u3_target,
     expm_oracle,
     unitarity_defect,
 )

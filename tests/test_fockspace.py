@@ -600,13 +600,6 @@ BEYOND_FLOAT_CALLS = [
      lambda t, s, js, x: truncation_for_coherent(x, 0), "coherent amplitude"),
     ("entangled_cat",
      lambda t, s, js, x: po.entangled_cat(x, "even", 0.5, t), "coherent amplitude"),
-    ("entangled_cat_target-amplitude",
-     lambda t, s, js, x: po.entangled_cat_target(x, "even", 0.5, t), "coherent amplitude"),
-    ("entangled_cat_target-theta",
-     lambda t, s, js, x: po.entangled_cat_target(0.5, "even", x, t), "theta"),
-    ("entangled_cat_u2u3_target",
-     lambda t, s, js, x: po.entangled_cat_u2u3_target(0.5, x, "even", t),
-     "coherent amplitude"),
     ("direct_mean_phonon", lambda t, s, js, x: po.direct_mean_phonon(s, x), "chi * t"),
     ("jz_from_methods-coupling",
      lambda t, s, js, x: po.jz_from_methods(s, coupling=x, m_max=3), "coupling"),

@@ -258,9 +258,9 @@ def test_every_entry_point_runs_on_its_valid_arguments(name):
 
 def test_the_sweep_reaches_every_number_slot():
     # each entry point is listed, and those with a number slot are swept
-    assert len(ENTRY_POINTS) == 47
+    assert len(ENTRY_POINTS) == 45
     swept = {name for name, _ in CASES}
-    assert len(CASES) == 61 and len(swept) == 31
+    assert len(CASES) == 57 and len(swept) == 29
 
 
 def test_the_sweep_reaches_every_method_slot():

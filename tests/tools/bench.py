@@ -26,7 +26,12 @@ then times each call with ``time.perf_counter``.  Record this tree with
 which writes ``BENCH_<N>.json`` at the repository root: for every rung and
 nmax the median and quartiles of all its calls over the passes, and how many
 calls those are, with an environment block (Python, NumPy, BLAS threads,
-cores, load average, commit and the sha256 of the package source).  To
+cores, load average, commit and the sha256 of the package source).  It then
+runs the end-to-end benchmark unchanged, once per workload of
+``BENCHMARK.json``: its command with ``--workload W --seed 1 --seconds 10
+--trace 0``, from the repository root.  The record keeps that run's
+``environment`` line and its final JSON line verbatim; a run that exits
+non-zero stops the tool, and nothing is written.  To
 compare this tree with another, such as a ``git archive`` of the parent
 commit, run
 
@@ -52,6 +57,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+HARNESS_ARGS = ("--seed", "1", "--seconds", "10", "--trace", "0")
 LADDER = (40, 100, 300)
 REPEATS = 5  # timed calls of each rung in a pass
 PASSES = 10  # passes for --pr; pairs of passes for --compare
@@ -164,8 +170,36 @@ def environment(src: Path) -> dict:
     }
 
 
-def record(pr: int, ladder, repeats: int, passes: int, out_dir: Path = ROOT) -> Path:
-    """Write ``BENCH_<pr>.json`` for this tree into ``out_dir``; return its path."""
+def harness_lines(stdout: str) -> dict:
+    """The ``environment`` line and the final JSON line of one end-to-end
+    run's stdout, verbatim."""
+    lines = stdout.splitlines()
+    env = next(line for line in lines if line.startswith("environment "))
+    return {"environment": env, "result": lines[-1]}
+
+
+def benchmark() -> dict:
+    """The repository's ``BENCHMARK.json``: the harness command and its workloads."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def end_to_end(workloads) -> dict:
+    """Workload name to the ``harness_lines`` of one end-to-end run of it;
+    a run that exits non-zero stops the tool."""
+    out = {}
+    for name in workloads:
+        argv = [*benchmark()["command"], "--workload", name, *HARNESS_ARGS]
+        done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+        if done.returncode:
+            raise SystemExit(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+        out[name] = harness_lines(done.stdout)
+    return out
+
+
+def record(pr: int, ladder, repeats: int, passes: int, workloads,
+           out_dir: Path = ROOT) -> Path:
+    """Write ``BENCH_<pr>.json`` for this tree into ``out_dir``, with one
+    end-to-end run of each of ``workloads``; return its path."""
     src = ROOT / "src"
     env = environment(src)
     runs = [run_pass(src, ladder, repeats) for _ in range(passes)]
@@ -173,9 +207,10 @@ def record(pr: int, ladder, repeats: int, passes: int, out_dir: Path = ROOT) -> 
         name: {nmax: quartiles([t for run in runs for t in run[name][nmax]]) for nmax in by_n}
         for name, by_n in runs[0].items()
     }
+    captured = end_to_end(workloads)
     env["loadavg_after"] = list(os.getloadavg())
     doc = {"pr": pr, "ladder": list(ladder), "repeats": repeats, "passes": passes,
-           "environment": env, "rungs": rung_stats}
+           "environment": env, "rungs": rung_stats, "end_to_end": captured}
     path = out_dir / f"BENCH_{pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return path
@@ -214,7 +249,8 @@ def main(argv=None) -> None:
     elif args.compare is not None:
         compare(args.compare.resolve(), LADDER, REPEATS, PASSES)
     else:
-        print(f"wrote {record(args.pr, LADDER, REPEATS, PASSES)}")
+        workloads = [w["name"] for w in benchmark()["workloads"]]
+        print(f"wrote {record(args.pr, LADDER, REPEATS, PASSES, workloads)}")
 
 
 if __name__ == "__main__":
