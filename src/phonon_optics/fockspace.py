@@ -414,10 +414,18 @@ def _abs2(alpha: complex) -> float:
     return r2
 
 
-def _coherent_overlap(a: complex, b: complex) -> complex:
-    """Exact <a|b> for coherent states.  conj(a) b is formed on Python
-    complex values: NumPy would cast an integer like 2**63 to uint64."""
-    return np.exp(-0.5 * (_abs2(a) + _abs2(b)) + complex(a).conjugate() * complex(b))
+def _mean_phonons(alpha: complex, beta: complex) -> float:
+    """The mean phonon number |alpha|^2 + |beta|^2 of |alpha>_c |beta>_r, each
+    amplitude read by ``_abs2`` and the sum by ``_finite``."""
+    return _finite(_abs2(alpha) + _abs2(beta), "mean phonon number |alpha|^2 + |beta|^2")
+
+
+def _log_overlap(a: complex, b: complex) -> complex:
+    """log <a|b> = -|a - b|^2 / 2 + i Im(conj(a) b) for coherent states, on
+    Python complex values: exactly 0 at a = b, and no term of order |a|^2
+    is formed, so none can overflow or cancel."""
+    d = a - b
+    return complex(-0.5 * (d.real * d.real + d.imag * d.imag), (a.conjugate() * b).imag)
 
 
 def _poisson_tails(lam: float, n: int) -> np.ndarray:
@@ -435,12 +443,10 @@ def _poisson_tails(lam: float, n: int) -> np.ndarray:
 
 def _cat_sign(parity: str, alpha: complex) -> float:
     """The sign s of the cat |alpha> + s |-alpha>: +1 for parity ``"even"``,
-    -1 for ``"odd"``.  Any other parity is a ValueError, and so is the cat
-    whose norm^2, 2 (1 + s exp(-2|alpha|^2)), is zero: the odd cat at
-    alpha = 0, to rounding."""
+    -1 for ``"odd"``, else a ValueError.  ``alpha`` is read by ``_abs2``, so a
+    bad amplitude is refused before the caller forms -alpha."""
     sign = 1.0 if _choice(parity, "parity", _PARITIES) == "even" else -1.0
-    if 1.0 + sign * math.exp(-2.0 * _abs2(alpha)) <= 0.0:
-        raise ValueError("odd cat with alpha = 0 is the zero vector")
+    _abs2(alpha)
     return sign
 
 
@@ -456,13 +462,14 @@ def coherent_superposition(
     trunc : Truncation
 
     tail_mass of a product (one term) is its Poisson tail P(N > n_total_max),
-    summed from the log-space pmf; with more terms it is 1 - retained / norm^2
-    against the exact untruncated norm (closed-form coherent overlaps), which
-    holds for non-orthogonal terms such as cats, above a floor near 1e-16.  The
-    weights and the norm come first, so a non-finite weight, or an amplitude
-    whose |alpha|^2 is not finite, is refused before any array is built.  A
-    state whose every kept probability underflows is refused with the largest
-    mean phonon number |alpha|^2 + |beta|^2 of a term.
+    summed from the log-space pmf; with more terms it is 1 - retained / norm^2,
+    where norm^2 = |sum_j w_j|^2 + sum_jk conj(w_j) w_k expm1(L_jk) is exact:
+    L_jk = log <alpha_j|alpha_k> <beta_j|beta_k> is a closed form, 0 on the
+    diagonal, so no term cancels, even for an odd cat at tiny |alpha|, and a
+    norm^2 of 0 is the one zero vector refused.  The weights, then each
+    term's mean phonon number, are read before any overlap or array is
+    formed.  A state whose every kept probability underflows is refused with
+    the largest mean of a term.
     """
     scale, weights = 0.0, []
     for wj, _, _ in terms:
@@ -471,34 +478,34 @@ def coherent_superposition(
             raise ValueError(f"superposition weight must be finite, got {wj!r}")
         scale = max(scale, abs(w.real), abs(w.imag))
         weights.append(w)
+    means = [_mean_phonons(alpha, beta) for _, alpha, beta in terms]
     # neither the state nor tail_mass depends on a common factor of the weights,
     # so dividing by their largest part keeps every product of two finite
-    terms = [(w / (scale or 1.0), alpha, beta) for w, (_, alpha, beta) in zip(weights, terms)]
-    exact_norm2 = 0.0
+    terms = [(w / (scale or 1.0), complex(alpha), complex(beta))
+             for w, (_, alpha, beta) in zip(weights, terms)]
+    norm2 = abs(sum(w for w, _, _ in terms)) ** 2
     for wj, aj, bj in terms:
         for wk, ak, bk in terms:
-            exact_norm2 += (
-                np.conj(wj) * wk * _coherent_overlap(aj, ak) * _coherent_overlap(bj, bk)
-            ).real
-    if exact_norm2 <= 1e-300:
+            log = _log_overlap(aj, ak) + _log_overlap(bj, bk)
+            norm2 += (wj.conjugate() * wk * np.expm1(log)).real
+    if norm2 <= 0.0:
         raise ValueError("superposition has zero norm")
 
     ms, ns = trunc.mode_numbers()
     vec = np.zeros(trunc.dim, dtype=np.complex128)
     for w, alpha, beta in terms:
-        ca = _coherent_mode_amps(complex(alpha), trunc.n_total_max)
-        cb = _coherent_mode_amps(complex(beta), trunc.n_total_max)
+        ca = _coherent_mode_amps(alpha, trunc.n_total_max)
+        cb = _coherent_mode_amps(beta, trunc.n_total_max)
         vec += w * ca[ms] * cb[ns]
 
     retained, n = float(np.vdot(vec, vec).real), trunc.n_total_max
-    means = [_abs2(alpha) + _abs2(beta) for _, alpha, beta in terms]
     if retained <= 0.0:
         raise ValueError(
             f"all amplitude mass lies outside the truncation: mean phonon number "
             f"|alpha|^2 + |beta|^2 = {max(means):.6g}, n_total_max = {n}"
         )
     if len(terms) > 1:
-        tail = max(0.0, 1.0 - retained / exact_norm2)
+        tail = max(0.0, 1.0 - retained / norm2)
     else:  # a product
         tail = min(1.0, _poisson_tails(means[0], n)[n]) if means[0] else 0.0
     if retained < sys.float_info.min:  # a subnormal sum: scale it near 1 by a power of 2
@@ -518,6 +525,8 @@ def make_cat(alpha: complex, parity: str, mode: str, trunc: Truncation) -> Motio
     The state is N (|alpha> + s |-alpha>) with s = +1 for parity ``"even"``
     and s = -1 for ``"odd"``; N = [2 (1 + s exp(-2|alpha|^2))]^(-1/2).  Even
     cats have support only on even phonon numbers, odd cats only on odd ones.
+    An odd cat builds at any alpha != 0, as |1> in its mode at tiny |alpha|.
+    The parity is read first, then alpha, then the mode.
     """
     sign = _cat_sign(parity, alpha)
     mode = _choice(mode, "mode", _MODES)
@@ -765,9 +774,7 @@ def truncation_for_coherent(alpha: complex, beta: complex) -> Truncation:
     The total phonon number of |alpha>_c |beta>_r is Poisson with mean
     |alpha|^2 + |beta|^2, so the discarded mass is a single Poisson tail.
     """
-    lam = _abs2(alpha) + _abs2(beta)
-    if not math.isfinite(lam):
-        raise ValueError("coherent amplitudes must be finite")
+    lam = _mean_phonons(alpha, beta)
     if lam == 0.0:
         return Truncation(0)
     return Truncation(int(np.argmax(_poisson_tails(lam, 0) <= COHERENT_TAIL_TARGET)))

@@ -1,6 +1,8 @@
+import cmath
 import fractions
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -192,14 +194,53 @@ def test_cat_even_alpha_zero_is_vacuum():
 
 
 def test_cat_odd_alpha_zero_rejected():
-    with pytest.raises(ValueError, match="zero vector"):
+    with pytest.raises(ValueError, match="^superposition has zero norm$"):
         make_cat(0, "odd", "c", Truncation(4))
 
 
-def test_an_odd_cat_whose_norm_rounds_to_zero_is_the_zero_vector():
-    # |alpha|^2 = 2.5e-17: exp(-2 |alpha|^2) rounds to 1, so the odd norm 1 - exp(...) is 0
-    with pytest.raises(ValueError, match="^odd cat with alpha = 0 is the zero vector$"):
-        make_cat(5e-9, "odd", "c", Truncation(4))
+def test_an_odd_cat_whose_norm_once_rounded_to_zero_builds():
+    # |alpha|^2 = 2.5e-17: exp(-2 |alpha|^2) rounds to 1, so a norm^2 summed as
+    # 2 - 2 exp(...) was 0, and the cat was refused as the zero vector
+    s = make_cat(5e-9, "odd", "c", Truncation(4))
+    assert np.allclose(s.amps, make_fock(1, 0, s.trunc).amps, rtol=0.0, atol=1e-15)
+    assert s.tail_mass <= 1e-15 and not s.flagged
+
+
+def cat_tail(r2, parity, n):
+    """The float closed form of a cat's tail P(N > n) at |alpha|^2 = r2:
+    2 sum_{k > n, k of the parity} e^-r2 r2^k / k!, over 1 + s e^(-2 r2),
+    with -expm1(-2 r2) as the odd denominator.  Where n < r2 it is summed
+    as 1 minus the kept side, which then holds less mass, so the rounding
+    of each log-space term, near 1e-12 at r2 = 1600, stays small."""
+    odd = parity == "odd"
+    top = max(n, int(r2 + 40.0 * math.sqrt(r2))) + 100
+    pmf = {k: math.exp(k * math.log(r2) - r2 - math.lgamma(k + 1.0))
+           for k in range(int(odd), top + 1, 2)}
+    denominator = -math.expm1(-2.0 * r2) if odd else 1.0 + math.exp(-2.0 * r2)
+    if n < r2:
+        return 1.0 - 2.0 * math.fsum(p for k, p in pmf.items() if k <= n) / denominator
+    return 2.0 * math.fsum(p for k, p in pmf.items() if k > n) / denominator
+
+
+def test_a_cat_tail_is_its_closed_form_at_every_amplitude():
+    # a seeded sweep, not hypothesis: |alpha| = 10^U(-12, log10 40), both
+    # parities and modes, nmax 0..119.  The norm^2 of an odd cat used to be
+    # summed as 2 - 2 exp(-2 |alpha|^2), which cancels at small |alpha|: such
+    # cats were refused as the zero vector or read a tail up to 0.49 off
+    rng = random.Random(43)
+    for _ in range(500):
+        r, phase = 10.0 ** rng.uniform(-12.0, math.log10(40.0)), rng.uniform(0.0, 2 * math.pi)
+        alpha = cmath.rect(r, phase)
+        parity, mode, n = rng.choice(("even", "odd")), rng.choice("cr"), rng.randrange(120)
+        want = cat_tail(abs(alpha) ** 2, parity, n)
+        case = (alpha, parity, mode, n)
+        try:
+            s = make_cat(alpha, parity, mode, Truncation(n))
+        except ValueError as e:  # every kept probability underflows
+            assert str(e).startswith("all amplitude mass lies outside the truncation"), case
+            assert want >= 1.0 - 1e-13, case
+            continue
+        assert abs(s.tail_mass - want) <= 1e-13, case
 
 
 def test_cat_odd_support():
@@ -553,8 +594,11 @@ def test_truncation_for_coherent_rejects_bad_input():
     with pytest.raises(ValueError, match="finite"):
         truncation_for_coherent(float("nan"), 0)
     # each |alpha|^2 is finite, their sum is not
-    with pytest.raises(ValueError, match="coherent amplitudes must be finite"):
+    message = "mean phonon number |alpha|^2 + |beta|^2 must be finite, got inf"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         truncation_for_coherent(1e154, 1e154)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_coherent(1e154, 1e154, Truncation(3))
     with pytest.raises(ValueError, match="mean phonon number 250000 is too large to truncate"):
         truncation_for_coherent(500, 0)
 
@@ -712,9 +756,12 @@ def test_a_common_factor_of_the_weights_is_divided_out(weights, unit):
     (lambda t: make_coherent(2**63, 0, t), "8.50706e+37"),
     (lambda t: make_cat(1e10, "even", "c", t), "1e+20"),
     (lambda t: make_coherent(20, 20j, t), "800"),
-], ids=["coherent-2**63", "cat-1e10", "coherent-20-20j"])
+    (lambda t: make_coherent(9.5e153, 0, t), "9.025e+307"),
+], ids=["coherent-2**63", "cat-1e10", "coherent-20-20j", "coherent-9.5e153"])
 def test_an_underflowed_state_names_its_mean_phonon_number(build, mean):
-    # every kept Poisson weight underflows to 0 at these amplitudes
+    # every kept Poisson weight underflows to 0 at these amplitudes.  At
+    # 9.5e153 the norm^2 summed as exp(-(|alpha|^2 + |alpha|^2) / 2 + |alpha|^2)
+    # was exp(-inf) = 0, and the state was refused as a zero norm
     message = (f"all amplitude mass lies outside the truncation: mean phonon number "
                f"|alpha|^2 + |beta|^2 = {mean}, n_total_max = 4")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

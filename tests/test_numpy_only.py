@@ -13,7 +13,9 @@ constants are written once, in ``fockspace``: 1/sqrt(2) and the reach
 lam + 40 sqrt(lam) of a Poisson tail.  Each
 label set is spelled once, by the module that owns it: the modes by
 ``fockspace._MODES``, the cat parities by ``fockspace._PARITIES`` and the
-probe kinds by ``detection._KINDS``.  Only ``JointState`` knows where an
+probe kinds by ``detection._KINDS``.  A superposition's zero norm is refused
+at one site, and the mean phonon number |alpha|^2 + |beta|^2 is read at
+one, ``fockspace._mean_phonons``.  Only ``JointState`` knows where an
 ion's register lives: no code outside that class calls ``moveaxis`` or
 ``axis_of``."""
 
@@ -172,6 +174,39 @@ def test_each_label_set_is_spelled_by_its_owner_alone():
                     'for mode in "cr":\n    f(mode, ("even", "odd"))\n')
     assert sorted(label_spellings(own, "m")) == [
         "m._MODES", "m:2 ('single', 'two')", "m:3 'cr'", "m:4 ('even', 'odd')"]
+
+
+MEAN_PHONONS = "mean phonon number |alpha|^2 + |beta|^2"
+
+
+def norm_rules(tree, module):
+    """``module:line`` and the rule of every zero-vector refusal (a raised
+    text naming a zero norm or vector) and every reading of the mean phonon
+    number (a sum of two ``_abs2`` calls, or ``MEAN_PHONONS`` passed to a reader)."""
+    for lineno, text in raised_texts(tree):
+        if "zero norm" in text or "zero vector" in text:
+            yield f"{module}:{lineno} zero"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and all(
+                isinstance(side, ast.Call) and getattr(side.func, "id", None) == "_abs2"
+                for side in (node.left, node.right)):
+            yield f"{module}:{node.lineno} sum"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in READERS and any(
+                isinstance(arg, ast.Constant) and arg.value == MEAN_PHONONS for arg in node.args):
+            yield f"{module}:{node.lineno} read"
+
+
+def test_the_zero_norm_and_the_mean_phonon_number_each_have_one_site():
+    # coherent_superposition refuses a norm^2 of 0 and fockspace._mean_phonons
+    # reads |alpha|^2 + |beta|^2: no cat rule or sizing helper restates either
+    found = [where for path, tree in package_trees() for where in norm_rules(tree, path.stem)]
+    assert sorted(where.split(" ")[1] for where in found) == ["read", "sum", "zero"]
+    assert {where.split(":")[0] for where in found} == {"fockspace"}
+    # the walk does see what it looks for
+    own = ast.parse('raise ValueError("odd cat is the zero vector")\n'
+                    'lam = _abs2(alpha) + _abs2(beta)\n'
+                    f'lam = _finite(lam, "{MEAN_PHONONS}")\n')
+    assert list(norm_rules(own, "m")) == ["m:1 zero", "m:2 sum", "m:3 read"]
 
 
 REGISTER_MOVES = ("moveaxis", "axis_of")

@@ -212,7 +212,7 @@ def test_overflowing_cat_amplitude_is_refused(build):
 
 
 def test_u2u3_rejects_zero_odd_input():
-    with pytest.raises(ValueError, match="zero vector"):
+    with pytest.raises(ValueError, match="^superposition has zero norm$"):
         entangled_cat_u2u3(0.0, 1.0, "odd", Truncation(20))
 
 

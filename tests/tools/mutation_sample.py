@@ -10,7 +10,11 @@ Each mutant makes one edit to one module of ``src/phonon_optics``:
 * ``raise-if``: make the test of an ``if`` whose body raises ``False``.
 
 The sites are listed in a fixed order, and seed ``SEED`` draws ``COUNT``
-of them.  Each mutant runs in a temporary copy of the repository, first on
+of them.  The unmutated copy runs first, on the test files of the drawn
+modules and then on all of ``tests/`` but ``KEYS_TEST``; where either
+fails, the tool prints why and exits 1 before any mutant runs, since a
+test that fails in every copy would count each mutant as killed.  Each
+mutant runs in a temporary copy of the repository, first on
 the test files that ``TESTS`` maps its module to, with ``-x``; a mutant that
 survives them runs again on all of ``tests/`` but ``KEYS_TEST``.  A mutant
 is killed when a test fails or a run passes ``TIMEOUT_S`` seconds.  As many
@@ -45,6 +49,7 @@ SEED = 1
 COUNT = 60
 TIMEOUT_S = 300.0  # per test run
 KEYS_TEST = "tests/test_mutation_sample.py"  # left out of every mutant's full run
+FULL = ("tests", f"--ignore={KEYS_TEST}")  # the full run's pytest arguments
 
 # the test files that exercise each module first
 TESTS = {
@@ -83,7 +88,7 @@ EQUIVALENT = {
     "fockspace.coherent_superposition: constant `1.0` -> `2.0` #4":
         "ldexp(2.0, k) is 2**(k + 1), another power of two that keeps a subnormal sum of "
         "kept probabilities normal, so vec / sqrt(retained) is the same state",
-    "fockspace.coherent_superposition: constant `2` -> `3`":
+    "fockspace.coherent_superposition: constant `2` -> `3` #2":
         "a third of the exponent lifts a subnormal sum to about 2**-340 in place of 1, still "
         "normal and far from overflow, so vec / sqrt(retained) is the same state",
     "fockspace.make_coherent: constant `1.0` -> `2.0`":
@@ -165,37 +170,55 @@ def all_sites(modules):
     return out
 
 
-def _pytest(root: Path, files) -> bool:
-    """True when the tests pass in ``root``; a timeout counts as a failure."""
+def _copy(root: Path) -> Path:
+    """Copy ``COPIED`` from the repository into ``root``; return ``root``."""
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, root / name)
+    return root
+
+
+def _pytest(root: Path, files) -> str:
+    """"" when the tests pass in ``root``; else why not, the end of pytest's
+    output or the timeout, which counts as a failure."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
     try:
-        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=TIMEOUT_S)
+        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return False
-    return done.returncode == 0
+        return f"timed out after {TIMEOUT_S:g} s"
+    return "" if done.returncode == 0 else "\n".join(done.stdout.splitlines()[-15:])
 
 
 def run_mutant(module, number) -> str:
     """'killed' or 'survived', for site ``number`` of ``module``."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        root = Path(tmp)
-        for name in COPIED:
-            src = ROOT / name
-            if src.is_dir():
-                shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(src, root / name)
+        root = _copy(Path(tmp))
         path = root / "src" / "phonon_optics" / f"{module}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"))
         _mutate(*_sites(tree)[number][1:])
         path.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
         files = [f"tests/{name}" for name in TESTS[module]]
-        if not _pytest(root, files) or not _pytest(root, ["tests", f"--ignore={KEYS_TEST}"]):
-            return "killed"
-        return "survived"
+        return "killed" if _pytest(root, files) or _pytest(root, FULL) else "survived"
+
+
+def unmutated_failure(modules) -> str:
+    """"" when the unmutated copy passes the test files of ``modules`` and
+    then the full suite; else which run failed and why."""
+    files = sorted({f"tests/{name}" for module in modules for name in TESTS[module]})
+    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
+        root = _copy(Path(tmp))
+        for run in (files, FULL):
+            why = _pytest(root, run)
+            if why:
+                return f"pytest {' '.join(run)}:\n{why}"
+    return ""
 
 
 def main(argv=None) -> int:
@@ -204,7 +227,12 @@ def main(argv=None) -> int:
                         help="draw from this module only (repeatable; default all)")
     args = parser.parse_args(argv)
 
-    sites = all_sites(args.module or sorted(TESTS))
+    modules = args.module or sorted(TESTS)
+    why = unmutated_failure(modules)
+    if why:
+        print(f"the unmutated copy fails, so no mutant can be judged: {why}")
+        return 1
+    sites = all_sites(modules)
     drawn = sorted(random.Random(SEED).sample(sites, min(COUNT, len(sites))))
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         outcomes = list(pool.map(lambda s: run_mutant(s[0], s[1]), drawn))
